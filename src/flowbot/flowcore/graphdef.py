@@ -111,6 +111,12 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"must be an object, got {type(value).__name__}")
+    return value
+
+
 def graph_from_json(doc: dict) -> GraphDef:
     """Parse a graph document, raising :class:`SchemaError` with the offending path."""
     if not isinstance(doc, dict):
@@ -124,31 +130,30 @@ def graph_from_json(doc: dict) -> GraphDef:
     nodes = []
     for i, nd in enumerate(doc["nodes"]):
         path = f"nodes[{i}]"
-        if not isinstance(nd, dict):
-            raise SchemaError(path, "must be an object")
+        _object(nd, path)
         nodes.append(
             NodeDef(
                 id=str(_require(nd, "id", path)),
                 kind=str(_require(nd, "kind", path)),
-                params=dict(nd.get("params", {})),
+                params=dict(_object(nd.get("params", {}), f"{path}.params")),
             )
         )
 
     streams = []
     for i, sd in enumerate(doc["streams"]):
         path = f"streams[{i}]"
-        if not isinstance(sd, dict):
-            raise SchemaError(path, "must be an object")
-        policy_doc = _require(sd, "policy", path)
+        _object(sd, path)
+        policy_doc = _object(_require(sd, "policy", path), f"{path}.policy")
         try:
             policy = policy_from_json(policy_doc)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}.policy", str(exc)) from exc
         watchdog = None
         if sd.get("watchdog") is not None:
+            watchdog_doc = _object(sd["watchdog"], f"{path}.watchdog")
             try:
-                watchdog = WatchdogConfig.from_json(sd["watchdog"])
-            except ValueError as exc:
+                watchdog = WatchdogConfig.from_json(watchdog_doc)
+            except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}.watchdog", str(exc)) from exc
         to_node = sd.get("to_node")
         to_port = sd.get("to_port")
@@ -169,8 +174,7 @@ def graph_from_json(doc: dict) -> GraphDef:
     latches = []
     for i, ld in enumerate(doc["latches"]):
         path = f"latches[{i}]"
-        if not isinstance(ld, dict):
-            raise SchemaError(path, "must be an object")
+        _object(ld, path)
         state_raw = str(ld.get("initial_state", "closed")).lower()
         try:
             state = LatchState(state_raw)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """Immutable, timestamped, sequence-numbered payload carrier.
+
+    A packet is an immutable tuple type, ``(payload, timestamp_us, seq)``:
+    fields cannot be reassigned, and the hot path builds one with
+    ``tuple.__new__(Packet, (payload, timestamp_us, seq))`` without running
+    any Python-level constructor.
 
     ``seq`` is assigned by the producing side and increases strictly along a
     single stream. The payload is treated as immutable once emitted; holders
@@ -22,4 +25,4 @@ class Packet:
 
     def copy(self) -> "Packet":
         """Return a packet observationally identical to this one."""
-        return replace(self)
+        return tuple.__new__(Packet, self)

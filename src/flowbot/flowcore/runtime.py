@@ -1,15 +1,44 @@
 """Deterministic graph executor.
 
-Execution is event-driven: timers and per-push delivery events sit in one
-queue ordered by (time, consumer topological rank, phase, insertion order).
-At equal timestamps, upstream nodes act before downstream ones and latch
-control application precedes gated-data delivery, so a gate opened by a
-window's own attention bit admits that window. With a virtual clock and a
-fixed seed the event log is identical across runs.
+Execution is event-driven: timers, latch controls and per-push deliveries
+sit in one heap ordered by (time, consumer topological rank, phase,
+insertion order). At equal timestamps, upstream nodes act before downstream
+ones and latch control application precedes gated-data delivery, so a gate
+opened by a window's own attention bit admits that window. With a virtual
+clock and a fixed seed the event log is identical across runs.
+
+Heap entries are plain tuples ``(t_us, rank, phase, seq, arg)``. ``seq`` is
+a run-wide insertion counter, so comparison never reaches ``arg``, and
+``phase`` says what ``arg`` is:
+
+* ``_PHASE_CONTROL``: the route of a latch's control stream; the gated
+  stream's pending controls are applied;
+* ``_PHASE_TIMER`` / ``_PHASE_POLL``: a ``(node, tag)`` pair, the timer of a
+  push-driven or a poll-driven node;
+* ``_PHASE_DELIVERY``: the route of the stream to pop one packet from.
+
+Each stream's wiring is resolved once, when the runner is built, into a
+slotted :class:`_Route`: the stream, its consumer node, port and context,
+the consumer's rank, the phase an emit schedules (None for poll-driven and
+consumer-less streams), the gated route for a latch control, the latch and
+control stream for a gated stream, and the next sequence number. ``emit``
+makes one lookup from ``(node_id, port)`` to the route.
+
+Late binding: ``NodeContext.emit`` calls ``runner.emit``, and the runner
+calls ``stream.push`` / ``stream.pop`` and ``node.start`` / ``on_packet`` /
+``on_timer`` / ``finish``, through instance attributes looked up at dispatch
+time. Wrappers installed on a built runner before ``run()`` therefore see
+every call. Under a virtual clock the runner calls ``clock.advance_to`` once
+per dispatched event; a real (monotonic) clock has no ``advance_to``, and
+the same loop sleeps until each event is due instead.
 
 A node runs on at most one execution context at a time; the single-threaded
-loop guarantees that directly. A real (monotonic) clock paces the same loop
-against wall time; counters are identical, only wall timing differs.
+loop guarantees that directly. A real clock gives the same counters as the
+virtual run; only wall timing differs.
+
+Without a time limit, a run stops as exhausted once the only events left
+are poll-driven nodes' timers and every stream into those nodes is empty; a
+polling node would otherwise reschedule itself forever.
 """
 
 from __future__ import annotations
@@ -26,19 +55,24 @@ from ..dsp.detect import rms_detect
 from .aggregator import Aggregator, AggregatorConfig, AggWindow, SampleChunk
 from .attention import attention_decide
 from .clock import VirtualClock
-from .graphdef import GraphDef, LatchDef, StreamDef
+from .graphdef import GraphDef
 from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
-from .stream import Stream, PushOutcome, PushStatus
+from .stream import ACCEPTED, PushOutcome, PushStatus, Stream
 from .validation import Diagnostic, validate_graph
 from .watchdog import Watchdog
 
-# Phase within one timestamp: latch controls apply before anything else,
-# then timers, then packet deliveries.
+# Phase within one timestamp and rank: latch controls apply before anything
+# else, then timers, then packet deliveries. A poll-driven node receives no
+# deliveries, so its timers have their own phase without changing the order.
 _PHASE_CONTROL = 0
 _PHASE_TIMER = 1
-_PHASE_DELIVERY = 2
+_PHASE_POLL = 2
+_PHASE_DELIVERY = 3
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class GraphValidationError(ValueError):
@@ -119,6 +153,7 @@ class NodeContext:
     def __init__(self, runner: "GraphRunner", node: Node):
         self._runner = runner
         self._node = node
+        self._node_id = node.id
         self.rng = runner.rng
         self.collector = runner.collector
 
@@ -130,7 +165,7 @@ class NodeContext:
         return self._runner.stop.time_limit_us
 
     def emit(self, port: str, payload: Any, timestamp_us: Optional[int] = None) -> PushOutcome:
-        return self._runner.emit(self._node.id, port, payload, timestamp_us)
+        return self._runner.emit(self._node_id, port, payload, timestamp_us)
 
     def schedule(self, delay_us: int, tag=None) -> None:
         self.schedule_at(self.now_us() + int(delay_us), tag)
@@ -143,6 +178,30 @@ class NodeContext:
 
     def log(self, kind: str, **fields) -> None:
         self._runner.log_event(kind, node=self._node.id, **fields)
+
+
+class _Route:
+    """One stream's wiring, resolved once when the runner is built."""
+
+    __slots__ = (
+        "stream_id", "stream", "consumer", "port", "ctx", "rank", "phase",
+        "gated", "latch", "control", "next_seq",
+    )
+
+    def __init__(self, stream_id: str, stream: Stream):
+        self.stream_id = stream_id
+        self.stream = stream
+        self.consumer: Optional[Node] = None
+        self.port: Optional[str] = None
+        self.ctx: Optional[NodeContext] = None
+        self.rank = 0
+        self.phase: Optional[int] = None
+        # a latch's control stream: the gated stream's route
+        self.gated: Optional[_Route] = None
+        # a gated stream: its latch and the latch's control stream
+        self.latch: Optional[Latch] = None
+        self.control: Optional[Stream] = None
+        self.next_seq = 0
 
 
 class GraphRunner:
@@ -167,6 +226,7 @@ class GraphRunner:
         self.events: list[dict] = []
         self._heap: list = []
         self._heap_seq = 0
+        self._poll_timers = 0  # _PHASE_POLL entries on the heap
         self._total_pushed = 0
         self._failed_node: Optional[str] = None
         self._stop_reason: Optional[str] = None
@@ -180,45 +240,57 @@ class GraphRunner:
         self.nodes: dict[str, Node] = {
             nd.id: self.kinds.create(nd.kind, nd.id, nd.params, self.env) for nd in graph.nodes
         }
-        self.streams: dict[str, Stream] = {}
-        self._stream_defs: dict[str, StreamDef] = {}
-        self._next_seq: dict[str, int] = {}
-        self._out_streams: dict[tuple[str, str], str] = {}
-        self._in_streams: dict[tuple[str, str], str] = {}
-        for sd in graph.streams:
-            watchdog = Watchdog(sd.watchdog) if sd.watchdog is not None else None
-            self.streams[sd.id] = Stream(sd.id, sd.policy, clock=self.clock, watchdog=watchdog)
-            self._stream_defs[sd.id] = sd
-            self._next_seq[sd.id] = 0
-            self._out_streams[(sd.from_node, sd.from_port)] = sd.id
-            if sd.to_node is not None:
-                self._in_streams[(sd.to_node, sd.to_port)] = sd.id
-
-        self.latches: dict[str, Latch] = {}
-        self._latch_defs: dict[str, LatchDef] = {}
-        self._control_to_gated: dict[str, str] = {}
-        for ld in graph.latches:
-            self.latches[ld.stream_id] = Latch(ld.initial_state)
-            self._latch_defs[ld.stream_id] = ld
-            self._control_to_gated[ld.control_stream_id] = ld.stream_id
-
-        self._topo = self._topo_ranks()
         self._ctx: dict[str, NodeContext] = {
             node_id: NodeContext(self, node) for node_id, node in self.nodes.items()
         }
+        self._topo = self._topo_ranks()
+
+        self.streams: dict[str, Stream] = {}
+        routes: dict[str, _Route] = {}
+        self._outputs: dict[tuple[str, str], _Route] = {}
+        self._inputs: dict[tuple[str, str], _Route] = {}
+        for sd in graph.streams:
+            watchdog = Watchdog(sd.watchdog) if sd.watchdog is not None else None
+            stream = Stream(sd.id, sd.policy, clock=self.clock, watchdog=watchdog)
+            self.streams[sd.id] = stream
+            route = routes[sd.id] = _Route(sd.id, stream)
+            self._outputs[(sd.from_node, sd.from_port)] = route
+            if sd.to_node is not None:
+                self._inputs[(sd.to_node, sd.to_port)] = route
+                node = self.nodes[sd.to_node]
+                route.consumer, route.port, route.ctx = node, sd.to_port, self._ctx[node.id]
+                route.rank = self._topo[node.id]
+                if not node.poll_driven:
+                    route.phase = _PHASE_DELIVERY
+
+        self.latches: dict[str, Latch] = {}
+        for ld in graph.latches:
+            gated, control = routes[ld.stream_id], routes[ld.control_stream_id]
+            gated.latch = self.latches[ld.stream_id] = Latch(ld.initial_state)
+            gated.control = control.stream
+            control.gated = gated
+            control.rank = gated.rank
+            control.phase = _PHASE_CONTROL
+
+        polled = [r for r in routes.values() if r.consumer is not None and r.consumer.poll_driven]
+        self._polled_streams = [r.stream for r in polled] + [
+            r.control for r in polled if r.control is not None
+        ]
 
     # -- ordering ---------------------------------------------------------
 
     def _topo_ranks(self) -> dict[str, int]:
+        stream_defs = {sd.id: sd for sd in self.graph.streams}
+        gated_consumer = {}
+        for ld in self.graph.latches:
+            gated_def = stream_defs.get(ld.stream_id)
+            gated_consumer[ld.control_stream_id] = gated_def.to_node if gated_def else None
         order = [nd.id for nd in self.graph.nodes]
         deps: dict[str, set[str]] = {n: set() for n in order}
         for sd in self.graph.streams:
             consumer = sd.to_node
             if consumer is None:
-                gated = self._control_to_gated.get(sd.id)
-                if gated is not None:
-                    gated_def = self._stream_defs.get(gated)
-                    consumer = gated_def.to_node if gated_def else None
+                consumer = gated_consumer.get(sd.id)
             if consumer is not None and sd.from_node in deps and consumer in deps:
                 if consumer != sd.from_node:
                     deps[consumer].add(sd.from_node)
@@ -233,53 +305,47 @@ class GraphRunner:
             remaining = [n for n in remaining if n not in ranks]
         return ranks
 
-    def _push_event(self, t_us: int, rank: int, phase: int, fn: Callable) -> None:
-        self._heap_seq += 1
-        heapq.heappush(self._heap, (t_us, rank, phase, self._heap_seq, fn))
-
     # -- node-facing operations -------------------------------------------
 
     def schedule_timer(self, node: Node, t_us: int, tag) -> None:
-        rank = self._topo[node.id]
-        self._push_event(t_us, rank, _PHASE_TIMER, lambda: self._run_node(node, node.on_timer, tag))
+        if node.poll_driven:
+            phase = _PHASE_POLL
+            self._poll_timers += 1
+        else:
+            phase = _PHASE_TIMER
+        self._heap_seq += 1
+        _heappush(self._heap, (t_us, self._topo[node.id], phase, self._heap_seq, (node, tag)))
 
     def emit(self, node_id: str, port: str, payload: Any, timestamp_us: Optional[int]) -> PushOutcome:
-        stream_id = self._out_streams.get((node_id, port))
-        if stream_id is None:
+        route = self._outputs.get((node_id, port))
+        if route is None:
             raise KeyError(f"node {node_id!r} has no stream on output port {port!r}")
-        stream = self.streams[stream_id]
         now = self.clock.now_us()
         ts = now if timestamp_us is None else int(timestamp_us)
-        packet = Packet(payload=payload, timestamp_us=ts, seq=self._next_seq[stream_id])
-        self._next_seq[stream_id] += 1
-        outcome = stream.push(packet, now_us=now)
-        if outcome.status is PushStatus.REJECTED:
-            return outcome
+        seq = route.next_seq
+        route.next_seq = seq + 1
+        outcome = route.stream.push(tuple.__new__(Packet, (payload, ts, seq)), now)
+        if outcome is not ACCEPTED:
+            status = outcome.status
+            if status is PushStatus.REJECTED:
+                return outcome
+            if status is PushStatus.DROPPED_OLDEST:
+                self.events.append({
+                    "t_us": now, "kind": "drop", "stream": route.stream_id,
+                    "seq": outcome.dropped.seq, "successive_misses": outcome.successive_misses,
+                })
         self._total_pushed += 1
-        if outcome.status is PushStatus.DROPPED_OLDEST:
-            self.log_event(
-                "drop", stream=stream_id, seq=outcome.dropped.seq,
-                successive_misses=outcome.successive_misses,
-            )
-
-        gated_id = self._control_to_gated.get(stream_id)
-        if gated_id is not None:
-            consumer = self._stream_defs[gated_id].to_node
-            rank = self._topo.get(consumer, 0) if consumer else 0
-            self._push_event(ts, rank, _PHASE_CONTROL, lambda: self._apply_pending_controls(gated_id))
-            return outcome
-
-        sd = self._stream_defs[stream_id]
-        if sd.to_node is not None and not self.nodes[sd.to_node].poll_driven:
-            rank = self._topo[sd.to_node]
-            self._push_event(ts, rank, _PHASE_DELIVERY, lambda: self._deliver(stream_id))
+        phase = route.phase
+        if phase is not None:
+            self._heap_seq = heap_seq = self._heap_seq + 1
+            _heappush(self._heap, (ts, route.rank, phase, heap_seq, route))
         return outcome
 
     def poll_input(self, node_id: str, port: str) -> Optional[Packet]:
-        stream_id = self._in_streams.get((node_id, port))
-        if stream_id is None:
+        route = self._inputs.get((node_id, port))
+        if route is None:
             raise KeyError(f"node {node_id!r} has no stream on input port {port!r}")
-        return self._pop_through_latch(stream_id)
+        return self._pop_through_latch(route)
 
     def log_event(self, kind: str, **fields) -> None:
         entry = {"t_us": self.clock.now_us(), "kind": kind}
@@ -288,86 +354,110 @@ class GraphRunner:
 
     # -- delivery ----------------------------------------------------------
 
-    def _apply_pending_controls(self, gated_id: str) -> None:
-        """Apply queued controls that no longer have earlier-stamped data
-        waiting in front of them; the rest wait for the queue to drain."""
-        self._drain_controls(gated_id, up_to_ts=self.streams[gated_id].peek_timestamp())
-
-    def _drain_controls(self, gated_id: str, up_to_ts: Optional[int] = None) -> None:
-        latch = self.latches[gated_id]
-        control_id = self._latch_defs[gated_id].control_stream_id
-        control = self.streams[control_id]
+    def _drain_controls(self, gated: _Route, up_to_ts: Optional[int]) -> None:
+        """Apply queued controls stamped no later than ``up_to_ts`` (and now);
+        the rest wait for the earlier-stamped data in front of them."""
+        latch = gated.latch
+        control = gated.control
         now = self.clock.now_us()
         limit = now if up_to_ts is None else min(now, up_to_ts)
         while True:
             ts = control.peek_timestamp()
             if ts is None or ts > limit:
                 return
-            packet = control.pop(now_us=now)
+            packet = control.pop(now)
             if packet is None:
                 return
             if latch.apply_control(packet.payload, packet.timestamp_us):
                 self.log_event(
-                    "latch", stream=gated_id, state=latch.state.value, bit=int(bool(packet.payload))
+                    "latch", stream=gated.stream_id, state=latch.state.value,
+                    bit=int(bool(packet.payload)),
                 )
 
-    def _pop_through_latch(self, stream_id: str) -> Optional[Packet]:
-        stream = self.streams[stream_id]
-        latch = self.latches.get(stream_id)
+    def _pop_through_latch(self, route: _Route) -> Optional[Packet]:
+        stream = route.stream
+        latch = route.latch
         if latch is None:
-            return stream.pop(now_us=self.clock.now_us())
+            return stream.pop(self.clock.now_us())
         # a control applies to data with later-or-equal timestamps only, so
         # drain no further than the packet about to be popped
-        self._drain_controls(stream_id, up_to_ts=stream.peek_timestamp())
-        packet = stream.pop(now_us=self.clock.now_us())
+        self._drain_controls(route, stream.peek_timestamp())
+        packet = stream.pop(self.clock.now_us())
         if packet is None:
             return None
         forwarded = latch.forward(packet)
         if forwarded is None:
-            self.log_event("suppressed", stream=stream_id, seq=packet.seq)
-            return None
+            self.events.append({
+                "t_us": self.clock.now_us(), "kind": "suppressed",
+                "stream": route.stream_id, "seq": packet.seq,
+            })
         return forwarded
 
-    def _deliver(self, stream_id: str) -> None:
-        sd = self._stream_defs[stream_id]
-        packet = self._pop_through_latch(stream_id)
-        if packet is None or sd.to_node is None:
-            return
-        node = self.nodes[sd.to_node]
-        self._run_node(node, node.on_packet, sd.to_port, packet)
+    def _polled_streams_empty(self) -> bool:
+        return not any(len(stream) for stream in self._polled_streams)
 
-    def _run_node(self, node: Node, fn: Callable, *args) -> None:
-        try:
-            fn(*args, self._ctx[node.id])
-        except Exception as exc:
-            self._failed_node = node.id
-            self._stop_reason = "node_failure"
-            self.log_event("node_error", node=node.id, error=f"{type(exc).__name__}: {exc}")
+    def _node_failed(self, node: Node, exc: Exception) -> None:
+        self._failed_node = node.id
+        self._stop_reason = "node_failure"
+        self.log_event("node_error", node=node.id, error=f"{type(exc).__name__}: {exc}")
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunReport:
         for node in self.nodes.values():
-            self._run_node(node, node.start)
-            if self._stop_reason:
+            try:
+                node.start(self._ctx[node.id])
+            except Exception as exc:
+                self._node_failed(node, exc)
                 break
 
-        realtime = not getattr(self.clock, "is_virtual", False)
-        while self._heap and self._stop_reason is None:
-            t_us, _rank, _phase, _seq, fn = heapq.heappop(self._heap)
-            limit = self.stop.time_limit_us
+        clock = self.clock
+        now_us = clock.now_us
+        realtime = not getattr(clock, "is_virtual", False)
+        advance_to = None if realtime else clock.advance_to
+        limit = self.stop.time_limit_us
+        max_packets = self.stop.max_packets
+        stop_when_idle = limit is None and bool(self._polled_streams)
+        heap = self._heap
+        ctx = self._ctx
+        while heap and self._stop_reason is None:
+            if stop_when_idle and len(heap) == self._poll_timers and self._polled_streams_empty():
+                break
+            t_us, _rank, phase, _seq, arg = _heappop(heap)
             if limit is not None and t_us >= limit:
                 self._stop_reason = "time_limit"
                 self._end_time_us = limit
                 break
             if realtime:
-                lag = (t_us - self.clock.now_us()) / 1e6
+                lag = (t_us - now_us()) / 1e6
                 if lag > 0:
                     _time.sleep(lag)
             else:
-                self.clock.advance_to(max(t_us, self.clock.now_us()))
-            fn()
-            if self.stop.max_packets is not None and self._total_pushed >= self.stop.max_packets:
+                now = now_us()
+                advance_to(t_us if t_us > now else now)
+            if phase == _PHASE_DELIVERY:
+                if arg.latch is None:
+                    packet = arg.stream.pop(now_us())
+                else:
+                    packet = self._pop_through_latch(arg)
+                if packet is not None:
+                    node = arg.consumer
+                    try:
+                        node.on_packet(arg.port, packet, arg.ctx)
+                    except Exception as exc:
+                        self._node_failed(node, exc)
+            elif phase == _PHASE_CONTROL:
+                gated = arg.gated
+                self._drain_controls(gated, gated.stream.peek_timestamp())
+            else:
+                if phase == _PHASE_POLL:
+                    self._poll_timers -= 1
+                node, tag = arg
+                try:
+                    node.on_timer(tag, ctx[node.id])
+                except Exception as exc:
+                    self._node_failed(node, exc)
+            if max_packets is not None and self._total_pushed >= max_packets:
                 self._stop_reason = "packet_budget"
         if self._stop_reason is None:
             self._stop_reason = "exhausted"

@@ -13,7 +13,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union
 
 from .packet import Packet
 from .watchdog import Violation, ViolationKind, Watchdog
@@ -97,8 +97,9 @@ class PushStatus(Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class PushOutcome:
+class PushOutcome(NamedTuple):
+    """Result of one push: an immutable tuple ``(status, dropped, successive_misses)``."""
+
     status: PushStatus
     dropped: Optional[Packet] = None
     successive_misses: int = 0
@@ -108,6 +109,11 @@ class PushOutcome:
         return self.status is not PushStatus.REJECTED
 
 
+#: The outcome of every push that evicts nothing; shared, since outcomes are immutable.
+ACCEPTED = PushOutcome(PushStatus.ACCEPTED)
+REJECTED = PushOutcome(PushStatus.REJECTED)
+
+
 class Stream:
     """Thread-safe FIFO between one producer and one consumer.
 
@@ -115,6 +121,9 @@ class Stream:
     An optional :class:`Watchdog` observes pushes, pops and drops; policy
     violations (miss limit, lossless deadline) are recorded by the stream
     itself. Monitoring never blocks either side.
+
+    The policy is resolved once, at construction, into a capacity and miss
+    limit (lossy) or a deadline (lossless); the unused ones are None.
     """
 
     def __init__(
@@ -136,51 +145,45 @@ class Stream:
         self._q: deque[Packet] = deque()
         self._lock = threading.Lock()
         self._closed = False
+        lossy = isinstance(policy, LossyPolicy)
+        self._capacity: Optional[int] = policy.capacity if lossy else None
+        self._miss_limit: Optional[int] = policy.max_successive_misses if lossy else None
+        self._deadline_us: Optional[int] = None if lossy else policy.deadline_us
 
-    def _now(self, now_us: Optional[int], fallback: int) -> int:
-        if now_us is not None:
-            return now_us
-        if self.clock is not None:
-            return self.clock.now_us()
-        return fallback
+    def _now(self, fallback: int) -> int:
+        return self.clock.now_us() if self.clock is not None else fallback
 
     def push(self, packet: Packet, now_us: Optional[int] = None) -> PushOutcome:
-        now = self._now(now_us, packet.timestamp_us)
+        now = self._now(packet.timestamp_us) if now_us is None else now_us
         with self._lock:
             if self._closed:
-                return PushOutcome(PushStatus.REJECTED)
-            evicted: Optional[Packet] = None
-            if isinstance(self.policy, LossyPolicy) and len(self._q) >= self.policy.capacity:
-                evicted = self._q.popleft()
-                self.dropped += 1
-                self.successive_misses += 1
-            else:
-                self.successive_misses = 0
-            self._q.append(packet)
+                return REJECTED
+            q = self._q
             self.pushed += 1
-            misses = self.successive_misses
-
+            capacity = self._capacity
+            if capacity is None or len(q) < capacity:
+                q.append(packet)
+                self.successive_misses = 0
+                if self.watchdog is not None:
+                    self.violations.extend(self.watchdog.packet_in(now))
+                return ACCEPTED
+            evicted = q.popleft()
+            q.append(packet)
+            self.dropped += 1
+            self.successive_misses = misses = self.successive_misses + 1
             if self.watchdog is not None:
                 self.violations.extend(self.watchdog.packet_in(now))
-                if evicted is not None:
-                    self.violations.extend(self.watchdog.drop(now))
-            if (
-                evicted is not None
-                and isinstance(self.policy, LossyPolicy)
-                and self.policy.max_successive_misses is not None
-                and misses > self.policy.max_successive_misses
-            ):
+                self.violations.extend(self.watchdog.drop(now))
+            if self._miss_limit is not None and misses > self._miss_limit:
                 self.violations.append(
                     Violation(
                         kind=ViolationKind.BACKPRESSURE_MISS_LIMIT,
                         at_us=now,
                         observed=float(misses),
-                        bound=float(self.policy.max_successive_misses),
+                        bound=float(self._miss_limit),
                     )
                 )
-        if evicted is not None:
-            return PushOutcome(PushStatus.DROPPED_OLDEST, dropped=evicted, successive_misses=misses)
-        return PushOutcome(PushStatus.ACCEPTED)
+        return tuple.__new__(PushOutcome, (PushStatus.DROPPED_OLDEST, evicted, misses))
 
     def pop(self, now_us: Optional[int] = None) -> Optional[Packet]:
         """Dequeue the oldest packet, or None when empty (a poll outcome)."""
@@ -189,16 +192,17 @@ class Stream:
                 return None
             packet = self._q.popleft()
             self.delivered += 1
-            now = self._now(now_us, packet.timestamp_us)
-            if isinstance(self.policy, LosslessPolicy):
+            now = self._now(packet.timestamp_us) if now_us is None else now_us
+            deadline = self._deadline_us
+            if deadline is not None:
                 age = now - packet.timestamp_us
-                if age > self.policy.deadline_us:
+                if age > deadline:
                     self.violations.append(
                         Violation(
                             kind=ViolationKind.LATENCY_EXCEEDED,
                             at_us=now,
                             observed=float(age),
-                            bound=float(self.policy.deadline_us),
+                            bound=float(deadline),
                         )
                     )
             if self.watchdog is not None:

@@ -1,9 +1,12 @@
 """Graph validation diagnostics and the deterministic executor."""
 
+import collections
+
 import pytest
 
 from flowbot.flowcore import (
     GraphDef,
+    GraphRunner,
     GraphValidationError,
     LatchDef,
     LosslessPolicy,
@@ -355,3 +358,93 @@ def test_fifo_per_stream_in_run_events():
     )
     dropped_seqs = [e["seq"] for e in report.events if e["kind"] == "drop"]
     assert dropped_seqs == sorted(dropped_seqs)
+
+
+def test_poll_driven_sink_without_time_limit_terminates(wall_clock_guard):
+    # 50 packets over 49 ms into a 100 Hz polling sink: the sink reschedules
+    # itself forever, so the run must end once its input has drained
+    graph = simple_graph(policy=LossyPolicy(capacity=4), sink_params={"poll_rate_hz": 100.0}, count=50)
+    with wall_clock_guard(10.0):
+        report = graph_run(graph)
+    s = report.streams["s"]
+    assert (report.status, report.stop_reason) == ("ok", "exhausted")
+    assert s["queued"] == 0 and s["pushed"] == s["delivered"] + s["dropped"] == 50
+    # the last packet arrives at 49 ms; polls at 50..80 ms drain the 4 queued
+    assert report.end_time_us == 80_000
+
+
+def test_poll_driven_latched_sink_without_time_limit_drains_controls(wall_clock_guard):
+    # same graph as the lagging-consumer test, without its time limit: the run
+    # ends once data and controls have drained, with the same latch outcome
+    kinds = default_kind_registry()
+    kinds.register("bit_script", BitScriptNode)
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 5, "rate_hz": 1000.0}),
+            NodeDef("ctl", "bit_script", {"script": [(2_000, 1), (60_000, 0)]}),
+            NodeDef("snk", "sink", {"poll_rate_hz": 100.0}),
+        ),
+        streams=(
+            StreamDef("s_data", "src", "out", "snk", "in", LOSSLESS),
+            StreamDef("s_ctl", "ctl", "bit", None, None, LOSSLESS),
+        ),
+        latches=(LatchDef("s_data", "s_ctl"),),
+    )
+    with wall_clock_guard(10.0):
+        report = graph_run(g, kinds=kinds)
+    assert report.stop_reason == "exhausted"
+    assert report.streams["s_ctl"]["queued"] == 0 and report.streams["s_data"]["queued"] == 0
+    latch = report.latches["s_data"]
+    assert (latch["suppressed"], latch["forwarded"]) == (2, 3)
+    assert latch["transitions"] == [{"t_us": 2_000, "state": "open"}, {"t_us": 60_000, "state": "closed"}]
+
+
+def test_wrappers_installed_on_a_built_runner_see_every_call():
+    # tracers replace bound methods after the runner is built; the executor
+    # must reach them through the instance attributes, never a cached copy
+    kinds = default_kind_registry()
+    kinds.register("bit_script", BitScriptNode)
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 40, "rate_hz": 1000.0}),
+            NodeDef("split", "splitter", {"outputs": ["a", "b"]}),
+            NodeDef("ctl", "bit_script", {"script": [(5_000, 1), (20_000, 0)]}),
+            NodeDef("gated", "sink", {}),
+            NodeDef("slow", "sink", {"poll_rate_hz": 200.0}),
+        ),
+        streams=(
+            StreamDef("s_in", "src", "out", "split", "in", LOSSLESS),
+            StreamDef("s_a", "split", "a", "gated", "in", LOSSLESS),
+            StreamDef("s_b", "split", "b", "slow", "in", LossyPolicy(capacity=2)),
+            StreamDef("s_ctl", "ctl", "bit", None, None, LOSSLESS),
+        ),
+        latches=(LatchDef("s_a", "s_ctl"),),
+    )
+    runner = GraphRunner(g, kinds=kinds, stop=StopCondition(time_limit_us=100_000))
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    runner.emit = spy("emit", runner.emit)
+    for sid, stream in runner.streams.items():
+        stream.push = spy(f"push:{sid}", stream.push)
+        stream.pop = spy(f"pop:{sid}", stream.pop)
+    for node_id, node in runner.nodes.items():
+        node.on_packet = spy(f"on_packet:{node_id}", node.on_packet)
+        node.on_timer = spy(f"on_timer:{node_id}", node.on_timer)
+    report = runner.run()
+
+    streams = report.streams
+    assert calls["emit"] == sum(s["pushed"] for s in streams.values())
+    for sid, s in streams.items():
+        assert calls[f"push:{sid}"] == s["pushed"] > 0
+        assert calls[f"pop:{sid}"] >= s["delivered"] > 0
+    assert calls["on_timer:src"] == 40 and calls["on_timer:ctl"] == 2
+    assert calls["on_timer:slow"] == runner.nodes["slow"]._polls > 0
+    assert calls["on_packet:split"] == streams["s_in"]["delivered"]
+    assert calls["on_packet:gated"] == report.latches["s_a"]["forwarded"] > 0

@@ -1,0 +1,140 @@
+"""Random valid graphs: every run terminates, conserves packets and replays.
+
+Hypothesis draws small DAGs of sources, splitters and sinks, with lossy and
+lossless streams, optional watchdogs, push- and poll-driven sinks, and at
+most one latch driven by a scripted bit node.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from flowbot.flowcore import (
+    GraphDef,
+    LatchDef,
+    LatchState,
+    LosslessPolicy,
+    LossyPolicy,
+    Node,
+    NodeDef,
+    PortSpec,
+    StopCondition,
+    StreamDef,
+    WatchdogConfig,
+    default_kind_registry,
+    graph_run,
+    validate_graph,
+)
+
+
+class ScriptedBits(Node):
+    """Emits scripted ``(t_us, bit)`` pairs, in time order, on ``bit``."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.script = sorted(params["script"])
+        self._next = 0
+
+    def output_ports(self):
+        return {"bit": PortSpec("bit")}
+
+    def start(self, ctx):
+        if self.script:
+            ctx.schedule_at(self.script[0][0])
+
+    def on_timer(self, tag, ctx):
+        t_us, bit = self.script[self._next]
+        ctx.emit("bit", bit, timestamp_us=t_us)
+        self._next += 1
+        if self._next < len(self.script):
+            ctx.schedule_at(self.script[self._next][0])
+
+
+def kinds():
+    registry = default_kind_registry()
+    registry.register("scripted_bits", ScriptedBits)
+    return registry
+
+
+policies = st.one_of(
+    st.builds(
+        LossyPolicy,
+        capacity=st.integers(1, 4),
+        max_successive_misses=st.one_of(st.none(), st.integers(0, 3)),
+    ),
+    st.builds(LosslessPolicy, deadline_us=st.integers(100, 20_000)),
+)
+
+watchdogs = st.one_of(
+    st.none(),
+    st.builds(WatchdogConfig, max_latency_us=st.integers(1, 5_000)),
+    st.builds(
+        WatchdogConfig,
+        max_latency_us=st.one_of(st.none(), st.integers(1, 5_000)),
+        min_throughput_hz=st.sampled_from([10.0, 500.0, 5_000.0]),
+        window_us=st.sampled_from([1_000, 10_000]),
+    ),
+)
+
+
+@st.composite
+def graphs(draw):
+    nodes, streams = [], []
+    consumers = []  # (stream id, consumer node id) for every data stream
+
+    def connect(producer, port, depth):
+        sid = f"s{len(streams)}"
+        if depth < 2 and draw(st.booleans()):
+            node_id = f"split{len(nodes)}"
+            outputs = [f"o{k}" for k in range(draw(st.integers(1, 3)))]
+            nodes.append(NodeDef(node_id, "splitter", {"outputs": outputs}))
+        else:
+            node_id = f"sink{len(nodes)}"
+            poll = draw(st.sampled_from([None, 50.0, 400.0, 2_000.0]))
+            nodes.append(NodeDef(node_id, "sink", {} if poll is None else {"poll_rate_hz": poll}))
+            outputs = []
+        streams.append(
+            StreamDef(sid, producer, port, node_id, "in", draw(policies), watchdog=draw(watchdogs))
+        )
+        consumers.append((sid, node_id))
+        for out in outputs:
+            connect(node_id, out, depth + 1)
+
+    for i in range(draw(st.integers(1, 2))):
+        source = f"src{i}"
+        nodes.append(NodeDef(source, "source", {
+            "count": draw(st.integers(0, 40)),
+            "rate_hz": draw(st.sampled_from([300.0, 1_000.0, 4_000.0])),
+            "start_us": draw(st.integers(0, 3_000)),
+        }))
+        connect(source, "out", 0)
+
+    latches = []
+    if draw(st.booleans()):
+        gated = draw(st.sampled_from([sid for sid, _ in consumers]))
+        times = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=6))
+        script = [(t, draw(st.integers(0, 1))) for t in times]
+        nodes.append(NodeDef("bits", "scripted_bits", {"script": script}))
+        streams.append(StreamDef("s_ctl", "bits", "bit", None, None, draw(policies)))
+        initial = draw(st.sampled_from(list(LatchState)))
+        latches.append(LatchDef(gated, "s_ctl", initial))
+
+    time_limit = draw(st.one_of(st.none(), st.integers(1_000, 80_000)))
+    return GraphDef(tuple(nodes), tuple(streams), tuple(latches)), time_limit
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graphs(), st.integers(0, 2**16))
+def test_random_graphs_terminate_conserve_and_replay(wall_clock_guard, case, seed):
+    graph, time_limit = case
+    assert validate_graph(graph, kinds()) == []
+    stop = StopCondition(time_limit_us=time_limit)
+
+    def run():
+        with wall_clock_guard(20.0):
+            return graph_run(graph, kinds=kinds(), stop=stop, seed=seed)
+
+    first, second = run(), run()
+    assert first.status == "ok"
+    assert first.stop_reason in ("exhausted", "time_limit")
+    for sid, s in first.streams.items():
+        assert s["pushed"] == s["delivered"] + s["dropped"] + s["queued"], sid
+    assert first.to_json_str() == second.to_json_str()

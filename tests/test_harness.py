@@ -22,6 +22,7 @@ from flowbot.harness import (
     synthesize_audio,
 )
 from flowbot.harness.cli import main as cli_main
+from flowbot.harness.config import packaged_config_text
 from flowbot.harness.nodes import harness_kind_registry
 from flowbot.dsp import AudioBuffer
 
@@ -428,6 +429,32 @@ def test_cli_run_and_validate(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nodes": [], "latches": []}))
     assert cli_main(["validate", "--graph", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "section, index, key, value, path",
+    [
+        ("nodes", 0, "params", [1], "nodes[0].params"),
+        ("streams", 0, "policy", "lossy", "streams[0].policy"),
+        ("streams", 2, "watchdog", [1_000_000], "streams[2].watchdog"),
+    ],
+)
+def test_cli_non_object_section_exits_2_naming_its_path(
+    tmp_path, capsys, command, section, index, key, value, path
+):
+    doc = reference_pipeline().to_json()
+    doc[section][index][key] = value
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(doc))
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(packaged_config_text("demo_scenario.json"))
+    argv = ["validate", "--graph", str(graph_path)]
+    if command == "run":
+        argv = ["run", "--graph", str(graph_path), "--scenario", str(scenario_path)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert path in err and "must be an object" in err
 
 
 def test_cli_run_uses_packaged_default_graph(tmp_path):
