@@ -23,11 +23,12 @@ from .logmel import (
     mel_filterbank,
     mel_to_hz,
 )
-from .resample import ResampleError, resample_3to1
+from .resample import Decimator3to1, ResampleError, resample_3to1
 
 __all__ = [
     "AudioBuffer",
     "AugmentError",
+    "Decimator3to1",
     "LogMelConfig",
     "LogMelError",
     "LogMelFeature",

@@ -1,9 +1,10 @@
 """48 kHz -> 16 kHz conversion: anti-alias low-pass, then decimate by 3.
 
 The filter is a 159-tap Hamming-windowed sinc with 7.5 kHz cutoff: flat to
-within 0.03 dB below 7 kHz, -51 dB by 8 kHz, -81 dB at 23 kHz. Filtering is
-zero-phase (centered convolution), so tones keep their alignment apart from
-edge transients of half the filter length.
+within 0.03 dB below 7 kHz, -51 dB by 8 kHz, -81 dB at 23 kHz.
+:class:`Decimator3to1` applies it causally to a stream, in any chunking, with
+158 samples of history. :func:`resample_3to1` runs it over a whole buffer and
+trims the filter's 79-sample group delay, so the batch form is zero-phase.
 """
 
 from __future__ import annotations
@@ -32,13 +33,28 @@ def lowpass_kernel(numtaps: int, cutoff_hz: float, fs_hz: float) -> np.ndarray:
 _KERNEL_48K = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)
 
 
+class Decimator3to1:
+    """Output ``m`` is the causal filter output at input index ``3*m``."""
+
+    def __init__(self):
+        self._hist = np.zeros(FILTER_TAPS - 1)
+        self._consumed = 0
+
+    def process(self, samples) -> np.ndarray:
+        x = np.asarray(samples, dtype=np.float64)
+        buf = np.concatenate([self._hist, x])
+        # valid-mode output j is the filter output at input index consumed + j
+        out = np.convolve(buf, _KERNEL_48K, mode="valid")[(-self._consumed) % 3 :: 3]
+        self._consumed += len(x)
+        self._hist = buf[1 - FILTER_TAPS :]
+        return out
+
+
 def resample_3to1(buffer: AudioBuffer) -> AudioBuffer:
     """Convert a 48 kHz buffer to 16 kHz; output length is floor(N/3)."""
     if buffer.sample_rate_hz != 48000:
         raise ResampleError(f"expected 48000 Hz input, got {buffer.sample_rate_hz}")
-    n = len(buffer.samples)
-    if n == 0:
-        return AudioBuffer(samples=np.zeros(0), sample_rate_hz=16000)
-    filtered = np.convolve(buffer.samples, _KERNEL_48K, mode="same")
-    decimated = filtered[: 3 * (n // 3)][::3]
+    # two leading zeros put input index 3*m, delayed 79 by the filter, at output m + 27
+    padded = np.concatenate([np.zeros(2), buffer.samples, np.zeros(79)])
+    decimated = Decimator3to1().process(padded)[27 : 27 + len(buffer.samples) // 3]
     return AudioBuffer(samples=decimated, sample_rate_hz=16000)

@@ -17,9 +17,11 @@ a run-wide insertion counter, so comparison never reaches ``arg``, and
   push-driven or a poll-driven node;
 * ``_PHASE_DELIVERY``: the route of the stream to pop one packet from.
 
-Each stream's wiring is resolved once, when the runner is built, into a
-slotted :class:`_Route`: the stream, its consumer node, port and context,
-the consumer's rank, the phase an emit schedules (None for poll-driven and
+The runner builds each node once, checks the wiring against those nodes
+and raises :class:`GraphValidationError` on any diagnostic. Each stream's
+wiring is resolved once, when the runner is built, into a slotted
+:class:`_Route`: the stream, its consumer node, port and context, the
+consumer's rank, the phase an emit schedules (None for poll-driven and
 consumer-less streams), the gated route for a latch control, the latch and
 control stream for a gated stream, and the next sequence number. ``emit``
 makes one lookup from ``(node_id, port)`` to the route.
@@ -60,7 +62,7 @@ from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
 from .stream import ACCEPTED, PushOutcome, PushStatus, Stream
-from .validation import Diagnostic, validate_graph
+from .validation import Diagnostic, build_nodes, check_wiring
 from .watchdog import Watchdog
 
 # Phase within one timestamp and rank: latch controls apply before anything
@@ -213,7 +215,6 @@ class GraphRunner:
         stop: Optional[StopCondition] = None,
         seed: int = 0,
         env: Optional[dict] = None,
-        validate_first: bool = True,
     ):
         self.graph = graph
         self.kinds = kinds if kinds is not None else default_kind_registry()
@@ -232,14 +233,10 @@ class GraphRunner:
         self._stop_reason: Optional[str] = None
         self._end_time_us: Optional[int] = None
 
-        if validate_first:
-            diags = validate_graph(graph, self.kinds, self.env)
-            if diags:
-                raise GraphValidationError(diags)
-
-        self.nodes: dict[str, Node] = {
-            nd.id: self.kinds.create(nd.kind, nd.id, nd.params, self.env) for nd in graph.nodes
-        }
+        self.nodes, diags = build_nodes(graph, self.kinds, self.env)
+        diags += check_wiring(graph, self.nodes)
+        if diags:
+            raise GraphValidationError(diags)
         self._ctx: dict[str, NodeContext] = {
             node_id: NodeContext(self, node) for node_id, node in self.nodes.items()
         }
@@ -503,14 +500,9 @@ def graph_run(
     stop: Optional[StopCondition] = None,
     seed: int = 0,
     env: Optional[dict] = None,
-    validate_first: bool = True,
 ) -> RunReport:
     """Validate, build and execute a graph to completion. See GraphRunner."""
-    runner = GraphRunner(
-        graph, kinds=kinds, clock=clock, stop=stop, seed=seed, env=env,
-        validate_first=validate_first,
-    )
-    return runner.run()
+    return GraphRunner(graph, kinds=kinds, clock=clock, stop=stop, seed=seed, env=env).run()
 
 
 # -- built-in node kinds ----------------------------------------------------

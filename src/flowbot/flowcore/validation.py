@@ -2,7 +2,9 @@
 
 Returns diagnostics instead of raising: an empty list means the graph is
 well-formed (endpoints resolve, ports fully connected or optional, one
-producer and one consumer per stream, control streams carry bits).
+producer and one consumer per stream, control streams carry bits). It builds
+the nodes (``build_nodes``, returning them and their diagnostics), then
+checks the wiring against them (``check_wiring``), as a runner does.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ class Diagnostic:
 
 
 def validate_graph(graph: GraphDef, kinds: NodeKindRegistry, env: dict | None = None) -> list[Diagnostic]:
+    nodes, diags = build_nodes(graph, kinds, env)
+    return diags + check_wiring(graph, nodes)
+
+
+def build_nodes(graph: GraphDef, kinds: NodeKindRegistry, env: dict | None = None):
     diags: list[Diagnostic] = []
     nodes: dict[str, Node] = {}
-
     seen_ids: set[str] = set()
     for nd in graph.nodes:
         if nd.id in seen_ids:
@@ -39,7 +45,11 @@ def validate_graph(graph: GraphDef, kinds: NodeKindRegistry, env: dict | None = 
             diags.append(Diagnostic("UnknownNodeKind", f"node {nd.id}", f"no such kind {nd.kind!r}"))
         except Exception as exc:
             diags.append(Diagnostic("BadNodeParams", f"node {nd.id}", str(exc)))
+    return nodes, diags
 
+
+def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
+    diags: list[Diagnostic] = []
     latch_controls = {l.control_stream_id for l in graph.latches}
 
     stream_ids: set[str] = set()

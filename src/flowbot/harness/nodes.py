@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dsp.resample import lowpass_kernel, FILTER_TAPS, CUTOFF_HZ
+from ..dsp.resample import Decimator3to1
 from ..flowcore.aggregator import AggWindow, SampleChunk
 from ..flowcore.node import Node, NodeKindRegistry, PortSpec
 from ..flowcore.runtime import default_kind_registry, register_detector
@@ -132,13 +132,11 @@ class IoManagerNode(Node):
 
 
 class ResamplerNode(Node):
-    """Streaming 48 kHz -> 16 kHz: causal low-pass then pick every 3rd sample."""
+    """Streaming 48 kHz -> 16 kHz through :class:`Decimator3to1`."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self._kernel = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)
-        self._hist = np.zeros(FILTER_TAPS - 1)
-        self._consumed = 0
+        self._decimator = Decimator3to1()
         self._out_start = 0
 
     def input_ports(self):
@@ -151,16 +149,7 @@ class ResamplerNode(Node):
         chunk: SampleChunk = packet.payload
         if chunk.sample_rate_hz != 48000:
             raise ValueError(f"resampler expects 48000 Hz input, got {chunk.sample_rate_hz}")
-        x = np.asarray(chunk.samples, dtype=np.float64)
-        buf = np.concatenate([self._hist, x])
-        # y[j] is the causal filter output at global input index consumed + j
-        y = np.convolve(buf, self._kernel, mode="valid")
-        first = self._consumed
-        offsets = np.arange(len(y))
-        keep = (first + offsets) % 3 == 0
-        out = y[keep]
-        self._consumed += len(x)
-        self._hist = buf[-(FILTER_TAPS - 1):]
+        out = self._decimator.process(chunk.samples)
         if len(out):
             ctx.emit(
                 "out",

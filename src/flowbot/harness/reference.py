@@ -11,66 +11,25 @@ from __future__ import annotations
 import json
 
 from ..flowcore.clock import VirtualClock
-from ..flowcore.graphdef import GraphDef, LatchDef, NodeDef, StreamDef
-from ..flowcore.latch import LatchState
+from ..flowcore.graphdef import GraphDef, graph_from_json
 from ..flowcore.runtime import GraphRunner, RunReport, StopCondition
-from ..flowcore.stream import LosslessPolicy
-from ..flowcore.watchdog import WatchdogConfig
 from ..skills.builtin import register_demo_skills
 from ..skills.registry import SkillRegistry
+from .config import packaged_config_text
 from .nodes import harness_kind_registry
 from .scenario import ScenarioScript, scenario_audio
 
-DEFAULT_WINDOW_SAMPLES = 16000
-DEFAULT_HOP_SAMPLES = 4000
-DEFAULT_CHUNK_SAMPLES = 1600
-DEFAULT_SAMPLE_RATE_HZ = 16000
-
 
 def reference_pipeline(detector: dict | None = None, manager_params: dict | None = None) -> GraphDef:
-    """Build the reference speech pipeline; detector defaults to scripted."""
-    detector = detector or {"kind": "scripted"}
-    manager_params = manager_params or {}
-    lossless = LosslessPolicy(deadline_us=2_000_000)
-    return GraphDef(
-        nodes=(
-            NodeDef("mic", "audio_source", {
-                "device_id": "mic0",
-                "chunk_samples": DEFAULT_CHUNK_SAMPLES,
-                "pad_to_samples": DEFAULT_WINDOW_SAMPLES,
-            }),
-            NodeDef("iomgr", "io_manager", {"routing": {"mic0": ["ui_audio"]}}),
-            NodeDef("agg", "aggregator", {
-                "window_samples": DEFAULT_WINDOW_SAMPLES,
-                "hop_samples": DEFAULT_HOP_SAMPLES,
-                "sample_rate_hz": DEFAULT_SAMPLE_RATE_HZ,
-            }),
-            NodeDef("split", "splitter", {"outputs": ["win_att", "win_gate"]}),
-            NodeDef("att", "attention", {"detector": detector}),
-            NodeDef("interp", "interpreter_stub", {}),
-            NodeDef("mgr", "skill_manager", manager_params),
-            NodeDef("speaker", "speaker_sink", {}),
-            NodeDef("uart", "uart_sink", {}),
-        ),
-        streams=(
-            StreamDef("s_mic", "mic", "out", "iomgr", "in", lossless),
-            StreamDef("s_ui_audio", "iomgr", "ui_audio", "agg", "in", lossless),
-            StreamDef(
-                "s_windows", "agg", "windows", "split", "in", lossless,
-                watchdog=WatchdogConfig(max_latency_us=1_000_000),
-            ),
-            StreamDef("s_win_att", "split", "win_att", "att", "in", lossless),
-            StreamDef("s_win_gated", "split", "win_gate", "interp", "in", lossless),
-            StreamDef("s_ctl", "att", "bit", None, None, lossless),
-            StreamDef("s_interp", "interp", "out", "mgr", "in", lossless),
-            StreamDef("s_speech", "mgr", "speech", "speaker", "in", lossless),
-            StreamDef("s_loco", "mgr", "locomotion", "uart", "in", lossless),
-        ),
-        latches=(
-            LatchDef(stream_id="s_win_gated", control_stream_id="s_ctl",
-                     initial_state=LatchState.CLOSED),
-        ),
-    )
+    """The packaged ``reference_pipeline.json`` with the attention detector
+    (scripted by default) and the skill manager's params overridden."""
+    doc = json.loads(packaged_config_text("reference_pipeline.json"))
+    nodes = {nd["kind"]: nd for nd in doc["nodes"]}
+    if detector:
+        nodes["attention"]["params"]["detector"] = detector
+    if manager_params:
+        nodes["skill_manager"]["params"] = manager_params
+    return graph_from_json(doc)
 
 
 def _led_states(report: RunReport) -> list[dict]:

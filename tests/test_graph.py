@@ -13,6 +13,7 @@ from flowbot.flowcore import (
     LossyPolicy,
     Node,
     NodeDef,
+    NodeKindRegistry,
     PortSpec,
     StopCondition,
     StreamDef,
@@ -271,6 +272,39 @@ def test_validation_error_raised_before_run():
     )
     with pytest.raises(GraphValidationError):
         graph_run(g)
+
+
+def test_runner_builds_each_node_once_and_runs_the_nodes_it_validated():
+    base = default_kind_registry()
+    built = collections.defaultdict(list)
+    kinds = NodeKindRegistry()
+    for kind in ("source", "splitter", "sink"):
+        def factory(node_id, params, env, kind=kind):
+            node = base.create(kind, node_id, params, env)
+            built[node_id].append(node)
+            return node
+
+        kinds.register(kind, factory)
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 5}),
+            NodeDef("split", "splitter", {"outputs": ["a", "b"]}),
+            NodeDef("snk_a", "sink", {}),
+            NodeDef("snk_b", "sink", {}),
+        ),
+        streams=(
+            StreamDef("s_in", "src", "out", "split", "in", LOSSLESS),
+            StreamDef("s_a", "split", "a", "snk_a", "in", LOSSLESS),
+            StreamDef("s_b", "split", "b", "snk_b", "in", LOSSLESS),
+        ),
+    )
+    runner = GraphRunner(g, kinds=kinds)
+    report = runner.run()
+    assert {node_id: len(nodes) for node_id, nodes in built.items()} == {
+        "src": 1, "split": 1, "snk_a": 1, "snk_b": 1,
+    }
+    assert all(runner.nodes[node_id] is nodes[0] for node_id, nodes in built.items())
+    assert report.streams["s_a"]["delivered"] == report.streams["s_b"]["delivered"] == 5
 
 
 def test_packet_budget_stop():

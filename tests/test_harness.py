@@ -457,6 +457,47 @@ def test_cli_non_object_section_exits_2_naming_its_path(
     assert path in err and "must be an object" in err
 
 
+SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"audio": SILENCE_4S, "annotations": [{"end_s": 2.5}]}, "annotations[0].start_s"),
+        (
+            {"audio": SILENCE_4S,
+             "interpreter_script": [{"trigger_window_index": "five", "skill_id": "get_time"}]},
+            "interpreter_script[0].trigger_window_index",
+        ),
+        ({"audio": {"synthetic": {"kind": "silence", "duration_s": -1}}},
+         "audio.synthetic.duration_s"),
+        ({"audio": {"synthetic": {"kind": "silence", "duration_s": float("inf")}}},
+         "audio.synthetic.duration_s"),
+        ({"audio": {"synthetic": {"kind": "silence", "duration_s": float("nan")}}},
+         "audio.synthetic.duration_s"),
+        ({"audio": SILENCE_4S, "seed": -1}, "seed"),
+        ({"audio": {"wav": "no-such-file.wav"}}, "audio.wav"),
+    ],
+)
+def test_cli_malformed_scenario_exits_2_naming_its_path(tmp_path, capsys, doc, path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--scenario", str(scenario_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "Traceback" not in err
+
+
+def test_cli_run_ignores_the_ultrasonic_scene_key(tmp_path):
+    # scans read their own scene file; a scenario's ultrasonic_scene is not parsed
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({
+        "audio": {"synthetic": {"kind": "silence", "duration_s": 1.0}},
+        "ultrasonic_scene": [{"distance_m": 1.0}],
+    }))
+    assert cli_main(["run", "--scenario", str(scenario_path),
+                     "--report", str(tmp_path / "r.json")]) == 0
+
+
 def test_cli_run_uses_packaged_default_graph(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps({

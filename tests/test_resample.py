@@ -1,9 +1,11 @@
-"""Resampler contract: rate, length, tone fidelity, alias rejection."""
+"""Resampler contract: rate, length, tone fidelity, alias rejection, and the
+batch and streaming forms of the one decimator."""
 
 import numpy as np
 import pytest
 
-from flowbot.dsp import AudioBuffer, ResampleError, resample_3to1
+from flowbot.dsp import AudioBuffer, Decimator3to1, ResampleError, resample_3to1
+from flowbot.dsp.resample import CUTOFF_HZ, FILTER_TAPS, lowpass_kernel
 
 
 def tone(freq_hz, duration_s=1.0, rate=48000, amp=0.5):
@@ -72,3 +74,25 @@ def test_above_nyquist_energy_rejected_overall():
     # a tone above the output Nyquist must not alias into the output band
     out = resample_3to1(tone(16000.0))
     assert np.sqrt(np.mean(steady_state(out.samples) ** 2)) < 0.5 / np.sqrt(2) / 100.0
+
+
+@pytest.mark.parametrize("n", [3, 10, 100, 158, 159, 160, 48001])
+def test_batch_form_is_the_centred_filter_at_every_third_sample(n):
+    # zero-phase definition: full convolution, group delay of 79 trimmed,
+    # every third sample kept; short inputs included
+    x = np.random.default_rng(n).uniform(-1, 1, n)
+    h = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)
+    expected = np.convolve(x, h)[79 : 79 + n][: 3 * (n // 3) : 3]
+    out = resample_3to1(AudioBuffer(samples=x, sample_rate_hz=48000)).samples
+    assert len(out) == len(expected) == n // 3
+    assert np.max(np.abs(out - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [7, 1600, 4800])
+def test_streaming_decimator_output_does_not_depend_on_chunking(chunk):
+    x = np.random.default_rng(3).uniform(-1, 1, 3 * 4800 + 5)
+    whole = Decimator3to1().process(x)
+    decimator = Decimator3to1()
+    pieces = [decimator.process(x[i : i + chunk]) for i in range(0, len(x), chunk)]
+    assert np.array_equal(np.concatenate(pieces), whole)
+    assert len(whole) == -(-len(x) // 3)
