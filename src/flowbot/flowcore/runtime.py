@@ -61,7 +61,7 @@ from .graphdef import GraphDef
 from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
-from .stream import ACCEPTED, PushOutcome, PushStatus, Stream
+from .stream import ACCEPTED, PushOutcome, Stream
 from .validation import Diagnostic, build_nodes, check_wiring
 from .watchdog import Watchdog
 
@@ -248,7 +248,7 @@ class GraphRunner:
         self._inputs: dict[tuple[str, str], _Route] = {}
         for sd in graph.streams:
             watchdog = Watchdog(sd.watchdog) if sd.watchdog is not None else None
-            stream = Stream(sd.id, sd.policy, clock=self.clock, watchdog=watchdog)
+            stream = Stream(sd.id, sd.policy, watchdog=watchdog)
             self.streams[sd.id] = stream
             route = routes[sd.id] = _Route(sd.id, stream)
             self._outputs[(sd.from_node, sd.from_port)] = route
@@ -323,14 +323,10 @@ class GraphRunner:
         route.next_seq = seq + 1
         outcome = route.stream.push(tuple.__new__(Packet, (payload, ts, seq)), now)
         if outcome is not ACCEPTED:
-            status = outcome.status
-            if status is PushStatus.REJECTED:
-                return outcome
-            if status is PushStatus.DROPPED_OLDEST:
-                self.events.append({
-                    "t_us": now, "kind": "drop", "stream": route.stream_id,
-                    "seq": outcome.dropped.seq, "successive_misses": outcome.successive_misses,
-                })
+            self.events.append({
+                "t_us": now, "kind": "drop", "stream": route.stream_id,
+                "seq": outcome.dropped.seq, "successive_misses": outcome.successive_misses,
+            })
         self._total_pushed += 1
         phase = route.phase
         if phase is not None:

@@ -7,7 +7,6 @@ aligned to the first observed event.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -78,18 +77,18 @@ class WatchdogConfig:
 
 
 class Watchdog:
-    """Stateful observer fed with PacketIn/PacketOut/Drop timestamps.
+    """Stateful observer fed with PacketIn/PacketOut timestamps.
 
     Each ``packet_*`` call returns the violations newly raised by that event.
-    In-timestamps are paired FIFO with outs; a drop consumes the oldest
-    pending in-timestamp since lossy eviction removes the oldest packet.
-    Out-of-order timestamps are recorded as monitoring errors and ignored.
+    The watchdog keeps no state for each packet: ``packet_out`` is given the
+    popped packet's push time by the stream, which stores it in the queue
+    entry. Out-of-order timestamps are recorded as monitoring errors and
+    ignored.
     """
 
     def __init__(self, config: WatchdogConfig):
         self.config = config
         self.errors: list[dict] = []
-        self._pending_in: deque[int] = deque()
         self._last_ts: Optional[int] = None
         self._window_start: Optional[int] = None
         self._window_out = 0
@@ -97,35 +96,24 @@ class Watchdog:
     def packet_in(self, ts_us: int) -> list[Violation]:
         if self._reject_out_of_order(ts_us, "PacketIn"):
             return []
-        out = self._advance_windows(ts_us)
-        self._pending_in.append(ts_us)
-        return out
+        return self._advance_windows(ts_us)
 
-    def packet_out(self, ts_us: int) -> list[Violation]:
+    def packet_out(self, ts_us: int, pushed_us: int) -> list[Violation]:
+        """Observe a pop at ``ts_us`` of the packet pushed at ``pushed_us``."""
         if self._reject_out_of_order(ts_us, "PacketOut"):
             return []
         out = self._advance_windows(ts_us)
         self._window_out += 1
-        if self._pending_in:
-            in_ts = self._pending_in.popleft()
-            latency = ts_us - in_ts
-            if self.config.max_latency_us is not None and latency > self.config.max_latency_us:
-                out.append(
-                    Violation(
-                        kind=ViolationKind.LATENCY_EXCEEDED,
-                        at_us=ts_us,
-                        observed=float(latency),
-                        bound=float(self.config.max_latency_us),
-                    )
+        latency = ts_us - pushed_us
+        if self.config.max_latency_us is not None and latency > self.config.max_latency_us:
+            out.append(
+                Violation(
+                    kind=ViolationKind.LATENCY_EXCEEDED,
+                    at_us=ts_us,
+                    observed=float(latency),
+                    bound=float(self.config.max_latency_us),
                 )
-        return out
-
-    def drop(self, ts_us: int) -> list[Violation]:
-        if self._reject_out_of_order(ts_us, "Drop"):
-            return []
-        out = self._advance_windows(ts_us)
-        if self._pending_in:
-            self._pending_in.popleft()
+            )
         return out
 
     def flush(self, end_us: int) -> list[Violation]:

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 run failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..flowcore.graphdef import SchemaError
@@ -31,7 +30,8 @@ def _cmd_run(args) -> int:
     try:
         graph = load_graph_config(args.graph) if args.graph else packaged_graph()
         scenario = load_scenario(args.scenario)
-    except (SchemaError, ScenarioError, OSError, json.JSONDecodeError) as exc:
+    # SchemaError, ScenarioError, JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -51,7 +51,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         graph = load_graph_config(args.graph) if args.graph else packaged_graph()
-    except (SchemaError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     diags = validate_graph(graph, harness_kind_registry(), env=_validation_env())
@@ -77,29 +77,25 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    mode = BeamMode.PAPER if args.mode == "paper" else BeamMode.TRIG
     try:
         doc = load_scan_scene(args.scene)
-    except (SchemaError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = SweepConfig(
-        d_max_m=float(doc.get("d_max_m", 2.5)),
-        c_air_mps=float(doc.get("c_air_mps", 346.0)),
-    )
-    raw = []
-    for i, p in enumerate(doc["ultrasonic_scene"]):
-        theta = float(p["theta_deg"])
-        if p.get("distance_m") is None and p.get("t_s") is None:
-            raw.append((theta, None))
-        elif p.get("t_s") is not None:
-            raw.append((theta, float(p["t_s"])))
-        else:
-            raw.append((theta, echo_round_trip_s(float(p["distance_m"]), config.c_air_mps)))
-    mode = BeamMode.PAPER if args.mode == "paper" else BeamMode.TRIG
-    climb = args.climb if args.climb is not None else float(doc.get("climb_height_m", 0.05))
-    try:
+        config = SweepConfig(
+            d_max_m=float(doc.get("d_max_m", 2.5)),
+            c_air_mps=float(doc.get("c_air_mps", 346.0)),
+        )
+        raw = []
+        for p in doc["ultrasonic_scene"]:
+            theta = float(p["theta_deg"])
+            if p.get("distance_m") is None and p.get("t_s") is None:
+                raw.append((theta, None))
+            elif p.get("t_s") is not None:
+                raw.append((theta, float(p["t_s"])))
+            else:
+                raw.append((theta, echo_round_trip_s(float(p["distance_m"]), config.c_air_mps)))
+        climb = args.climb if args.climb is not None else float(doc.get("climb_height_m", 0.05))
         points = scan_to_points(raw, config=config, climb_height_m=climb, mode=mode)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     csv_text = scan_points_to_csv(points)

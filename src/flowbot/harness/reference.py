@@ -17,7 +17,7 @@ from ..skills.builtin import register_demo_skills
 from ..skills.registry import SkillRegistry
 from .config import packaged_config_text
 from .nodes import harness_kind_registry
-from .scenario import ScenarioScript, scenario_audio
+from .scenario import ScenarioError, ScenarioScript, scenario_audio
 
 
 def reference_pipeline(detector: dict | None = None, manager_params: dict | None = None) -> GraphDef:
@@ -70,7 +70,10 @@ def run_scenario(
         "skill_registry": registry,
     }
     if scenario.time_limit_s is not None:
-        time_limit_us = int(scenario.time_limit_s * 1e6)
+        try:
+            time_limit_us = int(scenario.time_limit_s * 1e6)
+        except OverflowError as exc:
+            raise ScenarioError(f"time_limit_s: {scenario.time_limit_s:g} s is too long: {exc}") from exc
     else:
         time_limit_us = int((audio.duration_s + 1.0) * 1e6)
     runner = GraphRunner(

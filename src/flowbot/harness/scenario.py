@@ -124,8 +124,11 @@ def synthesize_audio(spec: dict, seed: int = 0) -> AudioBuffer:
     kind = _check(spec, path, dict).get("kind", "silence")
     rate = _get(spec, "sample_rate_hz", path, int, 16000, minimum=1)
     duration_s = _get(spec, "duration_s", path, float, 1.0, minimum=0.0)
-    n = int(round(duration_s * rate))
-    t = np.arange(n) / rate
+    try:
+        n = int(round(duration_s * rate))
+        t = np.arange(n) / rate
+    except (OverflowError, ValueError) as exc:
+        raise ScenarioError(f"{path}.duration_s: {duration_s:g} s is too long: {exc}") from exc
     if kind == "silence":
         samples = np.zeros(n)
     elif kind == "tone":

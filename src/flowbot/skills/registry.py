@@ -1,21 +1,18 @@
 """Skill registry: exact-match string keys to handlers, with dispatch.
 
-Dispatch honors the descriptor's execution policy: Inline runs the handler
-to completion on the calling thread; Deferred schedules it on the skill
-executor and the handle resolves later. Exactly one SkillInvoked event is
-logged per dispatch either way; handler failures log SkillFailed.
+Dispatch runs the handler to completion before it returns, whatever the
+descriptor's execution policy; ``Deferred`` is kept because catalogs declare
+it and skill events report it. Exactly one SkillInvoked event is logged per
+dispatch; handler failures log SkillFailed.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .types import (
     DuplicateSkillError,
-    ExecutionPolicy,
     MissingEntitiesError,
     SkillDescriptor,
     SkillNotFoundError,
@@ -45,75 +42,28 @@ class SkillEvent:
 
 
 class InvocationHandle:
-    """Resolves to the handler's return value; raises its exception."""
+    """The outcome of one dispatch: the handler's return value or its error."""
 
-    def done(self) -> bool:
-        raise NotImplementedError
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        raise NotImplementedError
-
-
-class _ImmediateHandle(InvocationHandle):
     def __init__(self, value: Any = None, error: Optional[BaseException] = None):
         self._value = value
         self._error = error
 
-    def done(self) -> bool:
-        return True
-
-    def result(self, timeout: Optional[float] = None) -> Any:
+    def result(self) -> Any:
+        """Return the handler's value; raise the exception it raised."""
         if self._error is not None:
             raise self._error
         return self._value
 
 
-class _FutureHandle(InvocationHandle):
-    def __init__(self, future: Future):
-        self._future = future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        return self._future.result(timeout)
-
-
-class SerialSkillExecutor:
-    """Runs deferred handlers immediately on the caller; deterministic."""
-
-    def submit(self, fn: Callable, *args) -> InvocationHandle:
-        try:
-            return _ImmediateHandle(value=fn(*args))
-        except BaseException as exc:
-            return _ImmediateHandle(error=exc)
-
-
-class ThreadedSkillExecutor:
-    """Runs deferred handlers on a dedicated worker pool."""
-
-    def __init__(self, max_workers: int = 1):
-        self._pool = ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix="skill")
-
-    def submit(self, fn: Callable, *args) -> InvocationHandle:
-        return _FutureHandle(self._pool.submit(fn, *args))
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
 class SkillRegistry:
     """Hash map of skill id -> (descriptor, handler). Lookup is exact-match.
 
-    Registration happens during construction/wiring; lookup and dispatch are
-    safe to call concurrently afterwards.
+    Registration happens during construction/wiring, before any dispatch.
     """
 
-    def __init__(self, executor=None, clock=None):
+    def __init__(self, clock=None):
         self._entries: dict[str, tuple[SkillDescriptor, Callable]] = {}
-        self._executor = executor if executor is not None else SerialSkillExecutor()
         self._clock = clock
-        self._lock = threading.Lock()
         self.events: list[SkillEvent] = []
         self.event_listener: Optional[Callable[[SkillEvent], None]] = None
 
@@ -142,47 +92,36 @@ class SkillRegistry:
         return [d for d, _ in self._entries.values()]
 
     def _log(self, event: SkillEvent) -> None:
-        with self._lock:
-            self.events.append(event)
+        self.events.append(event)
         if self.event_listener is not None:
             self.event_listener(event)
 
-    def dispatch(self, skill_id: str, entities: dict, context=None, executor=None) -> InvocationHandle:
+    def dispatch(self, skill_id: str, entities: dict, context=None) -> InvocationHandle:
         descriptor, handler = self.lookup(skill_id)
         missing = descriptor.missing_from(entities)
         if missing:
             raise MissingEntitiesError(skill_id, missing)
-        policy = descriptor.execution_policy
+        policy = descriptor.execution_policy.value
         self._log(
             SkillEvent(
                 kind="invoked",
                 skill_id=skill_id,
                 entities=dict(entities),
-                policy=policy.value,
+                policy=policy,
                 t_us=self._now_us(),
             )
         )
-
-        def run():
-            try:
-                return handler(dict(entities), context)
-            except BaseException as exc:
-                self._log(
-                    SkillEvent(
-                        kind="failed",
-                        skill_id=skill_id,
-                        entities=dict(entities),
-                        policy=policy.value,
-                        t_us=self._now_us(),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+        try:
+            return InvocationHandle(value=handler(dict(entities), context))
+        except BaseException as exc:
+            self._log(
+                SkillEvent(
+                    kind="failed",
+                    skill_id=skill_id,
+                    entities=dict(entities),
+                    policy=policy,
+                    t_us=self._now_us(),
+                    error=f"{type(exc).__name__}: {exc}",
                 )
-                raise
-
-        if policy is ExecutionPolicy.INLINE:
-            try:
-                return _ImmediateHandle(value=run())
-            except BaseException as exc:
-                return _ImmediateHandle(error=exc)
-        chosen = executor if executor is not None else self._executor
-        return chosen.submit(run)
+            )
+            return InvocationHandle(error=exc)

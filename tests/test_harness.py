@@ -477,6 +477,9 @@ SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}
          "audio.synthetic.duration_s"),
         ({"audio": SILENCE_4S, "seed": -1}, "seed"),
         ({"audio": {"wav": "no-such-file.wav"}}, "audio.wav"),
+        ({"audio": SILENCE_4S, "time_limit_s": 1e303}, "time_limit_s"),
+        ({"audio": {"synthetic": {"kind": "silence", "duration_s": 1e300}}},
+         "audio.synthetic.duration_s"),
     ],
 )
 def test_cli_malformed_scenario_exits_2_naming_its_path(tmp_path, capsys, doc, path):
@@ -539,3 +542,43 @@ def test_cli_scan(tmp_path, capsys):
 def test_cli_rejects_missing_files(tmp_path):
     assert cli_main(["run", "--scenario", str(tmp_path / "nope.json")]) == 2
     assert cli_main(["scan", "--scene", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("flag", ["run --scenario", "validate --graph", "scan --scene"])
+def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, flag):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"audio": \xff}')
+    assert cli_main(flag.split() + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "utf-8" in err
+
+
+@pytest.mark.parametrize(
+    "entry, path",
+    [
+        ({}, "ultrasonic_scene[0].theta_deg"),
+        ({"theta_deg": "30"}, "ultrasonic_scene[0].theta_deg"),
+        ({"theta_deg": 30, "t_s": "fast"}, "ultrasonic_scene[0].t_s"),
+        ({"theta_deg": 30, "distance_m": [1.0]}, "ultrasonic_scene[0].distance_m"),
+        (7, "ultrasonic_scene[0]"),
+    ],
+)
+def test_cli_scan_rejects_a_malformed_scene_entry_naming_its_path(tmp_path, capsys, entry, path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"ultrasonic_scene": [entry]}))
+    assert cli_main(["scan", "--scene", str(scene)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        {"ultrasonic_scene": [{"theta_deg": 30, "distance_m": -1.0}]},
+        {"ultrasonic_scene": [], "d_max_m": 0},
+    ],
+)
+def test_cli_scan_out_of_range_values_exit_2(tmp_path, scene):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert cli_main(["scan", "--scene", str(path)]) == 2

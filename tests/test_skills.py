@@ -25,7 +25,6 @@ from flowbot.skills import (
     SkillManager,
     SkillNotFoundError,
     SkillRegistry,
-    ThreadedSkillExecutor,
     TIMEOUT,
     UnknownSessionError,
     load_catalog,
@@ -121,23 +120,17 @@ def test_handler_failure_logs_failed_event_and_raises_on_result():
 
 def test_deferred_equals_inline_for_pure_handler():
     results = {}
-    for policy, executor in (
-        (ExecutionPolicy.INLINE, None),
-        (ExecutionPolicy.DEFERRED, None),  # serial executor
-        (ExecutionPolicy.DEFERRED, ThreadedSkillExecutor(max_workers=1)),
-    ):
-        reg = SkillRegistry(executor=executor) if executor else SkillRegistry()
+    for policy in (ExecutionPolicy.INLINE, ExecutionPolicy.DEFERRED):
+        reg = SkillRegistry()
         reg.register(
             SkillDescriptor(id="pure", execution_policy=policy),
             lambda entities, ctx: sorted(entities.items()),
         )
         handle = reg.dispatch("pure", {"b": 2, "a": 1})
-        results[(policy, type(executor).__name__)] = handle.result(timeout=10)
-        assert [(e.kind, e.skill_id, e.entities) for e in reg.events] == [
-            ("invoked", "pure", {"b": 2, "a": 1})
+        results[policy] = handle.result()
+        assert [(e.kind, e.skill_id, e.entities, e.policy) for e in reg.events] == [
+            ("invoked", "pure", {"b": 2, "a": 1}, policy.value)
         ]
-        if isinstance(executor, ThreadedSkillExecutor):
-            executor.shutdown()
     assert len(set(map(tuple, map(tuple, results.values())))) == 1
 
 

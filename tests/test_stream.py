@@ -1,7 +1,5 @@
 """Stream delivery policies: eviction, miss counting, deadlines, FIFO."""
 
-import threading
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,14 +101,6 @@ def test_lossless_deadline_violation_still_delivers():
     assert (v.observed, v.bound) == (1500.0, 1000.0)
 
 
-def test_closed_stream_rejects():
-    s = Stream("s", LossyPolicy(capacity=1))
-    s.push(pkt(0))
-    s.close()
-    assert s.push(pkt(1)).status is PushStatus.REJECTED
-    assert s.pop() is not None  # draining still allowed
-
-
 @given(
     capacity=st.integers(1, 8),
     ops=st.lists(st.sampled_from(["push", "pop"]), min_size=1, max_size=200),
@@ -132,24 +122,3 @@ def test_lossy_conservation_fifo_and_bounded_memory(capacity, ops):
     assert delivered == sorted(delivered)
     assert len(set(delivered)) == len(delivered)
 
-
-def test_single_producer_single_consumer_threads():
-    s = Stream("s", LosslessPolicy(deadline_us=10**9))
-    n = 2000
-    got = []
-
-    def produce():
-        for i in range(n):
-            s.push(pkt(i))
-
-    def consume():
-        while len(got) < n:
-            p = s.pop()
-            if p is not None:
-                got.append(p.seq)
-
-    t1, t2 = threading.Thread(target=produce), threading.Thread(target=consume)
-    t1.start(), t2.start()
-    t1.join(timeout=30), t2.join(timeout=30)
-    assert got == list(range(n))
-    assert s.pushed == s.delivered + s.dropped + s.queued()
