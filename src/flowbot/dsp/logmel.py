@@ -4,13 +4,19 @@ Per frame: periodic Hann window, power spectrum, triangular filters on the
 HTK mel scale (mel = 2595 * log10(1 + f/700)), then log with a floor. The
 default configuration (25 ms frame, 10 ms hop, 512-point FFT, 40 bands,
 20 Hz - 7600 Hz) maps one 16000-sample window to a 98 x 40 matrix.
+
+All frames of a buffer are computed at once: one strided frame matrix, one
+batched FFT and one product with the filterbank. The window and the
+filterbank are built once per :class:`LogMelConfig` and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 
@@ -71,17 +77,25 @@ def mel_filterbank(config: LogMelConfig) -> np.ndarray:
     bin_hz = np.arange(n_bins) * config.sample_rate_hz / config.fft_size
     mels = np.linspace(hz_to_mel(config.fmin_hz), hz_to_mel(config.fmax_hz), config.n_mels + 2)
     edges_hz = mel_to_hz(mels)
-    fbank = np.zeros((config.n_mels, n_bins))
-    for k in range(config.n_mels):
-        lo, mid, hi = edges_hz[k], edges_hz[k + 1], edges_hz[k + 2]
-        rising = (bin_hz - lo) / (mid - lo)
-        falling = (hi - bin_hz) / (hi - mid)
-        fbank[k] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fbank
+    lo, mid, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
+    rising = (bin_hz - lo) / (mid - lo)
+    falling = (hi - bin_hz) / (hi - mid)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+@lru_cache(maxsize=8)
+def _tables(config: LogMelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The config's window and transposed filterbank, read-only since every
+    call with an equal config shares them."""
+    window = _hann_periodic(config.frame_len_samples)
+    fbank_t = np.ascontiguousarray(mel_filterbank(config).T)
+    window.flags.writeable = False
+    fbank_t.flags.writeable = False
+    return window, fbank_t
 
 
 def logmel(samples, config: LogMelConfig = LogMelConfig()) -> LogMelFeature:
@@ -104,15 +118,10 @@ def logmel(samples, config: LogMelConfig = LogMelConfig()) -> LogMelFeature:
         raise LogMelError(
             f"buffer of {len(x)} samples shorter than one frame ({config.frame_len_samples})"
         )
-    n_frames = (len(x) - config.frame_len_samples) // config.hop_samples + 1
-    window = _hann_periodic(config.frame_len_samples)
-    fbank = mel_filterbank(config)
-    matrix = np.empty((n_frames, config.n_mels))
-    for i in range(n_frames):
-        start = i * config.hop_samples
-        frame = x[start : start + config.frame_len_samples] * window
-        spectrum = np.fft.rfft(frame, n=config.fft_size)
-        power = (spectrum.real**2 + spectrum.imag**2)
-        matrix[i] = np.log(np.maximum(fbank @ power, config.log_floor))
-    frame_times = np.arange(n_frames) * config.hop_samples / config.sample_rate_hz
+    window, fbank_t = _tables(config)
+    frames = sliding_window_view(x, config.frame_len_samples)[:: config.hop_samples] * window
+    spectrum = np.fft.rfft(frames, n=config.fft_size, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    matrix = np.log(np.maximum(power @ fbank_t, config.log_floor))
+    frame_times = np.arange(len(frames)) * config.hop_samples / config.sample_rate_hz
     return LogMelFeature(matrix=matrix, frame_times=frame_times)

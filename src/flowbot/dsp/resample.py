@@ -3,7 +3,10 @@
 The filter is a 159-tap Hamming-windowed sinc with 7.5 kHz cutoff: flat to
 within 0.03 dB below 7 kHz, -51 dB by 8 kHz, -81 dB at 23 kHz.
 :class:`Decimator3to1` applies it causally to a stream, in any chunking, with
-158 samples of history. :func:`resample_3to1` runs it over a whole buffer and
+158 samples of history. It computes only the outputs it keeps: the reversed
+kernel is split into three 53-tap branches, each correlated with every third
+input sample (a polyphase decimator; Crochiere & Rabiner, *Multirate Digital
+Signal Processing*, 1983). :func:`resample_3to1` runs it over a whole buffer and
 trims the filter's 79-sample group delay, so the batch form is zero-phase.
 """
 
@@ -31,6 +34,8 @@ def lowpass_kernel(numtaps: int, cutoff_hz: float, fs_hz: float) -> np.ndarray:
 
 
 _KERNEL_48K = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)
+# branch r holds reversed taps r, r+3, ...; it weighs inputs r, r+3, ... of a span
+_BRANCHES = tuple(_KERNEL_48K[::-1][r::3] for r in range(3))
 
 
 class Decimator3to1:
@@ -43,8 +48,14 @@ class Decimator3to1:
     def process(self, samples) -> np.ndarray:
         x = np.asarray(samples, dtype=np.float64)
         buf = np.concatenate([self._hist, x])
-        # valid-mode output j is the filter output at input index consumed + j
-        out = np.convolve(buf, _KERNEL_48K, mode="valid")[(-self._consumed) % 3 :: 3]
+        # span j of buf (159 samples from j) gives the filter output at input
+        # index consumed + j; keep the spans j0, j0 + 3, ...
+        j0 = (-self._consumed) % 3
+        n_out = -(-(len(buf) - FILTER_TAPS + 1 - j0) // 3)
+        out = np.zeros(n_out)
+        if n_out:  # else a branch may be shorter than its taps, and np.correlate swaps them
+            for r, branch in enumerate(_BRANCHES):
+                out += np.correlate(buf[j0 + r :: 3], branch, mode="valid")[:n_out]
         self._consumed += len(x)
         self._hist = buf[1 - FILTER_TAPS :]
         return out

@@ -146,7 +146,8 @@ def graph_from_json(doc: dict) -> GraphDef:
         policy_doc = _object(_require(sd, "policy", path), f"{path}.policy")
         try:
             policy = policy_from_json(policy_doc)
-        except (TypeError, ValueError) as exc:
+        # int() raises OverflowError on an infinite capacity or deadline
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{path}.policy", str(exc)) from exc
         watchdog = None
         if sd.get("watchdog") is not None:

@@ -26,11 +26,20 @@ from .reference import report_to_json_str, run_scenario
 from .scenario import ScenarioError, load_scenario
 
 
+def _load(loader, flag: str, path: str):
+    """``loader(path)``; a file it cannot read or parse raises ValueError
+    whose message ends with the flag that named the file and its path."""
+    try:
+        return loader(path)
+    # SchemaError, ScenarioError, JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{exc} ({flag} {path})") from exc
+
+
 def _cmd_run(args) -> int:
     try:
-        graph = load_graph_config(args.graph) if args.graph else packaged_graph()
-        scenario = load_scenario(args.scenario)
-    # SchemaError, ScenarioError, JSONDecodeError and UnicodeDecodeError are ValueErrors
+        graph = _load(load_graph_config, "--graph", args.graph) if args.graph else packaged_graph()
+        scenario = _load(load_scenario, "--scenario", args.scenario)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -50,7 +59,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        graph = load_graph_config(args.graph) if args.graph else packaged_graph()
+        graph = _load(load_graph_config, "--graph", args.graph) if args.graph else packaged_graph()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -79,7 +88,7 @@ def _cmd_params(args) -> int:
 def _cmd_scan(args) -> int:
     mode = BeamMode.PAPER if args.mode == "paper" else BeamMode.TRIG
     try:
-        doc = load_scan_scene(args.scene)
+        doc = _load(load_scan_scene, "--scene", args.scene)
         config = SweepConfig(
             d_max_m=float(doc.get("d_max_m", 2.5)),
             c_air_mps=float(doc.get("c_air_mps", 346.0)),

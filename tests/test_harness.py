@@ -82,6 +82,26 @@ def test_lossy_stream_without_capacity_points_at_the_entry():
     assert "capacity" in exc.value.reason
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"kind": "lossy", "capacity": float("inf")},
+        {"kind": "lossy", "capacity": 4, "max_successive_misses": float("-inf")},
+        {"kind": "lossless", "deadline_us": float("inf")},
+    ],
+)
+def test_infinite_policy_value_is_schema_error(policy):
+    # JSON files may spell these as Infinity / -Infinity
+    doc = {
+        "nodes": [],
+        "streams": [{"id": "s", "from_node": "a", "from_port": "out", "policy": policy}],
+        "latches": [],
+    }
+    with pytest.raises(SchemaError) as exc:
+        load_graph_config(doc)
+    assert exc.value.path == "streams[0].policy"
+
+
 def test_graph_def_json_round_trip():
     graph = reference_pipeline()
     assert load_graph_config(graph.to_json()) == graph
@@ -551,6 +571,26 @@ def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, flag):
     assert cli_main(flag.split() + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "utf-8" in err
+
+
+@pytest.mark.parametrize("content", [b'{"audio": \xff}', b'{"audio": '],
+                         ids=["not_utf8", "truncated"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("run", "--graph"), ("run", "--scenario"), ("validate", "--graph"), ("scan", "--scene")],
+)
+def test_cli_unloadable_file_error_names_its_flag_and_file(tmp_path, capsys, command, flag, content):
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(content)
+    argv = [command, flag, str(bad)]
+    if command == "run" and flag == "--graph":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"audio": SILENCE_4S}))
+        argv += ["--scenario", str(scenario)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.endswith(f" ({flag} {bad})\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowbot.dsp import LogMelConfig, LogMelError, logmel, mel_band_centers_hz, mel_filterbank
+from flowbot.dsp.logmel import hz_to_mel, mel_to_hz
 
 
 def test_default_config_maps_one_second_to_98x40():
@@ -86,3 +87,68 @@ def test_sine_at_band_center_peaks_in_that_band(band):
     feature = logmel(0.5 * np.sin(2 * np.pi * center_hz * t), cfg)
     winners = np.argmax(feature.matrix, axis=1)
     assert np.all(np.abs(winners - band) <= 1)
+
+
+def filterbank_loop(cfg):
+    """The band-by-band filterbank that the broadcast form replaced."""
+    n_bins = cfg.fft_size // 2 + 1
+    bin_hz = np.arange(n_bins) * cfg.sample_rate_hz / cfg.fft_size
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2))
+    fbank = np.zeros((cfg.n_mels, n_bins))
+    for k in range(cfg.n_mels):
+        lo, mid, hi = edges_hz[k], edges_hz[k + 1], edges_hz[k + 2]
+        rising = (bin_hz - lo) / (mid - lo)
+        falling = (hi - bin_hz) / (hi - mid)
+        fbank[k] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return fbank
+
+
+def logmel_per_frame(x, cfg):
+    """The per-frame loop that the batched form replaced: one rfft per frame."""
+    n = cfg.frame_len_samples
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    fbank = filterbank_loop(cfg)
+    n_frames = (len(x) - n) // cfg.hop_samples + 1
+    matrix = np.empty((n_frames, cfg.n_mels))
+    for i in range(n_frames):
+        start = i * cfg.hop_samples
+        spectrum = np.fft.rfft(x[start : start + n] * window, n=cfg.fft_size)
+        power = spectrum.real**2 + spectrum.imag**2
+        matrix[i] = np.log(np.maximum(fbank @ power, cfg.log_floor))
+    return matrix, np.arange(n_frames) * cfg.hop_samples / cfg.sample_rate_hz
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [LogMelConfig(), LogMelConfig(n_mels=64, fft_size=1024, frame_len_samples=1024, fmin_hz=0.0)],
+)
+def test_filterbank_equals_the_band_by_band_loop(cfg):
+    assert np.array_equal(mel_filterbank(cfg), filterbank_loop(cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(400, 20000),
+    log10_amp=st.floats(-4.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_logmel_matches_the_per_frame_loop(n, log10_amp, seed):
+    cfg = LogMelConfig()
+    x = 10.0**log10_amp * np.random.default_rng(seed).uniform(-1, 1, n)
+    feature = logmel(x, cfg)
+    matrix, frame_times = logmel_per_frame(x, cfg)
+    assert feature.matrix.shape == matrix.shape
+    # only the filterbank product's summation order differs
+    assert np.max(np.abs(feature.matrix - matrix)) <= 1e-12
+    assert np.array_equal(feature.frame_times, frame_times)
+
+
+def test_mutating_a_returned_filterbank_does_not_change_later_features():
+    cfg = LogMelConfig()
+    x = np.random.default_rng(11).uniform(-1, 1, 4000)
+    before = logmel(x, cfg).matrix
+    fbank = mel_filterbank(cfg)
+    assert fbank.flags.writeable
+    fbank[:] = 0.0
+    assert np.array_equal(logmel(x, cfg).matrix, before)
+    assert np.array_equal(mel_filterbank(cfg), filterbank_loop(cfg))

@@ -96,3 +96,28 @@ def test_streaming_decimator_output_does_not_depend_on_chunking(chunk):
     pieces = [decimator.process(x[i : i + chunk]) for i in range(0, len(x), chunk)]
     assert np.array_equal(np.concatenate(pieces), whole)
     assert len(whole) == -(-len(x) // 3)
+
+
+KERNEL = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)
+
+
+def full_convolution_decimated(buf, j0):
+    """The decimator's former form: every valid output, then every third."""
+    if len(buf) < FILTER_TAPS:  # np.convolve would swap its operands
+        return np.zeros(0)
+    return np.convolve(buf, KERNEL, mode="valid")[j0::3]
+
+
+@pytest.mark.parametrize("phase", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 158, 159, 160, 1600])
+def test_polyphase_decimator_matches_the_full_convolution(phase, n):
+    rng = np.random.default_rng(10 * n + phase)
+    lead = rng.uniform(-1, 1, 300 + phase)
+    x = rng.uniform(-1, 1, n)
+    decimator = Decimator3to1()
+    decimator.process(lead)
+    out = decimator.process(x)
+    buf = np.concatenate([lead[1 - FILTER_TAPS :], x])  # history + chunk
+    expected = full_convolution_decimated(buf, (-len(lead)) % 3)
+    assert len(out) == len(expected)
+    assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12
