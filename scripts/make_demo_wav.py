@@ -29,7 +29,7 @@ def main():
 
     scenario = {
         "audio": {"wav": str(wav_path)},
-        "annotations": [{"start_s": 2.0, "end_s": 2.5, "label": "keyword"}],
+        "annotations": [{"start_s": 2.0, "end_s": 2.5}],
         "interpreter_script": [
             {"trigger_window_index": 5, "skill_id": "get_time",
              "entities": {}, "confidence": 0.9}

@@ -37,7 +37,6 @@ class SampleChunk:
 
     samples: np.ndarray
     sample_rate_hz: int
-    start_sample: int = 0
 
 
 @dataclass(frozen=True)

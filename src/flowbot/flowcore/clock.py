@@ -25,9 +25,6 @@ class VirtualClock:
             raise ValueError(f"clock cannot move backwards: {t_us} < {self._now_us}")
         self._now_us = int(t_us)
 
-    def advance(self, delta_us: int) -> None:
-        self.advance_to(self._now_us + int(delta_us))
-
 
 class MonotonicClock:
     """Microsecond clock backed by ``time.monotonic_ns``, zeroed at creation."""

@@ -70,12 +70,6 @@ class GraphDef:
     streams: tuple[StreamDef, ...] = ()
     latches: tuple[LatchDef, ...] = ()
 
-    def node(self, node_id: str) -> NodeDef:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def to_json(self) -> dict:
         streams = []
         for s in self.streams:

@@ -68,15 +68,7 @@ class NodeKindRegistry:
             raise ValueError(f"node kind already registered: {kind}")
         self._factories[kind] = factory
 
-    def __contains__(self, kind: str) -> bool:
-        return kind in self._factories
-
     def create(self, kind: str, node_id: str, params: dict, env: Optional[dict] = None) -> Node:
         if kind not in self._factories:
             raise UnknownNodeKind(kind)
         return self._factories[kind](node_id, dict(params), env or {})
-
-    def copy(self) -> "NodeKindRegistry":
-        dup = NodeKindRegistry()
-        dup._factories = dict(self._factories)
-        return dup

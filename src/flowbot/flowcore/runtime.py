@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 import time as _time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -156,7 +157,6 @@ class NodeContext:
         self._runner = runner
         self._node = node
         self._node_id = node.id
-        self.rng = runner.rng
         self.collector = runner.collector
 
     def now_us(self) -> int:
@@ -217,12 +217,9 @@ class GraphRunner:
         env: Optional[dict] = None,
     ):
         self.graph = graph
-        self.kinds = kinds if kinds is not None else default_kind_registry()
         self.clock = clock if clock is not None else VirtualClock()
         self.stop = stop if stop is not None else StopCondition()
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.env = dict(env or {})
         self.collector = RunCollector()
         self.events: list[dict] = []
         self._heap: list = []
@@ -233,7 +230,9 @@ class GraphRunner:
         self._stop_reason: Optional[str] = None
         self._end_time_us: Optional[int] = None
 
-        self.nodes, diags = build_nodes(graph, self.kinds, self.env)
+        if kinds is None:
+            kinds = default_kind_registry()
+        self.nodes, diags = build_nodes(graph, kinds, dict(env or {}))
         diags += check_wiring(graph, self.nodes)
         if diags:
             raise GraphValidationError(diags)
@@ -543,7 +542,6 @@ class SinkNode(Node):
         self.poll_driven = self.poll_rate_hz is not None
         if self.poll_driven and float(self.poll_rate_hz) <= 0:
             raise ValueError("sink poll_rate_hz must be > 0")
-        self.consumed = 0
         self._polls = 0
 
     def input_ports(self):
@@ -553,12 +551,8 @@ class SinkNode(Node):
         if self.poll_driven:
             ctx.schedule_at(0)
 
-    def on_packet(self, port, packet, ctx):
-        self.consumed += 1
-
     def on_timer(self, tag, ctx):
-        if ctx.poll("in") is not None:
-            self.consumed += 1
+        ctx.poll("in")
         self._polls += 1
         next_t = round(self._polls * 1e6 / float(self.poll_rate_hz))
         if ctx.time_limit_us is None or next_t < ctx.time_limit_us:
@@ -625,21 +619,32 @@ def _window_samples(payload) -> np.ndarray:
     return payload.samples if isinstance(payload, AggWindow) else np.asarray(payload)
 
 
-register_detector("constant", lambda spec, env: (lambda w: int(spec.get("value", 1))))
-register_detector(
-    "rms",
-    lambda spec, env: (lambda w: rms_detect(_window_samples(w), float(spec.get("threshold", 0.1)))),
-)
+def _detector_param(spec: dict, key: str, default, parse: Callable, what: str):
+    """``spec[key]`` parsed when the attention node is built, so a bad value
+    is a build error naming its key, not a detector that always fails safe."""
+    value = spec.get(key, default)
+    try:
+        parsed = parse(value)
+        if parsed == parsed:  # NaN would compare false against every level
+            return parsed
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"detector.{key}: must be {what}, got {value!r:.40}")
 
 
-def _failing_detector(spec, env):
-    def detect(window):
-        raise RuntimeError("detector failure")
+def _constant_detector(spec, env):
+    # an integer only: int() would truncate 0.9 to a gate that never opens
+    value = _detector_param(spec, "value", 1, operator.index, "an integer")
+    return lambda w: value
 
-    return detect
+
+def _rms_detector(spec, env):
+    threshold = _detector_param(spec, "threshold", 0.1, float, "a number")
+    return lambda w: rms_detect(_window_samples(w), threshold)
 
 
-register_detector("failing", _failing_detector)
+register_detector("constant", _constant_detector)
+register_detector("rms", _rms_detector)
 
 
 class AttentionNode(Node):

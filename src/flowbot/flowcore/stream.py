@@ -125,7 +125,6 @@ class Stream:
 
     def __init__(self, stream_id: str, policy: StreamPolicy, watchdog: Optional[Watchdog] = None):
         self.stream_id = stream_id
-        self.policy = policy
         self.watchdog = watchdog
         self.violations: list[Violation] = []
         self.pushed = 0

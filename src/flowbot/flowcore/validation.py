@@ -4,7 +4,9 @@ Returns diagnostics instead of raising: an empty list means the graph is
 well-formed (endpoints resolve, ports fully connected or optional, one
 producer and one consumer per stream, control streams carry bits). It builds
 the nodes (``build_nodes``, returning them and their diagnostics), then
-checks the wiring against them (``check_wiring``), as a runner does.
+checks the wiring against them (``check_wiring``), as a runner does. A node
+that is declared but failed to build has its own diagnostic already, so the
+wiring check skips the streams' ends at that node.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ def build_nodes(graph: GraphDef, kinds: NodeKindRegistry, env: dict | None = Non
 def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     latch_controls = {l.control_stream_id for l in graph.latches}
+    unbuilt = {nd.id for nd in graph.nodes} - nodes.keys()
 
     stream_ids: set[str] = set()
     inputs_seen: dict[tuple[str, str], int] = {}
@@ -65,7 +68,8 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
         streams_by_id[sd.id] = sd
 
         if sd.from_node not in nodes:
-            diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown producer node {sd.from_node!r}"))
+            if sd.from_node not in unbuilt:
+                diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown producer node {sd.from_node!r}"))
         else:
             out_ports = nodes[sd.from_node].output_ports()
             if sd.from_port not in out_ports:
@@ -90,7 +94,8 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
                 )
             continue
         if sd.to_node not in nodes:
-            diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown consumer node {sd.to_node!r}"))
+            if sd.to_node not in unbuilt:
+                diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown consumer node {sd.to_node!r}"))
             continue
         in_ports = nodes[sd.to_node].input_ports()
         if sd.to_port not in in_ports:

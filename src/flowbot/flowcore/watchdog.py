@@ -7,6 +7,7 @@ aligned to the first observed event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -47,15 +48,13 @@ class WatchdogConfig:
     window_us: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_latency_us is not None and self.max_latency_us <= 0:
-            raise WatchdogConfigError("max_latency_us must be > 0 when enabled")
-        if self.min_throughput_hz is not None:
-            if self.min_throughput_hz <= 0:
-                raise WatchdogConfigError("min_throughput_hz must be > 0 when enabled")
-            if self.window_us is None:
-                raise WatchdogConfigError("min_throughput_hz requires window_us")
-        if self.window_us is not None and self.window_us <= 0:
-            raise WatchdogConfigError("window_us must be > 0 when enabled")
+        for key in ("max_latency_us", "min_throughput_hz", "window_us"):
+            value = getattr(self, key)
+            # false for NaN too, which would otherwise switch the bound off
+            if value is not None and not 0 < value < math.inf:
+                raise WatchdogConfigError(f"{key} must be finite and > 0 when enabled, got {value!r:.40}")
+        if self.min_throughput_hz is not None and self.window_us is None:
+            raise WatchdogConfigError("min_throughput_hz requires window_us")
 
     def to_json(self) -> dict:
         out = {}

@@ -5,6 +5,11 @@ io_manager (routes device samples to interfaces), resampler_48to16,
 interpreter_stub (scripted recognizer), skill_manager, speaker_sink and
 uart_sink. Importing this module also registers the "scripted" attention
 detector.
+
+The skill_manager node dispatches through the build environment's
+``skill_registry``, or through a fresh registry of the demo skills when the
+environment has none. It stamps skill events with the run clock, and a
+handler that raises is recorded as a skill failure without stopping the run.
 """
 
 from __future__ import annotations
@@ -88,7 +93,6 @@ class AudioSourceNode(Node):
         chunk = SampleChunk(
             samples=self.samples[start : start + self.chunk_samples],
             sample_rate_hz=self.sample_rate_hz,
-            start_sample=start,
         )
         ctx.emit("out", DeviceSample(device_id=self.device_id, chunk=chunk))
         self._next_chunk += 1
@@ -137,7 +141,6 @@ class ResamplerNode(Node):
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
         self._decimator = Decimator3to1()
-        self._out_start = 0
 
     def input_ports(self):
         return {"in": PortSpec("samples")}
@@ -151,12 +154,8 @@ class ResamplerNode(Node):
             raise ValueError(f"resampler expects 48000 Hz input, got {chunk.sample_rate_hz}")
         out = self._decimator.process(chunk.samples)
         if len(out):
-            ctx.emit(
-                "out",
-                SampleChunk(samples=out, sample_rate_hz=16000, start_sample=self._out_start),
-                timestamp_us=packet.timestamp_us,
-            )
-            self._out_start += len(out)
+            ctx.emit("out", SampleChunk(samples=out, sample_rate_hz=16000),
+                     timestamp_us=packet.timestamp_us)
 
 
 def _overlaps(span: tuple[float, float], start_s: float, end_s: float) -> bool:
@@ -203,17 +202,8 @@ class InterpreterStubNode(Node):
                 skill_id=str(entry.get("skill_id", "")),
                 entities=dict(entry.get("entities", {})),
                 confidence=float(entry.get("confidence", 1.0)),
-                timestamp_us=ctx.now_us(),
             )
             ctx.emit("out", interp)
-
-
-class _CtxClock:
-    def __init__(self, ctx):
-        self._ctx = ctx
-
-    def now_us(self) -> int:
-        return self._ctx.now_us()
 
 
 class SkillManagerNode(Node):
@@ -242,19 +232,18 @@ class SkillManagerNode(Node):
         return {"speech": PortSpec("text"), "locomotion": PortSpec("locomotion", optional=True)}
 
     def start(self, ctx):
-        clock = _CtxClock(ctx)
         if self._env_registry is not None:
             self.registry = self._env_registry
         else:
-            self.registry = SkillRegistry(clock=clock)
+            self.registry = SkillRegistry()
             register_demo_skills(self.registry)
-        self.registry.bind_clock(clock)
+        self.registry.bind_clock(ctx)
         self.registry.event_listener = lambda event: (
             ctx.collector.skill_failures.append(event.to_json())
             if event.kind == "failed"
             else ctx.collector.skill_invocations.append(event.to_json())
         )
-        self.manager = SkillManager(self.registry, self.config, clock=clock)
+        self.manager = SkillManager(self.registry, self.config)
         self._schedule_store: list = []
 
     def _facade(self, ctx, level: SkillLevel):
@@ -297,13 +286,10 @@ class SkillManagerNode(Node):
     def _run_action(self, action, ctx):
         if isinstance(action, Execute):
             ctx.log("skill_execute", skill=action.skill_id)
-            if action.session_id is not None:
-                self.manager.mark_executing(action.session_id)
             descriptor, _ = self.registry.lookup(action.skill_id)
             facade = self._facade(ctx, descriptor.level)
-            handle = self.registry.dispatch(action.skill_id, action.entities, context=facade)
             try:
-                handle.result()
+                self.registry.dispatch(action.skill_id, action.entities, context=facade)
             except Exception:
                 pass  # already logged as a SkillFailed event
             if action.session_id is not None:

@@ -13,7 +13,6 @@ import json
 from ..flowcore.clock import VirtualClock
 from ..flowcore.graphdef import GraphDef, graph_from_json
 from ..flowcore.runtime import GraphRunner, RunReport, StopCondition
-from ..skills.builtin import register_demo_skills
 from ..skills.registry import SkillRegistry
 from .config import packaged_config_text
 from .nodes import harness_kind_registry
@@ -60,9 +59,6 @@ def run_scenario(
     deterministic (byte-identical JSON) for identical inputs and seed."""
     audio = scenario_audio(scenario)
     run_seed = scenario.seed if seed is None else seed
-    if registry is None:
-        registry = SkillRegistry()
-        register_demo_skills(registry)
     env = {
         "audio": audio,
         "annotations": list(scenario.annotations),

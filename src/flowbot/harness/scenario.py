@@ -5,7 +5,7 @@ A scenario document:
     {
       "audio": {"wav": "path.wav"}
              | {"synthetic": {"kind": "silence"|"tone"|"bursts"|"noise", ...}},
-      "annotations": [{"start_s": 2.0, "end_s": 2.5, "label": "keyword"}],
+      "annotations": [{"start_s": 2.0, "end_s": 2.5}],
       "interpreter_script": [{"trigger_window_index": 5,
                               "skill_id": "get_time",
                               "entities": {}, "confidence": 1.0}],
@@ -38,7 +38,6 @@ class ScenarioError(ValueError):
 class Annotation:
     start_s: float
     end_s: float
-    label: str = "keyword"
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def load_scenario(source) -> ScenarioScript:
         end_s = _get(ann, "end_s", path, float)
         if end_s <= start_s:
             raise ScenarioError(f"{path}.end_s: must be > start_s {start_s:g}, got {end_s:g}")
-        annotations.append(Annotation(start_s, end_s, str(ann.get("label", "keyword"))))
+        annotations.append(Annotation(start_s, end_s))
     for i, entry in enumerate(_get(doc, "interpreter_script", "", list, [])):
         path = f"interpreter_script[{i}]"
         index = _get(_check(entry, path, dict), "trigger_window_index", path, int, minimum=0)

@@ -63,15 +63,11 @@ class ManagerConfig:
 
 
 class SkillManager:
-    def __init__(self, registry: SkillRegistry, config: ManagerConfig = ManagerConfig(), clock=None):
+    def __init__(self, registry: SkillRegistry, config: ManagerConfig = ManagerConfig()):
         self.registry = registry
         self.config = config
-        self.clock = clock
         self.sessions: dict[str, SkillSession] = {}
         self._ids = itertools.count(1)
-
-    def _now_us(self) -> int:
-        return self.clock.now_us() if self.clock is not None else 0
 
     @property
     def followup_timeout_us(self) -> int:
@@ -101,8 +97,6 @@ class SkillManager:
             descriptor=descriptor,
             filled=entities,
             missing=missing,
-            opened_at_us=self._now_us(),
-            last_activity_us=self._now_us(),
         )
         self.sessions[session.session_id] = session
         return self._prompt(session)
@@ -114,7 +108,6 @@ class SkillManager:
             raise UnknownSessionError(f"no such session {session_id!r}")
         if session.state is not SessionState.FILLING:
             raise UnknownSessionError(f"session {session_id!r} is {session.state.value}, not filling")
-        session.last_activity_us = self._now_us()
 
         if answer is TIMEOUT:
             return self._reprompt_or_abort(session, why="timed out waiting for an answer")
@@ -122,7 +115,7 @@ class SkillManager:
         interp: Interpretation = answer
         if interp.skill_id and interp.skill_id != session.descriptor.id:
             # barge-in: the new request wins, the open session dies
-            self._abort(session, why=f"superseded by {interp.skill_id!r}")
+            session.state = SessionState.ABORTED
             return self.handle(interp)
 
         provided = {
@@ -143,9 +136,6 @@ class SkillManager:
             session_id=session.session_id,
         )
 
-    def mark_executing(self, session_id: str) -> None:
-        self.sessions[session_id].state = SessionState.EXECUTING
-
     def mark_done(self, session_id: str) -> None:
         self.sessions[session_id].state = SessionState.DONE
 
@@ -160,12 +150,9 @@ class SkillManager:
     def _reprompt_or_abort(self, session: SkillSession, why: str) -> Action:
         session.reprompts_used += 1
         if session.reprompts_used > self.config.reprompt_limit:
-            self._abort(session, why=why)
+            session.state = SessionState.ABORTED
             return Reject(
                 RejectReason.SESSION_ABORTED,
                 detail=f"giving up on {session.descriptor.id}: {why}",
             )
         return self._prompt(session)
-
-    def _abort(self, session: SkillSession, why: str) -> None:
-        session.state = SessionState.ABORTED

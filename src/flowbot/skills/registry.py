@@ -1,9 +1,10 @@
 """Skill registry: exact-match string keys to handlers, with dispatch.
 
-Dispatch runs the handler to completion before it returns, whatever the
+Dispatch runs the handler to completion and returns its value, whatever the
 descriptor's execution policy; ``Deferred`` is kept because catalogs declare
 it and skill events report it. Exactly one SkillInvoked event is logged per
-dispatch; handler failures log SkillFailed.
+dispatch; a handler that raises logs SkillFailed, and dispatch re-raises its
+exception.
 """
 
 from __future__ import annotations
@@ -41,20 +42,6 @@ class SkillEvent:
         return out
 
 
-class InvocationHandle:
-    """The outcome of one dispatch: the handler's return value or its error."""
-
-    def __init__(self, value: Any = None, error: Optional[BaseException] = None):
-        self._value = value
-        self._error = error
-
-    def result(self) -> Any:
-        """Return the handler's value; raise the exception it raised."""
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 class SkillRegistry:
     """Hash map of skill id -> (descriptor, handler). Lookup is exact-match.
 
@@ -88,15 +75,12 @@ class SkillRegistry:
         except KeyError:
             raise SkillNotFoundError(f"no skill registered under {skill_id!r}") from None
 
-    def descriptors(self) -> list[SkillDescriptor]:
-        return [d for d, _ in self._entries.values()]
-
     def _log(self, event: SkillEvent) -> None:
         self.events.append(event)
         if self.event_listener is not None:
             self.event_listener(event)
 
-    def dispatch(self, skill_id: str, entities: dict, context=None) -> InvocationHandle:
+    def dispatch(self, skill_id: str, entities: dict, context=None) -> Any:
         descriptor, handler = self.lookup(skill_id)
         missing = descriptor.missing_from(entities)
         if missing:
@@ -112,7 +96,7 @@ class SkillRegistry:
             )
         )
         try:
-            return InvocationHandle(value=handler(dict(entities), context))
+            return handler(dict(entities), context)
         except BaseException as exc:
             self._log(
                 SkillEvent(
@@ -124,4 +108,4 @@ class SkillRegistry:
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
-            return InvocationHandle(error=exc)
+            raise

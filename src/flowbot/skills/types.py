@@ -97,7 +97,6 @@ class Interpretation:
     skill_id: str
     entities: dict = field(default_factory=dict)
     confidence: float = 1.0
-    timestamp_us: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.confidence <= 1.0):
@@ -107,7 +106,6 @@ class Interpretation:
 class SessionState(Enum):
     FILLING = "filling"
     READY = "ready"
-    EXECUTING = "executing"
     DONE = "done"
     ABORTED = "aborted"
 
@@ -120,8 +118,6 @@ class SkillSession:
     missing: list[str] = field(default_factory=list)
     reprompts_used: int = 0
     state: SessionState = SessionState.FILLING
-    opened_at_us: int = 0
-    last_activity_us: int = 0
 
 
 def descriptor_from_json(doc: dict) -> SkillDescriptor:

@@ -111,7 +111,7 @@ def test_graph_def_json_round_trip():
 
 
 def chunk(n=4):
-    return SampleChunk(samples=np.zeros(n), sample_rate_hz=16000, start_sample=0)
+    return SampleChunk(samples=np.zeros(n), sample_rate_hz=16000)
 
 
 def test_route_single_interface():
@@ -346,8 +346,7 @@ def test_streaming_resampler_node_preserves_tone():
     node = ResamplerNode("rs", {}, {})
     ctx = FakeCtx()
     for start in range(0, rate, 4800):
-        chunk = SampleChunk(samples=samples[start : start + 4800],
-                            sample_rate_hz=48000, start_sample=start)
+        chunk = SampleChunk(samples=samples[start : start + 4800], sample_rate_hz=48000)
         node.on_packet("in", Packet(payload=chunk, timestamp_us=0, seq=0), ctx)
     out = np.concatenate([payload.samples for _, payload in ctx.emitted])
     assert len(out) == 16000
@@ -475,6 +474,74 @@ def test_cli_non_object_section_exits_2_naming_its_path(
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert path in err and "must be an object" in err
+
+
+def _write_graph_and_scenario(tmp_path, doc):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(doc))
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(packaged_config_text("demo_scenario.json"))
+    return str(graph_path), str(scenario_path)
+
+
+@pytest.mark.parametrize(
+    "detector, key",
+    [
+        ({"kind": "rms", "threshold": "x"}, "detector.threshold"),
+        ({"kind": "rms", "threshold": float("nan")}, "detector.threshold"),
+        ({"kind": "constant", "value": "x"}, "detector.value"),
+        ({"kind": "constant", "value": None}, "detector.value"),
+        ({"kind": "constant", "value": 0.9}, "detector.value"),
+    ],
+    ids=["rms-text", "rms-nan", "constant-text", "constant-null", "constant-fraction"],
+)
+def test_bad_detector_param_is_a_build_error_naming_its_key(tmp_path, capsys, detector, key):
+    # a detector that failed on every window would fail safe to 0 and
+    # silently switch attention off; the spec is checked when the node is built
+    graph = reference_pipeline(detector=detector)
+    diags = validate_graph(graph, harness_kind_registry(), env=stub_env())
+    assert [d.code for d in diags] == ["BadNodeParams"]
+    assert diags[0].location == "node att" and diags[0].reason.startswith(key)
+    graph_path, scenario_path = _write_graph_and_scenario(tmp_path, graph.to_json())
+    assert cli_main(["validate", "--graph", graph_path]) == 2
+    assert key in capsys.readouterr().err
+    assert cli_main(["run", "--graph", graph_path, "--scenario", scenario_path]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("key", ["max_latency_us", "min_throughput_hz", "window_us"])
+def test_non_finite_watchdog_bound_is_schema_error(tmp_path, capsys, key, bad):
+    # NaN fails every comparison, so it would switch the bound off silently
+    doc = reference_pipeline().to_json()
+    watchdog = {"max_latency_us": 1_000_000, "min_throughput_hz": 1.0, "window_us": 1_000_000}
+    watchdog[key] = bad
+    doc["streams"][2]["watchdog"] = watchdog
+    with pytest.raises(SchemaError) as exc:
+        load_graph_config(doc)
+    assert exc.value.path == "streams[2].watchdog" and key in exc.value.reason
+    graph_path, _ = _write_graph_and_scenario(tmp_path, doc)  # JSON spells NaN / Infinity
+    assert cli_main(["validate", "--graph", graph_path]) == 2
+    assert "streams[2].watchdog" in capsys.readouterr().err
+
+
+def test_node_that_fails_to_build_gives_no_unresolved_endpoint_diagnostics():
+    doc = reference_pipeline().to_json()
+    doc["nodes"][2]["params"]["window_samples"] = "abc"  # agg: two streams touch it
+    diags = validate_graph(load_graph_config(doc), harness_kind_registry(), env=stub_env())
+    assert [(d.code, d.location) for d in diags] == [("BadNodeParams", "node agg")]
+
+
+def test_unknown_kind_and_unknown_endpoint_are_still_reported():
+    doc = reference_pipeline().to_json()
+    doc["nodes"][2]["kind"] = "no_such_kind"
+    doc["streams"][3]["from_node"] = "nowhere"
+    diags = validate_graph(load_graph_config(doc), harness_kind_registry(), env=stub_env())
+    assert [(d.code, d.location) for d in diags] == [
+        ("UnknownNodeKind", "node agg"),
+        ("UnresolvedEndpoint", "stream s_win_att"),
+        ("UnconnectedPort", "node split"),
+    ]
 
 
 SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}

@@ -86,8 +86,7 @@ def test_descriptor_invariants():
 
 def test_dispatch_inline_logs_one_invoked_event():
     reg = make_registry()
-    handle = reg.dispatch("get_time", {})
-    assert handle.result() == "12:00"
+    assert reg.dispatch("get_time", {}) == "12:00"
     assert [e.kind for e in reg.events] == ["invoked"]
     assert reg.events[0].skill_id == "get_time"
 
@@ -111,9 +110,8 @@ def test_handler_failure_logs_failed_event_and_raises_on_result():
         raise ValueError("nope")
 
     reg.register(SkillDescriptor(id="bad"), broken)
-    handle = reg.dispatch("bad", {})
     with pytest.raises(ValueError):
-        handle.result()
+        reg.dispatch("bad", {})
     assert [e.kind for e in reg.events] == ["invoked", "failed"]
     assert "nope" in reg.events[1].error
 
@@ -126,8 +124,7 @@ def test_deferred_equals_inline_for_pure_handler():
             SkillDescriptor(id="pure", execution_policy=policy),
             lambda entities, ctx: sorted(entities.items()),
         )
-        handle = reg.dispatch("pure", {"b": 2, "a": 1})
-        results[policy] = handle.result()
+        results[policy] = reg.dispatch("pure", {"b": 2, "a": 1})
         assert [(e.kind, e.skill_id, e.entities, e.policy) for e in reg.events] == [
             ("invoked", "pure", {"b": 2, "a": 1}, policy.value)
         ]
