@@ -25,7 +25,7 @@ class AggregatorConfig:
     def __post_init__(self):
         if not (0 < self.hop_samples <= self.window_samples):
             raise AggregatorConfigError(
-                f"need 0 < hop ({self.hop_samples}) <= window ({self.window_samples})"
+                f"need 0 < hop_samples ({self.hop_samples}) <= window_samples ({self.window_samples})"
             )
         if self.sample_rate_hz <= 0:
             raise AggregatorConfigError("sample_rate_hz must be > 0")

@@ -15,6 +15,8 @@ The JSON schema (documented in docs/graph_schema.md):
     }
 
 A stream consumed by a latch as its control input omits ``to_node``/``to_port``.
+Values are read with :mod:`.schema`, raising :class:`SchemaError` at their path
+(a policy's at ``streams[i].policy``); node params are read when a node is built.
 """
 
 from __future__ import annotations
@@ -23,20 +25,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .latch import LatchState
+from .schema import SchemaError, check_value, get_value
 from .stream import StreamPolicy, policy_from_json, policy_to_json
 from .watchdog import WatchdogConfig
-
-
-class SchemaError(ValueError):
-    """A config document does not match the published schema.
-
-    ``path`` points at the offending key, e.g. ``streams[2].capacity``.
-    """
-
-    def __init__(self, path: str, reason: str):
-        self.path = path
-        self.reason = reason
-        super().__init__(f"{path}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -99,86 +90,69 @@ class GraphDef:
         }
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing required key")
-    return doc[key]
-
-
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"must be an object, got {type(value).__name__}")
-    return value
-
-
 def graph_from_json(doc: dict) -> GraphDef:
     """Parse a graph document, raising :class:`SchemaError` with the offending path."""
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "graph document must be a JSON object")
-    for key in ("nodes", "streams", "latches"):
-        if key not in doc:
-            raise SchemaError(key, "missing required key")
-        if not isinstance(doc[key], list):
-            raise SchemaError(key, "must be a list")
+    check_value(doc, "$", dict)
+    node_docs, stream_docs, latch_docs = (
+        get_value(doc, key, "", list) for key in ("nodes", "streams", "latches")
+    )
 
     nodes = []
-    for i, nd in enumerate(doc["nodes"]):
+    for i, nd in enumerate(node_docs):
         path = f"nodes[{i}]"
-        _object(nd, path)
+        check_value(nd, path, dict)
         nodes.append(
             NodeDef(
-                id=str(_require(nd, "id", path)),
-                kind=str(_require(nd, "kind", path)),
-                params=dict(_object(nd.get("params", {}), f"{path}.params")),
+                id=get_value(nd, "id", path, str),
+                kind=get_value(nd, "kind", path, str),
+                params=dict(get_value(nd, "params", path, dict, {})),
             )
         )
 
     streams = []
-    for i, sd in enumerate(doc["streams"]):
+    for i, sd in enumerate(stream_docs):
         path = f"streams[{i}]"
-        _object(sd, path)
-        policy_doc = _object(_require(sd, "policy", path), f"{path}.policy")
+        check_value(sd, path, dict)
+        policy_doc = get_value(sd, "policy", path, dict)
         try:
             policy = policy_from_json(policy_doc)
-        # int() raises OverflowError on an infinite capacity or deadline
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{path}.policy", str(exc)) from exc
-        watchdog = None
-        if sd.get("watchdog") is not None:
-            watchdog_doc = _object(sd["watchdog"], f"{path}.watchdog")
+        watchdog = get_value(sd, "watchdog", path, dict, None)
+        if watchdog is not None:
             try:
-                watchdog = WatchdogConfig.from_json(watchdog_doc)
+                watchdog = WatchdogConfig.from_json(watchdog)
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}.watchdog", str(exc)) from exc
-        to_node = sd.get("to_node")
-        to_port = sd.get("to_port")
+        to_node = get_value(sd, "to_node", path, str, None)
+        to_port = get_value(sd, "to_port", path, str, None)
         if (to_node is None) != (to_port is None):
             raise SchemaError(path, "to_node and to_port must be given together")
         streams.append(
             StreamDef(
-                id=str(_require(sd, "id", path)),
-                from_node=str(_require(sd, "from_node", path)),
-                from_port=str(_require(sd, "from_port", path)),
-                to_node=None if to_node is None else str(to_node),
-                to_port=None if to_port is None else str(to_port),
+                id=get_value(sd, "id", path, str),
+                from_node=get_value(sd, "from_node", path, str),
+                from_port=get_value(sd, "from_port", path, str),
+                to_node=to_node,
+                to_port=to_port,
                 policy=policy,
                 watchdog=watchdog,
             )
         )
 
     latches = []
-    for i, ld in enumerate(doc["latches"]):
+    for i, ld in enumerate(latch_docs):
         path = f"latches[{i}]"
-        _object(ld, path)
-        state_raw = str(ld.get("initial_state", "closed")).lower()
+        check_value(ld, path, dict)
+        state_raw = get_value(ld, "initial_state", path, str, "closed").lower()
         try:
             state = LatchState(state_raw)
         except ValueError as exc:
             raise SchemaError(f"{path}.initial_state", f"must be 'open' or 'closed', got {state_raw!r}") from exc
         latches.append(
             LatchDef(
-                stream_id=str(_require(ld, "stream_id", path)),
-                control_stream_id=str(_require(ld, "control_stream_id", path)),
+                stream_id=get_value(ld, "stream_id", path, str),
+                control_stream_id=get_value(ld, "control_stream_id", path, str),
                 initial_state=state,
             )
         )

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import operator
 import time as _time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -62,6 +61,7 @@ from .graphdef import GraphDef
 from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
+from .schema import SchemaError, check_value, get_value
 from .stream import ACCEPTED, PushOutcome, Stream
 from .validation import Diagnostic, build_nodes, check_wiring
 from .watchdog import Watchdog
@@ -508,11 +508,11 @@ class SourceNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self.count = int(params.get("count", 0))
-        self.rate_hz = float(params.get("rate_hz", 1000.0))
+        self.count = get_value(params, "count", "", int, 0)
+        self.rate_hz = get_value(params, "rate_hz", "", float, 1000.0)
         if self.rate_hz <= 0:
-            raise ValueError("source rate_hz must be > 0")
-        self.start_us = int(params.get("start_us", 0))
+            raise SchemaError("rate_hz", f"must be > 0, got {self.rate_hz:g}")
+        self.start_us = get_value(params, "start_us", "", int, 0)
         self._emitted = 0
 
     def output_ports(self):
@@ -538,10 +538,10 @@ class SinkNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self.poll_rate_hz = params.get("poll_rate_hz")
+        self.poll_rate_hz = get_value(params, "poll_rate_hz", "", float, None)
         self.poll_driven = self.poll_rate_hz is not None
-        if self.poll_driven and float(self.poll_rate_hz) <= 0:
-            raise ValueError("sink poll_rate_hz must be > 0")
+        if self.poll_driven and self.poll_rate_hz <= 0:
+            raise SchemaError("poll_rate_hz", f"must be > 0, got {self.poll_rate_hz:g}")
         self._polls = 0
 
     def input_ports(self):
@@ -554,7 +554,7 @@ class SinkNode(Node):
     def on_timer(self, tag, ctx):
         ctx.poll("in")
         self._polls += 1
-        next_t = round(self._polls * 1e6 / float(self.poll_rate_hz))
+        next_t = round(self._polls * 1e6 / self.poll_rate_hz)
         if ctx.time_limit_us is None or next_t < ctx.time_limit_us:
             ctx.schedule_at(next_t)
 
@@ -564,9 +564,10 @@ class SplitterNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self.outputs = list(params.get("outputs", ["out0", "out1"]))
+        outputs = get_value(params, "outputs", "", list, ["out0", "out1"])
+        self.outputs = [check_value(name, f"outputs[{i}]", str) for i, name in enumerate(outputs)]
         if not self.outputs:
-            raise ValueError("splitter needs at least one output")
+            raise SchemaError("outputs", "needs at least one output")
 
     def input_ports(self):
         return {"in": PortSpec("any")}
@@ -586,9 +587,9 @@ class AggregatorNode(Node):
         super().__init__(node_id)
         self.agg = Aggregator(
             AggregatorConfig(
-                window_samples=int(params["window_samples"]),
-                hop_samples=int(params["hop_samples"]),
-                sample_rate_hz=int(params["sample_rate_hz"]),
+                window_samples=get_value(params, "window_samples", "", int, minimum=1),
+                hop_samples=get_value(params, "hop_samples", "", int, minimum=1),
+                sample_rate_hz=get_value(params, "sample_rate_hz", "", int, minimum=1),
             )
         )
 
@@ -619,27 +620,14 @@ def _window_samples(payload) -> np.ndarray:
     return payload.samples if isinstance(payload, AggWindow) else np.asarray(payload)
 
 
-def _detector_param(spec: dict, key: str, default, parse: Callable, what: str):
-    """``spec[key]`` parsed when the attention node is built, so a bad value
-    is a build error naming its key, not a detector that always fails safe."""
-    value = spec.get(key, default)
-    try:
-        parsed = parse(value)
-        if parsed == parsed:  # NaN would compare false against every level
-            return parsed
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"detector.{key}: must be {what}, got {value!r:.40}")
-
-
 def _constant_detector(spec, env):
-    # an integer only: int() would truncate 0.9 to a gate that never opens
-    value = _detector_param(spec, "value", 1, operator.index, "an integer")
+    # an integer only: truncating 0.9 would give a gate that never opens
+    value = get_value(spec, "value", "detector", int, 1)
     return lambda w: value
 
 
 def _rms_detector(spec, env):
-    threshold = _detector_param(spec, "threshold", 0.1, float, "a number")
+    threshold = get_value(spec, "threshold", "detector", float, 0.1)
     return lambda w: rms_detect(_window_samples(w), threshold)
 
 
@@ -652,10 +640,10 @@ class AttentionNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        spec = dict(params.get("detector", {"kind": "rms"}))
-        kind = spec.get("kind")
+        spec = get_value(params, "detector", "", dict, {"kind": "rms"})
+        kind = get_value(spec, "kind", "detector", str)
         if kind not in DETECTOR_FACTORIES:
-            raise ValueError(f"unknown detector kind {kind!r}")
+            raise SchemaError("detector.kind", f"unknown detector kind {kind!r:.40}")
         self.detector = DETECTOR_FACTORIES[kind](spec, env)
 
     def input_ports(self):

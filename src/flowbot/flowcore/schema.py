@@ -1,0 +1,46 @@
+"""The one reader of config values: graphs, policies, node params, detector
+specs, scenarios and scan scenes. A bad value raises :class:`SchemaError`
+whose ``path`` names its key, e.g. ``streams[2].policy`` or, for node params,
+``window_samples``.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+class SchemaError(ValueError):
+    """A config document does not match the published schema.
+
+    ``path`` points at the offending key, e.g. ``streams[2].capacity``.
+    """
+
+    def __init__(self, path: str, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", str: "a string", float: "a finite number", int: "an integer"}
+
+
+def check_value(value, path: str, kind: type, minimum: float = -math.inf):
+    """``value`` as JSON ``kind``: numbers finite and >= ``minimum``, integral floats as ints."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+        if kind not in (int, float) or (minimum <= value and abs(value) < 1e308):
+            return float(value) if kind is float else value
+    bound = f" >= {minimum:g}" if minimum > -math.inf else ""
+    raise SchemaError(path, f"must be {_KINDS[kind]}{bound}, got {value!r:.40}")
+
+
+def get_value(doc: dict, key: str, path: str, kind: type, default=_REQUIRED, minimum=-math.inf):
+    """``doc[key]`` checked as ``kind`` at ``path.key`` (``key`` when ``path``
+    is empty); ``default`` if absent (or null, when that is None)."""
+    where = f"{path}.{key}" if path else key
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise SchemaError(where, "missing required key")
+    return value if value is default else check_value(value, where, kind, minimum)

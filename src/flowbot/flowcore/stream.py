@@ -15,6 +15,7 @@ from enum import Enum
 from typing import ClassVar, NamedTuple, Optional, Union
 
 from .packet import Packet
+from .schema import get_value
 from .watchdog import Violation, ViolationKind, Watchdog
 
 
@@ -71,22 +72,15 @@ def policy_to_json(policy: StreamPolicy) -> dict:
 
 
 def policy_from_json(doc: dict) -> StreamPolicy:
+    """A policy object; a bad value raises :class:`SchemaError` naming its key."""
     kind = doc.get("kind")
     if kind == "lossy":
-        if "capacity" not in doc:
-            raise StreamConfigError("lossy policy requires 'capacity'")
         return LossyPolicy(
-            capacity=int(doc["capacity"]),
-            max_successive_misses=(
-                int(doc["max_successive_misses"])
-                if doc.get("max_successive_misses") is not None
-                else None
-            ),
+            capacity=get_value(doc, "capacity", "", int),
+            max_successive_misses=get_value(doc, "max_successive_misses", "", int, None),
         )
     if kind == "lossless":
-        if "deadline_us" not in doc:
-            raise StreamConfigError("lossless policy requires 'deadline_us'")
-        return LosslessPolicy(deadline_us=int(doc["deadline_us"]))
+        return LosslessPolicy(deadline_us=get_value(doc, "deadline_us", "", int))
     raise StreamConfigError(f"unknown stream policy kind: {kind!r}")
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..flowcore.graphdef import SchemaError
 from ..flowcore.runtime import GraphValidationError
+from ..flowcore.schema import SchemaError
 from ..flowcore.validation import validate_graph
 from ..perception.layers import kws_reference_table
 from ..robotics.geometry import BeamMode, echo_round_trip_s
@@ -23,7 +23,7 @@ from ..robotics.sweep import SweepConfig, scan_points_to_csv, scan_to_points
 from .config import load_graph_config, load_scan_scene, packaged_graph
 from .nodes import harness_kind_registry
 from .reference import report_to_json_str, run_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 
 
 def _load(loader, flag: str, path: str):
@@ -31,7 +31,7 @@ def _load(loader, flag: str, path: str):
     whose message ends with the flag that named the file and its path."""
     try:
         return loader(path)
-    # SchemaError, ScenarioError, JSONDecodeError and UnicodeDecodeError are ValueErrors
+    # SchemaError, JSONDecodeError and UnicodeDecodeError are ValueErrors
     except (OSError, ValueError) as exc:
         raise ValueError(f"{exc} ({flag} {path})") from exc
 
@@ -45,7 +45,7 @@ def _cmd_run(args) -> int:
         return 2
     try:
         report = run_scenario(graph, scenario, seed=args.seed)
-    except (GraphValidationError, ScenarioError, SchemaError) as exc:
+    except (GraphValidationError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = report_to_json_str(report)

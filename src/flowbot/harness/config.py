@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
 
-from ..flowcore.graphdef import GraphDef, SchemaError, graph_from_json
+from ..flowcore.graphdef import GraphDef, graph_from_json
+from ..flowcore.schema import SchemaError, check_value, get_value
 
 
 def load_graph_config(source) -> GraphDef:
@@ -39,31 +39,16 @@ def load_scan_scene(source) -> dict:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError("$", "must be an object")
-    if "ultrasonic_scene" not in doc:
-        raise SchemaError("ultrasonic_scene", "missing required key")
-    if not isinstance(doc["ultrasonic_scene"], list):
-        raise SchemaError("ultrasonic_scene", "must be a list")
+    scene = get_value(check_value(doc, "$", dict), "ultrasonic_scene", "", list)
     for key in ("d_max_m", "c_air_mps", "climb_height_m"):
         if key in doc:
-            _check_number(doc[key], key, nullable=False)
-    for i, entry in enumerate(doc["ultrasonic_scene"]):
+            check_value(doc[key], key, float)
+    for i, entry in enumerate(scene):
         path = f"ultrasonic_scene[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "must be an object")
-        _check_number(entry.get("theta_deg"), f"{path}.theta_deg", nullable=False)
+        get_value(check_value(entry, path, dict), "theta_deg", path, float)
         for key in ("t_s", "distance_m"):
-            _check_number(entry.get(key), f"{path}.{key}", nullable=True)
+            get_value(entry, key, path, float, None)
     return doc
-
-
-def _check_number(value, path: str, nullable: bool) -> None:
-    if value is None and nullable:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        kind = "a finite number or null" if nullable else "a finite number"
-        raise SchemaError(path, f"must be {kind}, got {value!r:.40}")
 
 
 def packaged_config_text(name: str) -> str:

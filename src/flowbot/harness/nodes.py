@@ -4,7 +4,9 @@ Kinds registered here: audio_source (plays scenario audio as timed chunks),
 io_manager (routes device samples to interfaces), resampler_48to16,
 interpreter_stub (scripted recognizer), skill_manager, speaker_sink and
 uart_sink. Importing this module also registers the "scripted" attention
-detector.
+detector. Each node reads its params with :func:`~flowbot.flowcore.schema.get_value`,
+so a bad value fails the build with an error that starts with its key, e.g.
+``routing.mic0: must be a list, got 'ui_audio'``.
 
 The skill_manager node dispatches through the build environment's
 ``skill_registry``, or through a fresh registry of the demo skills when the
@@ -22,6 +24,7 @@ from ..dsp.resample import Decimator3to1
 from ..flowcore.aggregator import AggWindow, SampleChunk
 from ..flowcore.node import Node, NodeKindRegistry, PortSpec
 from ..flowcore.runtime import default_kind_registry, register_detector
+from ..flowcore.schema import SchemaError, check_value, get_value
 from ..robotics.locomotion import encode_locomotion, frame_uart
 from ..skills.builtin import LowLevelContext, SkillContext, register_demo_skills
 from ..skills.manager import Execute, ManagerConfig, Prompt, Reject, SkillManager, TIMEOUT
@@ -58,20 +61,14 @@ class AudioSourceNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self.device_id = str(params.get("device_id", "mic0"))
-        self.chunk_samples = int(params.get("chunk_samples", 1600))
-        if self.chunk_samples <= 0:
-            raise ValueError("chunk_samples must be > 0")
-        pad_to = int(params.get("pad_to_samples", 16000))
+        self.device_id = get_value(params, "device_id", "", str, "mic0")
+        self.chunk_samples = get_value(params, "chunk_samples", "", int, 1600, minimum=1)
+        pad_to = get_value(params, "pad_to_samples", "", int, 16000)
         audio = env.get("audio")
         if audio is None:
             raise ValueError("audio_source requires scenario audio in the build environment")
-        samples = np.asarray(audio.samples, dtype=np.float64)
-        total = max(len(samples), pad_to)
-        total = -(-total // self.chunk_samples) * self.chunk_samples
-        if total > len(samples):
-            samples = np.concatenate([samples, np.zeros(total - len(samples))])
-        self.samples = samples
+        self.samples = np.asarray(audio.samples, dtype=np.float64)
+        self._n_chunks = -(-max(len(self.samples), pad_to) // self.chunk_samples)
         self.sample_rate_hz = int(audio.sample_rate_hz)
         self._next_chunk = 0
 
@@ -79,7 +76,7 @@ class AudioSourceNode(Node):
         return {"out": PortSpec("samples")}
 
     def start(self, ctx):
-        if len(self.samples):
+        if self._n_chunks:
             ctx.schedule_at(self._chunk_end_us(0))
 
     def _chunk_end_us(self, k: int) -> int:
@@ -87,16 +84,15 @@ class AudioSourceNode(Node):
 
     def on_timer(self, tag, ctx):
         k = self._next_chunk
-        start = k * self.chunk_samples
-        if start >= len(self.samples):
+        if k >= self._n_chunks:
             return
-        chunk = SampleChunk(
-            samples=self.samples[start : start + self.chunk_samples],
-            sample_rate_hz=self.sample_rate_hz,
-        )
+        samples = self.samples[k * self.chunk_samples : (k + 1) * self.chunk_samples]
+        if len(samples) < self.chunk_samples:  # padding is made per chunk, never up front
+            samples = np.concatenate([samples, np.zeros(self.chunk_samples - len(samples))])
+        chunk = SampleChunk(samples=samples, sample_rate_hz=self.sample_rate_hz)
         ctx.emit("out", DeviceSample(device_id=self.device_id, chunk=chunk))
         self._next_chunk += 1
-        if self._next_chunk * self.chunk_samples < len(self.samples):
+        if self._next_chunk < self._n_chunks:
             ctx.schedule_at(self._chunk_end_us(self._next_chunk))
 
 
@@ -105,11 +101,14 @@ class IoManagerNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self.routing = {str(k): list(v) for k, v in dict(params.get("routing", {})).items()}
-        ports = sorted({p for targets in self.routing.values() for p in targets})
-        if not ports:
-            raise ValueError("io_manager needs a routing table with at least one interface")
-        self._ports = ports
+        self.routing = {
+            device: [check_value(port, f"routing.{device}[{i}]", str)
+                     for i, port in enumerate(check_value(targets, f"routing.{device}", list))]
+            for device, targets in get_value(params, "routing", "", dict, {}).items()
+        }
+        self._ports = sorted({p for targets in self.routing.values() for p in targets})
+        if not self._ports:
+            raise SchemaError("routing", "needs at least one interface")
         self.delivered = 0
         self.dead_letter = 0
 
@@ -217,9 +216,9 @@ class SkillManagerNode(Node):
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
         self.config = ManagerConfig(
-            confidence_floor=float(params.get("confidence_floor", 0.5)),
-            reprompt_limit=int(params.get("reprompt_limit", 2)),
-            followup_timeout_s=float(params.get("followup_timeout_s", 10.0)),
+            confidence_floor=get_value(params, "confidence_floor", "", float, 0.5),
+            reprompt_limit=get_value(params, "reprompt_limit", "", int, 2),
+            followup_timeout_s=get_value(params, "followup_timeout_s", "", float, 10.0),
         )
         self._env_registry = env.get("skill_registry")
         self.manager: SkillManager | None = None

@@ -13,10 +13,11 @@ import json
 from ..flowcore.clock import VirtualClock
 from ..flowcore.graphdef import GraphDef, graph_from_json
 from ..flowcore.runtime import GraphRunner, RunReport, StopCondition
+from ..flowcore.schema import SchemaError
 from ..skills.registry import SkillRegistry
 from .config import packaged_config_text
 from .nodes import harness_kind_registry
-from .scenario import ScenarioError, ScenarioScript, scenario_audio
+from .scenario import ScenarioScript, scenario_audio
 
 
 def reference_pipeline(detector: dict | None = None, manager_params: dict | None = None) -> GraphDef:
@@ -69,7 +70,7 @@ def run_scenario(
         try:
             time_limit_us = int(scenario.time_limit_s * 1e6)
         except OverflowError as exc:
-            raise ScenarioError(f"time_limit_s: {scenario.time_limit_s:g} s is too long: {exc}") from exc
+            raise SchemaError("time_limit_s", f"{scenario.time_limit_s:g} s is too long: {exc}") from exc
     else:
         time_limit_us = int((audio.duration_s + 1.0) * 1e6)
     runner = GraphRunner(

@@ -46,12 +46,12 @@ class SkillRegistry:
     """Hash map of skill id -> (descriptor, handler). Lookup is exact-match.
 
     Registration happens during construction/wiring, before any dispatch.
+    Events go only to ``event_listener``: a registry reused across runs keeps none.
     """
 
     def __init__(self, clock=None):
         self._entries: dict[str, tuple[SkillDescriptor, Callable]] = {}
         self._clock = clock
-        self.events: list[SkillEvent] = []
         self.event_listener: Optional[Callable[[SkillEvent], None]] = None
 
     def _now_us(self) -> int:
@@ -76,7 +76,6 @@ class SkillRegistry:
             raise SkillNotFoundError(f"no skill registered under {skill_id!r}") from None
 
     def _log(self, event: SkillEvent) -> None:
-        self.events.append(event)
         if self.event_listener is not None:
             self.event_listener(event)
 

@@ -166,6 +166,17 @@ def test_annotation_beyond_audio_rejected():
         scenario_audio(scenario)
 
 
+def test_annotation_beyond_audio_names_its_end_s(tmp_path, capsys):
+    annotations = [{"start_s": 1.0, "end_s": 2.0}, {"start_s": 3.9, "end_s": 4.5}]
+    with pytest.raises(SchemaError) as exc:
+        scenario_audio(demo_scenario(annotations=annotations))
+    assert exc.value.path == "annotations[1].end_s"
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"audio": SILENCE_4S, "annotations": annotations}))
+    assert cli_main(["run", "--scenario", str(scenario_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: annotations[1].end_s:")
+
+
 # -- end-to-end scenarios ---------------------------------------------------------------
 
 
@@ -317,6 +328,20 @@ def test_high_level_skill_cannot_reach_devices():
     assert report["uart_hex"] == ""
     assert len(report["skill_failures"]) == 1
     assert "emit_locomotion" in report["skill_failures"][0]["error"]
+
+
+def test_runs_that_reuse_one_registry_give_identical_reports():
+    from flowbot.skills import SkillRegistry, register_demo_skills
+
+    registry = SkillRegistry()
+    register_demo_skills(registry)
+    reports = [
+        report_to_json_str(run_scenario(reference_pipeline(), demo_scenario(), registry=registry))
+        for _ in range(3)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["skill_invocations"][0]["skill_id"] == "get_time"
+    assert not hasattr(registry, "events")  # each report gets its own copy; the registry keeps none
 
 
 # -- resampler node ----------------------------------------------------------------

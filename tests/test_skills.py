@@ -85,10 +85,11 @@ def test_descriptor_invariants():
 
 
 def test_dispatch_inline_logs_one_invoked_event():
-    reg = make_registry()
+    reg, events = make_registry(), []
+    reg.event_listener = events.append
     assert reg.dispatch("get_time", {}) == "12:00"
-    assert [e.kind for e in reg.events] == ["invoked"]
-    assert reg.events[0].skill_id == "get_time"
+    assert [e.kind for e in events] == ["invoked"]
+    assert events[0].skill_id == "get_time"
 
 
 def test_dispatch_missing_entities():
@@ -104,7 +105,8 @@ def test_dispatch_not_found():
 
 
 def test_handler_failure_logs_failed_event_and_raises_on_result():
-    reg = SkillRegistry()
+    reg, events = SkillRegistry(), []
+    reg.event_listener = events.append
 
     def broken(entities, ctx):
         raise ValueError("nope")
@@ -112,20 +114,21 @@ def test_handler_failure_logs_failed_event_and_raises_on_result():
     reg.register(SkillDescriptor(id="bad"), broken)
     with pytest.raises(ValueError):
         reg.dispatch("bad", {})
-    assert [e.kind for e in reg.events] == ["invoked", "failed"]
-    assert "nope" in reg.events[1].error
+    assert [e.kind for e in events] == ["invoked", "failed"]
+    assert "nope" in events[1].error
 
 
 def test_deferred_equals_inline_for_pure_handler():
     results = {}
     for policy in (ExecutionPolicy.INLINE, ExecutionPolicy.DEFERRED):
-        reg = SkillRegistry()
+        reg, events = SkillRegistry(), []
+        reg.event_listener = events.append
         reg.register(
             SkillDescriptor(id="pure", execution_policy=policy),
             lambda entities, ctx: sorted(entities.items()),
         )
         results[policy] = reg.dispatch("pure", {"b": 2, "a": 1})
-        assert [(e.kind, e.skill_id, e.entities, e.policy) for e in reg.events] == [
+        assert [(e.kind, e.skill_id, e.entities, e.policy) for e in events] == [
             ("invoked", "pure", {"b": 2, "a": 1}, policy.value)
         ]
     assert len(set(map(tuple, map(tuple, results.values())))) == 1
@@ -133,9 +136,10 @@ def test_deferred_equals_inline_for_pure_handler():
 
 def test_event_timestamps_use_bound_clock():
     clock = VirtualClock(start_us=777)
-    reg = make_registry(clock=clock)
+    reg, events = make_registry(clock=clock), []
+    reg.event_listener = events.append
     reg.dispatch("get_time", {})
-    assert reg.events[0].t_us == 777
+    assert events[0].t_us == 777
 
 
 # -- manager -----------------------------------------------------------------
