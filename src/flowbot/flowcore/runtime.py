@@ -22,9 +22,10 @@ and raises :class:`GraphValidationError` on any diagnostic. Each stream's
 wiring is resolved once, when the runner is built, into a slotted
 :class:`_Route`: the stream, its consumer node, port and context, the
 consumer's rank, the phase an emit schedules (None for poll-driven and
-consumer-less streams), the gated route for a latch control, the latch and
-control stream for a gated stream, and the next sequence number. ``emit``
-makes one lookup from ``(node_id, port)`` to the route.
+consumer-less streams), the gated route for a latch control, the latch,
+control stream and suppression runs for a gated stream, and the next
+sequence number. ``emit`` makes one lookup from ``(node_id, port)`` to the
+route.
 
 Late binding: ``NodeContext.emit`` calls ``runner.emit``, and the runner
 calls ``stream.push`` / ``stream.pop`` and ``node.start`` / ``on_packet`` /
@@ -62,7 +63,7 @@ from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
 from .schema import SchemaError, check_value, get_value
-from .stream import ACCEPTED, PushOutcome, Stream
+from .stream import PushOutcome, Stream, runs_to_json
 from .validation import Diagnostic, build_nodes, check_wiring
 from .watchdog import Watchdog
 
@@ -76,6 +77,10 @@ _PHASE_DELIVERY = 3
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+#: Version 2 keeps drops and suppressions as run records on their stream and
+#: latch instead of one event per packet, and adds ``max_queued`` and ``nodes``.
+REPORT_VERSION = 2
 
 
 class GraphValidationError(ValueError):
@@ -122,10 +127,12 @@ class RunReport:
     uart_hex: str
     extras: dict
     events: list
+    nodes: dict
     failed_node: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
+            "report_version": REPORT_VERSION,
             "status": self.status,
             "stop_reason": self.stop_reason,
             "end_time_us": self.end_time_us,
@@ -133,6 +140,7 @@ class RunReport:
             "failed_node": self.failed_node,
             "streams": self.streams,
             "latches": self.latches,
+            "nodes": self.nodes,
             "skill_invocations": self.skill_invocations,
             "skill_failures": self.skill_failures,
             "uart_hex": self.uart_hex,
@@ -187,7 +195,7 @@ class _Route:
 
     __slots__ = (
         "stream_id", "stream", "consumer", "port", "ctx", "rank", "phase",
-        "gated", "latch", "control", "next_seq",
+        "gated", "latch", "control", "suppressed_runs", "next_seq",
     )
 
     def __init__(self, stream_id: str, stream: Stream):
@@ -200,9 +208,13 @@ class _Route:
         self.phase: Optional[int] = None
         # a latch's control stream: the gated stream's route
         self.gated: Optional[_Route] = None
-        # a gated stream: its latch and the latch's control stream
+        # a gated stream: its latch, the latch's control stream, and one
+        # record [first_seq, last_seq, first_t_us, last_t_us, count] per run
+        # of suppressed packets with consecutive seqs; a stream pops in seq
+        # order, so a forwarded or dropped packet ends a run
         self.latch: Optional[Latch] = None
         self.control: Optional[Stream] = None
+        self.suppressed_runs: list[list[int]] = []
         self.next_seq = 0
 
 
@@ -240,9 +252,12 @@ class GraphRunner:
             node_id: NodeContext(self, node) for node_id, node in self.nodes.items()
         }
         self._topo = self._topo_ranks()
+        # deliveries that reach on_packet, plus timers, per node by rank
+        self._dispatches = [0] * len(self._topo)
 
         self.streams: dict[str, Stream] = {}
-        routes: dict[str, _Route] = {}
+        self._routes: dict[str, _Route] = {}
+        routes = self._routes  # by stream id
         self._outputs: dict[tuple[str, str], _Route] = {}
         self._inputs: dict[tuple[str, str], _Route] = {}
         for sd in graph.streams:
@@ -321,11 +336,6 @@ class GraphRunner:
         seq = route.next_seq
         route.next_seq = seq + 1
         outcome = route.stream.push(tuple.__new__(Packet, (payload, ts, seq)), now)
-        if outcome is not ACCEPTED:
-            self.events.append({
-                "t_us": now, "kind": "drop", "stream": route.stream_id,
-                "seq": outcome.dropped.seq, "successive_misses": outcome.successive_misses,
-            })
         self._total_pushed += 1
         phase = route.phase
         if phase is not None:
@@ -374,15 +384,19 @@ class GraphRunner:
         # a control applies to data with later-or-equal timestamps only, so
         # drain no further than the packet about to be popped
         self._drain_controls(route, stream.peek_timestamp())
-        packet = stream.pop(self.clock.now_us())
+        now = self.clock.now_us()
+        packet = stream.pop(now)
         if packet is None:
             return None
         forwarded = latch.forward(packet)
         if forwarded is None:
-            self.events.append({
-                "t_us": self.clock.now_us(), "kind": "suppressed",
-                "stream": route.stream_id, "seq": packet.seq,
-            })
+            seq = packet.seq
+            runs = route.suppressed_runs
+            if runs and runs[-1][1] == seq - 1:
+                run = runs[-1]
+                run[1], run[3], run[4] = seq, now, run[4] + 1
+            else:
+                runs.append([seq, seq, now, now, 1])
         return forwarded
 
     def _polled_streams_empty(self) -> bool:
@@ -412,10 +426,11 @@ class GraphRunner:
         stop_when_idle = limit is None and bool(self._polled_streams)
         heap = self._heap
         ctx = self._ctx
+        dispatches = self._dispatches
         while heap and self._stop_reason is None:
             if stop_when_idle and len(heap) == self._poll_timers and self._polled_streams_empty():
                 break
-            t_us, _rank, phase, _seq, arg = _heappop(heap)
+            t_us, rank, phase, _seq, arg = _heappop(heap)
             if limit is not None and t_us >= limit:
                 self._stop_reason = "time_limit"
                 self._end_time_us = limit
@@ -433,6 +448,7 @@ class GraphRunner:
                 else:
                     packet = self._pop_through_latch(arg)
                 if packet is not None:
+                    dispatches[rank] += 1
                     node = arg.consumer
                     try:
                         node.on_packet(arg.port, packet, arg.ctx)
@@ -444,6 +460,7 @@ class GraphRunner:
             else:
                 if phase == _PHASE_POLL:
                     self._poll_timers -= 1
+                dispatches[rank] += 1
                 node, tag = arg
                 try:
                     node.on_timer(tag, ctx[node.id])
@@ -467,11 +484,15 @@ class GraphRunner:
         streams = {}
         for sid, stream in sorted(self.streams.items()):
             entry = stream.counters()
+            entry["drop_runs"] = runs_to_json(stream.drop_runs)
             entry["violations"] = [v.to_json() for v in stream.violations]
             if stream.watchdog is not None and stream.watchdog.errors:
                 entry["monitor_errors"] = list(stream.watchdog.errors)
             streams[sid] = entry
-        latches = {sid: latch.to_json() for sid, latch in sorted(self.latches.items())}
+        latches = {}
+        for sid, latch in sorted(self.latches.items()):
+            latches[sid] = entry = latch.to_json()
+            entry["suppressed_runs"] = runs_to_json(self._routes[sid].suppressed_runs)
         return RunReport(
             status="failed" if self._failed_node else "ok",
             stop_reason=self._stop_reason or "exhausted",
@@ -484,6 +505,10 @@ class GraphRunner:
             uart_hex=self.collector.uart.hex(),
             extras={k: list(v) for k, v in sorted(self.collector.extras.items())},
             events=list(self.events),
+            nodes={
+                node_id: {"dispatches": self._dispatches[self._topo[node_id]]}
+                for node_id in sorted(self.nodes)
+            },
             failed_node=self._failed_node,
         )
 

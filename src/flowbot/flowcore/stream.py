@@ -1,10 +1,10 @@
 """Streams: single-threaded packet queues with delivery policies.
 
-A stream is either lossy (bounded; overflow evicts the oldest packet and the
-run of consecutive evictions is tracked) or lossless (unbounded; every packet
-is delivered but its age at delivery is checked against a deadline). The
-producer never blocks in either mode. Violations are recorded, never enforced
-by altering the flow.
+A stream is either lossy (bounded; overflow evicts the oldest packet, and
+each run of consecutive evictions is kept as one record) or lossless
+(unbounded; every packet is delivered but its age at delivery is checked
+against a deadline). The producer never blocks in either mode. Violations
+are recorded, never enforced by altering the flow.
 """
 
 from __future__ import annotations
@@ -100,11 +100,25 @@ class PushOutcome(NamedTuple):
 #: The outcome of every push that evicts nothing; shared, since outcomes are immutable.
 ACCEPTED = PushOutcome(PushStatus.ACCEPTED)
 
+#: The fields of one run record, in the order a run is kept as a list.
+RUN_FIELDS = ("first_seq", "last_seq", "first_t_us", "last_t_us", "count")
+
+
+def runs_to_json(runs: list[list[int]]) -> list[dict]:
+    """Run records ``[first_seq, last_seq, first_t_us, last_t_us, count]`` as report objects."""
+    return [dict(zip(RUN_FIELDS, run)) for run in runs]
+
 
 class Stream:
     """FIFO between one producer and one consumer, used from a single thread.
 
     Counters satisfy ``pushed == delivered + dropped + queued`` at all times.
+    ``max_queued`` is the queue's high-water mark. Evictions are kept in
+    ``drop_runs``, one record ``[first_seq, last_seq, first_t_us, last_t_us,
+    count]`` per run of consecutive evictions: a run opens when
+    ``successive_misses`` becomes 1, each further eviction extends it, and
+    the next accepted push ends it. ``count`` is the run's last
+    ``successive_misses``.
     Each queue entry is ``(push_us, packet)``: the time of the push that
     queued the packet, which an optional :class:`Watchdog` compares with the
     pop time. Policy violations (miss limit, lossless deadline) are recorded
@@ -125,6 +139,8 @@ class Stream:
         self.delivered = 0
         self.dropped = 0
         self.successive_misses = 0
+        self.max_queued = 0
+        self.drop_runs: list[list[int]] = []
         self._q: deque[tuple[int, Packet]] = deque()
         lossy = isinstance(policy, LossyPolicy)
         self._capacity: Optional[int] = policy.capacity if lossy else None
@@ -138,14 +154,23 @@ class Stream:
         if self.watchdog is not None:
             self.violations.extend(self.watchdog.packet_in(now))
         capacity = self._capacity
-        if capacity is None or len(q) < capacity:
+        depth = len(q)
+        if capacity is None or depth < capacity:
             q.append((now, packet))
             self.successive_misses = 0
+            if depth >= self.max_queued:
+                self.max_queued = depth + 1
             return ACCEPTED
         evicted = q.popleft()[1]
         q.append((now, packet))
         self.dropped += 1
         self.successive_misses = misses = self.successive_misses + 1
+        seq = evicted.seq
+        if misses == 1:
+            self.drop_runs.append([seq, seq, now, now, 1])
+        else:
+            run = self.drop_runs[-1]
+            run[1], run[3], run[4] = seq, now, misses
         if self._miss_limit is not None and misses > self._miss_limit:
             self.violations.append(
                 Violation(
@@ -200,4 +225,5 @@ class Stream:
             "delivered": self.delivered,
             "dropped": self.dropped,
             "queued": len(self._q),
+            "max_queued": self.max_queued,
         }

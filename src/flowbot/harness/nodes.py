@@ -198,9 +198,9 @@ class InterpreterStubNode(Node):
         ctx.log("interpreter_window", index=window.index)
         for entry in self._by_index.get(window.index, []):
             interp = Interpretation(
-                skill_id=str(entry.get("skill_id", "")),
-                entities=dict(entry.get("entities", {})),
-                confidence=float(entry.get("confidence", 1.0)),
+                skill_id=entry.get("skill_id", ""),
+                entities=entry.get("entities", {}),
+                confidence=entry.get("confidence", 1.0),
             )
             ctx.emit("out", interp)
 
@@ -218,8 +218,14 @@ class SkillManagerNode(Node):
         self.config = ManagerConfig(
             confidence_floor=get_value(params, "confidence_floor", "", float, 0.5),
             reprompt_limit=get_value(params, "reprompt_limit", "", int, 2),
-            followup_timeout_s=get_value(params, "followup_timeout_s", "", float, 10.0),
         )
+        timeout_s = get_value(params, "followup_timeout_s", "", float, 10.0)
+        if timeout_s <= 0:
+            raise SchemaError("followup_timeout_s", f"must be > 0, got {timeout_s:g}")
+        try:
+            self.followup_timeout_us = int(timeout_s * 1e6)
+        except OverflowError as exc:
+            raise SchemaError("followup_timeout_s", f"{timeout_s:g} s is too long: {exc}") from exc
         self._env_registry = env.get("skill_registry")
         self.manager: SkillManager | None = None
         self.registry: SkillRegistry | None = None
@@ -297,7 +303,7 @@ class SkillManagerNode(Node):
             ctx.emit("speech", action.prompt_text)
             session = self.manager.sessions[action.session_id]
             ctx.schedule(
-                self.manager.followup_timeout_us,
+                self.followup_timeout_us,
                 tag=("timeout", action.session_id, session.reprompts_used),
             )
         elif isinstance(action, Reject):

@@ -76,15 +76,16 @@ def load_scenario(source) -> ScenarioScript:
     for i, entry in enumerate(get_value(doc, "interpreter_script", "", list, [])):
         path = f"interpreter_script[{i}]"
         index = get_value(check_value(entry, path, dict), "trigger_window_index", path, int, minimum=0)
-        flat = {"trigger_window_index": index}
         # both flat entries and nested {"interpretation": {...}} are accepted
         if "interpretation" in entry:
             path += ".interpretation"
             entry = check_value(entry["interpretation"], path, dict)
-        get_value(entry, "entities", path, dict, {})
-        get_value(entry, "confidence", path, float, 1.0)
-        flat.update((k, v) for k, v in entry.items() if k != "trigger_window_index")
-        script.append(flat)
+        script.append({
+            "trigger_window_index": index,
+            "skill_id": get_value(entry, "skill_id", path, str, ""),
+            "entities": get_value(entry, "entities", path, dict, {}),
+            "confidence": get_value(entry, "confidence", path, float, 1.0),
+        })
     return ScenarioScript(
         audio=audio,
         annotations=tuple(annotations),

@@ -59,7 +59,6 @@ TIMEOUT = object()
 class ManagerConfig:
     confidence_floor: float = 0.5
     reprompt_limit: int = 2
-    followup_timeout_s: float = 10.0
 
 
 class SkillManager:
@@ -68,10 +67,6 @@ class SkillManager:
         self.config = config
         self.sessions: dict[str, SkillSession] = {}
         self._ids = itertools.count(1)
-
-    @property
-    def followup_timeout_us(self) -> int:
-        return int(self.config.followup_timeout_s * 1e6)
 
     def active_session(self) -> Optional[SkillSession]:
         for session in self.sessions.values():

@@ -3,10 +3,19 @@
 Each case hashes the canonical JSON report of one fixed run. A change that
 alters ordering, sequence numbering, counters, violations or events changes
 a digest; a pure speed-up must leave all four unchanged.
+
+The version 1 report logged one event per dropped or suppressed packet;
+version 2 keeps one run record per run of them. Expanding the runs of each
+case gives back the version 1 facts, pinned as digests taken from version 1
+reports: every dropped packet's ``(seq, successive_misses)``, every
+suppressed packet's ``seq``, each run's first and last ``t_us``, and the
+other events in order. Only the timestamps inside a run are not kept.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from flowbot.flowcore import (
     GraphDef,
@@ -32,10 +41,36 @@ from flowbot.harness import (
 )
 from flowbot.harness.config import packaged_config_text
 
-DEMO_SHA256 = "7caa5cd90d51b5e5ac06934349af99d3ed39e35deb1658d2703cf4b8a9f88b26"
-BURSTS_SHA256 = "5a692ac1b2ac9df41b295f79f9fc6348348baf37fa19a99abc7e6ac0349b3577"
-EXECUTOR_SHA256 = "7fafd4a6a185480f2684e0241be34abe483b591db8028446a0672113beccb3b2"
-RESAMPLER_SHA256 = "6d49cf94d4b813c101e059358bf69726b3a6b649c6183a01b8d4489b5ebe9885"
+DEMO_SHA256 = "48acbcfda4632a12656dab8c3b9a02fd9909a8d057190cb9cae30f54d61259ae"
+BURSTS_SHA256 = "f8049cec9b72626a74788d6ee99d7201f1f7168a83ff74d50fa64940c9d4133f"
+EXECUTOR_SHA256 = "011aaaa06ae15272550b8a79b81e265a330de0503ad15f636ac9877e13f4b4f3"
+RESAMPLER_SHA256 = "d6383d236d6bc3643311bb10df298bc9df375751a6095fe9f5b2cab521a660ef"
+
+# per case, from the version 1 report: (sha256 of v1_facts' drop and
+# suppression facts, sha256 of its other events, dropped packets,
+# suppressed packets)
+V1_FACTS = {
+    "demo": (
+        "b490a97c47067f2de766ed4ae962e67e003a2cd66cafb4e0425e945029e5b675",
+        "855149e135e889286bd1fb4936663fb1fe995ce44b9ebc43c83171e6a3ce7551",
+        0, 8,
+    ),
+    "bursts": (
+        "5a68315f037244b66fb1da758fc75199ff33c636028755b6d8513b343154e44f",
+        "69e22fbcf97e336500af4aa1c1174f792c784e3e2784b6cdb95ad2f763c8d094",
+        0, 207,
+    ),
+    "executor": (
+        "b610d05c53168f1fbf1e805778fd866ab827df8df79eecb61cf6b3ad61f42dda",
+        "5d862064b75046725da3eb0e3b8cf008eeeaec9786ca4aad7657536d81926b38",
+        1526, 860,
+    ),
+    "resampler": (
+        "063c07012432ccf59f49a516990c8a96e9989ac1bfef1274ec679d7712fb1908",
+        "3a39ceee3e28a5efd3fe73fccc4b69d83cac4bc087936967ba44c0d6ba7200a8",
+        0, 34,
+    ),
+}
 
 
 def sha256(text: str) -> str:
@@ -95,13 +130,12 @@ def executor_graph() -> GraphDef:
     )
 
 
-def test_demo_scenario_digest():
+def demo_report() -> dict:
     scenario = load_scenario(packaged_config_text("demo_scenario.json"))
-    report = run_scenario(packaged_graph(), scenario)
-    assert sha256(report_to_json_str(report)) == DEMO_SHA256
+    return run_scenario(packaged_graph(), scenario)
 
 
-def test_rms_bursts_scenario_digest():
+def bursts_report() -> dict:
     bursts = [
         {"start_s": float(s), "end_s": s + 0.6, "freq_hz": 440.0 + 20 * i, "amp": 0.7}
         for i, s in enumerate(range(5, 60, 11))
@@ -116,17 +150,16 @@ def test_rms_bursts_scenario_digest():
         "seed": 3,
     })
     graph = reference_pipeline(detector={"kind": "rms", "threshold": 0.1})
-    report = run_scenario(graph, scenario)
-    assert sha256(report_to_json_str(report)) == BURSTS_SHA256
+    return run_scenario(graph, scenario)
 
 
-def test_executor_graph_digest():
+def executor_report() -> dict:
     kinds = default_kind_registry()
     kinds.register("toggler", Toggler)
     report = graph_run(
         executor_graph(), kinds=kinds, stop=StopCondition(time_limit_us=1_700_000), seed=5
     )
-    assert sha256(report_to_json_str(report.to_json())) == EXECUTOR_SHA256
+    return report.to_json()
 
 
 def resampler_graph() -> GraphDef:
@@ -145,7 +178,7 @@ def resampler_graph() -> GraphDef:
     return graph_from_json(doc)
 
 
-def test_resampler_scenario_digest():
+def resampler_report() -> dict:
     # the 12 kHz burst is above the 8 kHz output Nyquist: the anti-alias
     # filter removes it, so only the other two bursts open the latch
     bursts = [
@@ -162,7 +195,94 @@ def test_resampler_scenario_digest():
         ],
         "seed": 5,
     })
-    report = run_scenario(resampler_graph(), scenario)
+    return run_scenario(resampler_graph(), scenario)
+
+
+CASES = {
+    "demo": demo_report,
+    "bursts": bursts_report,
+    "executor": executor_report,
+    "resampler": resampler_report,
+}
+
+
+def test_demo_scenario_digest():
+    assert sha256(report_to_json_str(demo_report())) == DEMO_SHA256
+
+
+def test_rms_bursts_scenario_digest():
+    assert sha256(report_to_json_str(bursts_report())) == BURSTS_SHA256
+
+
+def test_executor_graph_digest():
+    assert sha256(report_to_json_str(executor_report())) == EXECUTOR_SHA256
+
+
+def test_resampler_scenario_digest():
+    report = resampler_report()
     opened = [e for e in report["events"] if e["kind"] == "latch" and e["state"] == "open"]
     assert len(opened) == 2
     assert sha256(report_to_json_str(report)) == RESAMPLER_SHA256
+
+
+def v1_facts(events: list[dict]) -> tuple[dict, list[dict]]:
+    """The drop and suppression facts of a version 1 event list, and its
+    other events. Per stream, each run lists its packets, ``[seq,
+    successive_misses]`` for a drop and ``seq`` for a suppression, with the
+    ``t_us`` of its first and last packet. A drop run starts at
+    ``successive_misses`` 1, a suppression run at a ``seq`` that does not
+    follow the one before. ``V1_FACTS`` holds digests of what this returns
+    for version 1 reports."""
+    facts: dict = {"drop": {}, "suppressed": {}}
+    rest = []
+    for event in events:
+        kind = event["kind"]
+        if kind not in facts:
+            rest.append(event)
+            continue
+        runs = facts[kind].setdefault(event["stream"], [])
+        if kind == "drop":
+            packet = [event["seq"], event["successive_misses"]]
+            starts = event["successive_misses"] == 1
+        else:
+            packet = event["seq"]
+            starts = not runs or runs[-1]["packets"][-1] + 1 != event["seq"]
+        if starts:
+            runs.append({"packets": [], "first_t_us": event["t_us"]})
+        runs[-1]["packets"].append(packet)
+        runs[-1]["last_t_us"] = event["t_us"]
+    return facts, rest
+
+
+def v1_events_from_runs(report: dict) -> list[dict]:
+    """Per-packet ``drop`` and ``suppressed`` events rebuilt from a version 2
+    report's runs; the ``t_us`` of a packet inside a run is not kept (None)."""
+    records = [("drop", sid, s["drop_runs"]) for sid, s in report["streams"].items()]
+    records += [("suppressed", sid, latch["suppressed_runs"]) for sid, latch in report["latches"].items()]
+    events = []
+    for kind, sid, runs in records:
+        for run in runs:
+            count = run["count"]
+            assert run["last_seq"] - run["first_seq"] + 1 == count >= 1, run
+            for k in range(count):
+                t_us = run["first_t_us"] if k == 0 else run["last_t_us"] if k == count - 1 else None
+                event = {"t_us": t_us, "kind": kind, "stream": sid, "seq": run["first_seq"] + k}
+                if kind == "drop":
+                    event["successive_misses"] = k + 1
+                events.append(event)
+    return events
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_v2_runs_expand_to_the_v1_events(case):
+    facts_sha256, events_sha256, dropped, suppressed = V1_FACTS[case]
+    report = CASES[case]()
+    assert report["report_version"] == 2
+    assert not [e for e in report["events"] if e["kind"] in ("drop", "suppressed")]
+    rebuilt = v1_events_from_runs(report)
+    assert sum(e["kind"] == "drop" for e in rebuilt) == dropped
+    assert sum(e["kind"] == "suppressed" for e in rebuilt) == suppressed
+    facts, rest = v1_facts(report["events"] + rebuilt)
+    assert sha256(json.dumps(facts, sort_keys=True)) == facts_sha256
+    assert rest == report["events"]
+    assert sha256(json.dumps(rest, sort_keys=True)) == events_sha256

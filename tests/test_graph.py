@@ -145,7 +145,10 @@ def test_empty_graph_runs_to_zero_counts():
 def test_source_to_sink_conservation():
     report = graph_run(simple_graph())
     s = report.streams["s"]
-    assert s == {"pushed": 100, "delivered": 100, "dropped": 0, "queued": 0, "violations": []}
+    assert s == {
+        "pushed": 100, "delivered": 100, "dropped": 0, "queued": 0, "max_queued": 1,
+        "drop_runs": [], "violations": [],
+    }
 
 
 def test_lossy_slow_sink_drop_scenario():
@@ -180,6 +183,21 @@ def test_lossy_memory_bounded_regardless_of_rate():
         stop=StopCondition(time_limit_us=2_000_000),
     )
     assert report.streams["s"]["queued"] <= 3
+
+
+def test_report_stays_small_however_many_packets_drop():
+    # 10 000 packets at 1 kHz into a capacity-4 stream polled once a second:
+    # each poll ends one run of drops, so ~10k drops make at most 11 records
+    report = graph_run(
+        simple_graph(policy=LossyPolicy(capacity=4), sink_params={"poll_rate_hz": 1.0}, count=10_000),
+        stop=StopCondition(time_limit_us=10_000_000),
+    )
+    s = report.streams["s"]
+    assert s["dropped"] >= 9_900 and s["max_queued"] == 4
+    assert 1 <= len(s["drop_runs"]) <= 11
+    assert sum(run["count"] for run in s["drop_runs"]) == s["dropped"]
+    assert report.nodes == {"snk": {"dispatches": 10}, "src": {"dispatches": 10_000}}
+    assert len(report.to_json_str()) < 10_000
 
 
 def test_run_is_deterministic():
@@ -390,8 +408,12 @@ def test_fifo_per_stream_in_run_events():
         clock=clock,
         stop=StopCondition(time_limit_us=1_000_000),
     )
-    dropped_seqs = [e["seq"] for e in report.events if e["kind"] == "drop"]
-    assert dropped_seqs == sorted(dropped_seqs)
+    s = report.streams["s"]
+    dropped_seqs = [
+        seq for run in s["drop_runs"] for seq in range(run["first_seq"], run["last_seq"] + 1)
+    ]
+    assert len(dropped_seqs) == s["dropped"] > 0
+    assert dropped_seqs == sorted(set(dropped_seqs))
 
 
 def test_poll_driven_sink_without_time_limit_terminates(wall_clock_guard):
@@ -405,6 +427,42 @@ def test_poll_driven_sink_without_time_limit_terminates(wall_clock_guard):
     assert s["queued"] == 0 and s["pushed"] == s["delivered"] + s["dropped"] == 50
     # the last packet arrives at 49 ms; polls at 50..80 ms drain the 4 queued
     assert report.end_time_us == 80_000
+
+
+def test_drop_and_suppression_runs_of_a_lossy_gated_stream():
+    # 10 packets at 0..9 ms into a capacity-2 stream polled every 5 ms behind
+    # a gate that never opens: evictions come in runs of 3 between polls,
+    # and an eviction between two polled packets splits their suppression run
+    kinds = default_kind_registry()
+    kinds.register("bit_script", BitScriptNode)
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 10, "rate_hz": 1000.0}),
+            NodeDef("ctl", "bit_script", {"script": []}),
+            NodeDef("snk", "sink", {"poll_rate_hz": 200.0}),
+        ),
+        streams=(
+            StreamDef("s_data", "src", "out", "snk", "in", LossyPolicy(capacity=2)),
+            StreamDef("s_ctl", "ctl", "bit", None, None, LOSSLESS),
+        ),
+        latches=(LatchDef("s_data", "s_ctl"),),
+    )
+    report = graph_run(g, kinds=kinds, stop=StopCondition(time_limit_us=20_000))
+    keys = ("first_seq", "last_seq", "first_t_us", "last_t_us", "count")
+    s = report.streams["s_data"]
+    assert [tuple(run[k] for k in keys) for run in s["drop_runs"]] == [
+        (1, 3, 3_000, 5_000, 3), (5, 7, 7_000, 9_000, 3),
+    ]
+    assert (s["dropped"], s["max_queued"]) == (6, 2)
+    latch = report.latches["s_data"]
+    assert [tuple(run[k] for k in keys) for run in latch["suppressed_runs"]] == [
+        (0, 0, 0, 0, 1), (4, 4, 5_000, 5_000, 1), (8, 9, 10_000, 15_000, 2),
+    ]
+    assert latch["suppressed"] == 4 and latch["forwarded"] == 0
+    assert report.nodes == {
+        "ctl": {"dispatches": 0}, "snk": {"dispatches": 4}, "src": {"dispatches": 10},
+    }
+    assert report.events == []  # no per-packet entries
 
 
 def test_poll_driven_latched_sink_without_time_limit_drains_controls(wall_clock_guard):

@@ -1,4 +1,6 @@
-"""Random valid graphs: every run terminates, conserves packets and replays.
+"""Random valid graphs: every run terminates, conserves packets and replays,
+and its drop and suppression runs account for every dropped and suppressed
+packet.
 
 Hypothesis draws small DAGs of sources, splitters and sinks, with lossy and
 lossless streams, optional watchdogs, push- and poll-driven sinks, and at
@@ -125,6 +127,7 @@ def graphs(draw):
 @given(graphs(), st.integers(0, 2**16))
 def test_random_graphs_terminate_conserve_and_replay(wall_clock_guard, case, seed):
     graph, time_limit = case
+    policy_of = {sd.id: sd.policy for sd in graph.streams}
     assert validate_graph(graph, kinds()) == []
     stop = StopCondition(time_limit_us=time_limit)
 
@@ -137,4 +140,22 @@ def test_random_graphs_terminate_conserve_and_replay(wall_clock_guard, case, see
     assert first.stop_reason in ("exhausted", "time_limit")
     for sid, s in first.streams.items():
         assert s["pushed"] == s["delivered"] + s["dropped"] + s["queued"], sid
+        assert s["dropped"] == sum(run["count"] for run in s["drop_runs"]), sid
+        assert_runs_ordered_and_disjoint(s["drop_runs"])
+        if isinstance(policy_of[sid], LossyPolicy):
+            assert s["max_queued"] <= policy_of[sid].capacity, sid
+        assert s["max_queued"] >= s["queued"], sid
+    for sid, latch in first.latches.items():
+        assert latch["suppressed"] == sum(run["count"] for run in latch["suppressed_runs"]), sid
+        assert_runs_ordered_and_disjoint(latch["suppressed_runs"])
     assert first.to_json_str() == second.to_json_str()
+
+
+def assert_runs_ordered_and_disjoint(runs):
+    last_seq = last_t_us = None
+    for run in runs:
+        assert run["last_seq"] - run["first_seq"] + 1 == run["count"] >= 1, run
+        assert run["first_t_us"] <= run["last_t_us"], run
+        if last_seq is not None:
+            assert run["first_seq"] > last_seq + 1 and run["first_t_us"] >= last_t_us, runs
+        last_seq, last_t_us = run["last_seq"], run["last_t_us"]

@@ -534,6 +534,21 @@ def test_bad_detector_param_is_a_build_error_naming_its_key(tmp_path, capsys, de
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [0, -1.0, 1e303], ids=["zero", "negative", "overflows"])
+def test_bad_followup_timeout_is_a_build_error(tmp_path, capsys, bad):
+    # 1e303 s is finite, but its microseconds are not: the first prompt
+    # would fail with an OverflowError in the middle of a run
+    graph = reference_pipeline(manager_params={"followup_timeout_s": bad})
+    diags = validate_graph(graph, harness_kind_registry(), env=stub_env())
+    assert [(d.code, d.location) for d in diags] == [("BadNodeParams", "node mgr")]
+    assert diags[0].reason.startswith("followup_timeout_s: ")
+    graph_path, scenario_path = _write_graph_and_scenario(tmp_path, graph.to_json())
+    assert cli_main(["validate", "--graph", graph_path]) == 2
+    assert "BadNodeParams at node mgr: followup_timeout_s: " in capsys.readouterr().err
+    assert cli_main(["run", "--graph", graph_path, "--scenario", scenario_path]) == 2
+    assert "BadNodeParams at node mgr: followup_timeout_s: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("key", ["max_latency_us", "min_throughput_hz", "window_us"])
 def test_non_finite_watchdog_bound_is_schema_error(tmp_path, capsys, key, bad):
@@ -587,6 +602,19 @@ SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}
          "audio.synthetic.duration_s"),
         ({"audio": {"synthetic": {"kind": "silence", "duration_s": float("nan")}}},
          "audio.synthetic.duration_s"),
+        (
+            {"audio": SILENCE_4S,
+             "interpreter_script": [{"trigger_window_index": 1, "skill_id": ["get_time"]}]},
+            "interpreter_script[0].skill_id",
+        ),
+        (
+            {"audio": SILENCE_4S,
+             "interpreter_script": [
+                 {"trigger_window_index": 1, "skill_id": "get_time"},
+                 {"trigger_window_index": 2, "interpretation": {"skill_id": 7}},
+             ]},
+            "interpreter_script[1].interpretation.skill_id",
+        ),
         ({"audio": SILENCE_4S, "seed": -1}, "seed"),
         ({"audio": {"wav": "no-such-file.wav"}}, "audio.wav"),
         ({"audio": SILENCE_4S, "time_limit_s": 1e303}, "time_limit_s"),
@@ -600,6 +628,14 @@ def test_cli_malformed_scenario_exits_2_naming_its_path(tmp_path, capsys, doc, p
     assert cli_main(["run", "--scenario", str(scenario_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:") and "Traceback" not in err
+
+
+def test_non_string_skill_id_is_schema_error_naming_its_path():
+    doc = {"audio": SILENCE_4S,
+           "interpreter_script": [{"trigger_window_index": 1, "skill_id": ["get_time"]}]}
+    with pytest.raises(SchemaError) as exc:
+        load_scenario(doc)
+    assert exc.value.path == "interpreter_script[0].skill_id"
 
 
 def test_cli_run_ignores_the_ultrasonic_scene_key(tmp_path):
