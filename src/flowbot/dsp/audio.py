@@ -3,6 +3,11 @@
 PCM mapping: little-endian int16 ``q`` decodes to ``q / 32768``; encoding
 rounds half away from zero and clamps to [-32768, 32767], so
 ``decode(encode(decode(b))) == decode(b)`` bit-exactly.
+
+Decoding is one pass: each int16 is cast to float64 and multiplied by
+``1 / 32768`` into the output array, with no float64 temporary. Every int16
+is exact in float64 and ``1 / 32768 == 2**-15`` is a power of two, so the
+product only shifts the exponent and equals ``q / 32768`` bit for bit.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ def round_half_away(x):
 def pcm16_decode(data: bytes, sample_rate_hz: int = 16000) -> AudioBuffer:
     if len(data) % 2 != 0:
         raise PcmFormatError(f"PCM16 byte stream has odd length {len(data)}")
-    ints = np.frombuffer(data, dtype="<i2").astype(np.float64)
-    return AudioBuffer(samples=ints / 32768.0, sample_rate_hz=sample_rate_hz)
+    samples = np.multiply(np.frombuffer(data, dtype="<i2"), 1.0 / 32768.0, dtype=np.float64)
+    return AudioBuffer(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
 def pcm16_encode(buffer: AudioBuffer) -> bytes:

@@ -1,13 +1,9 @@
-"""Energy-based detector used as the default attention stub."""
+"""Energy-based detector used as the default attention stub.
 
-from __future__ import annotations
+It lives in :mod:`flowbot.flowcore.attention`, so the core does not import
+``dsp``; it is re-exported here with the other audio kernels.
+"""
 
-import numpy as np
+from ..flowcore.attention import rms_detect
 
-
-def rms_detect(window, threshold: float) -> int:
-    """Return 1 iff the window's root-mean-square level reaches ``threshold``."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("rms_detect needs a nonempty window")
-    return 1 if float(np.sqrt(np.mean(x * x))) >= threshold else 0
+__all__ = ["rms_detect"]

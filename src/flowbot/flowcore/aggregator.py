@@ -3,6 +3,18 @@
 Windows of ``window_samples`` are emitted at every multiple of
 ``hop_samples``; feeding the same samples in any chunking yields the same
 windows as one batch feed.
+
+Samples live in one float64 buffer between a start and an end index. A
+chunk is copied in place at the end; a window is copied out of
+``[start, start + window)`` exactly once, so every window owns its samples,
+and emitting it advances start by a hop. Only when the next chunk would not
+fit past the end are the pending samples (fewer than one window) moved: to
+the front, or, when they and the chunk would fill more than half the
+buffer, into a new buffer twice their size. Either way a move of P samples
+leaves room for P more plus the chunk, so feeding costs at most one sample
+moved per sample fed, instead of the whole buffer being re-joined for every
+chunk, and the buffer is at most twice the largest pending samples plus
+chunk that it has had to hold.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ class Aggregator:
         self.config = config
         self.emitted = 0
         self._buf = np.zeros(0, dtype=np.float64)
+        self._start = 0
+        self._end = 0
         self._next_start = 0
 
     def feed(self, samples, sample_rate_hz: int | None = None) -> list[AggWindow]:
@@ -72,23 +86,37 @@ class Aggregator:
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise AggregatorConfigError("aggregator expects mono 1-D samples")
-        self._buf = np.concatenate([self._buf, samples]) if len(self._buf) else samples.copy()
+        n = len(samples)
+        if self._end + n > len(self._buf):
+            self._make_room(n)
+        self._buf[self._end : self._end + n] = samples
+        self._end += n
         window, hop = self.config.window_samples, self.config.hop_samples
         out: list[AggWindow] = []
-        while len(self._buf) >= window:
+        while self._end - self._start >= window:
             out.append(
                 AggWindow(
                     index=self.emitted,
                     start_sample=self._next_start,
                     sample_rate_hz=self.config.sample_rate_hz,
-                    samples=self._buf[:window].copy(),
+                    samples=self._buf[self._start : self._start + window].copy(),
                 )
             )
             self.emitted += 1
             self._next_start += hop
-            self._buf = self._buf[hop:]
+            self._start += hop
         return out
+
+    def _make_room(self, n: int) -> None:
+        """Move the pending samples to the front of a buffer with room for ``n`` more."""
+        pending = self._end - self._start
+        if 2 * (pending + n) > len(self._buf):
+            buf = np.empty(2 * (pending + n), dtype=np.float64)
+        else:
+            buf = self._buf
+        buf[:pending] = self._buf[self._start : self._end]
+        self._buf, self._start, self._end = buf, 0, pending
 
     def pending(self) -> int:
         """Samples buffered but not yet part of a complete window."""
-        return len(self._buf)
+        return self._end - self._start

@@ -54,9 +54,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..dsp.detect import rms_detect
 from .aggregator import Aggregator, AggregatorConfig, AggWindow, SampleChunk
-from .attention import attention_decide
+from .attention import attention_decide, rms_detect
 from .clock import VirtualClock
 from .graphdef import GraphDef
 from .latch import Latch

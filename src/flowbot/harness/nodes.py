@@ -16,7 +16,9 @@ handler that raises is recorded as a skill failure without stopping the run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -157,25 +159,42 @@ class ResamplerNode(Node):
                      timestamp_us=packet.timestamp_us)
 
 
-def _overlaps(span: tuple[float, float], start_s: float, end_s: float) -> bool:
-    return start_s < span[1] and span[0] < end_s
+class AnnotationIndex:
+    """Annotation spans sorted once by start, with a running maximum of their ends.
+
+    A half-open window ``[lo, hi)`` overlaps a span ``(s, e)`` iff
+    ``s < hi and lo < e``. The ``k = bisect_left(starts, hi)`` spans that
+    start before ``hi`` are a prefix of the sorted spans, so the window
+    overlaps one of them iff ``k > 0`` and the largest end in that prefix,
+    ``max_end[k - 1]``, is after ``lo``: O(log A) per window instead of a
+    scan of all A spans.
+    """
+
+    def __init__(self, annotations):
+        spans = sorted(
+            (ann["start_s"], ann["end_s"]) if isinstance(ann, dict) else (ann.start_s, ann.end_s)
+            for ann in annotations
+        )
+        self._starts = [start for start, _ in spans]
+        self._max_end = list(accumulate((end for _, end in spans), max))
+
+    def overlaps(self, lo: float, hi: float) -> bool:
+        k = bisect_left(self._starts, hi)
+        return k > 0 and self._max_end[k - 1] > lo
+
+    def __call__(self, window_meta) -> int:
+        """The scripted detector: 1 iff an annotation overlaps the window's span."""
+        span = window_meta.span_s if isinstance(window_meta, AggWindow) else tuple(window_meta)
+        return 1 if self.overlaps(*span) else 0
 
 
 def scripted_keyword_detector(window_meta, annotations) -> int:
     """1 iff any annotation interval overlaps the window's half-open span."""
-    span = window_meta.span_s if isinstance(window_meta, AggWindow) else tuple(window_meta)
-    for ann in annotations:
-        start_s = ann["start_s"] if isinstance(ann, dict) else ann.start_s
-        end_s = ann["end_s"] if isinstance(ann, dict) else ann.end_s
-        if _overlaps(span, start_s, end_s):
-            return 1
-    return 0
+    return AnnotationIndex(annotations)(window_meta)
 
 
-register_detector(
-    "scripted",
-    lambda spec, env: (lambda w: scripted_keyword_detector(w, env.get("annotations", []))),
-)
+# the index is built once per attention node, when the graph is built
+register_detector("scripted", lambda spec, env: AnnotationIndex(env.get("annotations", [])))
 
 
 class InterpreterStubNode(Node):

@@ -80,11 +80,14 @@ def load_scenario(source) -> ScenarioScript:
         if "interpretation" in entry:
             path += ".interpretation"
             entry = check_value(entry["interpretation"], path, dict)
+        confidence = get_value(entry, "confidence", path, float, 1.0)
+        if not 0.0 <= confidence <= 1.0:
+            raise SchemaError(f"{path}.confidence", f"must be in [0, 1], got {confidence:g}")
         script.append({
             "trigger_window_index": index,
             "skill_id": get_value(entry, "skill_id", path, str, ""),
             "entities": get_value(entry, "entities", path, dict, {}),
-            "confidence": get_value(entry, "confidence", path, float, 1.0),
+            "confidence": confidence,
         })
     return ScenarioScript(
         audio=audio,

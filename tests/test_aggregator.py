@@ -83,3 +83,70 @@ def test_chunked_feeding_equals_batch(window, hop_frac, chunks):
     assert [w.start_sample for w in batch] == oracle_window_starts(total, window, hop)
     for a, b in zip(incremental, batch):
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def feed_in_chunks(cfg, samples, sizes):
+    """Windows and ``pending()`` after each feed of ``samples`` cut into ``sizes``."""
+    agg, windows, pending, offset = Aggregator(cfg), [], [], 0
+    for size in sizes:
+        windows.extend(agg.feed(samples[offset : offset + size]))
+        offset += size
+        pending.append(agg.pending())
+    return windows, pending
+
+
+def assert_same_windows(got, want):
+    assert [(w.index, w.start_sample) for w in got] == [(w.index, w.start_sample) for w in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("window, hop", [(1, 1), (5, 5), (7, 3), (16, 1)])
+def test_one_sample_chunks_equal_batch(window, hop):
+    cfg = AggregatorConfig(window_samples=window, hop_samples=hop, sample_rate_hz=100)
+    samples = np.arange(3 * window + 11, dtype=float)
+    windows, _ = feed_in_chunks(cfg, samples, [1] * len(samples))
+    assert_same_windows(windows, Aggregator(cfg).feed(samples))
+
+
+@pytest.mark.parametrize("window, hop", [(1, 1), (5, 5), (7, 3), (16, 1)])
+def test_chunks_over_twice_the_window_equal_batch(window, hop):
+    cfg = AggregatorConfig(window_samples=window, hop_samples=hop, sample_rate_hz=100)
+    sizes = [2 * window + 1, 1, 5 * window + 3, 0, 2 * window + 7, 9 * window]
+    samples = np.arange(sum(sizes), dtype=float)
+    windows, _ = feed_in_chunks(cfg, samples, sizes)
+    assert_same_windows(windows, Aggregator(cfg).feed(samples))
+
+
+@given(
+    window=st.integers(1, 40),
+    hop_frac=st.integers(1, 40),
+    chunks=st.lists(st.integers(0, 130), min_size=1, max_size=16),
+)
+def test_pending_after_each_feed(window, hop_frac, chunks):
+    hop = min(hop_frac, window)
+    cfg = AggregatorConfig(window_samples=window, hop_samples=hop, sample_rate_hz=100)
+    _, pending = feed_in_chunks(cfg, np.zeros(sum(chunks)), chunks)
+    totals = np.cumsum(chunks)
+    # every emitted window consumed one hop; the rest is still buffered
+    assert pending == [int(n) - hop * len(oracle_window_starts(int(n), window, hop)) for n in totals]
+
+
+@given(
+    window=st.integers(1, 40),
+    hop_frac=st.integers(1, 40),
+    chunks=st.lists(st.integers(0, 130), min_size=1, max_size=16),
+)
+def test_returned_windows_never_change(window, hop_frac, chunks):
+    hop = min(hop_frac, window)
+    cfg = AggregatorConfig(window_samples=window, hop_samples=hop, sample_rate_hz=100)
+    agg, returned, offset = Aggregator(cfg), [], 0
+    samples = np.arange(sum(chunks), dtype=float)
+    for size in chunks:
+        for w in agg.feed(samples[offset : offset + size]):
+            returned.append((w, w.samples.copy()))
+        offset += size
+    # later feeds wrote over, moved and regrew the buffer; each window owns its samples
+    for w, snapshot in returned:
+        assert w.samples.base is None
+        np.testing.assert_array_equal(w.samples, snapshot)

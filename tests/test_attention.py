@@ -1,5 +1,9 @@
 """Attention decisions: one bit per window, detector failures fail safe."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from flowbot.flowcore import attention_decide
@@ -42,3 +46,20 @@ def test_rms_of_sine_matches_closed_form():
         threshold_above = amp / np.sqrt(2) + 2e-3
         assert rms_detect(wave, threshold_below) == 1
         assert rms_detect(wave, threshold_above) == 0
+
+
+def test_rms_detect_lives_in_the_core_and_stays_importable_from_dsp():
+    import flowbot.dsp.detect
+    import flowbot.flowcore.attention
+
+    assert rms_detect is flowbot.dsp.detect.rms_detect is flowbot.flowcore.attention.rms_detect
+
+
+def test_importing_the_core_loads_no_other_flowbot_package():
+    code = (
+        "import sys, flowbot.flowcore, flowbot.flowcore.runtime; "
+        "print(sorted({m.split('.')[1] for m in sys.modules if m.startswith('flowbot.')}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "['flowcore']"

@@ -119,3 +119,11 @@ def test_not_a_wav_rejected(tmp_path):
     path.write_bytes(b"this is not RIFF data at all")
     with pytest.raises(WavFormatError):
         read_wav(path)
+
+
+def test_decode_of_every_int16_code_is_q_over_32768_bit_for_bit():
+    codes = np.arange(-32768, 32768, dtype="<i2")
+    samples = pcm16_decode(codes.tobytes()).samples
+    assert samples.dtype == np.float64
+    expected = np.array([q / 32768.0 for q in range(-32768, 32768)])
+    assert np.array_equal(samples.view(np.uint64), expected.view(np.uint64))

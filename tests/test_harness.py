@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from flowbot.flowcore import SampleChunk, SchemaError, validate_graph
 from flowbot.harness import (
@@ -23,7 +24,7 @@ from flowbot.harness import (
 )
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.config import packaged_config_text
-from flowbot.harness.nodes import harness_kind_registry
+from flowbot.harness.nodes import AnnotationIndex, harness_kind_registry
 from flowbot.dsp import AudioBuffer
 
 
@@ -144,6 +145,35 @@ def test_detector_quiet_without_annotations():
 def test_window_end_boundary_is_half_open():
     assert scripted_keyword_detector((2.0, 3.0), [Annotation(3.0, 3.2)]) == 0
     assert scripted_keyword_detector((2.0, 3.0), [Annotation(2.999, 3.2)]) == 1
+
+
+# spans on a quarter-second grid, so duplicates, nesting and ends that touch a
+# window's edge all come up; every grid point is exact in binary floating point
+_quarters = st.integers(0, 24).map(lambda q: q / 4)
+_spans = st.tuples(_quarters, st.integers(1, 12).map(lambda q: q / 4)).map(
+    lambda sl: (sl[0], sl[0] + sl[1])
+)
+
+
+@example(spans=[(1.0, 2.0), (1.0, 2.0), (0.5, 3.0), (1.25, 1.5)], lo=2.0, width=2)
+@example(spans=[(0.0, 1.0), (3.0, 4.0)], lo=1.0, width=8)
+@example(spans=[], lo=0.0, width=4)
+@given(spans=st.lists(_spans, max_size=12), lo=_quarters, width=st.integers(1, 12))
+def test_indexed_detector_equals_a_scan_of_every_span(spans, lo, width):
+    hi = lo + width / 4
+    expected = any(s < hi and lo < e for s, e in spans)
+    index = AnnotationIndex([{"start_s": s, "end_s": e} for s, e in spans])
+    assert index.overlaps(lo, hi) is expected
+    assert scripted_keyword_detector((lo, hi), [Annotation(s, e) for s, e in spans]) == int(expected)
+
+
+def test_scripted_detector_reads_the_annotations_once_at_build():
+    annotations = [Annotation(2.0, 2.5)]
+    detector = harness_kind_registry().create(
+        "attention", "att", {"detector": {"kind": "scripted"}}, {"annotations": annotations}
+    ).detector
+    annotations.clear()
+    assert [detector((t, t + 1.0)) for t in (0.5, 1.0, 1.5, 2.5)] == [0, 0, 1, 0]
 
 
 # -- scenario audio --------------------------------------------------------------------
@@ -636,6 +666,33 @@ def test_non_string_skill_id_is_schema_error_naming_its_path():
     with pytest.raises(SchemaError) as exc:
         load_scenario(doc)
     assert exc.value.path == "interpreter_script[0].skill_id"
+
+
+@pytest.mark.parametrize("confidence", [1.5, -0.25])
+@pytest.mark.parametrize(
+    "entry, path",
+    [
+        ({"trigger_window_index": 5, "skill_id": "get_time"}, "interpreter_script[0].confidence"),
+        ({"trigger_window_index": 5, "interpretation": {"skill_id": "get_time"}},
+         "interpreter_script[0].interpretation.confidence"),
+    ],
+    ids=["flat", "nested"],
+)
+def test_cli_confidence_outside_unit_interval_exits_2(tmp_path, capsys, entry, path, confidence):
+    # window 5 overlaps the annotation, so a confidence that got past loading
+    # would fail the run at the interpreter instead
+    entry = json.loads(json.dumps(entry))
+    (entry.get("interpretation") or entry)["confidence"] = confidence
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({
+        "audio": SILENCE_4S,
+        "annotations": [{"start_s": 2.0, "end_s": 2.5}],
+        "interpreter_script": [entry],
+    }))
+    assert cli_main(["run", "--scenario", str(scenario_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: must be in [0, 1], got {confidence:g}")
+    assert "Traceback" not in err
 
 
 def test_cli_run_ignores_the_ultrasonic_scene_key(tmp_path):
