@@ -34,7 +34,7 @@ from .stream import (
     policy_to_json,
 )
 from .validation import Diagnostic, validate_graph
-from .watchdog import Violation, ViolationKind, Watchdog, WatchdogConfig, WatchdogConfigError
+from .watchdog import Violation, ViolationKind, WatchdogConfig, WatchdogConfigError
 
 __all__ = [
     "Aggregator",
@@ -69,7 +69,6 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "VirtualClock",
-    "Watchdog",
     "WatchdogConfig",
     "WatchdogConfigError",
     "attention_decide",

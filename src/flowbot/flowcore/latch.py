@@ -3,6 +3,11 @@
 A control bit takes effect for every data packet with a later timestamp; on
 an exact timestamp tie the control applies first, so a gate opened "by" a
 packet admits that packet.
+
+The executor keeps suppressed packets in ``suppressed_runs``, one record
+``[first_seq, last_seq, first_t_us, last_t_us, count]`` per run of
+suppressed packets with consecutive seqs; a stream pops in seq order, so a
+forwarded packet, or one dropped before it reached the latch, ends a run.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .packet import Packet
+from .packet import Packet, runs_to_json
 
 
 class LatchState(Enum):
@@ -24,6 +29,7 @@ class Latch:
         self.initial = initial
         self.forwarded = 0
         self.suppressed = 0
+        self.suppressed_runs: list[list[int]] = []
         self.transitions: list[tuple[int, LatchState]] = []
 
     def apply_control(self, bit, ts_us: int) -> bool:
@@ -55,4 +61,5 @@ class Latch:
             "suppressed": self.suppressed,
             "openings": self.openings,
             "transitions": [{"t_us": t, "state": s.value} for t, s in self.transitions],
+            "suppressed_runs": runs_to_json(self.suppressed_runs),
         }

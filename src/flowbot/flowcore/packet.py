@@ -1,4 +1,4 @@
-"""The unit of data exchanged between graph nodes."""
+"""The unit of data exchanged between graph nodes, and runs of packets as report records."""
 
 from __future__ import annotations
 
@@ -26,3 +26,12 @@ class Packet(NamedTuple):
     def copy(self) -> "Packet":
         """Return a packet observationally identical to this one."""
         return tuple.__new__(Packet, self)
+
+
+#: The fields of one run record, in the order a run is kept as a list.
+RUN_FIELDS = ("first_seq", "last_seq", "first_t_us", "last_t_us", "count")
+
+
+def runs_to_json(runs: list[list[int]]) -> list[dict]:
+    """Run records ``[first_seq, last_seq, first_t_us, last_t_us, count]`` as report objects."""
+    return [dict(zip(RUN_FIELDS, run)) for run in runs]

@@ -27,6 +27,11 @@ control stream and suppression runs for a gated stream, and the next
 sequence number. ``emit`` makes one lookup from ``(node_id, port)`` to the
 route.
 
+Each stream checks its own bounds (its policy's miss limit or deadline and
+its optional watchdog's latency and throughput) as packets pass; at the end
+of a run the runner finalizes every stream, and the report holds each
+stream's and latch's own ``to_json()`` entry.
+
 Late binding: ``NodeContext.emit`` calls ``runner.emit``, and the runner
 calls ``stream.push`` / ``stream.pop`` and ``node.start`` / ``on_packet`` /
 ``on_timer`` / ``finish``, through instance attributes looked up at dispatch
@@ -62,9 +67,8 @@ from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
 from .schema import SchemaError, check_value, get_value
-from .stream import PushOutcome, Stream, runs_to_json
+from .stream import PushOutcome, Stream
 from .validation import Diagnostic, build_nodes, check_wiring
-from .watchdog import Watchdog
 
 # Phase within one timestamp and rank: latch controls apply before anything
 # else, then timers, then packet deliveries. A poll-driven node receives no
@@ -194,7 +198,7 @@ class _Route:
 
     __slots__ = (
         "stream_id", "stream", "consumer", "port", "ctx", "rank", "phase",
-        "gated", "latch", "control", "suppressed_runs", "next_seq",
+        "gated", "latch", "control", "next_seq",
     )
 
     def __init__(self, stream_id: str, stream: Stream):
@@ -207,13 +211,9 @@ class _Route:
         self.phase: Optional[int] = None
         # a latch's control stream: the gated stream's route
         self.gated: Optional[_Route] = None
-        # a gated stream: its latch, the latch's control stream, and one
-        # record [first_seq, last_seq, first_t_us, last_t_us, count] per run
-        # of suppressed packets with consecutive seqs; a stream pops in seq
-        # order, so a forwarded or dropped packet ends a run
+        # a gated stream: its latch and the latch's control stream
         self.latch: Optional[Latch] = None
         self.control: Optional[Stream] = None
-        self.suppressed_runs: list[list[int]] = []
         self.next_seq = 0
 
 
@@ -260,8 +260,7 @@ class GraphRunner:
         self._outputs: dict[tuple[str, str], _Route] = {}
         self._inputs: dict[tuple[str, str], _Route] = {}
         for sd in graph.streams:
-            watchdog = Watchdog(sd.watchdog) if sd.watchdog is not None else None
-            stream = Stream(sd.id, sd.policy, watchdog=watchdog)
+            stream = Stream(sd.id, sd.policy, watchdog=sd.watchdog)
             self.streams[sd.id] = stream
             route = routes[sd.id] = _Route(sd.id, stream)
             self._outputs[(sd.from_node, sd.from_port)] = route
@@ -390,7 +389,7 @@ class GraphRunner:
         forwarded = latch.forward(packet)
         if forwarded is None:
             seq = packet.seq
-            runs = route.suppressed_runs
+            runs = latch.suppressed_runs
             if runs and runs[-1][1] == seq - 1:
                 run = runs[-1]
                 run[1], run[3], run[4] = seq, now, run[4] + 1
@@ -480,25 +479,13 @@ class GraphRunner:
         return self._assemble_report()
 
     def _assemble_report(self) -> RunReport:
-        streams = {}
-        for sid, stream in sorted(self.streams.items()):
-            entry = stream.counters()
-            entry["drop_runs"] = runs_to_json(stream.drop_runs)
-            entry["violations"] = [v.to_json() for v in stream.violations]
-            if stream.watchdog is not None and stream.watchdog.errors:
-                entry["monitor_errors"] = list(stream.watchdog.errors)
-            streams[sid] = entry
-        latches = {}
-        for sid, latch in sorted(self.latches.items()):
-            latches[sid] = entry = latch.to_json()
-            entry["suppressed_runs"] = runs_to_json(self._routes[sid].suppressed_runs)
         return RunReport(
             status="failed" if self._failed_node else "ok",
             stop_reason=self._stop_reason or "exhausted",
             end_time_us=self._end_time_us or 0,
             seed=self.seed,
-            streams=streams,
-            latches=latches,
+            streams={sid: stream.to_json() for sid, stream in sorted(self.streams.items())},
+            latches={sid: latch.to_json() for sid, latch in sorted(self.latches.items())},
             skill_invocations=list(self.collector.skill_invocations),
             skill_failures=list(self.collector.skill_failures),
             uart_hex=self.collector.uart.hex(),

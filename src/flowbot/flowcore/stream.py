@@ -3,8 +3,10 @@
 A stream is either lossy (bounded; overflow evicts the oldest packet, and
 each run of consecutive evictions is kept as one record) or lossless
 (unbounded; every packet is delivered but its age at delivery is checked
-against a deadline). The producer never blocks in either mode. Violations
-are recorded, never enforced by altering the flow.
+against a deadline). The producer never blocks in either mode. A stream
+also checks the latency and throughput bounds of an optional watchdog
+config itself. Violations are recorded, never enforced by altering the
+flow.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, NamedTuple, Optional, Union
 
-from .packet import Packet
+from .packet import Packet, runs_to_json
 from .schema import get_value
-from .watchdog import Violation, ViolationKind, Watchdog
+from .watchdog import Violation, ViolationKind, WatchdogConfig
 
 
 class StreamConfigError(ValueError):
@@ -100,14 +102,6 @@ class PushOutcome(NamedTuple):
 #: The outcome of every push that evicts nothing; shared, since outcomes are immutable.
 ACCEPTED = PushOutcome(PushStatus.ACCEPTED)
 
-#: The fields of one run record, in the order a run is kept as a list.
-RUN_FIELDS = ("first_seq", "last_seq", "first_t_us", "last_t_us", "count")
-
-
-def runs_to_json(runs: list[list[int]]) -> list[dict]:
-    """Run records ``[first_seq, last_seq, first_t_us, last_t_us, count]`` as report objects."""
-    return [dict(zip(RUN_FIELDS, run)) for run in runs]
-
 
 class Stream:
     """FIFO between one producer and one consumer, used from a single thread.
@@ -119,22 +113,29 @@ class Stream:
     ``successive_misses`` becomes 1, each further eviction extends it, and
     the next accepted push ends it. ``count`` is the run's last
     ``successive_misses``.
-    Each queue entry is ``(push_us, packet)``: the time of the push that
-    queued the packet, which an optional :class:`Watchdog` compares with the
-    pop time. Policy violations (miss limit, lossless deadline) are recorded
-    by the stream itself. Monitoring never blocks either side.
+
+    The stream checks every bound on itself and records each breach in
+    ``violations``; checking never blocks either side. The policy gives a
+    miss limit (lossy) or a deadline on the packet's age (lossless). An
+    optional :class:`WatchdogConfig` adds a latency bound, from the push
+    that queued a packet to its pop, and a throughput bound on pops per
+    tumbling window, aligned to the first event. Each queue entry is
+    ``(push_us, packet)`` for the latency check. Under a watchdog, a push or
+    pop earlier than the last one is recorded in ``monitor_errors`` and not
+    monitored, but the packet still moves. ``finalize`` closes the windows
+    that end by the end of the run.
 
     ``push`` and ``pop`` take the current time as ``now_us``; without it
     they use the packet's timestamp.
 
-    The policy is resolved once, at construction, into a capacity and miss
-    limit (lossy) or a deadline (lossless); the unused ones are None.
+    Policy and watchdog are resolved once, at construction, into plain
+    bounds; the unused ones are None.
     """
 
-    def __init__(self, stream_id: str, policy: StreamPolicy, watchdog: Optional[Watchdog] = None):
+    def __init__(self, stream_id: str, policy: StreamPolicy, watchdog: Optional[WatchdogConfig] = None):
         self.stream_id = stream_id
-        self.watchdog = watchdog
         self.violations: list[Violation] = []
+        self.monitor_errors: list[dict] = []
         self.pushed = 0
         self.delivered = 0
         self.dropped = 0
@@ -146,13 +147,20 @@ class Stream:
         self._capacity: Optional[int] = policy.capacity if lossy else None
         self._miss_limit: Optional[int] = policy.max_successive_misses if lossy else None
         self._deadline_us: Optional[int] = None if lossy else policy.deadline_us
+        self._monitored = watchdog is not None
+        self._max_latency_us = watchdog.max_latency_us if watchdog else None
+        self._min_hz = watchdog.min_throughput_hz if watchdog else None
+        self._window_us = watchdog.window_us if self._min_hz is not None else None
+        self._last_us: Optional[int] = None  # the last in-order event
+        self._window_start: Optional[int] = None
+        self._window_out = 0
 
     def push(self, packet: Packet, now_us: Optional[int] = None) -> PushOutcome:
         now = packet.timestamp_us if now_us is None else now_us
         q = self._q
         self.pushed += 1
-        if self.watchdog is not None:
-            self.violations.extend(self.watchdog.packet_in(now))
+        if self._monitored:
+            self._in_order(now, "PacketIn")
         capacity = self._capacity
         depth = len(q)
         if capacity is None or depth < capacity:
@@ -172,14 +180,7 @@ class Stream:
             run = self.drop_runs[-1]
             run[1], run[3], run[4] = seq, now, misses
         if self._miss_limit is not None and misses > self._miss_limit:
-            self.violations.append(
-                Violation(
-                    kind=ViolationKind.BACKPRESSURE_MISS_LIMIT,
-                    at_us=now,
-                    observed=float(misses),
-                    bound=float(self._miss_limit),
-                )
-            )
+            self._violate(ViolationKind.BACKPRESSURE_MISS_LIMIT, now, misses, self._miss_limit)
         return tuple.__new__(PushOutcome, (PushStatus.DROPPED_OLDEST, evicted, misses))
 
     def pop(self, now_us: Optional[int] = None) -> Optional[Packet]:
@@ -193,17 +194,39 @@ class Stream:
         if deadline is not None:
             age = now - packet.timestamp_us
             if age > deadline:
-                self.violations.append(
-                    Violation(
-                        kind=ViolationKind.LATENCY_EXCEEDED,
-                        at_us=now,
-                        observed=float(age),
-                        bound=float(deadline),
-                    )
-                )
-        if self.watchdog is not None:
-            self.violations.extend(self.watchdog.packet_out(now, pushed_us))
+                self._violate(ViolationKind.LATENCY_EXCEEDED, now, age, deadline)
+        if self._monitored and self._in_order(now, "PacketOut"):
+            self._window_out += 1
+            bound = self._max_latency_us
+            if bound is not None and now - pushed_us > bound:
+                self._violate(ViolationKind.LATENCY_EXCEEDED, now, now - pushed_us, bound)
         return packet
+
+    def _violate(self, kind: ViolationKind, at_us: int, observed: float, bound: float) -> None:
+        self.violations.append(Violation(kind, at_us, float(observed), float(bound)))
+
+    def _in_order(self, now: int, event: str) -> bool:
+        """Record an out-of-order event, or move the watchdog's clock and windows to ``now``."""
+        if self._last_us is not None and now < self._last_us:
+            self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": event, "at_us": now})
+            return False
+        self._last_us = now
+        if self._window_us is not None:
+            if self._window_start is None:
+                self._window_start = now
+            else:
+                self._close_windows(now)
+        return True
+
+    def _close_windows(self, now: int) -> None:
+        """Check the throughput of every window that ends by ``now``."""
+        window = self._window_us
+        while now >= self._window_start + window:
+            self._window_start += window
+            rate_hz = self._window_out * 1e6 / window
+            if rate_hz < self._min_hz:
+                self._violate(ViolationKind.THROUGHPUT_BELOW, self._window_start, rate_hz, self._min_hz)
+            self._window_out = 0
 
     def peek_timestamp(self) -> Optional[int]:
         return self._q[0][1].timestamp_us if self._q else None
@@ -215,9 +238,9 @@ class Stream:
         return len(self._q)
 
     def finalize(self, end_us: int) -> None:
-        """Close out watchdog observation windows at the end of a run."""
-        if self.watchdog is not None:
-            self.violations.extend(self.watchdog.flush(end_us))
+        """Close the throughput windows that end by ``end_us``, the end of the run."""
+        if self._window_start is not None:  # an earlier end_us closes nothing more
+            self._close_windows(end_us)
 
     def counters(self) -> dict:
         return {
@@ -227,3 +250,12 @@ class Stream:
             "queued": len(self._q),
             "max_queued": self.max_queued,
         }
+
+    def to_json(self) -> dict:
+        """The stream's report entry: counters, drop runs, violations and any monitor errors."""
+        entry = self.counters()
+        entry["drop_runs"] = runs_to_json(self.drop_runs)
+        entry["violations"] = [v.to_json() for v in self.violations]
+        if self.monitor_errors:
+            entry["monitor_errors"] = list(self.monitor_errors)
+        return entry

@@ -1,8 +1,9 @@
-"""Passive per-stream monitor for latency, throughput and backpressure bounds.
+"""Watchdog bounds on a stream's latency and throughput, and the violation records.
 
-The watchdog only observes timestamps recorded at push/pop time; it never
-blocks or alters packet flow. Throughput is measured over tumbling windows
-aligned to the first observed event.
+A :class:`~flowbot.flowcore.stream.Stream` built with a :class:`WatchdogConfig`
+checks these bounds itself at push and pop time; monitoring never blocks or
+alters packet flow. Throughput is measured over tumbling windows aligned to
+the first observed event.
 """
 
 from __future__ import annotations
@@ -73,82 +74,3 @@ class WatchdogConfig:
             min_throughput_hz=doc.get("min_throughput_hz"),
             window_us=doc.get("window_us"),
         )
-
-
-class Watchdog:
-    """Stateful observer fed with PacketIn/PacketOut timestamps.
-
-    Each ``packet_*`` call returns the violations newly raised by that event.
-    The watchdog keeps no state for each packet: ``packet_out`` is given the
-    popped packet's push time by the stream, which stores it in the queue
-    entry. Out-of-order timestamps are recorded as monitoring errors and
-    ignored.
-    """
-
-    def __init__(self, config: WatchdogConfig):
-        self.config = config
-        self.errors: list[dict] = []
-        self._last_ts: Optional[int] = None
-        self._window_start: Optional[int] = None
-        self._window_out = 0
-
-    def packet_in(self, ts_us: int) -> list[Violation]:
-        if self._reject_out_of_order(ts_us, "PacketIn"):
-            return []
-        return self._advance_windows(ts_us)
-
-    def packet_out(self, ts_us: int, pushed_us: int) -> list[Violation]:
-        """Observe a pop at ``ts_us`` of the packet pushed at ``pushed_us``."""
-        if self._reject_out_of_order(ts_us, "PacketOut"):
-            return []
-        out = self._advance_windows(ts_us)
-        self._window_out += 1
-        latency = ts_us - pushed_us
-        if self.config.max_latency_us is not None and latency > self.config.max_latency_us:
-            out.append(
-                Violation(
-                    kind=ViolationKind.LATENCY_EXCEEDED,
-                    at_us=ts_us,
-                    observed=float(latency),
-                    bound=float(self.config.max_latency_us),
-                )
-            )
-        return out
-
-    def flush(self, end_us: int) -> list[Violation]:
-        """Close all throughput windows that completed by ``end_us``."""
-        if end_us is None or (self._last_ts is not None and end_us < self._last_ts):
-            return []
-        return self._advance_windows(end_us, count_event=False)
-
-    def _reject_out_of_order(self, ts_us: int, kind: str) -> bool:
-        if self._last_ts is not None and ts_us < self._last_ts:
-            self.errors.append({"kind": "OutOfOrderEvent", "event": kind, "at_us": ts_us})
-            return True
-        self._last_ts = ts_us
-        return False
-
-    def _advance_windows(self, ts_us: int, count_event: bool = True) -> list[Violation]:
-        cfg = self.config
-        if cfg.min_throughput_hz is None or cfg.window_us is None:
-            return []
-        if self._window_start is None:
-            if count_event:
-                self._window_start = ts_us
-            return []
-        violations: list[Violation] = []
-        while ts_us >= self._window_start + cfg.window_us:
-            window_end = self._window_start + cfg.window_us
-            rate_hz = self._window_out * 1e6 / cfg.window_us
-            if rate_hz < cfg.min_throughput_hz:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.THROUGHPUT_BELOW,
-                        at_us=window_end,
-                        observed=rate_hz,
-                        bound=float(cfg.min_throughput_hz),
-                    )
-                )
-            self._window_start = window_end
-            self._window_out = 0
-        return violations

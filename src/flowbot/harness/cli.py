@@ -15,11 +15,11 @@ import argparse
 import sys
 
 from ..flowcore.runtime import GraphValidationError
-from ..flowcore.schema import SchemaError
+from ..flowcore.schema import SchemaError, check_value
 from ..flowcore.validation import validate_graph
 from ..perception.layers import kws_reference_table
-from ..robotics.geometry import BeamMode, echo_round_trip_s
-from ..robotics.sweep import SweepConfig, scan_points_to_csv, scan_to_points
+from ..robotics.geometry import BeamMode
+from ..robotics.sweep import scan_points_to_csv, scan_to_points
 from .config import load_graph_config, load_scan_scene, packaged_graph
 from .nodes import harness_kind_registry
 from .reference import report_to_json_str, run_scenario
@@ -88,21 +88,9 @@ def _cmd_params(args) -> int:
 def _cmd_scan(args) -> int:
     mode = BeamMode.PAPER if args.mode == "paper" else BeamMode.TRIG
     try:
-        doc = _load(load_scan_scene, "--scene", args.scene)
-        config = SweepConfig(
-            d_max_m=float(doc.get("d_max_m", 2.5)),
-            c_air_mps=float(doc.get("c_air_mps", 346.0)),
-        )
-        raw = []
-        for p in doc["ultrasonic_scene"]:
-            theta = float(p["theta_deg"])
-            if p.get("distance_m") is None and p.get("t_s") is None:
-                raw.append((theta, None))
-            elif p.get("t_s") is not None:
-                raw.append((theta, float(p["t_s"])))
-            else:
-                raw.append((theta, echo_round_trip_s(float(p["distance_m"]), config.c_air_mps)))
-        climb = args.climb if args.climb is not None else float(doc.get("climb_height_m", 0.05))
+        raw, config, climb = _load(load_scan_scene, "--scene", args.scene)
+        if args.climb is not None:
+            climb = check_value(args.climb, "--climb", float)
         points = scan_to_points(raw, config=config, climb_height_m=climb, mode=mode)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

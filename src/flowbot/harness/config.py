@@ -7,6 +7,8 @@ from importlib import resources
 
 from ..flowcore.graphdef import GraphDef, graph_from_json
 from ..flowcore.schema import SchemaError, check_value, get_value
+from ..robotics.geometry import echo_round_trip_s
+from ..robotics.sweep import SweepConfig
 
 
 def load_graph_config(source) -> GraphDef:
@@ -26,13 +28,16 @@ def load_graph_config(source) -> GraphDef:
     return graph_from_json(doc)
 
 
-def load_scan_scene(source) -> dict:
+def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
     """Load an ultrasonic scene: {"ultrasonic_scene": [...], "climb_height_m": ...}.
 
     Each scene entry needs a number ``theta_deg``; its ``t_s`` and
     ``distance_m`` are numbers or null. The optional ``d_max_m``,
     ``c_air_mps`` and ``climb_height_m`` are numbers. Anything else raises
-    :class:`SchemaError` naming the key.
+    :class:`SchemaError` naming the key. Returns the readings ``(theta_deg,
+    t_s)`` that :func:`scan_to_points` takes (``t_s`` None for no echo, or
+    the round trip of ``distance_m`` when ``t_s`` is null), the sweep config
+    and the climb height.
     """
     if isinstance(source, dict):
         doc = source
@@ -40,15 +45,20 @@ def load_scan_scene(source) -> dict:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     scene = get_value(check_value(doc, "$", dict), "ultrasonic_scene", "", list)
-    for key in ("d_max_m", "c_air_mps", "climb_height_m"):
-        if key in doc:
-            check_value(doc[key], key, float)
+    config = SweepConfig(
+        d_max_m=get_value(doc, "d_max_m", "", float, 2.5),
+        c_air_mps=get_value(doc, "c_air_mps", "", float, 346.0),
+    )
+    readings = []
     for i, entry in enumerate(scene):
         path = f"ultrasonic_scene[{i}]"
-        get_value(check_value(entry, path, dict), "theta_deg", path, float)
-        for key in ("t_s", "distance_m"):
-            get_value(entry, key, path, float, None)
-    return doc
+        theta = get_value(check_value(entry, path, dict), "theta_deg", path, float)
+        t_s = get_value(entry, "t_s", path, float, None)
+        distance = get_value(entry, "distance_m", path, float, None)
+        if t_s is None and distance is not None:
+            t_s = echo_round_trip_s(distance, config.c_air_mps)
+        readings.append((theta, t_s))
+    return readings, config, get_value(doc, "climb_height_m", "", float, 0.05)
 
 
 def packaged_config_text(name: str) -> str:

@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..flowcore.schema import SchemaError, check_value, get_value
+
 
 class SkillError(Exception):
     pass
@@ -120,26 +122,54 @@ class SkillSession:
     state: SessionState = SessionState.FILLING
 
 
-def descriptor_from_json(doc: dict) -> SkillDescriptor:
-    def entities(key: str) -> tuple[EntitySpec, ...]:
-        return tuple(
-            EntitySpec(name=str(e["name"]), type=EntityType(str(e.get("type", "text"))))
-            for e in doc.get(key, [])
-        )
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
-    return SkillDescriptor(
-        id=str(doc["id"]),
-        required_entities=entities("required_entities"),
-        optional_entities=entities("optional_entities"),
-        execution_policy=ExecutionPolicy(str(doc.get("execution_policy", "inline"))),
-        level=SkillLevel(str(doc.get("level", "high"))),
-    )
+
+def _enum(cls: type, doc: dict, key: str, path: str, default: str) -> Enum:
+    value = get_value(doc, key, path, str, default)
+    try:
+        return cls(value)
+    except ValueError:
+        names = ", ".join(m.value for m in cls)
+        raise SchemaError(_key(path, key), f"must be one of {names}, got {value!r:.40}") from None
+
+
+def descriptor_from_json(doc: dict, path: str = "") -> SkillDescriptor:
+    """One catalog entry; a bad value raises :class:`SchemaError` naming its
+    key below ``path``, e.g. ``[0].required_entities[1].name``."""
+    check_value(doc, path or "$", dict)
+
+    def entities(key: str) -> tuple[EntitySpec, ...]:
+        specs = []
+        for i, entity in enumerate(get_value(doc, key, path, list, [])):
+            where = f"{_key(path, key)}[{i}]"
+            check_value(entity, where, dict)
+            name = get_value(entity, "name", where, str)
+            specs.append(EntitySpec(name, _enum(EntityType, entity, "type", where, "text")))
+        return tuple(specs)
+
+    try:
+        return SkillDescriptor(
+            id=get_value(doc, "id", path, str),
+            required_entities=entities("required_entities"),
+            optional_entities=entities("optional_entities"),
+            execution_policy=_enum(ExecutionPolicy, doc, "execution_policy", path, "inline"),
+            level=_enum(SkillLevel, doc, "level", path, "high"),
+        )
+    except SkillError as exc:
+        raise SchemaError(path or "$", str(exc)) from exc
 
 
 def load_catalog(path) -> list[SkillDescriptor]:
-    """Load skill descriptors from a JSON document (a list of objects)."""
+    """Load skill descriptors from a JSON document (a list of objects).
+
+    A document that is not JSON, or breaks the catalog schema, raises
+    :class:`SchemaError` naming the offending key, e.g. ``[0].id``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise SkillError("skill catalog must be a JSON list")
-    return [descriptor_from_json(entry) for entry in doc]
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    return [descriptor_from_json(entry, f"[{i}]") for i, entry in enumerate(check_value(doc, "$", list))]

@@ -796,6 +796,16 @@ def test_cli_scan_rejects_a_malformed_scene_entry_naming_its_path(tmp_path, caps
     assert err.startswith(f"error: {path}:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("climb", ["nan", "inf"])
+def test_cli_scan_rejects_a_non_finite_climb_naming_the_flag(tmp_path, capsys, climb):
+    scene = tmp_path / "scene.json"
+    scene.write_text(packaged_config_text("demo_scan_scene.json"))
+    assert cli_main(["scan", "--scene", str(scene), "--climb", climb]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --climb:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "scene",
     [

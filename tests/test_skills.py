@@ -1,9 +1,11 @@
 """Registry dispatch, execution policies, and slot-filling sessions."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from flowbot.flowcore import VirtualClock
+from flowbot.flowcore import SchemaError, VirtualClock
 from flowbot.skills import (
     CapabilityError,
     DuplicateSkillError,
@@ -340,3 +342,29 @@ def test_catalog_round_trip(tmp_path):
     assert [d.id for d in descriptors] == ["wave", "blink"]
     assert descriptors[0].execution_policy is ExecutionPolicy.DEFERRED
     assert descriptors[0].required_entities[0].name == "arm"
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ([{"id": 5}], "[0].id"),
+        ([{}], "[0].id"),
+        ([1], "[0]"),
+        ({"id": "wave"}, "$"),
+        ([{"id": "wave", "execution_policy": "later"}], "[0].execution_policy"),
+        ([{"id": "wave", "level": 3}], "[0].level"),
+        ([{"id": "wave"}, {"id": "blink", "optional_entities": {"name": "arm"}}], "[1].optional_entities"),
+        ([{"id": "wave", "required_entities": ["arm"]}], "[0].required_entities[0]"),
+        ([{"id": "wave", "required_entities": [{"name": "arm"}, {"name": 3}]}], "[0].required_entities[1].name"),
+        ([{"id": "wave", "required_entities": [{"name": "arm", "type": "colour"}]}], "[0].required_entities[0].type"),
+        ([{"id": ""}], "[0]"),
+        ([{"id": "wave", "required_entities": [{"name": "arm"}], "optional_entities": [{"name": "arm"}]}], "[0]"),
+        ("[{", "$"),
+    ],
+)
+def test_bad_catalog_is_schema_error_naming_its_path(tmp_path, doc, path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        load_catalog(catalog)
+    assert exc.value.path == path

@@ -1,4 +1,4 @@
-"""Watchdog latency/throughput monitoring and its passivity."""
+"""Watchdog bounds checked by the stream: latency, throughput and passivity."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,6 @@ from flowbot.flowcore import (
     Packet,
     Stream,
     ViolationKind,
-    Watchdog,
     WatchdogConfig,
     WatchdogConfigError,
 )
@@ -17,6 +16,11 @@ from flowbot.flowcore import (
 
 def pkt(seq, ts=None):
     return Packet(payload=seq, timestamp_us=seq if ts is None else ts, seq=seq)
+
+
+def monitored(**bounds):
+    """A stream whose policy records nothing, so every violation is the watchdog's."""
+    return Stream("s", LossyPolicy(capacity=100), watchdog=WatchdogConfig(**bounds))
 
 
 def test_config_validation():
@@ -30,48 +34,87 @@ def test_config_validation():
 
 
 def test_latency_exceeded():
-    wd = Watchdog(WatchdogConfig(max_latency_us=10_000))
-    assert wd.packet_in(0) == []
-    violations = wd.packet_out(15_000, 0)
-    assert [v.kind for v in violations] == [ViolationKind.LATENCY_EXCEEDED]
-    assert (violations[0].observed, violations[0].bound) == (15_000.0, 10_000.0)
+    s = monitored(max_latency_us=10_000)
+    s.push(pkt(0), now_us=0)
+    assert s.violations == []
+    s.pop(now_us=15_000)
+    assert [v.kind for v in s.violations] == [ViolationKind.LATENCY_EXCEEDED]
+    assert (s.violations[0].observed, s.violations[0].bound) == (15_000.0, 10_000.0)
 
 
 def test_latency_within_bound_is_silent():
-    wd = Watchdog(WatchdogConfig(max_latency_us=10_000))
-    wd.packet_in(0)
-    assert wd.packet_out(9_999, 0) == []
+    s = monitored(max_latency_us=10_000)
+    s.push(pkt(0), now_us=0)
+    s.pop(now_us=9_999)
+    assert s.violations == []
 
 
 def test_throughput_below_over_completed_window():
-    wd = Watchdog(WatchdogConfig(min_throughput_hz=10.0, window_us=1_000_000))
-    wd.packet_in(0)  # aligns the first window
+    s = monitored(min_throughput_hz=10.0, window_us=1_000_000)
+    for seq in range(6):
+        s.push(pkt(seq, ts=0), now_us=0)  # the first push aligns the first window
     for t in (100_000, 200_000, 300_000, 400_000, 500_000):
-        assert wd.packet_out(t, 0) == []
-    violations = wd.packet_in(1_200_000)  # crosses the window boundary
-    assert [v.kind for v in violations] == [ViolationKind.THROUGHPUT_BELOW]
-    assert (violations[0].observed, violations[0].bound) == (5.0, 10.0)
-    assert violations[0].at_us == 1_000_000
+        s.pop(now_us=t)
+    assert s.violations == []
+    s.push(pkt(6, ts=0), now_us=1_200_000)  # crosses the window boundary
+    assert [v.kind for v in s.violations] == [ViolationKind.THROUGHPUT_BELOW]
+    assert (s.violations[0].observed, s.violations[0].bound) == (5.0, 10.0)
+    assert s.violations[0].at_us == 1_000_000
 
 
 def test_throughput_ok_window_is_silent():
-    wd = Watchdog(WatchdogConfig(min_throughput_hz=2.0, window_us=1_000_000))
-    wd.packet_in(0)
+    s = monitored(min_throughput_hz=2.0, window_us=1_000_000)
+    s.push(pkt(0, ts=0), now_us=0)
+    s.push(pkt(1, ts=0), now_us=0)
     for t in (100_000, 600_000):
-        wd.packet_out(t, 0)
-    assert wd.flush(1_000_000) == []
+        s.pop(now_us=t)
+    s.finalize(1_000_000)
+    assert s.violations == []
 
 
-def test_flush_closes_trailing_windows():
-    wd = Watchdog(WatchdogConfig(min_throughput_hz=1.0, window_us=500_000))
-    wd.packet_out(0, 0)
-    violations = wd.flush(1_600_000)  # windows [0,.5), [.5,1), [1,1.5) complete
-    assert len(violations) == 2  # first window has the packet, next two are empty
-    assert all(v.kind is ViolationKind.THROUGHPUT_BELOW for v in violations)
+def test_finalize_closes_trailing_windows():
+    s = monitored(min_throughput_hz=1.0, window_us=500_000)
+    s.push(pkt(0), now_us=0)
+    s.pop(now_us=0)
+    s.finalize(1_600_000)  # windows [0,.5), [.5,1), [1,1.5) complete
+    # the first window has the packet, the next two are empty
+    assert [(v.kind, v.at_us) for v in s.violations] == [
+        (ViolationKind.THROUGHPUT_BELOW, 1_000_000),
+        (ViolationKind.THROUGHPUT_BELOW, 1_500_000),
+    ]
+
+
+def test_violations_of_one_pop_in_check_order():
+    """Deadline first, then the throughput windows the pop closes, then the watchdog latency."""
+    s = Stream(
+        "s", LosslessPolicy(deadline_us=10),
+        watchdog=WatchdogConfig(max_latency_us=10, min_throughput_hz=1.0, window_us=1_000_000),
+    )
+    s.push(pkt(0, ts=0), now_us=0)
+    s.pop(now_us=2_500_000)
+    assert [(v.kind, v.at_us) for v in s.violations] == [
+        (ViolationKind.LATENCY_EXCEEDED, 2_500_000),
+        (ViolationKind.THROUGHPUT_BELOW, 1_000_000),
+        (ViolationKind.THROUGHPUT_BELOW, 2_000_000),
+        (ViolationKind.LATENCY_EXCEEDED, 2_500_000),
+    ]
+
+
+def test_throughput_windows_a_push_closes_come_before_its_miss_limit():
+    s = Stream(
+        "s", LossyPolicy(capacity=1, max_successive_misses=0),
+        watchdog=WatchdogConfig(min_throughput_hz=1.0, window_us=1_000),
+    )
+    s.push(pkt(0), now_us=0)
+    s.push(pkt(1), now_us=1_500)  # evicts seq 0 and closes [0, 1000)
+    assert [v.kind for v in s.violations] == [
+        ViolationKind.THROUGHPUT_BELOW,
+        ViolationKind.BACKPRESSURE_MISS_LIMIT,
+    ]
 
 
 def test_drop_consumes_oldest_pending_in():
-    s = Stream("s", LossyPolicy(capacity=1), watchdog=Watchdog(WatchdogConfig(max_latency_us=20)))
+    s = Stream("s", LossyPolicy(capacity=1), watchdog=WatchdogConfig(max_latency_us=20))
     s.push(pkt(0), now_us=0)
     s.push(pkt(1), now_us=10)  # evicts the packet pushed at t=0
     assert s.pop(now_us=25).seq == 1  # pushed at 10: latency 15 <= 20
@@ -82,21 +125,40 @@ def test_drop_consumes_oldest_pending_in():
 
 
 def test_out_of_order_event_is_recorded_not_raised():
-    wd = Watchdog(WatchdogConfig(max_latency_us=10))
-    wd.packet_in(100)
-    assert wd.packet_in(50) == []
-    assert wd.errors and wd.errors[0]["kind"] == "OutOfOrderEvent"
+    s = monitored(max_latency_us=10)
+    s.push(pkt(0), now_us=100)
+    s.push(pkt(1), now_us=50)
+    assert s.monitor_errors == [{"kind": "OutOfOrderEvent", "event": "PacketIn", "at_us": 50}]
+    assert s.violations == [] and s.queued() == 2
+
+
+def test_out_of_order_pop_is_recorded_not_monitored():
+    s = monitored(max_latency_us=10)
+    s.push(pkt(0), now_us=0)
+    s.push(pkt(1), now_us=100)
+    assert s.pop(now_us=50).seq == 0  # 50 us late, but earlier than the last event
+    assert s.monitor_errors == [{"kind": "OutOfOrderEvent", "event": "PacketOut", "at_us": 50}]
+    assert s.violations == []
 
 
 def test_out_of_order_push_keeps_each_packet_paired_with_its_own_push():
-    wd = Watchdog(WatchdogConfig(max_latency_us=10))
-    s = Stream("s", LossyPolicy(capacity=4), watchdog=wd)
+    s = Stream("s", LossyPolicy(capacity=4), watchdog=WatchdogConfig(max_latency_us=10))
     s.push(pkt(0), now_us=100)
     s.push(pkt(1), now_us=50)  # out of order: a monitoring error, but still queued
     s.pop(now_us=300)
     s.pop(now_us=301)
-    assert [e["event"] for e in wd.errors] == ["PacketIn"]
+    assert [e["event"] for e in s.monitor_errors] == ["PacketIn"]
     assert [(v.at_us, v.observed) for v in s.violations] == [(300, 200.0), (301, 251.0)]
+
+
+def test_report_entry_lists_monitor_errors_only_when_there_are_any():
+    s = monitored(max_latency_us=10)
+    s.push(pkt(0), now_us=100)
+    assert "monitor_errors" not in s.to_json()
+    s.push(pkt(1), now_us=50)
+    entry = s.to_json()
+    assert entry["monitor_errors"] == s.monitor_errors
+    assert entry["pushed"] == 2 and entry["drop_runs"] == [] and entry["violations"] == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,7 +171,7 @@ def test_latency_pairs_each_popped_packet_with_its_own_push_time(capacity, max_l
     """Against a reference queue of push times, for lossy (capacity) and
     lossless (None) streams under non-decreasing times."""
     policy = LosslessPolicy(deadline_us=10**12) if capacity is None else LossyPolicy(capacity)
-    s = Stream("s", policy, watchdog=Watchdog(WatchdogConfig(max_latency_us=max_latency_us)))
+    s = Stream("s", policy, watchdog=WatchdogConfig(max_latency_us=max_latency_us))
     model, expected, now = [], [], 0
     for seq, (is_push, dt) in enumerate(ops):
         now += dt
@@ -127,9 +189,69 @@ def test_latency_pairs_each_popped_packet_with_its_own_push_time(capacity, max_l
     assert [(v.at_us, v.observed) for v in s.violations] == expected
 
 
+def tumbling_windows(events, end_us, window_us, min_hz):
+    """The (at_us, observed) of every window below ``min_hz``, by brute force.
+
+    ``events`` are ``(t_us, is_pop)`` in call order. An event earlier than the
+    last in-order one is ignored. Windows are ``[origin + k*W, origin +
+    (k+1)*W)`` from the first in-order event; one is checked once the last
+    in-order event, or ``end_us`` if it is not earlier, reaches its end.
+    """
+    in_order, errors = [], []
+    for t, is_pop in events:
+        if in_order and t < in_order[-1][0]:
+            errors.append((t, "PacketOut" if is_pop else "PacketIn"))
+        else:
+            in_order.append((t, is_pop))
+    if not in_order:
+        return [], errors
+    origin, last = in_order[0][0], in_order[-1][0]
+    closed_by = max(last, end_us)
+    out = []
+    k = 0
+    while origin + (k + 1) * window_us <= closed_by:
+        lo, hi = origin + k * window_us, origin + (k + 1) * window_us
+        rate_hz = sum(1 for t, is_pop in in_order if is_pop and lo <= t < hi) * 1e6 / window_us
+        if rate_hz < min_hz:
+            out.append((hi, rate_hz))
+        k += 1
+    return out, errors
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.one_of(st.none(), st.integers(1, 3)),
+    window_us=st.integers(1, 120),
+    min_hz=st.integers(1, 60_000),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(-40, 100)), max_size=50),
+    end_dt=st.integers(-100, 400),
+)
+def test_throughput_windows_match_a_tumbling_window_model(capacity, window_us, min_hz, ops, end_dt):
+    """Random pushes and pops, some earlier than the event before, then ``finalize``."""
+    policy = LosslessPolicy(deadline_us=10**12) if capacity is None else LossyPolicy(capacity)
+    s = Stream("s", policy, watchdog=WatchdogConfig(min_throughput_hz=float(min_hz), window_us=window_us))
+    events, queued, now = [], 0, 0
+    for seq, (is_push, dt) in enumerate(ops):
+        now = max(0, now + dt)
+        if is_push:
+            s.push(pkt(seq, ts=0), now_us=now)
+            queued = queued + 1 if capacity is None else min(queued + 1, capacity)
+            events.append((now, False))
+        elif s.pop(now_us=now) is not None:  # a pop from an empty stream is no event
+            queued -= 1
+            events.append((now, True))
+    end_us = max(0, now + end_dt)
+    s.finalize(end_us)
+    expected, errors = tumbling_windows(events, end_us, window_us, min_hz)
+    assert all(v.kind is ViolationKind.THROUGHPUT_BELOW for v in s.violations)
+    assert [(v.at_us, v.observed) for v in s.violations] == expected
+    assert [(e["at_us"], e["event"]) for e in s.monitor_errors] == errors
+    assert s.queued() == queued
+
+
 def test_watchdog_passivity_on_stream_counters():
     def run(with_watchdog):
-        wd = Watchdog(WatchdogConfig(max_latency_us=1)) if with_watchdog else None
+        wd = WatchdogConfig(max_latency_us=1) if with_watchdog else None
         s = Stream("s", LossyPolicy(capacity=2), watchdog=wd)
         for i in range(20):
             s.push(Packet(payload=i, timestamp_us=i, seq=i), now_us=i)
