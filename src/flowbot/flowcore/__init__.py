@@ -25,8 +25,6 @@ from .runtime import (
 from .stream import (
     LosslessPolicy,
     LossyPolicy,
-    PushOutcome,
-    PushStatus,
     Stream,
     StreamConfigError,
     StreamPolicy,
@@ -56,8 +54,6 @@ __all__ = [
     "NodeKindRegistry",
     "Packet",
     "PortSpec",
-    "PushOutcome",
-    "PushStatus",
     "RunReport",
     "SampleChunk",
     "SchemaError",

@@ -27,7 +27,7 @@ from typing import Optional
 from .latch import LatchState
 from .schema import SchemaError, check_value, get_value
 from .stream import StreamPolicy, policy_from_json, policy_to_json
-from .watchdog import WatchdogConfig
+from .watchdog import WatchdogConfig, WatchdogConfigError
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def graph_from_json(doc: dict) -> GraphDef:
         watchdog = get_value(sd, "watchdog", path, dict, None)
         if watchdog is not None:
             try:
-                watchdog = WatchdogConfig.from_json(watchdog)
-            except (TypeError, ValueError) as exc:
+                watchdog = WatchdogConfig.from_json(watchdog, f"{path}.watchdog")
+            except WatchdogConfigError as exc:
                 raise SchemaError(f"{path}.watchdog", str(exc)) from exc
         to_node = get_value(sd, "to_node", path, str, None)
         to_port = get_value(sd, "to_port", path, str, None)

@@ -24,25 +24,30 @@ wiring is resolved once, when the runner is built, into a slotted
 consumer's rank, the phase an emit schedules (None for poll-driven and
 consumer-less streams), the gated route for a latch control, the latch,
 control stream and suppression runs for a gated stream, and the next
-sequence number. ``emit`` makes one lookup from ``(node_id, port)`` to the
-route.
+sequence number. ``emit`` finds the route by node id, then by port.
 
 Each stream checks its own bounds (its policy's miss limit or deadline and
 its optional watchdog's latency and throughput) as packets pass; at the end
 of a run the runner finalizes every stream, and the report holds each
 stream's and latch's own ``to_json()`` entry.
 
-Late binding: ``NodeContext.emit`` calls ``runner.emit``, and the runner
-calls ``stream.push`` / ``stream.pop`` and ``node.start`` / ``on_packet`` /
-``on_timer`` / ``finish``, through instance attributes looked up at dispatch
-time. Wrappers installed on a built runner before ``run()`` therefore see
-every call. Under a virtual clock the runner calls ``clock.advance_to`` once
-per dispatched event; a real (monotonic) clock has no ``advance_to``, and
-the same loop sleeps until each event is due instead.
+Late binding: when ``run()`` starts, before any ``node.start``, it binds
+each context's ``emit`` to ``runner.emit`` as it is then, with the node id
+filled in. The runner calls ``stream.push`` / ``stream.pop`` and
+``node.start`` / ``on_packet`` / ``on_timer`` / ``finish`` through instance
+attributes looked up at dispatch time. Wrappers installed on a built runner
+before ``run()`` therefore see every call. Under a virtual clock the loop
+keeps the current time in a local and calls ``clock.advance_to`` only when
+an event is later than it; a real (monotonic) clock has no ``advance_to``,
+and the same loop sleeps until each event is due and then reads the clock
+once.
 
 A node runs on at most one execution context at a time; the single-threaded
 loop guarantees that directly. A real clock gives the same counters as the
-virtual run; only wall timing differs.
+virtual run only while no timer or packet timestamp depends on when a node
+wakes: a node that stamps packets with the real ``now`` of a late wake-up
+(as ``SourceNode`` does) can reorder a data event and a poll, which changes
+the drop runs of a lossy polled stream. Wall timing differs in any case.
 
 Without a time limit, a run stops as exhausted once the only events left
 are poll-driven nodes' timers and every stream into those nodes is empty; a
@@ -51,7 +56,9 @@ polling node would otherwise reschedule itself forever.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import json
 import time as _time
 from dataclasses import dataclass
@@ -67,7 +74,7 @@ from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
 from .schema import SchemaError, check_value, get_value
-from .stream import PushOutcome, Stream
+from .stream import Stream
 from .validation import Diagnostic, build_nodes, check_wiring
 
 # Phase within one timestamp and rank: latch controls apply before anything
@@ -162,29 +169,43 @@ class RunReport:
 
 
 class NodeContext:
-    """Per-node handle into the running graph."""
+    """Per-node handle into the running graph.
 
-    def __init__(self, runner: "GraphRunner", node: Node):
+    ``emit(port, payload, timestamp_us=None)`` is ``runner.emit`` with the
+    node id filled in, bound when the run starts.
+    """
+
+    emit: Callable[..., None]
+
+    def __init__(self, runner: "GraphRunner", node: Node, rank: int):
         self._runner = runner
         self._node = node
-        self._node_id = node.id
+        self._rank = rank
+        self._clock = runner.clock
+        self._heap = runner._heap
+        self._heap_seq = runner._heap_seq
         self.collector = runner.collector
 
     def now_us(self) -> int:
-        return self._runner.clock.now_us()
+        return self._clock.now_us()
 
     @property
     def time_limit_us(self) -> Optional[int]:
         return self._runner.stop.time_limit_us
 
-    def emit(self, port: str, payload: Any, timestamp_us: Optional[int] = None) -> PushOutcome:
-        return self._runner.emit(self._node_id, port, payload, timestamp_us)
-
     def schedule(self, delay_us: int, tag=None) -> None:
         self.schedule_at(self.now_us() + int(delay_us), tag)
 
     def schedule_at(self, t_us: int, tag=None) -> None:
-        self._runner.schedule_timer(self._node, max(t_us, self.now_us()), tag)
+        now = self._clock.now_us()
+        if t_us < now:
+            t_us = now
+        if self._node.poll_driven:
+            phase = _PHASE_POLL
+            self._runner._poll_timers += 1
+        else:
+            phase = _PHASE_TIMER
+        _heappush(self._heap, (t_us, self._rank, phase, self._heap_seq(), (self._node, tag)))
 
     def poll(self, port: str) -> Optional[Packet]:
         return self._runner.poll_input(self._node.id, port)
@@ -234,7 +255,7 @@ class GraphRunner:
         self.collector = RunCollector()
         self.events: list[dict] = []
         self._heap: list = []
-        self._heap_seq = 0
+        self._heap_seq = itertools.count(1).__next__
         self._poll_timers = 0  # _PHASE_POLL entries on the heap
         self._total_pushed = 0
         self._failed_node: Optional[str] = None
@@ -247,23 +268,23 @@ class GraphRunner:
         diags += check_wiring(graph, self.nodes)
         if diags:
             raise GraphValidationError(diags)
-        self._ctx: dict[str, NodeContext] = {
-            node_id: NodeContext(self, node) for node_id, node in self.nodes.items()
-        }
         self._topo = self._topo_ranks()
+        self._ctx: dict[str, NodeContext] = {
+            node_id: NodeContext(self, node, self._topo[node_id]) for node_id, node in self.nodes.items()
+        }
         # deliveries that reach on_packet, plus timers, per node by rank
         self._dispatches = [0] * len(self._topo)
 
         self.streams: dict[str, Stream] = {}
         self._routes: dict[str, _Route] = {}
         routes = self._routes  # by stream id
-        self._outputs: dict[tuple[str, str], _Route] = {}
+        self._outputs: dict[str, dict[str, _Route]] = {node_id: {} for node_id in self.nodes}
         self._inputs: dict[tuple[str, str], _Route] = {}
         for sd in graph.streams:
             stream = Stream(sd.id, sd.policy, watchdog=sd.watchdog)
             self.streams[sd.id] = stream
             route = routes[sd.id] = _Route(sd.id, stream)
-            self._outputs[(sd.from_node, sd.from_port)] = route
+            self._outputs[sd.from_node][sd.from_port] = route
             if sd.to_node is not None:
                 self._inputs[(sd.to_node, sd.to_port)] = route
                 node = self.nodes[sd.to_node]
@@ -316,36 +337,25 @@ class GraphRunner:
 
     # -- node-facing operations -------------------------------------------
 
-    def schedule_timer(self, node: Node, t_us: int, tag) -> None:
-        if node.poll_driven:
-            phase = _PHASE_POLL
-            self._poll_timers += 1
-        else:
-            phase = _PHASE_TIMER
-        self._heap_seq += 1
-        _heappush(self._heap, (t_us, self._topo[node.id], phase, self._heap_seq, (node, tag)))
-
-    def emit(self, node_id: str, port: str, payload: Any, timestamp_us: Optional[int]) -> PushOutcome:
-        route = self._outputs.get((node_id, port))
+    def emit(self, node_id: str, port: str, payload: Any, timestamp_us: Optional[int] = None) -> None:
+        route = self._outputs[node_id].get(port)
         if route is None:
             raise KeyError(f"node {node_id!r} has no stream on output port {port!r}")
         now = self.clock.now_us()
         ts = now if timestamp_us is None else int(timestamp_us)
         seq = route.next_seq
         route.next_seq = seq + 1
-        outcome = route.stream.push(tuple.__new__(Packet, (payload, ts, seq)), now)
+        route.stream.push(tuple.__new__(Packet, (payload, ts, seq)), now)
         self._total_pushed += 1
         phase = route.phase
         if phase is not None:
-            self._heap_seq = heap_seq = self._heap_seq + 1
-            _heappush(self._heap, (ts, route.rank, phase, heap_seq, route))
-        return outcome
+            _heappush(self._heap, (ts, route.rank, phase, self._heap_seq(), route))
 
     def poll_input(self, node_id: str, port: str) -> Optional[Packet]:
         route = self._inputs.get((node_id, port))
         if route is None:
             raise KeyError(f"node {node_id!r} has no stream on input port {port!r}")
-        return self._pop_through_latch(route)
+        return self._pop_through_latch(route, self.clock.now_us())
 
     def log_event(self, kind: str, **fields) -> None:
         entry = {"t_us": self.clock.now_us(), "kind": kind}
@@ -354,12 +364,11 @@ class GraphRunner:
 
     # -- delivery ----------------------------------------------------------
 
-    def _drain_controls(self, gated: _Route, up_to_ts: Optional[int]) -> None:
-        """Apply queued controls stamped no later than ``up_to_ts`` (and now);
+    def _drain_controls(self, gated: _Route, up_to_ts: Optional[int], now: int) -> None:
+        """Apply queued controls stamped no later than ``up_to_ts`` and ``now``;
         the rest wait for the earlier-stamped data in front of them."""
         latch = gated.latch
         control = gated.control
-        now = self.clock.now_us()
         limit = now if up_to_ts is None else min(now, up_to_ts)
         while True:
             ts = control.peek_timestamp()
@@ -374,15 +383,14 @@ class GraphRunner:
                     bit=int(bool(packet.payload)),
                 )
 
-    def _pop_through_latch(self, route: _Route) -> Optional[Packet]:
+    def _pop_through_latch(self, route: _Route, now: int) -> Optional[Packet]:
         stream = route.stream
         latch = route.latch
         if latch is None:
-            return stream.pop(self.clock.now_us())
+            return stream.pop(now)
         # a control applies to data with later-or-equal timestamps only, so
         # drain no further than the packet about to be popped
-        self._drain_controls(route, stream.peek_timestamp())
-        now = self.clock.now_us()
+        self._drain_controls(route, stream.peek_timestamp(), now)
         packet = stream.pop(now)
         if packet is None:
             return None
@@ -408,6 +416,8 @@ class GraphRunner:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunReport:
+        for node_id, ctx in self._ctx.items():
+            ctx.emit = functools.partial(self.emit, node_id)
         for node in self.nodes.values():
             try:
                 node.start(self._ctx[node.id])
@@ -419,6 +429,7 @@ class GraphRunner:
         now_us = clock.now_us
         realtime = not getattr(clock, "is_virtual", False)
         advance_to = None if realtime else clock.advance_to
+        now = now_us()
         limit = self.stop.time_limit_us
         max_packets = self.stop.max_packets
         stop_when_idle = limit is None and bool(self._polled_streams)
@@ -437,14 +448,15 @@ class GraphRunner:
                 lag = (t_us - now_us()) / 1e6
                 if lag > 0:
                     _time.sleep(lag)
-            else:
                 now = now_us()
-                advance_to(t_us if t_us > now else now)
+            elif t_us > now:
+                advance_to(t_us)
+                now = now_us()
             if phase == _PHASE_DELIVERY:
                 if arg.latch is None:
-                    packet = arg.stream.pop(now_us())
+                    packet = arg.stream.pop(now)
                 else:
-                    packet = self._pop_through_latch(arg)
+                    packet = self._pop_through_latch(arg, now)
                 if packet is not None:
                     dispatches[rank] += 1
                     node = arg.consumer
@@ -454,7 +466,7 @@ class GraphRunner:
                         self._node_failed(node, exc)
             elif phase == _PHASE_CONTROL:
                 gated = arg.gated
-                self._drain_controls(gated, gated.stream.peek_timestamp())
+                self._drain_controls(gated, gated.stream.peek_timestamp(), now)
             else:
                 if phase == _PHASE_POLL:
                     self._poll_timers -= 1

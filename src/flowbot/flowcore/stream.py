@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
-from typing import ClassVar, NamedTuple, Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .packet import Packet, runs_to_json
 from .schema import get_value
@@ -86,23 +85,6 @@ def policy_from_json(doc: dict) -> StreamPolicy:
     raise StreamConfigError(f"unknown stream policy kind: {kind!r}")
 
 
-class PushStatus(Enum):
-    ACCEPTED = "accepted"
-    DROPPED_OLDEST = "dropped_oldest"
-
-
-class PushOutcome(NamedTuple):
-    """Result of one push: an immutable tuple ``(status, dropped, successive_misses)``."""
-
-    status: PushStatus
-    dropped: Optional[Packet] = None
-    successive_misses: int = 0
-
-
-#: The outcome of every push that evicts nothing; shared, since outcomes are immutable.
-ACCEPTED = PushOutcome(PushStatus.ACCEPTED)
-
-
 class Stream:
     """FIFO between one producer and one consumer, used from a single thread.
 
@@ -126,7 +108,7 @@ class Stream:
     that end by the end of the run.
 
     ``push`` and ``pop`` take the current time as ``now_us``; without it
-    they use the packet's timestamp.
+    they use the packet's timestamp. ``push`` returns nothing.
 
     Policy and watchdog are resolved once, at construction, into plain
     bounds; the unused ones are None.
@@ -155,7 +137,7 @@ class Stream:
         self._window_start: Optional[int] = None
         self._window_out = 0
 
-    def push(self, packet: Packet, now_us: Optional[int] = None) -> PushOutcome:
+    def push(self, packet: Packet, now_us: Optional[int] = None) -> None:
         now = packet.timestamp_us if now_us is None else now_us
         q = self._q
         self.pushed += 1
@@ -168,7 +150,7 @@ class Stream:
             self.successive_misses = 0
             if depth >= self.max_queued:
                 self.max_queued = depth + 1
-            return ACCEPTED
+            return
         evicted = q.popleft()[1]
         q.append((now, packet))
         self.dropped += 1
@@ -181,7 +163,6 @@ class Stream:
             run[1], run[3], run[4] = seq, now, misses
         if self._miss_limit is not None and misses > self._miss_limit:
             self._violate(ViolationKind.BACKPRESSURE_MISS_LIMIT, now, misses, self._miss_limit)
-        return tuple.__new__(PushOutcome, (PushStatus.DROPPED_OLDEST, evicted, misses))
 
     def pop(self, now_us: Optional[int] = None) -> Optional[Packet]:
         """Dequeue the oldest packet, or None when empty (a poll outcome)."""

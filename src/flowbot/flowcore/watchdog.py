@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .schema import get_value
+
 
 class ViolationKind(str, Enum):
     LATENCY_EXCEEDED = "LatencyExceeded"
@@ -68,9 +70,10 @@ class WatchdogConfig:
         return out
 
     @staticmethod
-    def from_json(doc: dict) -> "WatchdogConfig":
+    def from_json(doc: dict, path: str = "") -> "WatchdogConfig":
+        """A config from ``doc``; a bad value raises :class:`SchemaError` naming ``path.<key>``."""
         return WatchdogConfig(
-            max_latency_us=doc.get("max_latency_us"),
-            min_throughput_hz=doc.get("min_throughput_hz"),
-            window_us=doc.get("window_us"),
+            max_latency_us=get_value(doc, "max_latency_us", path, int, None),
+            min_throughput_hz=get_value(doc, "min_throughput_hz", path, float, None),
+            window_us=get_value(doc, "window_us", path, int, None),
         )

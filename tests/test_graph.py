@@ -390,15 +390,109 @@ def test_latched_stream_with_lagging_consumer_respects_timestamps():
     assert latch["transitions"] == [{"t_us": 2_000, "state": "open"}]
 
 
-def test_real_clock_mode_matches_virtual_counters():
+class EveryNthBit(Node):
+    """Emits an alternating bit, stamped with the packet's time, on every ``n``-th packet."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.n = params["n"]
+        self._seen = 0
+
+    def input_ports(self):
+        return {"in": PortSpec("any")}
+
+    def output_ports(self):
+        return {"bit": PortSpec("bit")}
+
+    def on_packet(self, port, packet, ctx):
+        self._seen += 1
+        if self._seen % self.n == 0:
+            ctx.emit("bit", self._seen // self.n % 2, timestamp_us=packet.timestamp_us)
+
+
+class Metronome(Node):
+    """Sets all ``count`` timers, ``period_us`` apart from ``start_us``, when it
+    starts. It emits each tick stamped with its scheduled time or, when
+    poll-driven, pulls one packet per tick."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.count, self.start_us, self.period_us = params["count"], params["start_us"], params["period_us"]
+        self.poll_driven = params.get("poll", False)
+
+    def input_ports(self):
+        return {"in": PortSpec("any")} if self.poll_driven else {}
+
+    def output_ports(self):
+        return {} if self.poll_driven else {"out": PortSpec("any")}
+
+    def start(self, ctx):
+        for k in range(self.count):
+            ctx.schedule_at(self.start_us + k * self.period_us, k)
+
+    def on_timer(self, k, ctx):
+        if self.poll_driven:
+            ctx.poll("in")
+        else:
+            ctx.emit("out", k, timestamp_us=self.start_us + k * self.period_us)
+
+
+def test_real_clock_mode_matches_virtual_counters(wall_clock_guard):
     # soak-style check: the same graph paced by the monotonic clock produces
     # the same counters as the virtual run (not the same wall timing)
     from flowbot.flowcore import MonotonicClock
 
-    def counters(clock):
+    # the stock source reschedules itself from on_timer, so a late wake-up
+    # moves its next timer to now; source -> sink is lossless and unpolled,
+    # so that cannot change a counter
+    def source_sink(clock):
         return graph_run(simple_graph(count=30, rate_hz=10_000.0), clock=clock).streams["s"]
 
-    assert counters(MonotonicClock()) == counters(VirtualClock())
+    assert source_sink(MonotonicClock()) == source_sink(VirtualClock())
+
+    # a lossy polled stream and a latch: every timer is set when its node
+    # starts and every packet carries a scheduled time, so a late wake-up
+    # delays events without reordering them; the first is 50 ms in, after
+    # the runner is built
+    kinds = default_kind_registry()
+    kinds.register("nth_bit", EveryNthBit)
+    kinds.register("metronome", Metronome)
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "metronome", {"count": 40, "start_us": 52_500, "period_us": 5_000}),
+            NodeDef("split", "splitter", {"outputs": ["lossy", "ctl", "gated"]}),
+            NodeDef("slow", "metronome", {"count": 15, "start_us": 50_000, "period_us": 20_000, "poll": True}),
+            NodeDef("tog", "nth_bit", {"n": 5}),
+            NodeDef("gated", "sink", {}),
+        ),
+        streams=(
+            StreamDef("s_in", "src", "out", "split", "in", LOSSLESS),
+            StreamDef("s_lossy", "split", "lossy", "slow", "in", LossyPolicy(capacity=2)),
+            StreamDef("s_ctl_in", "split", "ctl", "tog", "in", LOSSLESS),
+            StreamDef("s_bits", "tog", "bit", None, None, LOSSLESS),
+            StreamDef("s_gated", "split", "gated", "gated", "in", LOSSLESS),
+        ),
+        latches=(LatchDef("s_gated", "s_bits"),),
+    )
+
+    def seqs(runs):  # a run's times are when it was seen, so wall times here
+        return [(r["first_seq"], r["last_seq"], r["count"]) for r in runs]
+
+    def counters(clock):
+        report = graph_run(g, kinds=kinds, clock=clock)
+        streams = {
+            sid: ({k: s[k] for k in ("pushed", "delivered", "dropped", "queued", "max_queued")},
+                  seqs(s["drop_runs"]))
+            for sid, s in report.streams.items()
+        }
+        latch = dict(report.latches["s_gated"])
+        latch["suppressed_runs"] = seqs(latch["suppressed_runs"])
+        return report.stop_reason, streams, latch, report.nodes
+
+    virtual = counters(VirtualClock())
+    assert virtual[1]["s_lossy"][0]["dropped"] > 0 and virtual[2]["suppressed"] > 0
+    with wall_clock_guard(5.0):  # paced over about 0.3 s; a hang fails
+        assert counters(MonotonicClock()) == virtual
 
 
 def test_fifo_per_stream_in_run_events():

@@ -579,20 +579,26 @@ def test_bad_followup_timeout_is_a_build_error(tmp_path, capsys, bad):
     assert "BadNodeParams at node mgr: followup_timeout_s: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("key", ["max_latency_us", "min_throughput_hz", "window_us"])
-def test_non_finite_watchdog_bound_is_schema_error(tmp_path, capsys, key, bad):
-    # NaN fails every comparison, so it would switch the bound off silently
+@pytest.mark.parametrize(
+    "key, bad",
+    [(key, bad) for key in ("max_latency_us", "min_throughput_hz", "window_us")
+     for bad in (float("nan"), float("inf"), True, "1000")]
+    + [("max_latency_us", 2.5), ("window_us", 2.5)],
+)
+def test_bad_watchdog_bound_is_schema_error_naming_its_key(tmp_path, capsys, key, bad):
+    # NaN fails every comparison, so it would switch the bound off silently;
+    # true once passed as 1, and window_us 2.5 as a fractional window
     doc = reference_pipeline().to_json()
     watchdog = {"max_latency_us": 1_000_000, "min_throughput_hz": 1.0, "window_us": 1_000_000}
     watchdog[key] = bad
     doc["streams"][2]["watchdog"] = watchdog
     with pytest.raises(SchemaError) as exc:
         load_graph_config(doc)
-    assert exc.value.path == "streams[2].watchdog" and key in exc.value.reason
+    assert exc.value.path == f"streams[2].watchdog.{key}"
     graph_path, _ = _write_graph_and_scenario(tmp_path, doc)  # JSON spells NaN / Infinity
     assert cli_main(["validate", "--graph", graph_path]) == 2
-    assert "streams[2].watchdog" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"streams[2].watchdog.{key}: must be " in err and "Traceback" not in err
 
 
 def test_node_that_fails_to_build_gives_no_unresolved_endpoint_diagnostics():

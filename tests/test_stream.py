@@ -7,10 +7,10 @@ from flowbot.flowcore import (
     LosslessPolicy,
     LossyPolicy,
     Packet,
-    PushStatus,
     Stream,
     StreamConfigError,
     ViolationKind,
+    WatchdogConfig,
 )
 
 
@@ -44,20 +44,22 @@ def test_lossy_overflow_evicts_oldest():
     s = Stream("s", LossyPolicy(capacity=2))
     s.push(pkt(1))
     s.push(pkt(2))
-    out = s.push(pkt(3))
-    assert out.status is PushStatus.DROPPED_OLDEST
-    assert out.dropped.seq == 1
-    assert out.successive_misses == 1
+    assert s.push(pkt(3)) is None
+    assert (s.dropped, s.successive_misses) == (1, 1)
+    assert s.drop_runs == [[1, 1, 3, 3, 1]]  # packet 1 evicted by the push at t=3
     assert [s.pop().seq, s.pop().seq] == [2, 3]
 
 
 def test_miss_counter_resets_on_nonevicting_push():
     s = Stream("s", LossyPolicy(capacity=1))
     s.push(pkt(0))
-    assert s.push(pkt(1)).successive_misses == 1
+    s.push(pkt(1))
+    assert (s.dropped, s.successive_misses) == (1, 1)
     s.pop()
-    assert s.push(pkt(2)).status is PushStatus.ACCEPTED
-    assert s.successive_misses == 0
+    s.push(pkt(2))
+    assert (s.dropped, s.successive_misses) == (1, 0)
+    assert s.drop_runs == [[0, 0, 1, 1, 1]]
+    assert s.pop().seq == 2
 
 
 def test_exceeding_miss_limit_records_backpressure_violation():
@@ -75,8 +77,9 @@ def test_exceeding_miss_limit_records_backpressure_violation():
 def test_lossless_never_drops():
     s = Stream("s", LosslessPolicy(deadline_us=10**9))
     for i in range(10_000):
-        assert s.push(pkt(i)).status is PushStatus.ACCEPTED
-    assert s.dropped == 0
+        s.push(pkt(i))
+        assert (s.dropped, s.successive_misses, s.queued()) == (0, 0, i + 1)
+    assert s.drop_runs == []
     got = [s.pop().seq for _ in range(10_000)]
     assert got == list(range(10_000))
 
@@ -122,3 +125,145 @@ def test_lossy_conservation_fifo_and_bounded_memory(capacity, ops):
     assert delivered == sorted(delivered)
     assert len(set(delivered)) == len(delivered)
 
+
+class ListStream:
+    """The documented stream semantics over a plain list of ``(push_us, packet)``."""
+
+    def __init__(self, policy, watchdog):
+        lossy = isinstance(policy, LossyPolicy)
+        self.capacity = policy.capacity if lossy else None
+        self.miss_limit = policy.max_successive_misses if lossy else None
+        self.deadline_us = None if lossy else policy.deadline_us
+        self.watchdog = watchdog
+        self.windowed = watchdog is not None and watchdog.min_throughput_hz is not None
+        self.entries = []
+        self.pushed = self.delivered = self.dropped = self.misses = self.max_queued = 0
+        self.drop_runs, self.violations, self.monitor_errors = [], [], []
+        self.last_us = self.window_start = None
+        self.window_pops = 0
+
+    def _violate(self, kind, at_us, observed, bound):
+        self.violations.append({"kind": kind, "at_us": at_us, "observed": float(observed), "bound": float(bound)})
+
+    def _close_windows(self, now):
+        wd = self.watchdog
+        while now >= self.window_start + wd.window_us:
+            self.window_start += wd.window_us
+            rate_hz = self.window_pops * 1e6 / wd.window_us
+            if rate_hz < wd.min_throughput_hz:
+                self._violate("ThroughputBelow", self.window_start, rate_hz, wd.min_throughput_hz)
+            self.window_pops = 0
+
+    def _monitored(self, now, event):
+        """Whether the watchdog takes the event at ``now`` (False without one)."""
+        if self.watchdog is None:
+            return False
+        if self.last_us is not None and now < self.last_us:
+            self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": event, "at_us": now})
+            return False
+        self.last_us = now
+        if self.windowed:
+            if self.window_start is None:
+                self.window_start = now
+            else:
+                self._close_windows(now)
+        return True
+
+    def push(self, packet, now):
+        self.pushed += 1
+        self._monitored(now, "PacketIn")
+        self.entries.append((now, packet))
+        if self.capacity is None or len(self.entries) <= self.capacity:
+            self.misses = 0
+            self.max_queued = max(self.max_queued, len(self.entries))
+            return
+        evicted = self.entries.pop(0)[1]
+        self.dropped += 1
+        self.misses += 1
+        if self.misses == 1:
+            self.drop_runs.append({"first_seq": evicted.seq, "first_t_us": now})
+        self.drop_runs[-1].update(last_seq=evicted.seq, last_t_us=now, count=self.misses)
+        if self.miss_limit is not None and self.misses > self.miss_limit:
+            self._violate("BackpressureMissLimit", now, self.misses, self.miss_limit)
+
+    def pop(self, now_us):
+        if not self.entries:
+            return None
+        push_us, packet = self.entries.pop(0)
+        self.delivered += 1
+        now = packet.timestamp_us if now_us is None else now_us
+        if self.deadline_us is not None and now - packet.timestamp_us > self.deadline_us:
+            self._violate("LatencyExceeded", now, now - packet.timestamp_us, self.deadline_us)
+        if self._monitored(now, "PacketOut"):
+            self.window_pops += 1
+            bound = self.watchdog.max_latency_us
+            if bound is not None and now - push_us > bound:
+                self._violate("LatencyExceeded", now, now - push_us, bound)
+        return packet
+
+    def finalize(self, end_us):
+        if self.window_start is not None:
+            self._close_windows(end_us)
+
+    def to_json(self):
+        entry = {
+            "pushed": self.pushed, "delivered": self.delivered, "dropped": self.dropped,
+            "queued": len(self.entries), "max_queued": self.max_queued,
+            "drop_runs": [
+                {k: run[k] for k in ("first_seq", "last_seq", "first_t_us", "last_t_us", "count")}
+                for run in self.drop_runs
+            ],
+            "violations": self.violations,
+        }
+        if self.monitor_errors:
+            entry["monitor_errors"] = self.monitor_errors
+        return entry
+
+
+# times on a 10 µs grid, so ages, latencies and rates often equal their bounds
+grid = lambda lo, hi: st.integers(lo, hi).map(lambda k: 10 * k)
+policies = {
+    "lossless": st.builds(LosslessPolicy, deadline_us=grid(1, 4)),
+    "lossy": st.builds(
+        LossyPolicy, capacity=st.integers(1, 4), max_successive_misses=st.none() | st.integers(0, 3)
+    ),
+}
+watchdogs = st.builds(
+    WatchdogConfig,
+    max_latency_us=st.none() | grid(1, 3),
+    min_throughput_hz=st.none() | st.sampled_from([5e4, 1e5, 2e5]),
+    window_us=grid(1, 4),
+)
+# (operation, clock step, packet age at push, whether now_us is passed)
+stream_ops = st.lists(
+    st.tuples(st.sampled_from(["push", "pop", "peek"]), grid(-2, 3), grid(0, 4), st.booleans()),
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("watched", [False, True], ids=["plain", "watchdog"])
+@pytest.mark.parametrize("kind", ["lossless", "lossy"])
+@given(data=st.data(), monotone=st.booleans(), ops=stream_ops)
+def test_every_stream_variant_matches_a_list_model(kind, watched, data, monotone, ops):
+    policy = data.draw(policies[kind])
+    watchdog = data.draw(watchdogs) if watched else None
+    s = Stream("s", policy, watchdog=watchdog)
+    model = ListStream(policy, watchdog)
+    clock, seq = 100, 0
+    for op, step, age, timed in ops:
+        clock += abs(step) if monotone else step
+        now_us = clock if timed else None
+        if op == "push":
+            packet = Packet(payload=seq, timestamp_us=clock - age, seq=seq)
+            seq += 1
+            assert s.push(packet, now_us) is None
+            model.push(packet, packet.timestamp_us if now_us is None else now_us)
+        elif op == "pop":
+            assert s.pop(now_us) == model.pop(now_us)
+        head = model.entries[0][1].timestamp_us if model.entries else None
+        assert s.peek_timestamp() == head
+        assert s.pushed == s.delivered + s.dropped + s.queued() == model.pushed
+        assert (s.queued(), len(s), s.max_queued) == (len(model.entries), len(model.entries), model.max_queued)
+    s.finalize(clock)
+    model.finalize(clock)
+    assert s.to_json() == model.to_json()
