@@ -13,8 +13,8 @@ a run-wide insertion counter, so comparison never reaches ``arg``, and
 
 * ``_PHASE_CONTROL``: the route of a latch's control stream; the gated
   stream's pending controls are applied;
-* ``_PHASE_TIMER`` / ``_PHASE_POLL``: a ``(node, tag)`` pair, the timer of a
-  push-driven or a poll-driven node;
+* ``_PHASE_TIMER`` / ``_PHASE_POLL``: a ``(context, tag)`` pair, the timer of
+  a push-driven or a poll-driven node;
 * ``_PHASE_DELIVERY``: the route of the stream to pop one packet from.
 
 The runner builds each node once, checks the wiring against those nodes
@@ -36,22 +36,24 @@ each context's ``emit`` to ``runner.emit`` as it is then, with the node id
 filled in. The runner calls ``stream.push`` / ``stream.pop`` and
 ``node.start`` / ``on_packet`` / ``on_timer`` / ``finish`` through instance
 attributes looked up at dispatch time. Wrappers installed on a built runner
-before ``run()`` therefore see every call. Under a virtual clock the loop
-keeps the current time in a local and calls ``clock.advance_to`` only when
-an event is later than it; a real (monotonic) clock has no ``advance_to``,
-and the same loop sleeps until each event is due and then reads the clock
-once.
+before ``run()`` therefore see every call.
 
-A node runs on at most one execution context at a time; the single-threaded
-loop guarantees that directly. A real clock gives the same counters as the
-virtual run only while no timer or packet timestamp depends on when a node
-wakes: a node that stamps packets with the real ``now`` of a late wake-up
-(as ``SourceNode`` does) can reorder a data event and a poll, which changes
-the drop runs of a lossy polled stream. Wall timing differs in any case.
+One ``now`` per dispatch: the runner reads the clock when it is built, when
+``run()`` starts, after a virtual ``advance_to`` (made only when an event is
+later than the last) and after a real clock's sleep until an event is due.
+``emit``, ``poll``, ``log``, ``schedule_at`` and ``now_us`` read that time,
+never the clock, so under a real clock a handler sees the time its event was
+dispatched however long it runs. ``SourceNode`` stamps each packet with the
+time its timer was due, as in a virtual run, but a timer set in the past
+fires at the time it was set, so a wake-up later than the gap between two
+events can still reorder them and change a lossy polled stream's counters.
 
-Without a time limit, a run stops as exhausted once the only events left
-are poll-driven nodes' timers and every stream into those nodes is empty; a
-polling node would otherwise reschedule itself forever.
+A run stops at the first event at or after its time limit, after the event
+whose handler raises or that brings the packets pushed to the budget, or,
+when a ``start`` raises, before any event. Without a time limit it stops as
+exhausted once the only events left are poll-driven nodes' timers and every
+stream into those nodes is empty; a polling node would otherwise reschedule
+itself forever. The single-threaded loop runs a node on one context at a time.
 """
 
 from __future__ import annotations
@@ -172,7 +174,9 @@ class NodeContext:
     """Per-node handle into the running graph.
 
     ``emit(port, payload, timestamp_us=None)`` is ``runner.emit`` with the
-    node id filled in, bound when the run starts.
+    node id filled in, bound when the run starts. ``now_us()`` is the time of
+    the event being dispatched, also the default timestamp and the floor of
+    ``schedule_at``; under a real clock it does not move during a handler.
     """
 
     emit: Callable[..., None]
@@ -181,13 +185,13 @@ class NodeContext:
         self._runner = runner
         self._node = node
         self._rank = rank
-        self._clock = runner.clock
+        self._phase = _PHASE_POLL if node.poll_driven else _PHASE_TIMER
         self._heap = runner._heap
         self._heap_seq = runner._heap_seq
         self.collector = runner.collector
 
     def now_us(self) -> int:
-        return self._clock.now_us()
+        return self._runner._now
 
     @property
     def time_limit_us(self) -> Optional[int]:
@@ -197,15 +201,13 @@ class NodeContext:
         self.schedule_at(self.now_us() + int(delay_us), tag)
 
     def schedule_at(self, t_us: int, tag=None) -> None:
-        now = self._clock.now_us()
+        now = self._runner._now
         if t_us < now:
             t_us = now
-        if self._node.poll_driven:
-            phase = _PHASE_POLL
+        phase = self._phase
+        if phase == _PHASE_POLL:
             self._runner._poll_timers += 1
-        else:
-            phase = _PHASE_TIMER
-        _heappush(self._heap, (t_us, self._rank, phase, self._heap_seq(), (self._node, tag)))
+        _heappush(self._heap, (t_us, self._rank, phase, self._heap_seq(), (self, tag)))
 
     def poll(self, port: str) -> Optional[Packet]:
         return self._runner.poll_input(self._node.id, port)
@@ -254,12 +256,13 @@ class GraphRunner:
         self.seed = seed
         self.collector = RunCollector()
         self.events: list[dict] = []
+        self._now = self.clock.now_us()  # the time of the event being dispatched
         self._heap: list = []
         self._heap_seq = itertools.count(1).__next__
         self._poll_timers = 0  # _PHASE_POLL entries on the heap
         self._total_pushed = 0
         self._failed_node: Optional[str] = None
-        self._stop_reason: Optional[str] = None
+        self._stop_reason = "exhausted"
         self._end_time_us: Optional[int] = None
 
         if kinds is None:
@@ -338,10 +341,11 @@ class GraphRunner:
     # -- node-facing operations -------------------------------------------
 
     def emit(self, node_id: str, port: str, payload: Any, timestamp_us: Optional[int] = None) -> None:
-        route = self._outputs[node_id].get(port)
-        if route is None:
-            raise KeyError(f"node {node_id!r} has no stream on output port {port!r}")
-        now = self.clock.now_us()
+        try:
+            route = self._outputs[node_id][port]
+        except KeyError:
+            raise KeyError(f"node {node_id!r} has no stream on output port {port!r}") from None
+        now = self._now
         ts = now if timestamp_us is None else int(timestamp_us)
         seq = route.next_seq
         route.next_seq = seq + 1
@@ -355,10 +359,10 @@ class GraphRunner:
         route = self._inputs.get((node_id, port))
         if route is None:
             raise KeyError(f"node {node_id!r} has no stream on input port {port!r}")
-        return self._pop_through_latch(route, self.clock.now_us())
+        return self._pop_through_latch(route, self._now)
 
     def log_event(self, kind: str, **fields) -> None:
-        entry = {"t_us": self.clock.now_us(), "kind": kind}
+        entry = {"t_us": self._now, "kind": kind}
         entry.update(fields)
         self.events.append(entry)
 
@@ -390,7 +394,8 @@ class GraphRunner:
             return stream.pop(now)
         # a control applies to data with later-or-equal timestamps only, so
         # drain no further than the packet about to be popped
-        self._drain_controls(route, stream.peek_timestamp(), now)
+        if route.control._q:
+            self._drain_controls(route, stream.peek_timestamp(), now)
         packet = stream.pop(now)
         if packet is None:
             return None
@@ -405,9 +410,6 @@ class GraphRunner:
                 runs.append([seq, seq, now, now, 1])
         return forwarded
 
-    def _polled_streams_empty(self) -> bool:
-        return not any(len(stream) for stream in self._polled_streams)
-
     def _node_failed(self, node: Node, exc: Exception) -> None:
         self._failed_node = node.id
         self._stop_reason = "node_failure"
@@ -416,6 +418,9 @@ class GraphRunner:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunReport:
+        clock = self.clock
+        now_us = clock.now_us
+        self._now = now = now_us()
         for node_id, ctx in self._ctx.items():
             ctx.emit = functools.partial(self.emit, node_id)
         for node in self.nodes.values():
@@ -425,19 +430,16 @@ class GraphRunner:
                 self._node_failed(node, exc)
                 break
 
-        clock = self.clock
-        now_us = clock.now_us
         realtime = not getattr(clock, "is_virtual", False)
         advance_to = None if realtime else clock.advance_to
-        now = now_us()
         limit = self.stop.time_limit_us
         max_packets = self.stop.max_packets
-        stop_when_idle = limit is None and bool(self._polled_streams)
-        heap = self._heap
-        ctx = self._ctx
+        polled = self._polled_streams
+        stop_when_idle = limit is None and bool(polled)
+        heap = self._heap if self._failed_node is None else []  # a start failed
         dispatches = self._dispatches
-        while heap and self._stop_reason is None:
-            if stop_when_idle and len(heap) == self._poll_timers and self._polled_streams_empty():
+        while heap:
+            if stop_when_idle and len(heap) == self._poll_timers and not any(map(len, polled)):
                 break
             t_us, rank, phase, _seq, arg = _heappop(heap)
             if limit is not None and t_us >= limit:
@@ -448,10 +450,10 @@ class GraphRunner:
                 lag = (t_us - now_us()) / 1e6
                 if lag > 0:
                     _time.sleep(lag)
-                now = now_us()
+                self._now = now = now_us()
             elif t_us > now:
                 advance_to(t_us)
-                now = now_us()
+                self._now = now = now_us()
             if phase == _PHASE_DELIVERY:
                 if arg.latch is None:
                     packet = arg.stream.pop(now)
@@ -464,6 +466,7 @@ class GraphRunner:
                         node.on_packet(arg.port, packet, arg.ctx)
                     except Exception as exc:
                         self._node_failed(node, exc)
+                        break
             elif phase == _PHASE_CONTROL:
                 gated = arg.gated
                 self._drain_controls(gated, gated.stream.peek_timestamp(), now)
@@ -471,17 +474,18 @@ class GraphRunner:
                 if phase == _PHASE_POLL:
                     self._poll_timers -= 1
                 dispatches[rank] += 1
-                node, tag = arg
+                ctx, tag = arg
+                node = ctx._node
                 try:
-                    node.on_timer(tag, ctx[node.id])
+                    node.on_timer(tag, ctx)
                 except Exception as exc:
                     self._node_failed(node, exc)
+                    break
             if max_packets is not None and self._total_pushed >= max_packets:
                 self._stop_reason = "packet_budget"
-        if self._stop_reason is None:
-            self._stop_reason = "exhausted"
+                break
         if self._end_time_us is None:
-            self._end_time_us = self.clock.now_us()
+            self._end_time_us = clock.now_us()
 
         for node in self.nodes.values():
             if self._failed_node is None:
@@ -493,7 +497,7 @@ class GraphRunner:
     def _assemble_report(self) -> RunReport:
         return RunReport(
             status="failed" if self._failed_node else "ok",
-            stop_reason=self._stop_reason or "exhausted",
+            stop_reason=self._stop_reason,
             end_time_us=self._end_time_us or 0,
             seed=self.seed,
             streams={sid: stream.to_json() for sid, stream in sorted(self.streams.items())},
@@ -543,16 +547,17 @@ class SourceNode(Node):
 
     def start(self, ctx):
         if self.count > 0:
-            ctx.schedule_at(self.start_us)
+            due = max(self.start_us, ctx.now_us())
+            ctx.schedule_at(due, due)
 
-    def on_timer(self, tag, ctx):
-        if self._emitted >= self.count:
-            return
-        ctx.emit("out", self._emitted)
+    def on_timer(self, due, ctx):
+        # stamped with the time the timer was due, its virtual dispatch time,
+        # not the time of a late real-clock wake-up
+        ctx.emit("out", self._emitted, due)
         self._emitted += 1
         if self._emitted < self.count:
-            next_t = self.start_us + round(self._emitted * 1e6 / self.rate_hz)
-            ctx.schedule_at(next_t)
+            due = max(due, self.start_us + round(self._emitted * 1e6 / self.rate_hz))
+            ctx.schedule_at(due, due)
 
 
 class SinkNode(Node):
@@ -600,7 +605,7 @@ class SplitterNode(Node):
 
     def on_packet(self, port, packet, ctx):
         for name in self.outputs:
-            ctx.emit(name, packet.payload, timestamp_us=packet.timestamp_us)
+            ctx.emit(name, packet.payload, packet.timestamp_us)
 
 
 class AggregatorNode(Node):

@@ -11,6 +11,7 @@ flow.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
@@ -103,9 +104,11 @@ class Stream:
     that queued a packet to its pop, and a throughput bound on pops per
     tumbling window, aligned to the first event. Each queue entry is
     ``(push_us, packet)`` for the latency check. Under a watchdog, a push or
-    pop earlier than the last one is recorded in ``monitor_errors`` and not
-    monitored, but the packet still moves. ``finalize`` closes the windows
-    that end by the end of the run.
+    pop checks inline that it is not earlier than the last one and whether
+    it ends the current window, and calls out only when a window closes. An
+    out-of-order one is recorded in ``monitor_errors`` and not monitored,
+    but the packet still moves. ``finalize`` closes the windows that end by
+    the end of the run.
 
     ``push`` and ``pop`` take the current time as ``now_us``; without it
     they use the packet's timestamp. ``push`` returns nothing.
@@ -133,8 +136,9 @@ class Stream:
         self._max_latency_us = watchdog.max_latency_us if watchdog else None
         self._min_hz = watchdog.min_throughput_hz if watchdog else None
         self._window_us = watchdog.window_us if self._min_hz is not None else None
-        self._last_us: Optional[int] = None  # the last in-order event
-        self._window_start: Optional[int] = None
+        self._last_us = -math.inf  # the last in-order event
+        # the current throughput window's end: -inf until one opens, inf if unbounded
+        self._window_end = math.inf if self._window_us is None else -math.inf
         self._window_out = 0
 
     def push(self, packet: Packet, now_us: Optional[int] = None) -> None:
@@ -142,7 +146,12 @@ class Stream:
         q = self._q
         self.pushed += 1
         if self._monitored:
-            self._in_order(now, "PacketIn")
+            if now < self._last_us:
+                self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": "PacketIn", "at_us": now})
+            else:
+                self._last_us = now
+                if now >= self._window_end:
+                    self._close_windows(now)
         capacity = self._capacity
         depth = len(q)
         if capacity is None or depth < capacity:
@@ -176,7 +185,13 @@ class Stream:
             age = now - packet.timestamp_us
             if age > deadline:
                 self._violate(ViolationKind.LATENCY_EXCEEDED, now, age, deadline)
-        if self._monitored and self._in_order(now, "PacketOut"):
+        if self._monitored:
+            if now < self._last_us:
+                self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": "PacketOut", "at_us": now})
+                return packet
+            self._last_us = now
+            if now >= self._window_end:
+                self._close_windows(now)
             self._window_out += 1
             bound = self._max_latency_us
             if bound is not None and now - pushed_us > bound:
@@ -186,28 +201,20 @@ class Stream:
     def _violate(self, kind: ViolationKind, at_us: int, observed: float, bound: float) -> None:
         self.violations.append(Violation(kind, at_us, float(observed), float(bound)))
 
-    def _in_order(self, now: int, event: str) -> bool:
-        """Record an out-of-order event, or move the watchdog's clock and windows to ``now``."""
-        if self._last_us is not None and now < self._last_us:
-            self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": event, "at_us": now})
-            return False
-        self._last_us = now
-        if self._window_us is not None:
-            if self._window_start is None:
-                self._window_start = now
-            else:
-                self._close_windows(now)
-        return True
-
     def _close_windows(self, now: int) -> None:
-        """Check the throughput of every window that ends by ``now``."""
+        """Open the first throughput window, or check each one that ends by ``now``."""
         window = self._window_us
-        while now >= self._window_start + window:
-            self._window_start += window
+        end = self._window_end
+        if end == -math.inf:
+            self._window_end = now + window
+            return
+        while now >= end:
             rate_hz = self._window_out * 1e6 / window
             if rate_hz < self._min_hz:
-                self._violate(ViolationKind.THROUGHPUT_BELOW, self._window_start, rate_hz, self._min_hz)
+                self._violate(ViolationKind.THROUGHPUT_BELOW, end, rate_hz, self._min_hz)
             self._window_out = 0
+            end += window
+        self._window_end = end
 
     def peek_timestamp(self) -> Optional[int]:
         return self._q[0][1].timestamp_us if self._q else None
@@ -220,7 +227,7 @@ class Stream:
 
     def finalize(self, end_us: int) -> None:
         """Close the throughput windows that end by ``end_us``, the end of the run."""
-        if self._window_start is not None:  # an earlier end_us closes nothing more
+        if end_us >= self._window_end:  # a window not yet open opens empty
             self._close_windows(end_us)
 
     def counters(self) -> dict:

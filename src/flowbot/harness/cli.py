@@ -36,6 +36,17 @@ def _load(loader, flag: str, path: str):
         raise ValueError(f"{exc} ({flag} {path})") from exc
 
 
+def _write(flag: str, path: str, text: str) -> int:
+    """Write ``text`` to ``path``: 0, or 2 after an error naming the flag."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc} ({flag} {path})", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_run(args) -> int:
     try:
         graph = _load(load_graph_config, "--graph", args.graph) if args.graph else packaged_graph()
@@ -49,11 +60,10 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = report_to_json_str(report)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.report:
         print(text)
+    elif _write("--report", args.report, text + "\n"):
+        return 2
     return 0 if report["status"] == "ok" else 1
 
 
@@ -97,10 +107,8 @@ def _cmd_scan(args) -> int:
         return 2
     csv_text = scan_points_to_csv(points)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        print(csv_text, end="")
+        return _write("--out", args.out, csv_text)
+    print(csv_text, end="")
     return 0
 
 

@@ -1,6 +1,7 @@
 """Graph validation diagnostics and the deterministic executor."""
 
 import collections
+import time
 
 import pytest
 
@@ -341,6 +342,135 @@ def test_time_limit_is_exclusive():
     assert report.end_time_us == 5_000
 
 
+class BrokenStart(Node):
+    def start(self, ctx):
+        raise RuntimeError("start failed")
+
+
+class TimerBomb(Node):
+    """Ticks every millisecond from 0 and raises on its ``k``-th tick."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.k = params["k"]
+        self.ticks = 0
+
+    def start(self, ctx):
+        ctx.schedule_at(0)
+
+    def on_timer(self, tag, ctx):
+        self.ticks += 1
+        if self.ticks == self.k:
+            raise RuntimeError("tick failed")
+        ctx.schedule(1_000)
+
+
+class EmitThenRaise(Node):
+    def input_ports(self):
+        return {"in": PortSpec()}
+
+    def output_ports(self):
+        return {"out": PortSpec()}
+
+    def on_packet(self, port, packet, ctx):
+        ctx.emit("out", packet.payload)
+        raise RuntimeError("failed after emitting")
+
+
+def stop_path_kinds():
+    kinds = default_kind_registry()
+    kinds.register("broken_start", lambda node_id, params, env: BrokenStart(node_id))
+    kinds.register("timer_bomb", TimerBomb)
+    kinds.register("exploder", ExplodingNode)
+    kinds.register("emit_then_raise", lambda node_id, params, env: EmitThenRaise(node_id))
+    return kinds
+
+
+def dispatches(report):
+    return {node_id: node["dispatches"] for node_id, node in report.nodes.items()}
+
+
+def test_failure_in_start_dispatches_nothing():
+    # the source's first timer is already on the heap when "bad" starts
+    g = GraphDef(
+        nodes=(NodeDef("src", "source", {"count": 10}), NodeDef("snk", "sink", {}),
+               NodeDef("bad", "broken_start", {})),
+        streams=(StreamDef("s", "src", "out", "snk", "in", LOSSLESS),),
+    )
+    report = graph_run(g, kinds=stop_path_kinds())
+    assert (report.status, report.stop_reason, report.failed_node) == ("failed", "node_failure", "bad")
+    assert dispatches(report) == {"bad": 0, "snk": 0, "src": 0}
+    assert report.streams["s"]["pushed"] == 0 and report.end_time_us == 0
+
+
+def test_failure_in_the_kth_on_packet_is_the_last_dispatch():
+    # at 2 ms the splitter feeds "bad" (rank 2) before "good" (rank 3); "bad"
+    # fails on its 3rd packet, so "good" never gets its 3rd
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 10}),
+            NodeDef("split", "splitter", {"outputs": ["a", "b"]}),
+            NodeDef("bad", "exploder", {"after": 3}),
+            NodeDef("good", "sink", {}),
+        ),
+        streams=(
+            StreamDef("s_in", "src", "out", "split", "in", LOSSLESS),
+            StreamDef("s_a", "split", "a", "bad", "in", LOSSLESS),
+            StreamDef("s_b", "split", "b", "good", "in", LOSSLESS),
+        ),
+    )
+    report = graph_run(g, kinds=stop_path_kinds())
+    assert (report.stop_reason, report.failed_node, report.end_time_us) == ("node_failure", "bad", 2_000)
+    assert dispatches(report) == {"bad": 3, "good": 2, "split": 3, "src": 3}
+    assert report.streams["s_b"]["queued"] == 1
+
+
+def test_failure_in_the_kth_on_timer_is_the_last_dispatch():
+    # at 2 ms the bomb (rank 0) ticks before the source (rank 1)
+    g = GraphDef(
+        nodes=(NodeDef("bomb", "timer_bomb", {"k": 3}), NodeDef("src", "source", {"count": 10}),
+               NodeDef("snk", "sink", {})),
+        streams=(StreamDef("s", "src", "out", "snk", "in", LOSSLESS),),
+    )
+    report = graph_run(g, kinds=stop_path_kinds())
+    assert (report.stop_reason, report.failed_node, report.end_time_us) == ("node_failure", "bomb", 2_000)
+    assert dispatches(report) == {"bomb": 3, "snk": 2, "src": 2}
+
+
+def test_packet_budget_stops_after_the_event_that_reached_it():
+    # 4 packets are pushed by the source's 2nd timer; the splitter's 2nd
+    # packet pushes the 5th and 6th, and nothing runs after it
+    g = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 10}),
+            NodeDef("split", "splitter", {"outputs": ["a", "b"]}),
+            NodeDef("snk_a", "sink", {}),
+            NodeDef("snk_b", "sink", {}),
+        ),
+        streams=(
+            StreamDef("s_in", "src", "out", "split", "in", LOSSLESS),
+            StreamDef("s_a", "split", "a", "snk_a", "in", LOSSLESS),
+            StreamDef("s_b", "split", "b", "snk_b", "in", LOSSLESS),
+        ),
+    )
+    report = graph_run(g, stop=StopCondition(max_packets=5))
+    assert (report.status, report.stop_reason, report.end_time_us) == ("ok", "packet_budget", 1_000)
+    assert dispatches(report) == {"snk_a": 1, "snk_b": 1, "split": 2, "src": 2}
+    assert [report.streams[s]["pushed"] for s in ("s_in", "s_a", "s_b")] == [2, 2, 2]
+
+
+def test_a_failure_that_reaches_the_packet_budget_stops_as_a_failure():
+    g = GraphDef(
+        nodes=(NodeDef("src", "source", {"count": 10}), NodeDef("relay", "emit_then_raise", {}),
+               NodeDef("snk", "sink", {})),
+        streams=(StreamDef("s_in", "src", "out", "relay", "in", LOSSLESS),
+                 StreamDef("s_out", "relay", "out", "snk", "in", LOSSLESS)),
+    )
+    report = graph_run(g, kinds=stop_path_kinds(), stop=StopCondition(max_packets=2))
+    assert (report.status, report.stop_reason, report.failed_node) == ("failed", "node_failure", "relay")
+    assert dispatches(report) == {"relay": 1, "snk": 0, "src": 1}
+
+
 class BitScriptNode(Node):
     """Emits scripted (t_us, bit) pairs on a bit-typed output."""
 
@@ -493,6 +623,48 @@ def test_real_clock_mode_matches_virtual_counters(wall_clock_guard):
     assert virtual[1]["s_lossy"][0]["dropped"] > 0 and virtual[2]["suppressed"] > 0
     with wall_clock_guard(5.0):  # paced over about 0.3 s; a hang fails
         assert counters(MonotonicClock()) == virtual
+
+
+class EmitTwice(Node):
+    """Emits two packets, 2 ms of wall time apart, from one timer."""
+
+    def output_ports(self):
+        return {"out": PortSpec()}
+
+    def start(self, ctx):
+        ctx.schedule_at(0)
+
+    def on_timer(self, tag, ctx):
+        ctx.collector.channel("now").append(ctx.now_us())
+        ctx.emit("out", 0)
+        time.sleep(0.002)
+        ctx.emit("out", 1)
+
+
+class TimestampRecorder(Node):
+    def input_ports(self):
+        return {"in": PortSpec()}
+
+    def on_packet(self, port, packet, ctx):
+        ctx.collector.channel("timestamps").append(packet.timestamp_us)
+
+
+def test_real_clock_handler_sees_the_time_of_its_dispatch(wall_clock_guard):
+    from flowbot.flowcore import MonotonicClock
+
+    kinds = default_kind_registry()
+    kinds.register("emit_twice", lambda node_id, params, env: EmitTwice(node_id))
+    kinds.register("recorder", lambda node_id, params, env: TimestampRecorder(node_id))
+    g = GraphDef(
+        nodes=(NodeDef("twice", "emit_twice", {}), NodeDef("rec", "recorder", {})),
+        streams=(StreamDef("s", "twice", "out", "rec", "in", LOSSLESS),),
+    )
+    started = time.perf_counter()
+    with wall_clock_guard(2.0):
+        report = graph_run(g, kinds=kinds, clock=MonotonicClock())
+    assert time.perf_counter() - started < 0.2
+    (now,) = report.extras["now"]
+    assert report.extras["timestamps"] == [now, now]
 
 
 def test_fifo_per_stream_in_run_events():

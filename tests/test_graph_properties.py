@@ -3,10 +3,13 @@ and its drop and suppression runs account for every dropped and suppressed
 packet.
 
 Hypothesis draws small DAGs of sources, splitters and sinks, with lossy and
-lossless streams, optional watchdogs, push- and poll-driven sinks, and at
-most one latch driven by a scripted bit node.
+lossless streams, optional watchdogs, push- and poll-driven sinks, an
+optional chain of sample chunks through an aggregator and an attention node
+(``rms`` or ``constant`` detector), and at most one latch, driven by a
+scripted bit node or by the attention node's bits.
 """
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flowbot.flowcore import (
@@ -18,6 +21,7 @@ from flowbot.flowcore import (
     Node,
     NodeDef,
     PortSpec,
+    SampleChunk,
     StopCondition,
     StreamDef,
     WatchdogConfig,
@@ -50,9 +54,33 @@ class ScriptedBits(Node):
             ctx.schedule_at(self.script[self._next][0])
 
 
+class ChunkSource(Node):
+    """Emits one 10 ms ``SampleChunk`` of 16 kHz samples per entry of
+    ``amps``, every 10 ms from 0; each chunk holds its amplitude throughout,
+    so its RMS level is that amplitude."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.amps = params["amps"]
+        self._sent = 0
+
+    def output_ports(self):
+        return {"out": PortSpec("samples")}
+
+    def start(self, ctx):
+        ctx.schedule_at(0)
+
+    def on_timer(self, tag, ctx):
+        ctx.emit("out", SampleChunk(np.full(160, self.amps[self._sent]), 16_000))
+        self._sent += 1
+        if self._sent < len(self.amps):
+            ctx.schedule(10_000)
+
+
 def kinds():
     registry = default_kind_registry()
     registry.register("scripted_bits", ScriptedBits)
+    registry.register("chunks", ChunkSource)
     return registry
 
 
@@ -63,6 +91,11 @@ policies = st.one_of(
         max_successive_misses=st.one_of(st.none(), st.integers(0, 3)),
     ),
     st.builds(LosslessPolicy, deadline_us=st.integers(100, 20_000)),
+)
+
+detectors = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("rms"), "threshold": st.sampled_from([0.01, 0.1, 0.3])}),
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": st.integers(0, 1)}),
 )
 
 watchdogs = st.one_of(
@@ -108,14 +141,39 @@ def graphs(draw):
             "start_us": draw(st.integers(0, 3_000)),
         }))
         connect(source, "out", 0)
+    gateable = [sid for sid, _ in consumers]  # not upstream of the attention node
+
+    attention_gates = False
+    if draw(st.booleans()):
+        amps = draw(st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=1, max_size=12))
+        nodes += [
+            NodeDef("chunks", "chunks", {"amps": amps}),
+            NodeDef("agg", "aggregator", {
+                "window_samples": draw(st.sampled_from([320, 480, 800])),
+                "hop_samples": draw(st.sampled_from([160, 320])),
+                "sample_rate_hz": 16_000,
+            }),
+            NodeDef("att", "attention", {"detector": draw(detectors)}),
+        ]
+        for sid, producer, port, consumer in (("s_chunks", "chunks", "out", "agg"),
+                                              ("s_windows", "agg", "windows", "att")):
+            streams.append(StreamDef(sid, producer, port, consumer, "in", draw(policies),
+                                     watchdog=draw(watchdogs)))
+        attention_gates = draw(st.booleans())
+        if not attention_gates:
+            connect("att", "bit", 1)
 
     latches = []
-    if draw(st.booleans()):
-        gated = draw(st.sampled_from([sid for sid, _ in consumers]))
-        times = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=6))
-        script = [(t, draw(st.integers(0, 1))) for t in times]
-        nodes.append(NodeDef("bits", "scripted_bits", {"script": script}))
-        streams.append(StreamDef("s_ctl", "bits", "bit", None, None, draw(policies)))
+    if attention_gates or draw(st.booleans()):
+        gated = draw(st.sampled_from(gateable))
+        if attention_gates:
+            control = "att"
+        else:
+            control = "bits"
+            times = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=6))
+            script = [(t, draw(st.integers(0, 1))) for t in times]
+            nodes.append(NodeDef("bits", "scripted_bits", {"script": script}))
+        streams.append(StreamDef("s_ctl", control, "bit", None, None, draw(policies)))
         initial = draw(st.sampled_from(list(LatchState)))
         latches.append(LatchDef(gated, "s_ctl", initial))
 

@@ -755,6 +755,22 @@ def test_cli_rejects_missing_files(tmp_path):
     assert cli_main(["scan", "--scene", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command, flag", [("run", "--report"), ("scan", "--out")])
+def test_cli_unwritable_output_exits_2_naming_its_flag(tmp_path, capsys, command, flag):
+    if command == "run":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"audio": SILENCE_4S}))
+        argv = ["run", "--scenario", str(scenario)]
+    else:
+        argv = ["scan", "--scene", str(tmp_path / "scene.json")]
+        (tmp_path / "scene.json").write_text(packaged_config_text("demo_scan_scene.json"))
+    out = tmp_path / "no_such_dir" / "out.txt"
+    assert cli_main(argv + [flag, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.endswith(f" ({flag} {out})\n")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["run --scenario", "validate --graph", "scan --scene"])
 def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, flag):
     path = tmp_path / "config.json"
