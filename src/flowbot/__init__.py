@@ -8,6 +8,13 @@ Subpackages:
                layer parameter accounting
   robotics   - locomotion wire codec, time-of-flight and sweep geometry
   harness    - simulated devices, scenario runner and CLI
+
+Importing ``flowbot`` loads no subpackage. ``flowcore`` and ``harness`` load
+all their modules; ``dsp``, ``robotics``, ``perception`` and ``skills`` load
+a submodule when one of its names is first used, so ``flowbot run`` imports
+only what the run needs. Value classes are plain slotted classes or
+``typing.NamedTuple``s (see :mod:`flowbot.flowcore.record`), so no class
+is built by generating code at import.
 """
 
 __version__ = "0.1.0"

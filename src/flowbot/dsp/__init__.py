@@ -1,54 +1,26 @@
-"""Deterministic audio processing: PCM, resampling, log-mel, augmentation."""
+"""Deterministic audio processing: PCM, resampling, log-mel, augmentation.
 
-from .audio import (
-    AudioBuffer,
-    PcmFormatError,
-    WavFormatError,
-    pcm16_decode,
-    pcm16_encode,
-    read_wav,
-    round_half_away,
-    write_wav,
-    write_wav_bytes,
-)
-from .augment import AugmentError, MixResult, mix_noise_at_snr, random_shift
-from .detect import rms_detect
-from .logmel import (
-    LogMelConfig,
-    LogMelError,
-    LogMelFeature,
-    hz_to_mel,
-    logmel,
-    mel_band_centers_hz,
-    mel_filterbank,
-    mel_to_hz,
-)
-from .resample import Decimator3to1, ResampleError, resample_3to1
+A public name is imported from its submodule on first use, so the run path,
+which needs ``audio`` and ``resample``, does not load ``augment``.
+"""
 
-__all__ = [
-    "AudioBuffer",
-    "AugmentError",
-    "Decimator3to1",
-    "LogMelConfig",
-    "LogMelError",
-    "LogMelFeature",
-    "MixResult",
-    "PcmFormatError",
-    "ResampleError",
-    "WavFormatError",
-    "hz_to_mel",
-    "logmel",
-    "mel_band_centers_hz",
-    "mel_filterbank",
-    "mel_to_hz",
-    "mix_noise_at_snr",
-    "pcm16_decode",
-    "pcm16_encode",
-    "random_shift",
-    "read_wav",
-    "resample_3to1",
-    "rms_detect",
-    "round_half_away",
-    "write_wav",
-    "write_wav_bytes",
-]
+from .._lazy import lazy_exports
+
+# ``logmel`` names both a submodule and its function. Importing the function
+# here keeps it the package attribute, which ``import flowbot.dsp.logmel``
+# would otherwise replace with the submodule.
+from .logmel import logmel
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "audio": (
+        "AudioBuffer", "PcmFormatError", "WavFormatError", "pcm16_decode", "pcm16_encode",
+        "read_wav", "round_half_away", "write_wav", "write_wav_bytes",
+    ),
+    "augment": ("AugmentError", "MixResult", "mix_noise_at_snr", "random_shift"),
+    "detect": ("rms_detect",),
+    "logmel": (
+        "LogMelConfig", "LogMelError", "LogMelFeature", "hz_to_mel", "logmel",
+        "mel_band_centers_hz", "mel_filterbank", "mel_to_hz",
+    ),
+    "resample": ("Decimator3to1", "ResampleError", "resample_3to1"),
+})

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import io
 import wave
-from dataclasses import dataclass
 
 import numpy as np
+
+from ..flowcore.record import FrozenRecord
 
 
 class PcmFormatError(ValueError):
@@ -27,19 +28,18 @@ class WavFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AudioBuffer:
+class AudioBuffer(FrozenRecord):
     """Mono samples in [-1, 1] at a fixed rate."""
 
-    samples: np.ndarray
-    sample_rate_hz: int
+    __slots__ = _fields = ("samples", "sample_rate_hz")
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 1:
+    def __init__(self, samples: np.ndarray, sample_rate_hz: int):
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 1:
             raise ValueError("AudioBuffer holds mono 1-D samples")
-        if self.sample_rate_hz <= 0:
+        if sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be > 0")
+        self._init(samples, sample_rate_hz)
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +13,7 @@ class AugmentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MixResult:
+class MixResult(NamedTuple):
     buffer: AudioBuffer
     gain: float
     snr_db: float

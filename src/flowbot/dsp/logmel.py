@@ -12,12 +12,13 @@ filterbank are built once per :class:`LogMelConfig` and shared read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..flowcore.record import FrozenRecord
 from .audio import AudioBuffer
 
 
@@ -25,32 +26,41 @@ class LogMelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LogMelConfig:
-    n_mels: int = 40
-    frame_len_samples: int = 400
-    hop_samples: int = 160
-    fft_size: int = 512
-    fmin_hz: float = 20.0
-    fmax_hz: float = 7600.0
-    log_floor: float = 1e-10
-    sample_rate_hz: int = 16000
+class LogMelConfig(FrozenRecord):
+    """Front-end settings; hashable, since it keys the window and filterbank cache."""
 
-    def __post_init__(self):
-        if not (0 <= self.fmin_hz < self.fmax_hz <= self.sample_rate_hz / 2):
+    __slots__ = _fields = (
+        "n_mels", "frame_len_samples", "hop_samples", "fft_size",
+        "fmin_hz", "fmax_hz", "log_floor", "sample_rate_hz",
+    )
+
+    def __init__(
+        self,
+        n_mels: int = 40,
+        frame_len_samples: int = 400,
+        hop_samples: int = 160,
+        fft_size: int = 512,
+        fmin_hz: float = 20.0,
+        fmax_hz: float = 7600.0,
+        log_floor: float = 1e-10,
+        sample_rate_hz: int = 16000,
+    ):
+        if not (0 <= fmin_hz < fmax_hz <= sample_rate_hz / 2):
             raise LogMelError("need 0 <= fmin < fmax <= sample_rate/2")
-        if self.fft_size < self.frame_len_samples:
+        if fft_size < frame_len_samples:
             raise LogMelError("fft_size must be >= frame_len_samples")
-        if self.n_mels < 1:
+        if n_mels < 1:
             raise LogMelError("n_mels must be >= 1")
-        if self.hop_samples < 1:
+        if hop_samples < 1:
             raise LogMelError("hop_samples must be >= 1")
-        if self.log_floor <= 0:
+        if log_floor <= 0:
             raise LogMelError("log_floor must be > 0")
+        self._init(
+            n_mels, frame_len_samples, hop_samples, fft_size, fmin_hz, fmax_hz, log_floor, sample_rate_hz,
+        )
 
 
-@dataclass(frozen=True)
-class LogMelFeature:
+class LogMelFeature(NamedTuple):
     """frames x n_mels matrix plus the start time of every frame (seconds)."""
 
     matrix: np.ndarray

@@ -1,4 +1,8 @@
-"""Dataflow core: packets, policy streams, monitors, gates and the executor."""
+"""Dataflow core: packets, policy streams, monitors, gates and the executor.
+
+Every module loads with the package. :mod:`.record` holds the bases of the
+slotted value classes here and in the other packages.
+"""
 
 from .aggregator import (
     Aggregator,

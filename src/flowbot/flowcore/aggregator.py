@@ -19,40 +19,38 @@ chunk that it has had to hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import FrozenRecord
 
 
 class AggregatorConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AggregatorConfig:
-    window_samples: int
-    hop_samples: int
-    sample_rate_hz: int
+class AggregatorConfig(FrozenRecord):
+    __slots__ = _fields = ("window_samples", "hop_samples", "sample_rate_hz")
 
-    def __post_init__(self):
-        if not (0 < self.hop_samples <= self.window_samples):
+    def __init__(self, window_samples: int, hop_samples: int, sample_rate_hz: int):
+        if not (0 < hop_samples <= window_samples):
             raise AggregatorConfigError(
-                f"need 0 < hop_samples ({self.hop_samples}) <= window_samples ({self.window_samples})"
+                f"need 0 < hop_samples ({hop_samples}) <= window_samples ({window_samples})"
             )
-        if self.sample_rate_hz <= 0:
+        if sample_rate_hz <= 0:
             raise AggregatorConfigError("sample_rate_hz must be > 0")
+        self._init(window_samples, hop_samples, sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class SampleChunk:
+class SampleChunk(NamedTuple):
     """A rated run of mono samples, as emitted by capture devices."""
 
     samples: np.ndarray
     sample_rate_hz: int
 
 
-@dataclass(frozen=True)
-class AggWindow:
+class AggWindow(NamedTuple):
     """One complete window: ``index``-th emission, starting at ``start_sample``."""
 
     index: int

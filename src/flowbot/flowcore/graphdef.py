@@ -21,24 +21,25 @@ Values are read with :mod:`.schema`, raising :class:`SchemaError` at their path
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .latch import LatchState
+from .record import FrozenRecord
 from .schema import SchemaError, check_value, get_value
 from .stream import StreamPolicy, policy_from_json, policy_to_json
 from .watchdog import WatchdogConfig, WatchdogConfigError
 
 
-@dataclass(frozen=True)
-class NodeDef:
-    id: str
-    kind: str
-    params: dict = field(default_factory=dict)
+class NodeDef(FrozenRecord):
+    """A node to build; each one holds its own ``params`` dict."""
+
+    __slots__ = _fields = ("id", "kind", "params")
+
+    def __init__(self, id: str, kind: str, params: Optional[dict] = None):
+        self._init(id, kind, {} if params is None else params)
 
 
-@dataclass(frozen=True)
-class StreamDef:
+class StreamDef(NamedTuple):
     id: str
     from_node: str
     from_port: str
@@ -48,15 +49,13 @@ class StreamDef:
     watchdog: Optional[WatchdogConfig] = None
 
 
-@dataclass(frozen=True)
-class LatchDef:
+class LatchDef(NamedTuple):
     stream_id: str
     control_stream_id: str
     initial_state: LatchState = LatchState.CLOSED
 
 
-@dataclass(frozen=True)
-class GraphDef:
+class GraphDef(NamedTuple):
     nodes: tuple[NodeDef, ...] = ()
     streams: tuple[StreamDef, ...] = ()
     latches: tuple[LatchDef, ...] = ()

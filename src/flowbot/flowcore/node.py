@@ -7,14 +7,12 @@ arrive; poll-driven nodes schedule timers and pull from their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .packet import Packet
 
 
-@dataclass(frozen=True)
-class PortSpec:
+class PortSpec(NamedTuple):
     """Declared port: ``type_tag`` is documentation plus the control-bit check."""
 
     type_tag: str = "any"

@@ -63,8 +63,7 @@ import heapq
 import itertools
 import json
 import time as _time
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,6 +74,7 @@ from .graphdef import GraphDef
 from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
+from .record import Record
 from .schema import SchemaError, check_value, get_value
 from .stream import Stream
 from .validation import Diagnostic, build_nodes, check_wiring
@@ -101,8 +101,7 @@ class GraphValidationError(ValueError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(frozen=True)
-class StopCondition:
+class StopCondition(NamedTuple):
     """Run until source exhaustion unless a time limit or packet budget hits.
 
     The time limit is exclusive: events at exactly ``time_limit_us`` do not
@@ -126,21 +125,33 @@ class RunCollector:
         return self.extras.setdefault(name, [])
 
 
-@dataclass
-class RunReport:
-    status: str
-    stop_reason: str
-    end_time_us: int
-    seed: int
-    streams: dict
-    latches: dict
-    skill_invocations: list
-    skill_failures: list
-    uart_hex: str
-    extras: dict
-    events: list
-    nodes: dict
-    failed_node: Optional[str] = None
+class RunReport(Record):
+    __slots__ = _fields = (
+        "status", "stop_reason", "end_time_us", "seed", "streams", "latches",
+        "skill_invocations", "skill_failures", "uart_hex", "extras", "events",
+        "nodes", "failed_node",
+    )
+
+    def __init__(
+        self,
+        status: str,
+        stop_reason: str,
+        end_time_us: int,
+        seed: int,
+        streams: dict,
+        latches: dict,
+        skill_invocations: list,
+        skill_failures: list,
+        uart_hex: str,
+        extras: dict,
+        events: list,
+        nodes: dict,
+        failed_node: Optional[str] = None,
+    ):
+        self._init(
+            status, stop_reason, end_time_us, seed, streams, latches, skill_invocations,
+            skill_failures, uart_hex, extras, events, nodes, failed_node,
+        )
 
     def to_json(self) -> dict:
         return {

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import Optional, Union
 
 from .packet import Packet, runs_to_json
+from .record import FrozenRecord
 from .schema import get_value
 from .watchdog import Violation, ViolationKind, WatchdogConfig
 
@@ -25,8 +25,7 @@ class StreamConfigError(ValueError):
     """Raised for an invalid stream policy or a policy/usage mismatch."""
 
 
-@dataclass(frozen=True)
-class LossyPolicy:
+class LossyPolicy(FrozenRecord):
     """Bounded delivery: overflow drops the oldest packet instead of blocking.
 
     ``max_successive_misses`` is the permitted run of consecutive evictions;
@@ -34,31 +33,29 @@ class LossyPolicy:
     the bound.
     """
 
-    capacity: int
-    max_successive_misses: Optional[int] = None
+    __slots__ = _fields = ("capacity", "max_successive_misses")
+    kind = "lossy"
 
-    kind: ClassVar[str] = "lossy"
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise StreamConfigError(f"lossy capacity must be >= 1, got {self.capacity}")
-        if self.max_successive_misses is not None and self.max_successive_misses < 0:
+    def __init__(self, capacity: int, max_successive_misses: Optional[int] = None):
+        if capacity < 1:
+            raise StreamConfigError(f"lossy capacity must be >= 1, got {capacity}")
+        if max_successive_misses is not None and max_successive_misses < 0:
             raise StreamConfigError("max_successive_misses must be >= 0")
+        self._init(capacity, max_successive_misses)
 
 
-@dataclass(frozen=True)
-class LosslessPolicy:
+class LosslessPolicy(FrozenRecord):
     """Unbounded delivery: never drops, but each packet should be consumed
     within ``deadline_us`` of its timestamp. Late packets are still delivered
     and the lateness is recorded as a LatencyExceeded violation."""
 
-    deadline_us: int
+    __slots__ = _fields = ("deadline_us",)
+    kind = "lossless"
 
-    kind: ClassVar[str] = "lossless"
-
-    def __post_init__(self):
-        if self.deadline_us <= 0:
-            raise StreamConfigError(f"deadline_us must be > 0, got {self.deadline_us}")
+    def __init__(self, deadline_us: int):
+        if deadline_us <= 0:
+            raise StreamConfigError(f"deadline_us must be > 0, got {deadline_us}")
+        self._init(deadline_us)
 
 
 StreamPolicy = Union[LossyPolicy, LosslessPolicy]

@@ -11,14 +11,13 @@ wiring check skips the streams' ends at that node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphdef import GraphDef
 from .node import Node, NodeKindRegistry, UnknownNodeKind
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     location: str
     reason: str

@@ -9,10 +9,10 @@ the first observed event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from .record import FrozenRecord
 from .schema import get_value
 
 
@@ -22,8 +22,7 @@ class ViolationKind(str, Enum):
     BACKPRESSURE_MISS_LIMIT = "BackpressureMissLimit"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     at_us: int
     observed: float
@@ -42,21 +41,24 @@ class WatchdogConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WatchdogConfig:
+class WatchdogConfig(FrozenRecord):
     """Bounds to enforce; any bound may be individually disabled with None."""
 
-    max_latency_us: Optional[int] = None
-    min_throughput_hz: Optional[float] = None
-    window_us: Optional[int] = None
+    __slots__ = _fields = ("max_latency_us", "min_throughput_hz", "window_us")
 
-    def __post_init__(self):
-        for key in ("max_latency_us", "min_throughput_hz", "window_us"):
+    def __init__(
+        self,
+        max_latency_us: Optional[int] = None,
+        min_throughput_hz: Optional[float] = None,
+        window_us: Optional[int] = None,
+    ):
+        self._init(max_latency_us, min_throughput_hz, window_us)
+        for key in self._fields:
             value = getattr(self, key)
             # false for NaN too, which would otherwise switch the bound off
             if value is not None and not 0 < value < math.inf:
                 raise WatchdogConfigError(f"{key} must be finite and > 0 when enabled, got {value!r:.40}")
-        if self.min_throughput_hz is not None and self.window_us is None:
+        if min_throughput_hz is not None and window_us is None:
             raise WatchdogConfigError("min_throughput_hz requires window_us")
 
     def to_json(self) -> dict:

@@ -1,4 +1,8 @@
-"""Simulated devices, the reference speech pipeline, scenarios and the CLI."""
+"""Simulated devices, the reference speech pipeline, scenarios and the CLI.
+
+Every module loads with the package. The CLI imports ``perception`` and
+``robotics.sweep`` only inside the ``params`` and ``scan`` commands.
+"""
 
 from .config import load_graph_config, load_scan_scene, packaged_graph
 from .nodes import (

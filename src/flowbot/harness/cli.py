@@ -17,9 +17,7 @@ import sys
 from ..flowcore.runtime import GraphValidationError
 from ..flowcore.schema import SchemaError, check_value
 from ..flowcore.validation import validate_graph
-from ..perception.layers import kws_reference_table
 from ..robotics.geometry import BeamMode
-from ..robotics.sweep import scan_points_to_csv, scan_to_points
 from .config import load_graph_config, load_scan_scene, packaged_graph
 from .nodes import harness_kind_registry
 from .reference import report_to_json_str, run_scenario
@@ -91,11 +89,15 @@ def _validation_env() -> dict:
 
 
 def _cmd_params(args) -> int:
+    from ..perception.layers import kws_reference_table
+
     print(kws_reference_table().format())
     return 0
 
 
 def _cmd_scan(args) -> int:
+    from ..robotics.sweep import scan_points_to_csv, scan_to_points
+
     mode = BeamMode.PAPER if args.mode == "paper" else BeamMode.TRIG
     try:
         raw, config, climb = _load(load_scan_scene, "--scene", args.scene)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from ..flowcore.graphdef import GraphDef, graph_from_json
 from ..flowcore.schema import SchemaError, check_value, get_value
 from ..robotics.geometry import echo_round_trip_s
-from ..robotics.sweep import SweepConfig
+
+#: the JSON documents shipped in ``flowbot/configs``
+_CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def load_graph_config(source) -> GraphDef:
@@ -39,6 +41,8 @@ def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
     the round trip of ``distance_m`` when ``t_s`` is null), the sweep config
     and the climb height.
     """
+    from ..robotics.sweep import SweepConfig  # only the scan command needs it
+
     if isinstance(source, dict):
         doc = source
     else:
@@ -62,7 +66,8 @@ def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
 
 
 def packaged_config_text(name: str) -> str:
-    return resources.files("flowbot.configs").joinpath(name).read_text(encoding="utf-8")
+    with open(os.path.join(_CONFIG_DIR, name), "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def packaged_graph(name: str = "reference_pipeline.json") -> GraphDef:

@@ -17,8 +17,8 @@ handler that raises is recorded as a skill failure without stopping the run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ from ..skills.registry import SkillRegistry
 from ..skills.types import Interpretation, SessionState, SkillLevel
 
 
-@dataclass(frozen=True)
-class DeviceSample:
+class DeviceSample(NamedTuple):
     """Raw sample from one input device, as handed to the I/O manager."""
 
     device_id: str

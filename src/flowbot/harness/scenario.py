@@ -23,8 +23,7 @@ audio, and an annotation that ends beyond it is ``annotations[i].end_s``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,14 +35,12 @@ from ..flowcore.schema import SchemaError, check_value, get_value
 ScenarioError = SchemaError
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     start_s: float
     end_s: float
 
 
-@dataclass(frozen=True)
-class ScenarioScript:
+class ScenarioScript(NamedTuple):
     audio: dict
     annotations: tuple[Annotation, ...] = ()
     interpreter_script: tuple[dict, ...] = ()
@@ -108,7 +105,8 @@ def synthesize_audio(spec: dict, seed: int = 0) -> AudioBuffer:
     try:
         n = int(round(duration_s * rate))
         t = np.arange(n) / rate
-    except (OverflowError, ValueError) as exc:
+    # numpy's "Unable to allocate" is a MemoryError
+    except (OverflowError, ValueError, MemoryError) as exc:
         raise SchemaError(f"{path}.duration_s", f"{duration_s:g} s is too long: {exc}") from exc
     if kind == "silence":
         samples = np.zeros(n)

@@ -1,66 +1,28 @@
-"""Embedding matching, int8 quantization, pixel normalization, param counts."""
+"""Embedding matching, int8 quantization, pixel normalization, param counts.
 
-from .embedding import (
-    EMBEDDING_DIM,
-    EmbeddingError,
-    Identity,
-    PredicateMode,
-    Unknown,
-    as_embedding,
-    identifier_predicate,
-    identify,
-    l2_squared,
-    load_gallery,
-    save_gallery,
-)
-from .image import ImageError, normalize_image
-from .layers import (
-    LayerSpec,
-    LayerSpecError,
-    ParamRow,
-    ParamTable,
-    kws_reference_layers,
-    kws_reference_table,
-    layer_param_count,
-    model_param_table,
-)
-from .quantize import (
-    INT8_MAX,
-    INT8_MIN,
-    QuantError,
-    QuantParams,
-    dequantize,
-    quantize,
-    representable_range,
-)
+A public name is imported from its submodule on first use; ``flowbot run``
+loads none of them.
+"""
 
-__all__ = [
-    "EMBEDDING_DIM",
-    "EmbeddingError",
-    "INT8_MAX",
-    "INT8_MIN",
-    "Identity",
-    "ImageError",
-    "LayerSpec",
-    "LayerSpecError",
-    "ParamRow",
-    "ParamTable",
-    "PredicateMode",
-    "QuantError",
-    "QuantParams",
-    "Unknown",
-    "as_embedding",
-    "dequantize",
-    "identifier_predicate",
-    "identify",
-    "kws_reference_layers",
-    "kws_reference_table",
-    "l2_squared",
-    "layer_param_count",
-    "load_gallery",
-    "model_param_table",
-    "normalize_image",
-    "quantize",
-    "representable_range",
-    "save_gallery",
-]
+from .._lazy import lazy_exports
+
+# ``quantize`` names both a submodule and its function. Importing the function
+# here keeps it the package attribute, which ``import
+# flowbot.perception.quantize`` would otherwise replace with the submodule.
+from .quantize import quantize
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "embedding": (
+        "EMBEDDING_DIM", "EmbeddingError", "Identity", "PredicateMode", "Unknown", "as_embedding",
+        "identifier_predicate", "identify", "l2_squared", "load_gallery", "save_gallery",
+    ),
+    "image": ("ImageError", "normalize_image"),
+    "layers": (
+        "LayerSpec", "LayerSpecError", "ParamRow", "ParamTable", "kws_reference_layers",
+        "kws_reference_table", "layer_param_count", "model_param_table",
+    ),
+    "quantize": (
+        "INT8_MAX", "INT8_MIN", "QuantError", "QuantParams", "dequantize", "quantize",
+        "representable_range",
+    ),
+})

@@ -9,9 +9,8 @@ kept as an explicit alternative convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -53,14 +52,12 @@ def identifier_predicate(
     return 1 if s <= threshold else 0
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     name: str
     score: float
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     min_score: float
 
 

@@ -9,8 +9,9 @@ channel count, so it carries a pinned count and is flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from ..flowcore.record import FrozenRecord
 
 DENSE_KINDS = ("lin", "dnn", "softmax")
 
@@ -19,33 +20,38 @@ class LayerSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    n: int
-    m: Optional[int] = None
-    r: Optional[int] = None
-    p: Optional[int] = None
-    q: Optional[int] = None
-    in_channels: Optional[int] = None
-    in_features: Optional[int] = None
-    #: pinned parameter count for rows whose published figure cannot be
-    #: reproduced from the listed hyperparameters
-    count_override: Optional[int] = None
+class LayerSpec(FrozenRecord):
+    """One layer's hyperparameters. ``count_override`` pins the parameter
+    count of a row whose published figure cannot be reproduced from the
+    listed hyperparameters."""
 
-    def __post_init__(self):
-        if self.kind not in ("conv",) + DENSE_KINDS:
-            raise LayerSpecError(f"unknown layer kind {self.kind!r}")
-        if self.n <= 0:
+    __slots__ = _fields = ("kind", "n", "m", "r", "p", "q", "in_channels", "in_features", "count_override")
+
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        m: Optional[int] = None,
+        r: Optional[int] = None,
+        p: Optional[int] = None,
+        q: Optional[int] = None,
+        in_channels: Optional[int] = None,
+        in_features: Optional[int] = None,
+        count_override: Optional[int] = None,
+    ):
+        self._init(kind, n, m, r, p, q, in_channels, in_features, count_override)
+        if kind not in ("conv",) + DENSE_KINDS:
+            raise LayerSpecError(f"unknown layer kind {kind!r}")
+        if n <= 0:
             raise LayerSpecError("n must be > 0")
-        if self.kind == "conv" and self.count_override is None:
+        if kind == "conv" and count_override is None:
             for field_name in ("m", "r", "in_channels"):
                 value = getattr(self, field_name)
                 if value is None or value <= 0:
                     raise LayerSpecError(f"conv layer needs positive {field_name}")
-        if self.kind in DENSE_KINDS:
-            if self.in_features is None or self.in_features <= 0:
-                raise LayerSpecError(f"{self.kind} layer needs positive in_features")
+        if kind in DENSE_KINDS:
+            if in_features is None or in_features <= 0:
+                raise LayerSpecError(f"{kind} layer needs positive in_features")
 
     @property
     def derivable(self) -> bool:
@@ -60,15 +66,13 @@ def layer_param_count(spec: LayerSpec) -> int:
     return spec.in_features * spec.n
 
 
-@dataclass(frozen=True)
-class ParamRow:
+class ParamRow(NamedTuple):
     kind: str
     count: int
     derivable: bool
 
 
-@dataclass(frozen=True)
-class ParamTable:
+class ParamTable(NamedTuple):
     rows: tuple[ParamRow, ...]
     total: int
 

@@ -8,11 +8,10 @@ any x inside the representable range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..dsp.audio import round_half_away
+from ..flowcore.record import FrozenRecord
 
 INT8_MIN = -128
 INT8_MAX = 127
@@ -22,17 +21,15 @@ class QuantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuantParams:
-    scale: float
-    zero_point: int = 0
-    symmetric: bool = True
+class QuantParams(FrozenRecord):
+    __slots__ = _fields = ("scale", "zero_point", "symmetric")
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise QuantError(f"scale must be > 0, got {self.scale}")
-        if self.symmetric and self.zero_point != 0:
+    def __init__(self, scale: float, zero_point: int = 0, symmetric: bool = True):
+        if scale <= 0:
+            raise QuantError(f"scale must be > 0, got {scale}")
+        if symmetric and zero_point != 0:
             raise QuantError("symmetric quantization requires zero_point == 0")
+        self._init(scale, zero_point, symmetric)
 
 
 def quantize(x, params: QuantParams):

@@ -14,8 +14,9 @@ occupies 10 bit-times, so one command word takes 20/115200 s on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from ..flowcore.record import FrozenRecord
 
 RESERVED_MASK = 0xFC00
 DIRECTION_SHIFT = 8
@@ -39,16 +40,15 @@ class Direction(Enum):
     RIGHT_BACKWARD = 0b11
 
 
-@dataclass(frozen=True)
-class LocomotionCommand:
-    direction: Direction
-    speed: int
+class LocomotionCommand(FrozenRecord):
+    __slots__ = _fields = ("direction", "speed")
 
-    def __post_init__(self):
-        if not isinstance(self.direction, Direction):
-            raise CodecError(f"invalid direction {self.direction!r}")
-        if not (0 <= self.speed <= 255):
-            raise CodecError(f"speed {self.speed} out of [0, 255]")
+    def __init__(self, direction: Direction, speed: int):
+        if not isinstance(direction, Direction):
+            raise CodecError(f"invalid direction {direction!r}")
+        if not (0 <= speed <= 255):
+            raise CodecError(f"speed {speed} out of [0, 255]")
+        self._init(direction, speed)
 
     @property
     def stopped(self) -> bool:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from ..flowcore.record import FrozenRecord
 
 from .geometry import (
     BeamMode,
@@ -29,22 +30,27 @@ class SweepConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    theta_min_deg: float = 0.0
-    theta_max_deg: float = 120.0
-    step_deg: float = 30.0
-    servo_latency_s_per_60deg: float = SERVO_LATENCY_S_PER_60DEG
-    c_air_mps: float = SPEED_OF_SOUND_MPS
-    d_max_m: float = 2.5
+class SweepConfig(FrozenRecord):
+    __slots__ = _fields = (
+        "theta_min_deg", "theta_max_deg", "step_deg", "servo_latency_s_per_60deg", "c_air_mps", "d_max_m",
+    )
 
-    def __post_init__(self):
-        if not (0.0 <= self.theta_min_deg < self.theta_max_deg <= 120.0):
+    def __init__(
+        self,
+        theta_min_deg: float = 0.0,
+        theta_max_deg: float = 120.0,
+        step_deg: float = 30.0,
+        servo_latency_s_per_60deg: float = SERVO_LATENCY_S_PER_60DEG,
+        c_air_mps: float = SPEED_OF_SOUND_MPS,
+        d_max_m: float = 2.5,
+    ):
+        if not (0.0 <= theta_min_deg < theta_max_deg <= 120.0):
             raise SweepConfigError("need 0 <= theta_min < theta_max <= 120")
-        if self.step_deg <= 0:
+        if step_deg <= 0:
             raise SweepConfigError("step_deg must be > 0")
-        if self.servo_latency_s_per_60deg <= 0 or self.c_air_mps <= 0 or self.d_max_m <= 0:
+        if servo_latency_s_per_60deg <= 0 or c_air_mps <= 0 or d_max_m <= 0:
             raise SweepConfigError("timing and range parameters must be > 0")
+        self._init(theta_min_deg, theta_max_deg, step_deg, servo_latency_s_per_60deg, c_air_mps, d_max_m)
 
     @property
     def dwell_s(self) -> float:
@@ -64,15 +70,13 @@ def sweep_angles(config: SweepConfig) -> list[float]:
     return angles
 
 
-@dataclass(frozen=True)
-class SweepStop:
+class SweepStop(NamedTuple):
     theta_deg: float
     earliest_time_s: float
     travel_s: float
 
 
-@dataclass(frozen=True)
-class SweepSchedule:
+class SweepSchedule(NamedTuple):
     stops: tuple[SweepStop, ...]
     total_travel_s: float
     total_time_s: float
@@ -101,8 +105,7 @@ class EchoClass(Enum):
     OBSTACLE = "obstacle"
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     theta_deg: float
     classification: EchoClass
     time_of_flight_s: Optional[float] = None

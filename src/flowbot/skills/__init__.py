@@ -1,70 +1,24 @@
-"""Skill registry, dispatch and the slot-filling manager."""
+"""Skill registry, dispatch and the slot-filling manager.
 
-from .builtin import (
-    CapabilityError,
-    LowLevelContext,
-    SkillContext,
-    demo_descriptors,
-    register_demo_skills,
-)
-from .manager import (
-    Action,
-    Execute,
-    ManagerConfig,
-    Prompt,
-    Reject,
-    RejectReason,
-    SkillManager,
-    TIMEOUT,
-)
-from .registry import SkillEvent, SkillRegistry
-from .types import (
-    DuplicateSkillError,
-    EntitySpec,
-    EntityType,
-    ExecutionPolicy,
-    Interpretation,
-    MissingEntitiesError,
-    SessionState,
-    SkillDescriptor,
-    SkillError,
-    SkillLevel,
-    SkillNotFoundError,
-    SkillSession,
-    UnknownSessionError,
-    descriptor_from_json,
-    load_catalog,
-)
+A public name is imported from its submodule on first use.
+"""
 
-__all__ = [
-    "Action",
-    "CapabilityError",
-    "DuplicateSkillError",
-    "EntitySpec",
-    "EntityType",
-    "Execute",
-    "ExecutionPolicy",
-    "Interpretation",
-    "LowLevelContext",
-    "ManagerConfig",
-    "MissingEntitiesError",
-    "Prompt",
-    "Reject",
-    "RejectReason",
-    "SessionState",
-    "SkillContext",
-    "SkillDescriptor",
-    "SkillError",
-    "SkillEvent",
-    "SkillLevel",
-    "SkillManager",
-    "SkillNotFoundError",
-    "SkillRegistry",
-    "SkillSession",
-    "TIMEOUT",
-    "UnknownSessionError",
-    "demo_descriptors",
-    "descriptor_from_json",
-    "load_catalog",
-    "register_demo_skills",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__ = lazy_exports(__name__, {
+    "builtin": (
+        "CapabilityError", "LowLevelContext", "SkillContext", "demo_descriptors",
+        "register_demo_skills",
+    ),
+    "manager": (
+        "Action", "Execute", "ManagerConfig", "Prompt", "Reject", "RejectReason", "SkillManager",
+        "TIMEOUT",
+    ),
+    "registry": ("SkillEvent", "SkillRegistry"),
+    "types": (
+        "DuplicateSkillError", "EntitySpec", "EntityType", "ExecutionPolicy", "Interpretation",
+        "MissingEntitiesError", "SessionState", "SkillDescriptor", "SkillError", "SkillLevel",
+        "SkillNotFoundError", "SkillSession", "UnknownSessionError", "descriptor_from_json",
+        "load_catalog",
+    ),
+})

@@ -7,9 +7,9 @@ effects are simulated: they land in the facade's logs or device sinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..flowcore.record import Record
 from ..robotics.locomotion import Direction, LocomotionCommand
 from .registry import SkillRegistry
 from .types import EntitySpec, EntityType, SkillDescriptor, SkillLevel
@@ -19,14 +19,22 @@ class CapabilityError(RuntimeError):
     pass
 
 
-@dataclass
-class SkillContext:
+class SkillContext(Record):
     """Abstract facade injected into high-level skill handlers."""
 
-    speak_fn: Callable[[str], None]
-    notify_fn: Optional[Callable[[str], None]] = None
-    state: dict = field(default_factory=dict)
-    schedule_store: list = field(default_factory=list)
+    __slots__ = _fields = ("speak_fn", "notify_fn", "state", "schedule_store")
+
+    def __init__(
+        self,
+        speak_fn: Callable[[str], None],
+        notify_fn: Optional[Callable[[str], None]] = None,
+        state: Optional[dict] = None,
+        schedule_store: Optional[list] = None,
+    ):
+        self.speak_fn = speak_fn
+        self.notify_fn = notify_fn
+        self.state = {} if state is None else state
+        self.schedule_store = [] if schedule_store is None else schedule_store
 
     def speak(self, text: str) -> None:
         self.speak_fn(text)
@@ -41,11 +49,22 @@ class SkillContext:
         self.schedule_store.append({"when": when, "note": note})
 
 
-@dataclass
 class LowLevelContext(SkillContext):
     """Facade extension for developer skills with device access."""
 
-    locomotion_fn: Optional[Callable[[LocomotionCommand], None]] = None
+    __slots__ = ("locomotion_fn",)
+    _fields = SkillContext._fields + __slots__
+
+    def __init__(
+        self,
+        speak_fn: Callable[[str], None],
+        notify_fn: Optional[Callable[[str], None]] = None,
+        state: Optional[dict] = None,
+        schedule_store: Optional[list] = None,
+        locomotion_fn: Optional[Callable[[LocomotionCommand], None]] = None,
+    ):
+        super().__init__(speak_fn, notify_fn, state, schedule_store)
+        self.locomotion_fn = locomotion_fn
 
     def emit_locomotion(self, cmd: LocomotionCommand) -> None:
         if self.locomotion_fn is None:

@@ -10,9 +10,8 @@ Execute or Aborted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .registry import SkillRegistry
 from .types import (
@@ -29,22 +28,19 @@ class RejectReason(Enum):
     SESSION_ABORTED = "session_aborted"
 
 
-@dataclass(frozen=True)
-class Execute:
+class Execute(NamedTuple):
     skill_id: str
     entities: dict
     session_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Prompt:
+class Prompt(NamedTuple):
     session_id: str
     entity_name: str
     prompt_text: str
 
 
-@dataclass(frozen=True)
-class Reject:
+class Reject(NamedTuple):
     reason: RejectReason
     detail: str = ""
 
@@ -55,8 +51,7 @@ Action = Union[Execute, Prompt, Reject]
 TIMEOUT = object()
 
 
-@dataclass(frozen=True)
-class ManagerConfig:
+class ManagerConfig(NamedTuple):
     confidence_floor: float = 0.5
     reprompt_limit: int = 2
 

@@ -9,8 +9,7 @@ exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .types import (
     DuplicateSkillError,
@@ -20,8 +19,7 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class SkillEvent:
+class SkillEvent(NamedTuple):
     kind: str  # "invoked" | "failed"
     skill_id: str
     entities: dict

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, Optional
 
+from ..flowcore.record import FrozenRecord, Record
 from ..flowcore.schema import SchemaError, check_value, get_value
 
 
@@ -40,8 +41,7 @@ class EntityType(Enum):
     PERSON_NAME = "person_name"
 
 
-@dataclass(frozen=True)
-class EntitySpec:
+class EntitySpec(NamedTuple):
     name: str
     type: EntityType = EntityType.TEXT
 
@@ -56,32 +56,34 @@ class SkillLevel(Enum):
     LOW_LEVEL = "low"
 
 
-@dataclass(frozen=True)
-class SkillDescriptor:
+class SkillDescriptor(FrozenRecord):
     """What a skill needs before it can run and how it executes.
 
     High-level skills see only the abstract capability facade; low-level
     skills additionally get device outputs (e.g. the locomotion stream).
     """
 
-    id: str
-    required_entities: tuple[EntitySpec, ...] = ()
-    optional_entities: tuple[EntitySpec, ...] = ()
-    execution_policy: ExecutionPolicy = ExecutionPolicy.INLINE
-    level: SkillLevel = SkillLevel.HIGH_LEVEL
+    __slots__ = _fields = ("id", "required_entities", "optional_entities", "execution_policy", "level")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        required_entities: tuple[EntitySpec, ...] = (),
+        optional_entities: tuple[EntitySpec, ...] = (),
+        execution_policy: ExecutionPolicy = ExecutionPolicy.INLINE,
+        level: SkillLevel = SkillLevel.HIGH_LEVEL,
+    ):
+        if not id:
             raise SkillError("skill id must be nonempty")
-        object.__setattr__(self, "required_entities", tuple(self.required_entities))
-        object.__setattr__(self, "optional_entities", tuple(self.optional_entities))
-        req = [e.name for e in self.required_entities]
-        opt = [e.name for e in self.optional_entities]
+        required_entities, optional_entities = tuple(required_entities), tuple(optional_entities)
+        req = [e.name for e in required_entities]
+        opt = [e.name for e in optional_entities]
         if len(set(req)) != len(req) or len(set(opt)) != len(opt):
-            raise SkillError(f"skill {self.id!r} declares a duplicate entity name")
+            raise SkillError(f"skill {id!r} declares a duplicate entity name")
         clash = set(req) & set(opt)
         if clash:
-            raise SkillError(f"skill {self.id!r}: entities both required and optional: {sorted(clash)}")
+            raise SkillError(f"skill {id!r}: entities both required and optional: {sorted(clash)}")
+        self._init(id, required_entities, optional_entities, execution_policy, level)
 
     @property
     def declared_entity_names(self) -> set[str]:
@@ -91,18 +93,16 @@ class SkillDescriptor:
         return [e.name for e in self.required_entities if e.name not in entities]
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(FrozenRecord):
     """A recognized command: skill id, entity values and the recognizer's
     confidence. An empty skill_id marks a bare entity answer to a prompt."""
 
-    skill_id: str
-    entities: dict = field(default_factory=dict)
-    confidence: float = 1.0
+    __slots__ = _fields = ("skill_id", "entities", "confidence")
 
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise SkillError(f"confidence {self.confidence} outside [0, 1]")
+    def __init__(self, skill_id: str, entities: Optional[dict] = None, confidence: float = 1.0):
+        if not (0.0 <= confidence <= 1.0):
+            raise SkillError(f"confidence {confidence} outside [0, 1]")
+        self._init(skill_id, {} if entities is None else entities, confidence)
 
 
 class SessionState(Enum):
@@ -112,14 +112,22 @@ class SessionState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
-class SkillSession:
-    session_id: str
-    descriptor: SkillDescriptor
-    filled: dict = field(default_factory=dict)
-    missing: list[str] = field(default_factory=list)
-    reprompts_used: int = 0
-    state: SessionState = SessionState.FILLING
+class SkillSession(Record):
+    __slots__ = _fields = ("session_id", "descriptor", "filled", "missing", "reprompts_used", "state")
+
+    def __init__(
+        self,
+        session_id: str,
+        descriptor: SkillDescriptor,
+        filled: Optional[dict] = None,
+        missing: Optional[list[str]] = None,
+        reprompts_used: int = 0,
+        state: SessionState = SessionState.FILLING,
+    ):
+        self._init(
+            session_id, descriptor, {} if filled is None else filled,
+            [] if missing is None else missing, reprompts_used, state,
+        )
 
 
 def _key(path: str, key: str) -> str:

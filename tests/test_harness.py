@@ -656,6 +656,9 @@ SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}
         ({"audio": SILENCE_4S, "time_limit_s": 1e303}, "time_limit_s"),
         ({"audio": {"synthetic": {"kind": "silence", "duration_s": 1e300}}},
          "audio.synthetic.duration_s"),
+        # 1.1 EiB of samples: numpy fails to allocate it on any host
+        ({"audio": {"synthetic": {"kind": "silence", "duration_s": 1e13}}, "time_limit_s": 1.0},
+         "audio.synthetic.duration_s"),
     ],
 )
 def test_cli_malformed_scenario_exits_2_naming_its_path(tmp_path, capsys, doc, path):
