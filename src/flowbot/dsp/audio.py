@@ -5,9 +5,14 @@ rounds half away from zero and clamps to [-32768, 32767], so
 ``decode(encode(decode(b))) == decode(b)`` bit-exactly.
 
 Decoding is one pass: each int16 is cast to float64 and multiplied by
-``1 / 32768`` into the output array, with no float64 temporary. Every int16
-is exact in float64 and ``1 / 32768 == 2**-15`` is a power of two, so the
-product only shifts the exponent and equals ``q / 32768`` bit for bit.
+``PCM16_SCALE = 2**-15`` into the output array, with no float64 temporary.
+Every int16 is exact in float64 and ``2**-15`` is a power of two, so the
+product only shifts the exponent and equals ``q / 32768`` bit for bit. The
+same holds wherever else the product is formed, so a consumer may keep the
+int16 codes and apply the scale later, in a copy it makes anyway: a
+scenario run carries its WAV audio as the int16 view that
+:func:`read_wav_pcm16` returns, and the aggregator and the resampler scale
+it as they copy it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ import wave
 import numpy as np
 
 from ..flowcore.record import FrozenRecord
+
+
+#: The float value of PCM16 code ``q`` is ``q * PCM16_SCALE``.
+PCM16_SCALE = 2.0**-15
 
 
 class PcmFormatError(ValueError):
@@ -58,7 +67,7 @@ def round_half_away(x):
 def pcm16_decode(data: bytes, sample_rate_hz: int = 16000) -> AudioBuffer:
     if len(data) % 2 != 0:
         raise PcmFormatError(f"PCM16 byte stream has odd length {len(data)}")
-    samples = np.multiply(np.frombuffer(data, dtype="<i2"), 1.0 / 32768.0, dtype=np.float64)
+    samples = np.multiply(np.frombuffer(data, dtype="<i2"), PCM16_SCALE, dtype=np.float64)
     return AudioBuffer(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
@@ -68,10 +77,12 @@ def pcm16_encode(buffer: AudioBuffer) -> bytes:
     return clamped.tobytes()
 
 
-def read_wav(path) -> AudioBuffer:
-    """Read a RIFF PCM16 file; stereo input keeps the first channel only.
+def read_wav_pcm16(path) -> tuple[np.ndarray, int]:
+    """Read a RIFF PCM16 file as its first channel's int16 codes and its rate.
 
-    Compressed or non-16-bit formats are rejected with WavFormatError.
+    The codes are a read-only view of the file's data bytes, strided for
+    stereo input. Compressed, non-16-bit or malformed files, and a rate of
+    0, are rejected with WavFormatError.
     """
     try:
         with wave.open(str(path), "rb") as wf:
@@ -85,10 +96,20 @@ def read_wav(path) -> AudioBuffer:
         raise WavFormatError("truncated WAV file") from exc
     if sampwidth != 2:
         raise WavFormatError(f"expected 16-bit PCM, got {8 * sampwidth}-bit")
-    buf = pcm16_decode(frames, sample_rate_hz=rate)
-    if nchannels > 1:
-        buf = AudioBuffer(samples=buf.samples[::nchannels], sample_rate_hz=rate)
-    return buf
+    if len(frames) % 2 != 0:  # a data chunk cut short inside a sample
+        raise WavFormatError(f"PCM16 data has odd length {len(frames)}")
+    if rate <= 0:
+        raise WavFormatError(f"sample rate must be > 0, got {rate}")
+    return np.frombuffer(frames, dtype="<i2")[::nchannels], rate
+
+
+def read_wav(path) -> AudioBuffer:
+    """Read a RIFF PCM16 file; stereo input keeps the first channel only.
+
+    :func:`read_wav_pcm16` decoded to floats, so its errors are this one's.
+    """
+    pcm, rate = read_wav_pcm16(path)
+    return AudioBuffer(samples=np.multiply(pcm, PCM16_SCALE, dtype=np.float64), sample_rate_hz=rate)
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:

@@ -45,18 +45,25 @@ class Decimator3to1:
         self._hist = np.zeros(FILTER_TAPS - 1)
         self._consumed = 0
 
-    def process(self, samples) -> np.ndarray:
-        x = np.asarray(samples, dtype=np.float64)
-        buf = np.concatenate([self._hist, x])
+    def process(self, samples, scale: float = 1.0) -> np.ndarray:
+        """Filter the input values ``samples * scale``, with the scale
+        applied as they are copied in after the history."""
+        n = len(samples)
+        buf = np.empty(FILTER_TAPS - 1 + n)
+        buf[: FILTER_TAPS - 1] = self._hist
+        np.multiply(samples, scale, out=buf[FILTER_TAPS - 1 :])
         # span j of buf (159 samples from j) gives the filter output at input
         # index consumed + j; keep the spans j0, j0 + 3, ...
         j0 = (-self._consumed) % 3
         n_out = -(-(len(buf) - FILTER_TAPS + 1 - j0) // 3)
-        out = np.zeros(n_out)
-        if n_out:  # else a branch may be shorter than its taps, and np.correlate swaps them
-            for r, branch in enumerate(_BRANCHES):
-                out += np.correlate(buf[j0 + r :: 3], branch, mode="valid")[:n_out]
-        self._consumed += len(x)
+        if not n_out:  # else a branch may be shorter than its taps, and np.correlate swaps them
+            out = np.zeros(0)
+        else:  # summed into the first branch's output, so an all -0.0 sum stays -0.0
+            b0, b1, b2 = _BRANCHES
+            out = np.correlate(buf[j0::3], b0, mode="valid")[:n_out]
+            out += np.correlate(buf[j0 + 1 :: 3], b1, mode="valid")[:n_out]
+            out += np.correlate(buf[j0 + 2 :: 3], b2, mode="valid")[:n_out]
+        self._consumed += n
         self._hist = buf[1 - FILTER_TAPS :]
         return out
 

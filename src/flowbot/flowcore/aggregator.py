@@ -15,6 +15,15 @@ leaves room for P more plus the chunk, so feeding costs at most one sample
 moved per sample fed, instead of the whole buffer being re-joined for every
 chunk, and the buffer is at most twice the largest pending samples plus
 chunk that it has had to hold.
+
+A chunk's float values are ``samples * scale``. The buffer holds the raw
+samples, cast to float64 by the slice assignment that copies the chunk in,
+and the scale is applied in the window copy-out. So a chunk of int16 PCM
+codes with scale ``2**-15`` is never decoded as a whole: every int16 is
+exact in float64 and ``2**-15`` is a power of two, so each window equals,
+bit for bit, the same window cut from the decoded audio. An aggregator
+holds the one scale of its first chunk; a chunk with another scale, like
+one with another rate, raises :class:`AggregatorConfigError`.
 """
 
 from __future__ import annotations
@@ -44,10 +53,15 @@ class AggregatorConfig(FrozenRecord):
 
 
 class SampleChunk(NamedTuple):
-    """A rated run of mono samples, as emitted by capture devices."""
+    """A rated run of mono samples, as emitted by capture devices.
+
+    The float value of sample ``i`` is ``samples[i] * scale``: a chunk of
+    PCM16 codes carries scale ``2**-15``, one of floats scale 1.0.
+    """
 
     samples: np.ndarray
     sample_rate_hz: int
+    scale: float = 1.0
 
 
 class AggWindow(NamedTuple):
@@ -73,33 +87,38 @@ class Aggregator:
         self._start = 0
         self._end = 0
         self._next_start = 0
+        self._scale = None
 
-    def feed(self, samples, sample_rate_hz: int | None = None) -> list[AggWindow]:
-        """Append samples and return every newly completed window."""
+    def feed(self, samples, sample_rate_hz: int | None = None, scale: float = 1.0) -> list[AggWindow]:
+        """Append samples, whose float values are ``samples * scale``, and
+        return every newly completed window."""
         if sample_rate_hz is not None and sample_rate_hz != self.config.sample_rate_hz:
             raise AggregatorConfigError(
                 f"sample rate {sample_rate_hz} does not match "
                 f"configured {self.config.sample_rate_hz}"
             )
-        samples = np.asarray(samples, dtype=np.float64)
+        if scale != self._scale:
+            if self._scale is not None:
+                raise AggregatorConfigError(
+                    f"sample scale {scale!r} does not match earlier chunks' {self._scale!r}"
+                )
+            self._scale = scale
+        samples = np.asarray(samples)
         if samples.ndim != 1:
             raise AggregatorConfigError("aggregator expects mono 1-D samples")
         n = len(samples)
         if self._end + n > len(self._buf):
             self._make_room(n)
-        self._buf[self._end : self._end + n] = samples
+        self._buf[self._end : self._end + n] = samples  # casts to float64 exactly
         self._end += n
         window, hop = self.config.window_samples, self.config.hop_samples
         out: list[AggWindow] = []
         while self._end - self._start >= window:
-            out.append(
-                AggWindow(
-                    index=self.emitted,
-                    start_sample=self._next_start,
-                    sample_rate_hz=self.config.sample_rate_hz,
-                    samples=self._buf[self._start : self._start + window].copy(),
-                )
-            )
+            # built by position: this runs once per window
+            out.append(AggWindow(
+                self.emitted, self._next_start, self.config.sample_rate_hz,
+                self._buf[self._start : self._start + window] * scale,
+            ))
             self.emitted += 1
             self._next_start += hop
             self._start += hop

@@ -620,7 +620,8 @@ class SplitterNode(Node):
 
 
 class AggregatorNode(Node):
-    """Graph wrapper over :class:`Aggregator`; accepts sample chunks."""
+    """Graph wrapper over :class:`Aggregator`; accepts sample chunks, whose
+    scale it applies in each window copy, or bare float sample arrays."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
@@ -641,7 +642,7 @@ class AggregatorNode(Node):
     def on_packet(self, port, packet, ctx):
         payload = packet.payload
         if isinstance(payload, SampleChunk):
-            windows = self.agg.feed(payload.samples, payload.sample_rate_hz)
+            windows = self.agg.feed(payload.samples, payload.sample_rate_hz, payload.scale)
         else:
             windows = self.agg.feed(payload)
         for window in windows:

@@ -8,6 +8,11 @@ detector. Each node reads its params with :func:`~flowbot.flowcore.schema.get_va
 so a bad value fails the build with an error that starts with its key, e.g.
 ``routing.mic0: must be a list, got 'ui_audio'``.
 
+Audio moves as :class:`SampleChunk` views of the scenario's samples, each
+with the scale that turns them into floats: a WAV file's int16 codes carry
+``2**-15``. No node here decodes them; the aggregator and the resampler
+apply the scale in the copies they already make.
+
 The skill_manager node dispatches through the build environment's
 ``skill_registry``, or through a fresh registry of the demo skills when the
 environment has none. It stamps skill events with the run clock, and a
@@ -58,6 +63,12 @@ class AudioSourceNode(Node):
     virtual time its last sample was captured. Audio is zero-padded to
     ``pad_to_samples`` (one aggregation window by default) and to a whole
     number of chunks.
+
+    The build environment's ``audio`` is a :class:`SampleChunk`, as
+    :func:`~flowbot.harness.scenario.scenario_audio` returns it, or an
+    :class:`~flowbot.dsp.audio.AudioBuffer`, read with scale 1.0. Each chunk
+    emitted is a view of its samples with the audio's scale, so WAV audio
+    stays int16 codes until a consumer copies it.
     """
 
     def __init__(self, node_id: str, params: dict, env: dict):
@@ -68,7 +79,8 @@ class AudioSourceNode(Node):
         audio = env.get("audio")
         if audio is None:
             raise ValueError("audio_source requires scenario audio in the build environment")
-        self.samples = np.asarray(audio.samples, dtype=np.float64)
+        self.samples = np.asarray(audio.samples)
+        self.scale = getattr(audio, "scale", 1.0)
         self._n_chunks = -(-max(len(self.samples), pad_to) // self.chunk_samples)
         self.sample_rate_hz = int(audio.sample_rate_hz)
         self._next_chunk = 0
@@ -89,9 +101,10 @@ class AudioSourceNode(Node):
             return
         samples = self.samples[k * self.chunk_samples : (k + 1) * self.chunk_samples]
         if len(samples) < self.chunk_samples:  # padding is made per chunk, never up front
-            samples = np.concatenate([samples, np.zeros(self.chunk_samples - len(samples))])
-        chunk = SampleChunk(samples=samples, sample_rate_hz=self.sample_rate_hz)
-        ctx.emit("out", DeviceSample(device_id=self.device_id, chunk=chunk))
+            pad = np.zeros(self.chunk_samples - len(samples), samples.dtype)
+            samples = np.concatenate([samples, pad])
+        # built by position: this runs once per chunk
+        ctx.emit("out", DeviceSample(self.device_id, SampleChunk(samples, self.sample_rate_hz, self.scale)))
         self._next_chunk += 1
         if self._next_chunk < self._n_chunks:
             ctx.schedule_at(self._chunk_end_us(self._next_chunk))
@@ -136,7 +149,9 @@ class IoManagerNode(Node):
 
 
 class ResamplerNode(Node):
-    """Streaming 48 kHz -> 16 kHz through :class:`Decimator3to1`."""
+    """Streaming 48 kHz -> 16 kHz through :class:`Decimator3to1`, which
+    applies each chunk's scale as it copies the chunk in; the 16 kHz chunks
+    out are floats with scale 1.0."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
@@ -152,10 +167,9 @@ class ResamplerNode(Node):
         chunk: SampleChunk = packet.payload
         if chunk.sample_rate_hz != 48000:
             raise ValueError(f"resampler expects 48000 Hz input, got {chunk.sample_rate_hz}")
-        out = self._decimator.process(chunk.samples)
+        out = self._decimator.process(chunk.samples, chunk.scale)
         if len(out):
-            ctx.emit("out", SampleChunk(samples=out, sample_rate_hz=16000),
-                     timestamp_us=packet.timestamp_us)
+            ctx.emit("out", SampleChunk(out, 16000), timestamp_us=packet.timestamp_us)
 
 
 class AnnotationIndex:

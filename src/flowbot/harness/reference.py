@@ -72,7 +72,7 @@ def run_scenario(
         except OverflowError as exc:
             raise SchemaError("time_limit_s", f"{scenario.time_limit_s:g} s is too long: {exc}") from exc
     else:
-        time_limit_us = int((audio.duration_s + 1.0) * 1e6)
+        time_limit_us = int((len(audio.samples) / audio.sample_rate_hz + 1.0) * 1e6)
     runner = GraphRunner(
         graph,
         kinds=kinds if kinds is not None else harness_kind_registry(),

@@ -18,6 +18,10 @@ raises :class:`SchemaError` (alias ``ScenarioError``) whose ``path`` names
 its key, e.g. ``annotations[0].start_s``; other keys are ignored. The WAV
 file or synthetic spec is read when :func:`scenario_audio` produces the
 audio, and an annotation that ends beyond it is ``annotations[i].end_s``.
+
+A WAV file's audio stays the int16 codes of its first channel, in a
+:class:`SampleChunk` with scale ``2**-15``; the nodes that copy it convert it
+as it streams, so no run decodes the whole file to floats.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..dsp.audio import AudioBuffer, WavFormatError, read_wav
+from ..dsp.audio import PCM16_SCALE, AudioBuffer, WavFormatError, read_wav_pcm16
+from ..flowcore.aggregator import SampleChunk
 from ..flowcore.schema import SchemaError, check_value, get_value
 
 
@@ -134,17 +139,22 @@ def synthesize_audio(spec: dict, seed: int = 0) -> AudioBuffer:
     return AudioBuffer(samples=samples, sample_rate_hz=rate)
 
 
-def scenario_audio(scenario: ScenarioScript) -> AudioBuffer:
+def scenario_audio(scenario: ScenarioScript) -> SampleChunk:
+    """The scenario's whole audio as one chunk: a WAV file's int16 codes with
+    scale ``2**-15``, or synthetic floats with scale 1.0."""
     if "wav" in scenario.audio:
         try:
-            audio = read_wav(scenario.audio["wav"])
+            pcm, rate = read_wav_pcm16(scenario.audio["wav"])
         except (OSError, WavFormatError) as exc:
             raise SchemaError("audio.wav", str(exc)) from exc
+        audio = SampleChunk(pcm, rate, PCM16_SCALE)
     else:
-        audio = synthesize_audio(get_value(scenario.audio, "synthetic", "audio", dict), seed=scenario.seed)
+        buf = synthesize_audio(get_value(scenario.audio, "synthetic", "audio", dict), seed=scenario.seed)
+        audio = SampleChunk(buf.samples, buf.sample_rate_hz)
+    duration_s = len(audio.samples) / audio.sample_rate_hz
     for i, ann in enumerate(scenario.annotations):
-        if ann.end_s > audio.duration_s + 1e-9:
+        if ann.end_s > duration_s + 1e-9:
             raise SchemaError(
-                f"annotations[{i}].end_s", f"{ann.end_s:g} s is beyond the audio of {audio.duration_s:.3f} s"
+                f"annotations[{i}].end_s", f"{ann.end_s:g} s is beyond the audio of {duration_s:.3f} s"
             )
     return audio

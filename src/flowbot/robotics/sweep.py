@@ -124,7 +124,10 @@ def scan_to_points(
 
     ``raw`` entries are (theta_deg, t_s) with t_s None for no echo. Ranges
     beyond d_max are treated as no echo; a reachable point is climbable when
-    its vertical component does not exceed ``climb_height_m``.
+    the magnitude of its vertical component does not exceed
+    ``climb_height_m``. In ``paper`` mode ``d_y = d * tan(theta)`` is
+    negative past 90 degrees, and its magnitude, not its sign, says how far
+    the echo is off the floor.
     """
     points = []
     for theta_deg, t_s in raw:
@@ -138,7 +141,7 @@ def scan_to_points(
             points.append(ScanPoint(theta_deg=theta_deg, classification=EchoClass.NO_ECHO))
             continue
         d_x, d_y = beam_components(d_ideal, theta_deg, mode)
-        cls = EchoClass.CLIMBABLE if d_y <= climb_height_m else EchoClass.OBSTACLE
+        cls = EchoClass.CLIMBABLE if abs(d_y) <= climb_height_m else EchoClass.OBSTACLE
         points.append(
             ScanPoint(
                 theta_deg=theta_deg,

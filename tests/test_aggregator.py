@@ -59,6 +59,22 @@ def test_sample_rate_mismatch_is_config_error():
         agg.feed(np.zeros(100), sample_rate_hz=48000)
 
 
+def test_int16_chunks_with_a_scale_give_the_decoded_windows_and_one_scale_holds():
+    cfg = AggregatorConfig(window_samples=6, hop_samples=2, sample_rate_hz=10)
+    codes = np.array([-32768, 32767, 0, -1, 1, 12345, -12345, 7], dtype=np.int16)
+    agg = Aggregator(cfg)
+    windows = agg.feed(codes[:5], 10, 2.0**-15) + agg.feed(codes[5:], 10, 2.0**-15)
+    decoded = codes / 32768.0
+    assert [w.samples.tolist() for w in windows] == [decoded[0:6].tolist(), decoded[2:8].tolist()]
+    with pytest.raises(AggregatorConfigError, match="scale"):
+        agg.feed(np.zeros(4), 10, 1.0)
+    # the scale of an aggregator's first chunk is the one it holds
+    fresh = Aggregator(cfg)
+    fresh.feed(np.zeros(3))
+    with pytest.raises(AggregatorConfigError, match="scale"):
+        fresh.feed(codes[:3], 10, 2.0**-15)
+
+
 @given(
     window=st.integers(1, 40),
     hop_frac=st.integers(1, 40),

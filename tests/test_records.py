@@ -94,7 +94,7 @@ CASES = [
     (LossyPolicy, (4,), {"max_successive_misses": None}, True),
     (LosslessPolicy, (100,), {}, True),
     (AggregatorConfig, (16000, 4000, 16000), {}, True),
-    (SampleChunk, (SAMPLES, 16000), {}, True),
+    (SampleChunk, (SAMPLES, 16000), {"scale": 1.0}, True),
     (AggWindow, (2, 8000, 16000, SAMPLES), {}, True),
     (NodeDef, ("mic", "audio_source"), {"params": {}}, True),
     (

@@ -1,10 +1,12 @@
 """Wire codec round-trips, ToF geometry, sweep timing, scan classification."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flowbot.harness.config import load_scan_scene, packaged_config_text
 from flowbot.robotics import (
     BeamMode,
     CodecError,
@@ -255,6 +257,33 @@ def test_theta_45_one_meter_is_obstacle_in_paper_mode():
     points = scan_to_points([(45.0, t)], climb_height_m=0.05, mode=BeamMode.PAPER)
     assert points[0].classification is EchoClass.OBSTACLE
     assert points[0].d_y_m == pytest.approx(1.0, abs=1e-9)
+
+
+def test_demo_scene_echoes_past_90_degrees_are_obstacles_in_paper_mode():
+    # d_y = d * tan(theta) is negative past 90 degrees; its sign once made
+    # both of these echoes climbable however near they were
+    raw, config, climb = load_scan_scene(json.loads(packaged_config_text("demo_scan_scene.json")))
+    points = {p.theta_deg: p for p in scan_to_points(raw, config, climb, BeamMode.PAPER)}
+    assert points[105.0].d_ideal_m == pytest.approx(2.4)
+    assert points[105.0].d_y_m < 0 and points[105.0].classification is EchoClass.OBSTACLE
+    assert points[120.0].d_ideal_m == pytest.approx(0.8)
+    assert points[120.0].d_y_m < 0 and points[120.0].classification is EchoClass.OBSTACLE
+
+
+@given(
+    st.floats(90.0, 120.0, exclude_min=True),
+    st.floats(0.0, 2.5),
+    st.floats(0.0, 1.0),
+)
+def test_paper_mode_past_90_degrees_classifies_by_the_magnitude_of_d_y(theta, distance, climb):
+    (point,) = scan_to_points([(theta, echo_round_trip_s(distance))], climb_height_m=climb,
+                              mode=BeamMode.PAPER)
+    if point.classification is EchoClass.NO_ECHO:  # rounding put it past d_max
+        assert point.d_ideal_m is None and distance > 2.5 - 1e-9
+        return
+    assert point.d_y_m <= 0.0
+    expected = EchoClass.CLIMBABLE if -point.d_y_m <= climb else EchoClass.OBSTACLE
+    assert point.classification is expected
 
 
 def test_beyond_d_max_is_no_echo():
