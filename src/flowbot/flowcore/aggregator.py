@@ -65,7 +65,8 @@ class SampleChunk(NamedTuple):
 
 
 class AggWindow(NamedTuple):
-    """One complete window: ``index``-th emission, starting at ``start_sample``."""
+    """One complete window: the ``index``-th emission, starting at sample
+    ``start_sample``, which is ``index * hop_samples``."""
 
     index: int
     start_sample: int
@@ -86,7 +87,6 @@ class Aggregator:
         self._buf = np.zeros(0, dtype=np.float64)
         self._start = 0
         self._end = 0
-        self._next_start = 0
         self._scale = None
 
     def feed(self, samples, sample_rate_hz: int | None = None, scale: float = 1.0) -> list[AggWindow]:
@@ -116,11 +116,10 @@ class Aggregator:
         while self._end - self._start >= window:
             # built by position: this runs once per window
             out.append(AggWindow(
-                self.emitted, self._next_start, self.config.sample_rate_hz,
+                self.emitted, self.emitted * hop, self.config.sample_rate_hz,
                 self._buf[self._start : self._start + window] * scale,
             ))
             self.emitted += 1
-            self._next_start += hop
             self._start += hop
         return out
 

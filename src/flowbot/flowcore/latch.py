@@ -4,10 +4,11 @@ A control bit takes effect for every data packet with a later timestamp; on
 an exact timestamp tie the control applies first, so a gate opened "by" a
 packet admits that packet.
 
-The executor keeps suppressed packets in ``suppressed_runs``, one record
-``[first_seq, last_seq, first_t_us, last_t_us, count]`` per run of
-suppressed packets with consecutive seqs; a stream pops in seq order, so a
-forwarded packet, or one dropped before it reached the latch, ends a run.
+A latch keeps the packets it suppresses in ``suppressed_runs``, as a
+stream keeps its evictions in ``drop_runs``: one record ``[first_seq,
+last_seq, first_t_us, last_t_us, count]`` per run of suppressed packets
+with consecutive seqs. A stream pops in seq order, so a forwarded packet,
+or one dropped before it reached the latch, ends a run.
 """
 
 from __future__ import annotations
@@ -41,12 +42,21 @@ class Latch:
         self.transitions.append((ts_us, target))
         return True
 
-    def forward(self, packet: Packet) -> Optional[Packet]:
-        """Pass the packet through when open; drop and count it when closed."""
+    def forward(self, packet: Packet, now_us: Optional[int] = None) -> Optional[Packet]:
+        """Pass the packet through when open; when closed, drop it and record
+        it in its run at ``now_us`` (without it, the packet's timestamp)."""
         if self.state is LatchState.OPEN:
             self.forwarded += 1
             return packet
         self.suppressed += 1
+        now = packet.timestamp_us if now_us is None else now_us
+        seq = packet.seq
+        runs = self.suppressed_runs
+        if runs and runs[-1][1] == seq - 1:
+            run = runs[-1]
+            run[1], run[3], run[4] = seq, now, run[4] + 1
+        else:
+            runs.append([seq, seq, now, now, 1])
         return None
 
     @property

@@ -13,8 +13,8 @@ class Packet(NamedTuple):
     ``tuple.__new__(Packet, (payload, timestamp_us, seq))`` without running
     any Python-level constructor.
 
-    ``seq`` is assigned by the producing side and increases strictly along a
-    single stream. The payload is treated as immutable once emitted; holders
+    The executor sets ``seq`` to the number of packets pushed onto the
+    packet's stream before it, so seqs count up by one along a stream. The payload is treated as immutable once emitted; holders
     must not mutate it, which makes packets safe to copy and to hand across
     execution contexts.
     """

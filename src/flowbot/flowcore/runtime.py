@@ -22,14 +22,16 @@ and raises :class:`GraphValidationError` on any diagnostic. Each stream's
 wiring is resolved once, when the runner is built, into a slotted
 :class:`_Route`: the stream, its consumer node, port and context, the
 consumer's rank, the phase an emit schedules (None for poll-driven and
-consumer-less streams), the gated route for a latch control, the latch,
-control stream and suppression runs for a gated stream, and the next
-sequence number. ``emit`` finds the route by node id, then by port.
+consumer-less streams), the gated route for a latch control, and the latch
+and control stream for a gated stream. ``emit`` finds the route by node id,
+then by port; a packet's ``seq`` is its stream's ``pushed`` count before the
+push.
 
 Each stream checks its own bounds (its policy's miss limit or deadline and
-its optional watchdog's latency and throughput) as packets pass; at the end
-of a run the runner finalizes every stream, and the report holds each
-stream's and latch's own ``to_json()`` entry.
+its optional watchdog's latency and throughput) as packets pass, and each
+latch keeps its own suppression runs; at the end of a run the runner
+finalizes every stream, and the report holds each stream's and latch's own
+``to_json()`` entry.
 
 Late binding: when ``run()`` starts, before any ``node.start``, it binds
 each context's ``emit`` to ``runner.emit`` as it is then, with the node id
@@ -50,10 +52,11 @@ events can still reorder them and change a lossy polled stream's counters.
 
 A run stops at the first event at or after its time limit, after the event
 whose handler raises or that brings the packets pushed to the budget, or,
-when a ``start`` raises, before any event. Without a time limit it stops as
-exhausted once the only events left are poll-driven nodes' timers and every
-stream into those nodes is empty; a polling node would otherwise reschedule
-itself forever. The single-threaded loop runs a node on one context at a time.
+when a ``start`` raises, before any event. A ``finish`` that raises fails
+the run as a handler does, and no later node's ``finish`` is called. Without
+a time limit a run stops as exhausted once the only events left are
+poll-driven nodes' timers and every stream into those nodes is empty; a
+polling node would otherwise reschedule itself forever. The single-threaded loop runs a node on one context at a time.
 """
 
 from __future__ import annotations
@@ -65,16 +68,13 @@ import json
 import time as _time
 from typing import Any, Callable, NamedTuple, Optional
 
-import numpy as np
-
-from .aggregator import Aggregator, AggregatorConfig, AggWindow, SampleChunk
+from .aggregator import Aggregator, AggregatorConfig
 from .attention import attention_decide, rms_detect
 from .clock import VirtualClock
 from .graphdef import GraphDef
 from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
-from .record import Record
 from .schema import SchemaError, check_value, get_value
 from .stream import Stream
 from .validation import Diagnostic, build_nodes, check_wiring
@@ -125,51 +125,26 @@ class RunCollector:
         return self.extras.setdefault(name, [])
 
 
-class RunReport(Record):
-    __slots__ = _fields = (
-        "status", "stop_reason", "end_time_us", "seed", "streams", "latches",
-        "skill_invocations", "skill_failures", "uart_hex", "extras", "events",
-        "nodes", "failed_node",
-    )
+class RunReport(NamedTuple):
+    """A run's outcome; ``to_json()`` is the report document, always dumped
+    with sorted keys."""
 
-    def __init__(
-        self,
-        status: str,
-        stop_reason: str,
-        end_time_us: int,
-        seed: int,
-        streams: dict,
-        latches: dict,
-        skill_invocations: list,
-        skill_failures: list,
-        uart_hex: str,
-        extras: dict,
-        events: list,
-        nodes: dict,
-        failed_node: Optional[str] = None,
-    ):
-        self._init(
-            status, stop_reason, end_time_us, seed, streams, latches, skill_invocations,
-            skill_failures, uart_hex, extras, events, nodes, failed_node,
-        )
+    status: str
+    stop_reason: str
+    end_time_us: int
+    seed: int
+    streams: dict
+    latches: dict
+    skill_invocations: list
+    skill_failures: list
+    uart_hex: str
+    extras: dict
+    events: list
+    nodes: dict
+    failed_node: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "report_version": REPORT_VERSION,
-            "status": self.status,
-            "stop_reason": self.stop_reason,
-            "end_time_us": self.end_time_us,
-            "seed": self.seed,
-            "failed_node": self.failed_node,
-            "streams": self.streams,
-            "latches": self.latches,
-            "nodes": self.nodes,
-            "skill_invocations": self.skill_invocations,
-            "skill_failures": self.skill_failures,
-            "uart_hex": self.uart_hex,
-            "extras": self.extras,
-            "events": self.events,
-        }
+        return {"report_version": REPORT_VERSION, **self._asdict()}
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -230,13 +205,9 @@ class NodeContext:
 class _Route:
     """One stream's wiring, resolved once when the runner is built."""
 
-    __slots__ = (
-        "stream_id", "stream", "consumer", "port", "ctx", "rank", "phase",
-        "gated", "latch", "control", "next_seq",
-    )
+    __slots__ = ("stream", "consumer", "port", "ctx", "rank", "phase", "gated", "latch", "control")
 
-    def __init__(self, stream_id: str, stream: Stream):
-        self.stream_id = stream_id
+    def __init__(self, stream: Stream):
         self.stream = stream
         self.consumer: Optional[Node] = None
         self.port: Optional[str] = None
@@ -248,7 +219,6 @@ class _Route:
         # a gated stream: its latch and the latch's control stream
         self.latch: Optional[Latch] = None
         self.control: Optional[Stream] = None
-        self.next_seq = 0
 
 
 class GraphRunner:
@@ -271,7 +241,6 @@ class GraphRunner:
         self._heap: list = []
         self._heap_seq = itertools.count(1).__next__
         self._poll_timers = 0  # _PHASE_POLL entries on the heap
-        self._total_pushed = 0
         self._failed_node: Optional[str] = None
         self._stop_reason = "exhausted"
         self._end_time_us: Optional[int] = None
@@ -290,14 +259,13 @@ class GraphRunner:
         self._dispatches = [0] * len(self._topo)
 
         self.streams: dict[str, Stream] = {}
-        self._routes: dict[str, _Route] = {}
-        routes = self._routes  # by stream id
+        routes: dict[str, _Route] = {}  # by stream id
         self._outputs: dict[str, dict[str, _Route]] = {node_id: {} for node_id in self.nodes}
         self._inputs: dict[tuple[str, str], _Route] = {}
         for sd in graph.streams:
             stream = Stream(sd.id, sd.policy, watchdog=sd.watchdog)
             self.streams[sd.id] = stream
-            route = routes[sd.id] = _Route(sd.id, stream)
+            route = routes[sd.id] = _Route(stream)
             self._outputs[sd.from_node][sd.from_port] = route
             if sd.to_node is not None:
                 self._inputs[(sd.to_node, sd.to_port)] = route
@@ -358,10 +326,8 @@ class GraphRunner:
             raise KeyError(f"node {node_id!r} has no stream on output port {port!r}") from None
         now = self._now
         ts = now if timestamp_us is None else int(timestamp_us)
-        seq = route.next_seq
-        route.next_seq = seq + 1
-        route.stream.push(tuple.__new__(Packet, (payload, ts, seq)), now)
-        self._total_pushed += 1
+        stream = route.stream
+        stream.push(tuple.__new__(Packet, (payload, ts, stream.pushed)), now)
         phase = route.phase
         if phase is not None:
             _heappush(self._heap, (ts, route.rank, phase, self._heap_seq(), route))
@@ -394,7 +360,7 @@ class GraphRunner:
                 return
             if latch.apply_control(packet.payload, packet.timestamp_us):
                 self.log_event(
-                    "latch", stream=gated.stream_id, state=latch.state.value,
+                    "latch", stream=gated.stream.stream_id, state=latch.state.value,
                     bit=int(bool(packet.payload)),
                 )
 
@@ -410,16 +376,7 @@ class GraphRunner:
         packet = stream.pop(now)
         if packet is None:
             return None
-        forwarded = latch.forward(packet)
-        if forwarded is None:
-            seq = packet.seq
-            runs = latch.suppressed_runs
-            if runs and runs[-1][1] == seq - 1:
-                run = runs[-1]
-                run[1], run[3], run[4] = seq, now, run[4] + 1
-            else:
-                runs.append([seq, seq, now, now, 1])
-        return forwarded
+        return latch.forward(packet, now)
 
     def _node_failed(self, node: Node, exc: Exception) -> None:
         self._failed_node = node.id
@@ -445,6 +402,7 @@ class GraphRunner:
         advance_to = None if realtime else clock.advance_to
         limit = self.stop.time_limit_us
         max_packets = self.stop.max_packets
+        streams = list(self.streams.values())
         polled = self._polled_streams
         stop_when_idle = limit is None and bool(polled)
         heap = self._heap if self._failed_node is None else []  # a start failed
@@ -492,16 +450,20 @@ class GraphRunner:
                 except Exception as exc:
                     self._node_failed(node, exc)
                     break
-            if max_packets is not None and self._total_pushed >= max_packets:
+            if max_packets is not None and sum(s.pushed for s in streams) >= max_packets:
                 self._stop_reason = "packet_budget"
                 break
         if self._end_time_us is None:
             self._end_time_us = clock.now_us()
 
-        for node in self.nodes.values():
-            if self._failed_node is None:
-                node.finish(self._ctx[node.id])
-        for stream in self.streams.values():
+        if self._failed_node is None:
+            for node in self.nodes.values():
+                try:
+                    node.finish(self._ctx[node.id])
+                except Exception as exc:
+                    self._node_failed(node, exc)
+                    break
+        for stream in streams:
             stream.finalize(self._end_time_us)
         return self._assemble_report()
 
@@ -620,8 +582,10 @@ class SplitterNode(Node):
 
 
 class AggregatorNode(Node):
-    """Graph wrapper over :class:`Aggregator`; accepts sample chunks, whose
-    scale it applies in each window copy, or bare float sample arrays."""
+    """Graph wrapper over :class:`Aggregator`: its ``in`` port takes
+    :class:`SampleChunk` payloads, whose rate it checks and whose scale it
+    applies in each window copy, and its ``windows`` port emits
+    :class:`AggWindow` payloads."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
@@ -640,12 +604,8 @@ class AggregatorNode(Node):
         return {"windows": PortSpec("window")}
 
     def on_packet(self, port, packet, ctx):
-        payload = packet.payload
-        if isinstance(payload, SampleChunk):
-            windows = self.agg.feed(payload.samples, payload.sample_rate_hz, payload.scale)
-        else:
-            windows = self.agg.feed(payload)
-        for window in windows:
+        chunk = packet.payload
+        for window in self.agg.feed(chunk.samples, chunk.sample_rate_hz, chunk.scale):
             ctx.emit("windows", window)
 
 
@@ -656,10 +616,6 @@ def register_detector(kind: str, factory: Callable) -> None:
     DETECTOR_FACTORIES[kind] = factory
 
 
-def _window_samples(payload) -> np.ndarray:
-    return payload.samples if isinstance(payload, AggWindow) else np.asarray(payload)
-
-
 def _constant_detector(spec, env):
     # an integer only: truncating 0.9 would give a gate that never opens
     value = get_value(spec, "value", "detector", int, 1)
@@ -668,7 +624,7 @@ def _constant_detector(spec, env):
 
 def _rms_detector(spec, env):
     threshold = get_value(spec, "threshold", "detector", float, 0.1)
-    return lambda w: rms_detect(_window_samples(w), threshold)
+    return lambda w: rms_detect(w.samples, threshold)
 
 
 register_detector("constant", _constant_detector)
@@ -676,7 +632,8 @@ register_detector("rms", _rms_detector)
 
 
 class AttentionNode(Node):
-    """Emits one bit per input window from a pluggable detector."""
+    """Emits one bit per :class:`AggWindow` on its ``in`` port from a
+    pluggable detector."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)

@@ -1,11 +1,13 @@
-"""The one reader of config values: graphs, policies, node params, detector
-specs, scenarios and scan scenes. A bad value raises :class:`SchemaError`
+"""The one reader of config documents and values: graphs, policies, node
+params, detector specs, scenarios, scan scenes and skill catalogs. A document
+that is not JSON raises :class:`SchemaError` at ``$``; a bad value raises one
 whose ``path`` names its key, e.g. ``streams[2].policy`` or, for node params,
 ``window_samples``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -44,3 +46,17 @@ def get_value(doc: dict, key: str, path: str, kind: type, default=_REQUIRED, min
     if value is _REQUIRED:
         raise SchemaError(where, "missing required key")
     return value if value is default else check_value(value, where, kind, minimum)
+
+
+def read_document(source):
+    """A JSON document from a dict (returned as is), the text of a JSON
+    object or a file path; malformed JSON raises :class:`SchemaError` at ``$``."""
+    if isinstance(source, dict):
+        return source
+    try:
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            return json.loads(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"not valid JSON: {exc}") from exc

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 from ..flowcore.graphdef import GraphDef, graph_from_json
-from ..flowcore.schema import SchemaError, check_value, get_value
+from ..flowcore.schema import check_value, get_value, read_document
 from ..robotics.geometry import echo_round_trip_s
 
 #: the JSON documents shipped in ``flowbot/configs``
@@ -18,20 +17,12 @@ def load_graph_config(source) -> GraphDef:
 
     Schema violations raise :class:`SchemaError` naming the offending key.
     """
-    if isinstance(source, dict):
-        return graph_from_json(source)
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        return graph_from_json(json.loads(source))
-    with open(source, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    return graph_from_json(doc)
+    return graph_from_json(read_document(source))
 
 
 def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
-    """Load an ultrasonic scene: {"ultrasonic_scene": [...], "climb_height_m": ...}.
+    """Load an ultrasonic scene, {"ultrasonic_scene": [...], "climb_height_m": ...},
+    from a dict, a JSON string or a file path.
 
     Each scene entry needs a number ``theta_deg``; its ``t_s`` and
     ``distance_m`` are numbers or null. The optional ``d_max_m``,
@@ -43,11 +34,7 @@ def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
     """
     from ..robotics.sweep import SweepConfig  # only the scan command needs it
 
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_document(source)
     scene = get_value(check_value(doc, "$", dict), "ultrasonic_scene", "", list)
     config = SweepConfig(
         d_max_m=get_value(doc, "d_max_m", "", float, 2.5),
@@ -71,4 +58,4 @@ def packaged_config_text(name: str) -> str:
 
 
 def packaged_graph(name: str = "reference_pipeline.json") -> GraphDef:
-    return graph_from_json(json.loads(packaged_config_text(name)))
+    return load_graph_config(packaged_config_text(name))

@@ -26,14 +26,13 @@ as it streams, so no run decodes the whole file to floats.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..dsp.audio import PCM16_SCALE, AudioBuffer, WavFormatError, read_wav_pcm16
 from ..flowcore.aggregator import SampleChunk
-from ..flowcore.schema import SchemaError, check_value, get_value
+from ..flowcore.schema import SchemaError, check_value, get_value, read_document
 
 
 #: Scenario errors are schema errors: ``path`` names the key, ``reason`` says why.
@@ -55,13 +54,7 @@ class ScenarioScript(NamedTuple):
 
 def load_scenario(source) -> ScenarioScript:
     """Build a scenario from a dict, a JSON string or a file path."""
-    if isinstance(source, dict):
-        doc = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = read_document(source)
     audio = dict(get_value(check_value(doc, "$", dict), "audio", "", dict))
     if "wav" in audio:
         get_value(audio, "wav", "audio", str)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from ..flowcore.record import FrozenRecord, Record
-from ..flowcore.schema import SchemaError, check_value, get_value
+from ..flowcore.schema import SchemaError, check_value, get_value, read_document
 
 
 class SkillError(Exception):
@@ -175,9 +174,5 @@ def load_catalog(path) -> list[SkillDescriptor]:
     A document that is not JSON, or breaks the catalog schema, raises
     :class:`SchemaError` naming the offending key, e.g. ``[0].id``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}") from exc
-    return [descriptor_from_json(entry, f"[{i}]") for i, entry in enumerate(check_value(doc, "$", list))]
+    doc = check_value(read_document(path), "$", list)
+    return [descriptor_from_json(entry, f"[{i}]") for i, entry in enumerate(doc)]

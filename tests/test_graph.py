@@ -377,8 +377,27 @@ class EmitThenRaise(Node):
         raise RuntimeError("failed after emitting")
 
 
+class FinishBomb(Node):
+    """Appends its id to ``env["finished"]`` when finished and, with
+    ``raise``, then raises."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.raises = params.get("raise", False)
+        self.finished = env["finished"]
+
+    def input_ports(self):
+        return {"in": PortSpec(optional=True)}
+
+    def finish(self, ctx):
+        self.finished.append(self.id)
+        if self.raises:
+            raise RuntimeError("finish failed")
+
+
 def stop_path_kinds():
     kinds = default_kind_registry()
+    kinds.register("finish_bomb", FinishBomb)
     kinds.register("broken_start", lambda node_id, params, env: BrokenStart(node_id))
     kinds.register("timer_bomb", TimerBomb)
     kinds.register("exploder", ExplodingNode)
@@ -469,6 +488,35 @@ def test_a_failure_that_reaches_the_packet_budget_stops_as_a_failure():
     report = graph_run(g, kinds=stop_path_kinds(), stop=StopCondition(max_packets=2))
     assert (report.status, report.stop_reason, report.failed_node) == ("failed", "node_failure", "relay")
     assert dispatches(report) == {"relay": 1, "snk": 0, "src": 1}
+
+
+def test_failure_in_finish_fails_the_run_and_ends_the_finish_calls():
+    # pops at 0..9 ms: every 2 ms window holds 2 pops, below 1.5 kHz, and
+    # only finalizing the stream at the 10 ms limit checks the last one
+    def run(raises):
+        g = GraphDef(
+            nodes=(NodeDef("src", "source", {"count": 20}), NodeDef("first", "finish_bomb", {}),
+                   NodeDef("bomb", "finish_bomb", {"raise": raises}),
+                   NodeDef("last", "finish_bomb", {})),
+            streams=(StreamDef("s", "src", "out", "bomb", "in", LOSSLESS,
+                               watchdog=WatchdogConfig(min_throughput_hz=1500.0, window_us=2_000)),),
+        )
+        finished = []
+        report = graph_run(g, kinds=stop_path_kinds(), env={"finished": finished},
+                           stop=StopCondition(time_limit_us=10_000))
+        return report, finished
+
+    report, finished = run(raises=True)
+    assert (report.status, report.stop_reason, report.failed_node) == ("failed", "node_failure", "bomb")
+    assert finished == ["first", "bomb"]
+    assert [(e["kind"], e["node"], e["error"]) for e in report.events] == [
+        ("node_error", "bomb", "RuntimeError: finish failed"),
+    ]
+    ok, ok_finished = run(raises=False)
+    assert (ok.status, ok.stop_reason, ok_finished) == ("ok", "time_limit", ["first", "bomb", "last"])
+    assert report.end_time_us == ok.end_time_us == 10_000
+    assert [v["at_us"] for v in report.streams["s"]["violations"]] == [2_000, 4_000, 6_000, 8_000, 10_000]
+    assert report.streams == ok.streams and report.nodes == ok.nodes
 
 
 class BitScriptNode(Node):

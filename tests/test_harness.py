@@ -23,9 +23,10 @@ from flowbot.harness import (
     synthesize_audio,
 )
 from flowbot.harness.cli import main as cli_main
-from flowbot.harness.config import packaged_config_text
+from flowbot.harness.config import load_scan_scene, packaged_config_text
 from flowbot.harness.nodes import AnnotationIndex, harness_kind_registry
 from flowbot.dsp import AudioBuffer
+from flowbot.skills import load_catalog
 
 
 def stub_env():
@@ -106,6 +107,24 @@ def test_infinite_policy_value_is_schema_error(policy):
 def test_graph_def_json_round_trip():
     graph = reference_pipeline()
     assert load_graph_config(graph.to_json()) == graph
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_graph_config, packaged_config_text("reference_pipeline.json")),
+        (load_scenario, packaged_config_text("demo_scenario.json")),
+        (load_scan_scene, packaged_config_text("demo_scan_scene.json")),
+        (load_catalog, json.dumps([{"id": "wave", "required_entities": [{"name": "arm"}]}])),
+    ],
+    ids=["graph", "scenario", "scan_scene", "catalog"],
+)
+def test_a_truncated_document_is_a_schema_error_at_its_root(tmp_path, loader, text):
+    path = tmp_path / "truncated.json"
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(SchemaError) as exc:
+        loader(str(path))
+    assert exc.value.path == "$" and exc.value.reason.startswith("not valid JSON: ")
 
 
 # -- io manager -------------------------------------------------------------------

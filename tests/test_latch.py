@@ -10,15 +10,30 @@ def pkt(ts, seq=0):
 
 
 def replay(events, initial=LatchState.CLOSED):
-    """Feed (kind, ts, value) events in timestamp order, controls first on ties."""
+    """Feed (kind, ts, value) events in timestamp order, controls first on ties.
+
+    Data packets carry the value as payload and consecutive integer seqs.
+    The latch's suppression runs are checked against a list model: suppressed
+    packets with consecutive seqs form one run.
+    """
     latch = Latch(initial)
-    forwarded = []
+    forwarded, runs = [], []
+    seq = 0
     for kind, ts, value in sorted(events, key=lambda e: (e[1], 0 if e[0] == "ctl" else 1)):
         if kind == "ctl":
             latch.apply_control(value, ts)
+            continue
+        packet = Packet(payload=value, timestamp_us=ts, seq=seq)
+        if latch.forward(packet) is not None:
+            forwarded.append(value)
+        elif runs and runs[-1][-1][0] == seq - 1:
+            runs[-1].append((seq, ts))
         else:
-            if latch.forward(pkt(ts, value)) is not None:
-                forwarded.append(value)
+            runs.append([(seq, ts)])
+        seq += 1
+    expected = [[run[0][0], run[-1][0], run[0][1], run[-1][1], len(run)] for run in runs]
+    assert latch.suppressed_runs == expected
+    assert sum(run[4] for run in latch.suppressed_runs) == latch.suppressed
     return latch, forwarded
 
 
@@ -26,6 +41,15 @@ def test_closed_latch_suppresses():
     latch = Latch(LatchState.CLOSED)
     assert latch.forward(pkt(0)) is None
     assert latch.suppressed == 1 and latch.forwarded == 0
+    assert latch.suppressed_runs == [[0, 0, 0, 0, 1]]
+
+
+def test_suppressed_runs_are_stamped_at_the_given_time():
+    latch = Latch(LatchState.CLOSED)
+    latch.forward(pkt(10, seq=4), now_us=25)
+    latch.forward(pkt(11, seq=5), now_us=30)
+    latch.forward(pkt(12, seq=7))  # seq 6 never reached the latch: a new run
+    assert latch.suppressed_runs == [[4, 5, 25, 30, 2], [7, 7, 12, 12, 1]]
 
 
 def test_control_applies_to_later_data_only():

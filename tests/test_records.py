@@ -110,7 +110,7 @@ CASES = [
         RunReport,
         ("ok", "exhausted", 10, 0, {}, {}, [], [], "", {}, [], {}),
         {"failed_node": None},
-        False,
+        True,
     ),
     # dsp
     (AudioBuffer, (SAMPLES, 16000), {}, True),
