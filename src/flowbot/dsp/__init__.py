@@ -15,7 +15,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "audio": (
         "AudioBuffer", "PCM16_SCALE", "PcmFormatError", "WavFormatError", "pcm16_decode",
         "pcm16_encode", "read_wav", "read_wav_pcm16", "round_half_away", "write_wav",
-        "write_wav_bytes",
     ),
     "augment": ("AugmentError", "MixResult", "mix_noise_at_snr", "random_shift"),
     "detect": ("rms_detect",),

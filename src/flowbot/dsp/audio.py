@@ -17,7 +17,6 @@ it as they copy it.
 
 from __future__ import annotations
 
-import io
 import wave
 
 import numpy as np
@@ -119,12 +118,3 @@ def write_wav(path, buffer: AudioBuffer) -> None:
         wf.setframerate(buffer.sample_rate_hz)
         wf.writeframes(pcm16_encode(buffer))
 
-
-def write_wav_bytes(buffer: AudioBuffer) -> bytes:
-    bio = io.BytesIO()
-    with wave.open(bio, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(buffer.sample_rate_hz)
-        wf.writeframes(pcm16_encode(buffer))
-    return bio.getvalue()

@@ -1,11 +1,19 @@
-"""Log-mel front-end: shapes, the floor, and filterbank placement."""
+"""Log-mel front-end: shapes, the floor, filterbank placement, and the reused
+workspace (outputs stay the caller's, one block is bit-exact, no page faults)."""
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+import flowbot
 from flowbot.dsp import LogMelConfig, LogMelError, logmel, mel_band_centers_hz, mel_filterbank
-from flowbot.dsp.logmel import hz_to_mel, mel_to_hz
+from flowbot.dsp.logmel import _BLOCK_FRAMES, hz_to_mel, mel_to_hz
 
 
 def test_default_config_maps_one_second_to_98x40():
@@ -152,3 +160,108 @@ def test_mutating_a_returned_filterbank_does_not_change_later_features():
     fbank[:] = 0.0
     assert np.array_equal(logmel(x, cfg).matrix, before)
     assert np.array_equal(mel_filterbank(cfg), filterbank_loop(cfg))
+
+
+# -- the reused workspace ------------------------------------------------------
+
+
+def frames_to_samples(n_frames, cfg=LogMelConfig()):
+    return cfg.frame_len_samples + (n_frames - 1) * cfg.hop_samples
+
+
+def logmel_unbuffered(x, cfg):
+    """The formula the workspace replaced: every step a fresh array."""
+    n = cfg.frame_len_samples
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    fbank_t = np.ascontiguousarray(mel_filterbank(cfg).T)
+    frames = sliding_window_view(x, n)[:: cfg.hop_samples] * window
+    spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    matrix = np.log(np.maximum(power @ fbank_t, cfg.log_floor))
+    return matrix, np.arange(len(frames)) * cfg.hop_samples / cfg.sample_rate_hz
+
+
+@pytest.mark.parametrize("second_n", [16000, 4000, frames_to_samples(3 * _BLOCK_FRAMES)])
+def test_a_later_call_leaves_earlier_results_alone(second_n):
+    rng = np.random.default_rng(3)
+    first = logmel(rng.uniform(-1, 1, 16000))
+    matrix, frame_times = first.matrix.copy(), first.frame_times.copy()
+    second = logmel(rng.uniform(-1, 1, second_n))
+    assert np.array_equal(first.matrix, matrix)
+    assert np.array_equal(first.frame_times, frame_times)
+    for result in (first, second):
+        assert result.matrix.flags.writeable and result.frame_times.flags.writeable
+    assert not np.shares_memory(first.matrix, second.matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_frames=st.integers(1, _BLOCK_FRAMES),
+    extra=st.integers(0, 159),
+    log10_amp=st.floats(-4.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_frames=98, extra=80, log10_amp=0.0, seed=0)  # 16000 samples, the 1 s window
+def test_one_block_is_bit_identical_to_the_unbuffered_formula(n_frames, extra, log10_amp, seed):
+    cfg = LogMelConfig()
+    x = 10.0**log10_amp * np.random.default_rng(seed).uniform(-1, 1, frames_to_samples(n_frames) + extra)
+    feature = logmel(x, cfg)
+    matrix, frame_times = logmel_unbuffered(x, cfg)
+    assert feature.matrix.tobytes() == matrix.tobytes()
+    assert feature.frame_times.tobytes() == frame_times.tobytes()
+
+
+def test_a_strided_or_integer_input_is_read_as_its_float_values():
+    rng = np.random.default_rng(4)
+    strided = rng.uniform(-1, 1, 32000)[::2]
+    codes = rng.integers(-32768, 32768, 16000).astype(np.int16)
+    for x in (strided, codes):
+        expected = logmel_unbuffered(np.asarray(x, dtype=np.float64), LogMelConfig())[0]
+        assert logmel(x).matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        30_000,
+        frames_to_samples(2 * _BLOCK_FRAMES),
+        frames_to_samples(2 * _BLOCK_FRAMES + 1),
+        45_000,
+        60_000,
+    ],
+)
+def test_several_blocks_match_the_per_frame_loop(n):
+    cfg = LogMelConfig()
+    assert _BLOCK_FRAMES < (n - cfg.frame_len_samples) // cfg.hop_samples + 1 <= 3 * _BLOCK_FRAMES
+    x = np.random.default_rng(n).uniform(-1, 1, n)
+    feature = logmel(x, cfg)
+    matrix, frame_times = logmel_per_frame(x, cfg)
+    assert np.max(np.abs(feature.matrix - matrix)) <= 1e-12
+    assert np.array_equal(feature.frame_times, frame_times)
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(flowbot.__file__)))
+
+FAULTS_PER_CALL = """
+import json, resource
+import numpy as np
+from flowbot.dsp import logmel
+x = np.random.default_rng(0).uniform(-1, 1, 16000)
+logmel(x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    logmel(x)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps((after - before) / 50))
+"""
+
+
+def test_a_warm_call_takes_no_page_faults_in_a_fresh_interpreter():
+    pytest.importorskip("resource")
+    done = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_CALL], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    # the unbuffered formula faulted its ~1.2 MB of temporaries back in, ~290 per call
+    assert json.loads(done.stdout.splitlines()[-1]) < 5
