@@ -17,7 +17,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "pcm16_encode", "read_wav", "read_wav_pcm16", "round_half_away", "write_wav",
     ),
     "augment": ("AugmentError", "MixResult", "mix_noise_at_snr", "random_shift"),
-    "detect": ("rms_detect",),
     "logmel": (
         "LogMelConfig", "LogMelError", "LogMelFeature", "hz_to_mel", "logmel",
         "mel_band_centers_hz", "mel_filterbank", "mel_to_hz",

@@ -1,7 +1,9 @@
 """Injected time sources: virtual for deterministic runs, monotonic for live ones.
 
-Every time-dependent component reads an injected clock instead of the wall
-clock, so a whole graph run can be replayed tick for tick.
+A run's time is its schedule: the runner reads a clock once, when it starts,
+and then calls ``advance_to(t_us)`` whenever the next event is later than the
+last. A virtual clock jumps to that time and a monotonic clock sleeps until
+it, so a clock paces a run and never changes what the run reports.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import time
 
 class VirtualClock:
     """Manually advanced clock counting microseconds from an arbitrary origin."""
-
-    is_virtual = True
 
     def __init__(self, start_us: int = 0):
         self._now_us = int(start_us)
@@ -27,12 +27,19 @@ class VirtualClock:
 
 
 class MonotonicClock:
-    """Microsecond clock backed by ``time.monotonic_ns``, zeroed at creation."""
-
-    is_virtual = False
+    """Microsecond clock backed by ``time.monotonic_ns``, zeroed at its first
+    reading, so a fresh one starts a run at 0 as a fresh VirtualClock does."""
 
     def __init__(self):
-        self._origin_ns = time.monotonic_ns()
+        self._origin_ns: int | None = None
 
     def now_us(self) -> int:
+        if self._origin_ns is None:
+            self._origin_ns = time.monotonic_ns()
         return (time.monotonic_ns() - self._origin_ns) // 1000
+
+    def advance_to(self, t_us: int) -> None:
+        """Sleep until ``t_us``; return at once when it is already past."""
+        lag_us = t_us - self.now_us()
+        if lag_us > 0:
+            time.sleep(lag_us / 1e6)

@@ -40,15 +40,13 @@ filled in. The runner calls ``stream.push`` / ``stream.pop`` and
 attributes looked up at dispatch time. Wrappers installed on a built runner
 before ``run()`` therefore see every call.
 
-One ``now`` per dispatch: the runner reads the clock when it is built, when
-``run()`` starts, after a virtual ``advance_to`` (made only when an event is
-later than the last) and after a real clock's sleep until an event is due.
-``emit``, ``poll``, ``log``, ``schedule_at`` and ``now_us`` read that time,
-never the clock, so under a real clock a handler sees the time its event was
-dispatched however long it runs. ``SourceNode`` stamps each packet with the
-time its timer was due, as in a virtual run, but a timer set in the past
-fires at the time it was set, so a wake-up later than the gap between two
-events can still reorder them and change a lossy polled stream's counters.
+The schedule is the run's only time. ``run()`` reads the clock once, when
+it starts; from then on ``now`` is the due time of the event being
+dispatched, and the clock's ``advance_to`` is called whenever an event is
+later than the last (a virtual clock jumps, a real one sleeps). ``emit``,
+``poll``, ``log``, ``schedule_at`` and ``now_us`` read ``now``, never the
+clock, so a late wake-up under a real clock delays events without reordering
+them, and the report is the virtual run's byte for byte.
 
 A run stops at the first event at or after its time limit, after the event
 whose handler raises or that brings the packets pushed to the budget, or,
@@ -65,7 +63,6 @@ import functools
 import heapq
 import itertools
 import json
-import time as _time
 from typing import Any, Callable, NamedTuple, Optional
 
 from .aggregator import Aggregator, AggregatorConfig
@@ -160,9 +157,9 @@ class NodeContext:
     """Per-node handle into the running graph.
 
     ``emit(port, payload, timestamp_us=None)`` is ``runner.emit`` with the
-    node id filled in, bound when the run starts. ``now_us()`` is the time of
-    the event being dispatched, also the default timestamp and the floor of
-    ``schedule_at``; under a real clock it does not move during a handler.
+    node id filled in, bound when the run starts. ``now_us()`` is the due time
+    of the event being dispatched, also the default timestamp and the floor of
+    ``schedule_at``.
     """
 
     emit: Callable[..., None]
@@ -237,13 +234,12 @@ class GraphRunner:
         self.seed = seed
         self.collector = RunCollector()
         self.events: list[dict] = []
-        self._now = self.clock.now_us()  # the time of the event being dispatched
+        self._now = 0  # the due time of the event being dispatched, set by run()
         self._heap: list = []
         self._heap_seq = itertools.count(1).__next__
         self._poll_timers = 0  # _PHASE_POLL entries on the heap
         self._failed_node: Optional[str] = None
         self._stop_reason = "exhausted"
-        self._end_time_us: Optional[int] = None
 
         if kinds is None:
             kinds = default_kind_registry()
@@ -356,8 +352,6 @@ class GraphRunner:
             if ts is None or ts > limit:
                 return
             packet = control.pop(now)
-            if packet is None:
-                return
             if latch.apply_control(packet.payload, packet.timestamp_us):
                 self.log_event(
                     "latch", stream=gated.stream.stream_id, state=latch.state.value,
@@ -386,9 +380,8 @@ class GraphRunner:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> RunReport:
-        clock = self.clock
-        now_us = clock.now_us
-        self._now = now = now_us()
+        advance_to = self.clock.advance_to
+        self._now = now = self.clock.now_us()
         for node_id, ctx in self._ctx.items():
             ctx.emit = functools.partial(self.emit, node_id)
         for node in self.nodes.values():
@@ -398,8 +391,6 @@ class GraphRunner:
                 self._node_failed(node, exc)
                 break
 
-        realtime = not getattr(clock, "is_virtual", False)
-        advance_to = None if realtime else clock.advance_to
         limit = self.stop.time_limit_us
         max_packets = self.stop.max_packets
         streams = list(self.streams.values())
@@ -413,16 +404,10 @@ class GraphRunner:
             t_us, rank, phase, _seq, arg = _heappop(heap)
             if limit is not None and t_us >= limit:
                 self._stop_reason = "time_limit"
-                self._end_time_us = limit
                 break
-            if realtime:
-                lag = (t_us - now_us()) / 1e6
-                if lag > 0:
-                    _time.sleep(lag)
-                self._now = now = now_us()
-            elif t_us > now:
+            if t_us > now:
                 advance_to(t_us)
-                self._now = now = now_us()
+                self._now = now = t_us
             if phase == _PHASE_DELIVERY:
                 if arg.latch is None:
                     packet = arg.stream.pop(now)
@@ -453,8 +438,7 @@ class GraphRunner:
             if max_packets is not None and sum(s.pushed for s in streams) >= max_packets:
                 self._stop_reason = "packet_budget"
                 break
-        if self._end_time_us is None:
-            self._end_time_us = clock.now_us()
+        end_time_us = limit if self._stop_reason == "time_limit" else now
 
         if self._failed_node is None:
             for node in self.nodes.values():
@@ -464,14 +448,14 @@ class GraphRunner:
                     self._node_failed(node, exc)
                     break
         for stream in streams:
-            stream.finalize(self._end_time_us)
-        return self._assemble_report()
+            stream.finalize(end_time_us)
+        return self._assemble_report(end_time_us)
 
-    def _assemble_report(self) -> RunReport:
+    def _assemble_report(self, end_time_us: int) -> RunReport:
         return RunReport(
             status="failed" if self._failed_node else "ok",
             stop_reason=self._stop_reason,
-            end_time_us=self._end_time_us or 0,
+            end_time_us=end_time_us,
             seed=self.seed,
             streams={sid: stream.to_json() for sid, stream in sorted(self.streams.items())},
             latches={sid: latch.to_json() for sid, latch in sorted(self.latches.items())},
@@ -520,17 +504,13 @@ class SourceNode(Node):
 
     def start(self, ctx):
         if self.count > 0:
-            due = max(self.start_us, ctx.now_us())
-            ctx.schedule_at(due, due)
+            ctx.schedule_at(self.start_us)
 
-    def on_timer(self, due, ctx):
-        # stamped with the time the timer was due, its virtual dispatch time,
-        # not the time of a late real-clock wake-up
-        ctx.emit("out", self._emitted, due)
+    def on_timer(self, tag, ctx):
+        ctx.emit("out", self._emitted)
         self._emitted += 1
         if self._emitted < self.count:
-            due = max(due, self.start_us + round(self._emitted * 1e6 / self.rate_hz))
-            ctx.schedule_at(due, due)
+            ctx.schedule_at(self.start_us + round(self._emitted * 1e6 / self.rate_hz))
 
 
 class SinkNode(Node):

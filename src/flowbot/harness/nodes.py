@@ -97,8 +97,6 @@ class AudioSourceNode(Node):
 
     def on_timer(self, tag, ctx):
         k = self._next_chunk
-        if k >= self._n_chunks:
-            return
         samples = self.samples[k * self.chunk_samples : (k + 1) * self.chunk_samples]
         if len(samples) < self.chunk_samples:  # padding is made per chunk, never up front
             pad = np.zeros(self.chunk_samples - len(samples), samples.dtype)
@@ -308,8 +306,6 @@ class SkillManagerNode(Node):
         self._run_action(action, ctx)
 
     def on_timer(self, tag, ctx):
-        if not (isinstance(tag, tuple) and len(tag) == 3 and tag[0] == "timeout"):
-            return
         _, session_id, reprompts_at_schedule = tag
         session = self.manager.sessions.get(session_id)
         if (

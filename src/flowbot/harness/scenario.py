@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..dsp.audio import PCM16_SCALE, AudioBuffer, WavFormatError, read_wav_pcm16
+from ..dsp.audio import PCM16_SCALE, AudioBuffer, read_wav_pcm16
 from ..flowcore.aggregator import SampleChunk
 from ..flowcore.schema import SchemaError, check_value, get_value, read_document
 
@@ -138,7 +138,7 @@ def scenario_audio(scenario: ScenarioScript) -> SampleChunk:
     if "wav" in scenario.audio:
         try:
             pcm, rate = read_wav_pcm16(scenario.audio["wav"])
-        except (OSError, WavFormatError) as exc:
+        except (OSError, ValueError) as exc:  # WavFormatError, or a NUL byte in the path
             raise SchemaError("audio.wav", str(exc)) from exc
         audio = SampleChunk(pcm, rate, PCM16_SCALE)
     else:

@@ -6,8 +6,19 @@ import sys
 
 import numpy as np
 
-from flowbot.flowcore import attention_decide
-from flowbot.dsp import rms_detect
+from flowbot.flowcore import (
+    AggWindow,
+    GraphDef,
+    LosslessPolicy,
+    Node,
+    NodeDef,
+    PortSpec,
+    StreamDef,
+    default_kind_registry,
+    graph_run,
+)
+from flowbot.flowcore.attention import attention_decide, rms_detect
+from flowbot.flowcore.runtime import DETECTOR_FACTORIES
 
 
 def test_constant_true_detector():
@@ -48,11 +59,65 @@ def test_rms_of_sine_matches_closed_form():
         assert rms_detect(wave, threshold_above) == 0
 
 
-def test_rms_detect_lives_in_the_core_and_stays_importable_from_dsp():
-    import flowbot.dsp.detect
-    import flowbot.flowcore.attention
+class WindowSource(Node):
+    """Emits ``count`` silent 10-sample windows, 1 ms apart from 0."""
 
-    assert rms_detect is flowbot.dsp.detect.rms_detect is flowbot.flowcore.attention.rms_detect
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.count = params["count"]
+        self._sent = 0
+
+    def output_ports(self):
+        return {"out": PortSpec("window")}
+
+    def start(self, ctx):
+        ctx.schedule_at(0)
+
+    def on_timer(self, tag, ctx):
+        ctx.emit("out", AggWindow(self._sent, 10 * self._sent, 16_000, np.zeros(10)))
+        self._sent += 1
+        if self._sent < self.count:
+            ctx.schedule(1_000)
+
+
+class BitRecorder(Node):
+    def input_ports(self):
+        return {"in": PortSpec("bit")}
+
+    def on_packet(self, port, packet, ctx):
+        ctx.collector.channel("bits").append(packet.payload)
+
+
+def test_a_detector_that_raises_in_a_graph_emits_0_and_logs_the_error(monkeypatch):
+    def broken(spec, env):
+        def detect(window):
+            raise RuntimeError(f"boom at window {window.index}")
+
+        return detect
+
+    monkeypatch.setitem(DETECTOR_FACTORIES, "broken", broken)
+    kinds = default_kind_registry()
+    kinds.register("windows", WindowSource)
+    kinds.register("bits", lambda node_id, params, env: BitRecorder(node_id))
+    lossless = LosslessPolicy(deadline_us=10**9)
+    graph = GraphDef(
+        nodes=(
+            NodeDef("win", "windows", {"count": 2}),
+            NodeDef("att", "attention", {"detector": {"kind": "broken"}}),
+            NodeDef("rec", "bits", {}),
+        ),
+        streams=(
+            StreamDef("s_win", "win", "out", "att", "in", lossless),
+            StreamDef("s_bits", "att", "bit", "rec", "in", lossless),
+        ),
+    )
+    report = graph_run(graph, kinds=kinds)
+    assert report.status == "ok"
+    assert report.extras == {"bits": [0, 0]}
+    assert report.events == [
+        {"t_us": t_us, "kind": "attention_error", "node": "att", "error": f"RuntimeError: boom at window {k}"}
+        for k, t_us in enumerate((0, 1_000))
+    ]
 
 
 def test_importing_the_core_loads_no_other_flowbot_package():

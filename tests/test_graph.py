@@ -342,6 +342,54 @@ def test_time_limit_is_exclusive():
     assert report.end_time_us == 5_000
 
 
+def test_emit_or_poll_on_an_unwired_port_raises_key_error_naming_node_and_port():
+    runner = GraphRunner(simple_graph())
+    with pytest.raises(KeyError, match="node 'src' has no stream on output port 'nowhere'"):
+        runner.emit("src", "nowhere", 0)
+    with pytest.raises(KeyError, match="node 'snk' has no stream on input port 'nowhere'"):
+        runner.poll_input("snk", "nowhere")
+
+
+class Ping(Node):
+    """Logs its timer at 0, where it emits one packet, and each packet it gets."""
+
+    def input_ports(self):
+        return {"in": PortSpec("any")}
+
+    def output_ports(self):
+        return {"out": PortSpec("any")}
+
+    def start(self, ctx):
+        ctx.schedule_at(0)
+
+    def on_timer(self, tag, ctx):
+        ctx.log("timer")
+        ctx.emit("out", 0)
+
+    def on_packet(self, port, packet, ctx):
+        ctx.log("packet")
+
+
+def test_a_two_node_cycle_runs_with_ranks_in_declaration_order():
+    # b is declared first, so it ranks before a: its timer runs first, and it
+    # gets a's packet before a gets b's, which was sent earlier
+    kinds = default_kind_registry()
+    kinds.register("ping", lambda node_id, params, env: Ping(node_id))
+    g = GraphDef(
+        nodes=(NodeDef("b", "ping", {}), NodeDef("a", "ping", {})),
+        streams=(
+            StreamDef("s_ab", "a", "out", "b", "in", LOSSLESS),
+            StreamDef("s_ba", "b", "out", "a", "in", LOSSLESS),
+        ),
+    )
+    assert validate_graph(g, kinds) == []
+    report = graph_run(g, kinds=kinds)
+    assert report.status == "ok"
+    assert [(e["node"], e["kind"]) for e in report.events] == [
+        ("b", "timer"), ("a", "timer"), ("b", "packet"), ("a", "packet"),
+    ]
+
+
 class BrokenStart(Node):
     def start(self, ctx):
         raise RuntimeError("start failed")
@@ -615,27 +663,51 @@ class Metronome(Node):
             ctx.emit("out", k, timestamp_us=self.start_us + k * self.period_us)
 
 
+class Sleeper(Node):
+    """Sleeps ``sleep_s`` of wall time on every packet, so a real-clock run
+    wakes late for the events after it."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.sleep_s = params["sleep_s"]
+
+    def input_ports(self):
+        return {"in": PortSpec("any")}
+
+    def on_packet(self, port, packet, ctx):
+        time.sleep(self.sleep_s)
+
+
 def test_real_clock_mode_matches_virtual_counters(wall_clock_guard):
-    # soak-style check: the same graph paced by the monotonic clock produces
-    # the same counters as the virtual run (not the same wall timing)
+    # soak-style check: the same graph paced by the monotonic clock reports
+    # the same bytes as the virtual run, however late its wake-ups
     from flowbot.flowcore import MonotonicClock
 
-    # the stock source reschedules itself from on_timer, so a late wake-up
-    # moves its next timer to now; source -> sink is lossless and unpolled,
-    # so that cannot change a counter
-    def source_sink(clock):
-        return graph_run(simple_graph(count=30, rate_hz=10_000.0), clock=clock).streams["s"]
-
-    assert source_sink(MonotonicClock()) == source_sink(VirtualClock())
-
-    # a lossy polled stream and a latch: every timer is set when its node
-    # starts and every packet carries a scheduled time, so a late wake-up
-    # delays events without reordering them; the first is 50 ms in, after
-    # the runner is built
     kinds = default_kind_registry()
     kinds.register("nth_bit", EveryNthBit)
     kinds.register("metronome", Metronome)
-    g = GraphDef(
+    kinds.register("sleeper", Sleeper)
+    # a source from 0 into a lossy stream polled from 0
+    from_zero = simple_graph(
+        policy=LossyPolicy(capacity=2), sink_params={"poll_rate_hz": 2_000.0}, count=30, rate_hz=10_000.0,
+    )
+    # a 200 Hz source from 2.5 ms into a capacity-2 lossy stream polled at
+    # 50 Hz, beside a consumer whose 4 ms sleeps make the next wake-up late
+    late_polls = GraphDef(
+        nodes=(
+            NodeDef("src", "source", {"count": 40, "rate_hz": 200.0, "start_us": 2_500}),
+            NodeDef("split", "splitter", {"outputs": ["lossy", "busy"]}),
+            NodeDef("slow", "sink", {"poll_rate_hz": 50.0}),
+            NodeDef("busy", "sleeper", {"sleep_s": 0.004}),
+        ),
+        streams=(
+            StreamDef("s_in", "src", "out", "split", "in", LOSSLESS),
+            StreamDef("s_lossy", "split", "lossy", "slow", "in", LossyPolicy(capacity=2)),
+            StreamDef("s_busy", "split", "busy", "busy", "in", LOSSLESS),
+        ),
+    )
+    # a lossy polled stream and a latch, every timer set when its node starts
+    latched = GraphDef(
         nodes=(
             NodeDef("src", "metronome", {"count": 40, "start_us": 52_500, "period_us": 5_000}),
             NodeDef("split", "splitter", {"outputs": ["lossy", "ctl", "gated"]}),
@@ -652,25 +724,13 @@ def test_real_clock_mode_matches_virtual_counters(wall_clock_guard):
         ),
         latches=(LatchDef("s_gated", "s_bits"),),
     )
-
-    def seqs(runs):  # a run's times are when it was seen, so wall times here
-        return [(r["first_seq"], r["last_seq"], r["count"]) for r in runs]
-
-    def counters(clock):
-        report = graph_run(g, kinds=kinds, clock=clock)
-        streams = {
-            sid: ({k: s[k] for k in ("pushed", "delivered", "dropped", "queued", "max_queued")},
-                  seqs(s["drop_runs"]))
-            for sid, s in report.streams.items()
-        }
-        latch = dict(report.latches["s_gated"])
-        latch["suppressed_runs"] = seqs(latch["suppressed_runs"])
-        return report.stop_reason, streams, latch, report.nodes
-
-    virtual = counters(VirtualClock())
-    assert virtual[1]["s_lossy"][0]["dropped"] > 0 and virtual[2]["suppressed"] > 0
-    with wall_clock_guard(5.0):  # paced over about 0.3 s; a hang fails
-        assert counters(MonotonicClock()) == virtual
+    for g in (from_zero, late_polls, latched):
+        virtual = graph_run(g, kinds=kinds, clock=VirtualClock())
+        assert virtual.status == "ok" and any(s["dropped"] for s in virtual.streams.values())
+        assert all(latch["suppressed"] for latch in virtual.latches.values())
+        with wall_clock_guard(5.0):  # paced over at most 0.3 s; a hang fails
+            real = graph_run(g, kinds=kinds, clock=MonotonicClock())
+        assert real.to_json_str() == virtual.to_json_str()
 
 
 class EmitTwice(Node):
@@ -711,8 +771,9 @@ def test_real_clock_handler_sees_the_time_of_its_dispatch(wall_clock_guard):
     with wall_clock_guard(2.0):
         report = graph_run(g, kinds=kinds, clock=MonotonicClock())
     assert time.perf_counter() - started < 0.2
-    (now,) = report.extras["now"]
-    assert report.extras["timestamps"] == [now, now]
+    # a fresh monotonic clock starts the run at 0, and the handler's time
+    # does not move while it sleeps
+    assert report.extras == {"now": [0], "timestamps": [0, 0]}
 
 
 def test_fifo_per_stream_in_run_events():

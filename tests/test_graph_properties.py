@@ -1,6 +1,6 @@
 """Random valid graphs: every run terminates, conserves packets and replays,
 and its drop and suppression runs account for every dropped and suppressed
-packet.
+packet; a clock that reads late changes no byte of the report.
 
 Hypothesis draws small DAGs of sources, splitters and sinks, with lossy and
 lossless streams, optional watchdogs, push- and poll-driven sinks, an
@@ -8,6 +8,8 @@ optional chain of sample chunks through an aggregator and an attention node
 (``rms`` or ``constant`` detector), and at most one latch, driven by a
 scripted bit node or by the attention node's bits.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -207,6 +209,34 @@ def test_random_graphs_terminate_conserve_and_replay(wall_clock_guard, case, see
         assert latch["suppressed"] == sum(run["count"] for run in latch["suppressed_runs"]), sid
         assert_runs_ordered_and_disjoint(latch["suppressed_runs"])
     assert first.to_json_str() == second.to_json_str()
+
+
+class LateClock:
+    """A real clock's readings without its sleeps: zeroed at its first
+    reading, then every reading and every ``advance_to`` lands an arbitrary
+    time later, as wall time does on a loaded host."""
+
+    def __init__(self, jumps_us):
+        self._jumps = itertools.cycle(jumps_us)
+        self._now = None
+
+    def now_us(self):
+        self._now = 0 if self._now is None else self._now + next(self._jumps)
+        return self._now
+
+    def advance_to(self, t_us):
+        self._now = max(self._now, t_us) + next(self._jumps)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graphs(), st.lists(st.integers(0, 50_000), min_size=1, max_size=8))
+def test_random_graphs_report_the_virtual_bytes_under_a_late_clock(wall_clock_guard, case, jumps_us):
+    graph, time_limit = case
+    stop = StopCondition(time_limit_us=time_limit)
+    with wall_clock_guard(20.0):
+        virtual = graph_run(graph, kinds=kinds(), stop=stop)
+        late = graph_run(graph, kinds=kinds(), clock=LateClock(jumps_us), stop=stop)
+    assert late.to_json_str() == virtual.to_json_str()
 
 
 def assert_runs_ordered_and_disjoint(runs):

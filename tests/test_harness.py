@@ -317,6 +317,51 @@ def test_prompt_timeouts_abort_session_with_notice():
     assert rejects and rejects[-1]["reason"] == "session_aborted"
 
 
+def test_a_timeout_after_its_session_was_answered_does_nothing():
+    # the prompt at window 5 is answered at window 7, 0.5 s later; its 1 s
+    # timeout still fires, inside the run, and finds the session done
+    graph = reference_pipeline(manager_params={"followup_timeout_s": 1.0})
+    scenario = demo_scenario(
+        script=[
+            {"trigger_window_index": 5, "skill_id": "find_object", "entities": {}, "confidence": 0.9},
+            {"trigger_window_index": 7, "skill_id": "", "entities": {"object_label": "keys"}},
+        ],
+        time_limit_s=6.0,
+    )
+    report = run_scenario(graph, scenario)
+    (into_mgr,) = [sd.id for sd in graph.streams if sd.to_node == "mgr"]
+    assert report["nodes"]["mgr"]["dispatches"] == report["streams"][into_mgr]["delivered"] + 1
+    assert [i["skill_id"] for i in report["skill_invocations"]] == ["find_object"]
+    speech = [s["text"] for s in report["extras"]["speech"]]
+    assert sum("object label" in t for t in speech) == 1  # the prompt, never repeated
+    assert not any(e["kind"] == "reject" for e in report["events"])
+
+
+def test_reference_pipeline_under_a_real_clock_reports_the_virtual_bytes(wall_clock_guard):
+    from flowbot.flowcore import GraphRunner, MonotonicClock, StopCondition, VirtualClock
+
+    scenario = demo_scenario(
+        script=[{"trigger_window_index": 0, "skill_id": "get_time", "entities": {}, "confidence": 0.9}],
+        annotations=[{"start_s": 0.5, "end_s": 1.0}],
+        duration_s=1.0,
+    )
+
+    def run(clock):
+        env = {
+            "audio": scenario_audio(scenario),
+            "annotations": list(scenario.annotations),
+            "interpreter_script": list(scenario.interpreter_script),
+        }
+        stop = StopCondition(time_limit_us=1_200_000)
+        return GraphRunner(reference_pipeline(), harness_kind_registry(), clock, stop, env=env).run()
+
+    virtual = run(VirtualClock())
+    assert [i["skill_id"] for i in virtual.skill_invocations] == ["get_time"]
+    with wall_clock_guard(10.0):  # paced over 1.2 s
+        real = run(MonotonicClock())
+    assert real.to_json_str() == virtual.to_json_str()
+
+
 def test_low_confidence_interpretation_rejected():
     scenario = demo_scenario(
         script=[{"trigger_window_index": 5, "skill_id": "get_time", "entities": {}, "confidence": 0.2}]
@@ -672,6 +717,7 @@ SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}
         ),
         ({"audio": SILENCE_4S, "seed": -1}, "seed"),
         ({"audio": {"wav": "no-such-file.wav"}}, "audio.wav"),
+        ({"audio": {"wav": "B\u0000x"}}, "audio.wav"),
         ({"audio": SILENCE_4S, "time_limit_s": 1e303}, "time_limit_s"),
         ({"audio": {"synthetic": {"kind": "silence", "duration_s": 1e300}}},
          "audio.synthetic.duration_s"),

@@ -56,6 +56,7 @@ BAD_VALUES = [
     ("aggregator", "window_samples", nan),
     ("aggregator", "window_samples", inf),
     ("aggregator", "window_samples", [16000]),
+    ("attention", "detector", {"kind": "nope"}),
     ("audio_source", "chunk_samples", "1600"),
     ("audio_source", "chunk_samples", 1600.5),
     ("audio_source", "chunk_samples", nan),
@@ -71,11 +72,13 @@ BAD_VALUES = [
     ("io_manager", "routing", {"mic0": [nan]}),
     ("io_manager", "routing", {"mic0": [inf]}),
     ("io_manager", "routing", [["ui_audio"]]),
+    ("sink", "poll_rate_hz", 0),
     ("splitter", "outputs", "win_att"),
     ("splitter", "outputs", ["win_att", 0.5]),
     ("splitter", "outputs", ["win_att", nan]),
     ("splitter", "outputs", ["win_att", inf]),
     ("splitter", "outputs", {"win_att": "win_gate"}),
+    ("splitter", "outputs", []),
     ("skill_manager", "confidence_floor", "high"),
     ("skill_manager", "confidence_floor", nan),
     ("skill_manager", "confidence_floor", inf),
