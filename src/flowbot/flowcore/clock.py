@@ -12,10 +12,10 @@ import time
 
 
 class VirtualClock:
-    """Manually advanced clock counting microseconds from an arbitrary origin."""
+    """Manually advanced clock counting microseconds from 0."""
 
-    def __init__(self, start_us: int = 0):
-        self._now_us = int(start_us)
+    def __init__(self):
+        self._now_us = 0
 
     def now_us(self) -> int:
         return self._now_us

@@ -7,8 +7,9 @@ packet admits that packet.
 A latch keeps the packets it suppresses in ``suppressed_runs``, as a
 stream keeps its evictions in ``drop_runs``: one record ``[first_seq,
 last_seq, first_t_us, last_t_us, count]`` per run of suppressed packets
-with consecutive seqs. A stream pops in seq order, so a forwarded packet,
-or one dropped before it reached the latch, ends a run.
+with consecutive seqs, stamped with the ``now_us`` each ``forward`` is
+given, which never decreases within a run. A stream pops in seq order, so
+a forwarded packet, or one dropped before it reached the latch, ends a run.
 """
 
 from __future__ import annotations
@@ -42,21 +43,20 @@ class Latch:
         self.transitions.append((ts_us, target))
         return True
 
-    def forward(self, packet: Packet, now_us: Optional[int] = None) -> Optional[Packet]:
+    def forward(self, packet: Packet, now_us: int) -> Optional[Packet]:
         """Pass the packet through when open; when closed, drop it and record
-        it in its run at ``now_us`` (without it, the packet's timestamp)."""
+        it in its run at ``now_us``, the runner's time."""
         if self.state is LatchState.OPEN:
             self.forwarded += 1
             return packet
         self.suppressed += 1
-        now = packet.timestamp_us if now_us is None else now_us
         seq = packet.seq
         runs = self.suppressed_runs
         if runs and runs[-1][1] == seq - 1:
             run = runs[-1]
-            run[1], run[3], run[4] = seq, now, run[4] + 1
+            run[1], run[3], run[4] = seq, now_us, run[4] + 1
         else:
-            runs.append([seq, seq, now, now, 1])
+            runs.append([seq, seq, now_us, now_us, 1])
         return None
 
     @property

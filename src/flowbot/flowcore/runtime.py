@@ -46,7 +46,10 @@ dispatched, and the clock's ``advance_to`` is called whenever an event is
 later than the last (a virtual clock jumps, a real one sleeps). ``emit``,
 ``poll``, ``log``, ``schedule_at`` and ``now_us`` read ``now``, never the
 clock, so a late wake-up under a real clock delays events without reordering
-them, and the report is the virtual run's byte for byte.
+them, and the report is the virtual run's byte for byte. Every stream
+``push`` and ``pop`` and every latch ``forward`` is given ``now``, which
+never decreases, so no stream, latch or skill registry keeps a time of its
+own.
 
 A run stops at the first event at or after its time limit, after the event
 whose handler raises or that brings the packets pushed to the budget, or,
@@ -288,6 +291,9 @@ class GraphRunner:
     # -- ordering ---------------------------------------------------------
 
     def _topo_ranks(self) -> dict[str, int]:
+        """Producers rank before consumers, in declaration order where that
+        leaves a choice; a latch's control stream counts as feeding the gated
+        stream's consumer, and a cycle is entered at its ``_cycle_head``."""
         stream_defs = {sd.id: sd for sd in self.graph.streams}
         gated_consumer = {}
         for ld in self.graph.latches:
@@ -307,7 +313,7 @@ class GraphRunner:
         while remaining:
             ready = [n for n in remaining if deps[n] <= set(ranks)]
             if not ready:
-                ready = [remaining[0]]  # cycle: fall back to declaration order
+                ready = [_cycle_head(remaining, deps, ranks)]
             for n in ready:
                 ranks[n] = len(ranks)
             remaining = [n for n in remaining if n not in ranks]
@@ -470,6 +476,26 @@ class GraphRunner:
             },
             failed_node=self._failed_node,
         )
+
+
+def _cycle_head(remaining: list[str], deps: dict[str, set[str]], ranked: dict[str, int]) -> str:
+    """The first of ``remaining`` that is on a cycle and whose unranked
+    producers, direct or not, all lie on a cycle through it. When no node is
+    ready, every node left waits on a cycle, so one exists; ranking it next
+    keeps each producer that is not downstream of its consumer ranked before
+    it."""
+    upstream = {}
+    for n in remaining:
+        seen, todo = set(), [n]
+        while todo:
+            for m in deps[todo.pop()]:
+                if m not in ranked and m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        upstream[n] = seen
+    return next(
+        n for n in remaining if n in upstream[n] and all(upstream[m] == upstream[n] for m in upstream[n])
+    )
 
 
 def graph_run(

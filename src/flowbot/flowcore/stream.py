@@ -100,15 +100,13 @@ class Stream:
     optional :class:`WatchdogConfig` adds a latency bound, from the push
     that queued a packet to its pop, and a throughput bound on pops per
     tumbling window, aligned to the first event. Each queue entry is
-    ``(push_us, packet)`` for the latency check. Under a watchdog, a push or
-    pop checks inline that it is not earlier than the last one and whether
-    it ends the current window, and calls out only when a window closes. An
-    out-of-order one is recorded in ``monitor_errors`` and not monitored,
-    but the packet still moves. ``finalize`` closes the windows that end by
-    the end of the run.
+    ``(push_us, packet)`` for the latency check. A push or pop checks inline
+    whether it ends the current window, and calls out only when one closes.
+    ``finalize`` closes the windows that end by the end of the run.
 
-    ``push`` and ``pop`` take the current time as ``now_us``; without it
-    they use the packet's timestamp. ``push`` returns nothing.
+    ``push`` and ``pop`` take the runner's ``now_us``, the due time of the
+    event being dispatched, which never decreases within a run. ``push``
+    returns nothing.
 
     Policy and watchdog are resolved once, at construction, into plain
     bounds; the unused ones are None.
@@ -117,7 +115,6 @@ class Stream:
     def __init__(self, stream_id: str, policy: StreamPolicy, watchdog: Optional[WatchdogConfig] = None):
         self.stream_id = stream_id
         self.violations: list[Violation] = []
-        self.monitor_errors: list[dict] = []
         self.pushed = 0
         self.delivered = 0
         self.dropped = 0
@@ -133,66 +130,54 @@ class Stream:
         self._max_latency_us = watchdog.max_latency_us if watchdog else None
         self._min_hz = watchdog.min_throughput_hz if watchdog else None
         self._window_us = watchdog.window_us if self._min_hz is not None else None
-        self._last_us = -math.inf  # the last in-order event
         # the current throughput window's end: -inf until one opens, inf if unbounded
         self._window_end = math.inf if self._window_us is None else -math.inf
         self._window_out = 0
 
-    def push(self, packet: Packet, now_us: Optional[int] = None) -> None:
-        now = packet.timestamp_us if now_us is None else now_us
+    def push(self, packet: Packet, now_us: int) -> None:
         q = self._q
         self.pushed += 1
-        if self._monitored:
-            if now < self._last_us:
-                self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": "PacketIn", "at_us": now})
-            else:
-                self._last_us = now
-                if now >= self._window_end:
-                    self._close_windows(now)
+        if self._monitored and now_us >= self._window_end:
+            self._close_windows(now_us)
         capacity = self._capacity
         depth = len(q)
         if capacity is None or depth < capacity:
-            q.append((now, packet))
+            q.append((now_us, packet))
             self.successive_misses = 0
             if depth >= self.max_queued:
                 self.max_queued = depth + 1
             return
         evicted = q.popleft()[1]
-        q.append((now, packet))
+        q.append((now_us, packet))
         self.dropped += 1
         self.successive_misses = misses = self.successive_misses + 1
         seq = evicted.seq
         if misses == 1:
-            self.drop_runs.append([seq, seq, now, now, 1])
+            self.drop_runs.append([seq, seq, now_us, now_us, 1])
         else:
             run = self.drop_runs[-1]
-            run[1], run[3], run[4] = seq, now, misses
+            run[1], run[3], run[4] = seq, now_us, misses
         if self._miss_limit is not None and misses > self._miss_limit:
-            self._violate(ViolationKind.BACKPRESSURE_MISS_LIMIT, now, misses, self._miss_limit)
+            self._violate(ViolationKind.BACKPRESSURE_MISS_LIMIT, now_us, misses, self._miss_limit)
 
-    def pop(self, now_us: Optional[int] = None) -> Optional[Packet]:
+    def pop(self, now_us: int) -> Optional[Packet]:
         """Dequeue the oldest packet, or None when empty (a poll outcome)."""
         if not self._q:
             return None
         pushed_us, packet = self._q.popleft()
         self.delivered += 1
-        now = packet.timestamp_us if now_us is None else now_us
         deadline = self._deadline_us
         if deadline is not None:
-            age = now - packet.timestamp_us
+            age = now_us - packet.timestamp_us
             if age > deadline:
-                self._violate(ViolationKind.LATENCY_EXCEEDED, now, age, deadline)
+                self._violate(ViolationKind.LATENCY_EXCEEDED, now_us, age, deadline)
         if self._monitored:
-            if now < self._last_us:
-                self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": "PacketOut", "at_us": now})
-                return packet
-            self._last_us = now
-            if now >= self._window_end:
-                self._close_windows(now)
+            if now_us >= self._window_end:
+                self._close_windows(now_us)
             self._window_out += 1
             bound = self._max_latency_us
-            if bound is not None and now - pushed_us > bound:
-                self._violate(ViolationKind.LATENCY_EXCEEDED, now, now - pushed_us, bound)
+            if bound is not None and now_us - pushed_us > bound:
+                self._violate(ViolationKind.LATENCY_EXCEEDED, now_us, now_us - pushed_us, bound)
         return packet
 
     def _violate(self, kind: ViolationKind, at_us: int, observed: float, bound: float) -> None:
@@ -237,10 +222,8 @@ class Stream:
         }
 
     def to_json(self) -> dict:
-        """The stream's report entry: counters, drop runs, violations and any monitor errors."""
+        """The stream's report entry: counters, drop runs and violations."""
         entry = self.counters()
         entry["drop_runs"] = runs_to_json(self.drop_runs)
         entry["violations"] = [v.to_json() for v in self.violations]
-        if self.monitor_errors:
-            entry["monitor_errors"] = list(self.monitor_errors)
         return entry

@@ -9,7 +9,6 @@ from .nodes import (
     DeviceSample,
     harness_kind_registry,
     io_manager_route,
-    scripted_keyword_detector,
 )
 from .reference import reference_pipeline, report_to_json_str, run_scenario
 from .scenario import (
@@ -36,6 +35,5 @@ __all__ = [
     "report_to_json_str",
     "run_scenario",
     "scenario_audio",
-    "scripted_keyword_detector",
     "synthesize_audio",
 ]

@@ -14,6 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
+from ..flowcore.aggregator import SampleChunk
 from ..flowcore.runtime import GraphValidationError
 from ..flowcore.schema import SchemaError, check_value
 from ..flowcore.validation import validate_graph
@@ -82,10 +85,7 @@ def _cmd_validate(args) -> int:
 
 def _validation_env() -> dict:
     # audio_source factories need audio present; validation runs with a stub
-    from ..dsp.audio import AudioBuffer
-    import numpy as np
-
-    return {"audio": AudioBuffer(samples=np.zeros(1), sample_rate_hz=16000)}
+    return {"audio": SampleChunk(np.zeros(1), 16000)}
 
 
 def _cmd_params(args) -> int:

@@ -15,8 +15,9 @@ apply the scale in the copies they already make.
 
 The skill_manager node dispatches through the build environment's
 ``skill_registry``, or through a fresh registry of the demo skills when the
-environment has none. It stamps skill events with the run clock, and a
-handler that raises is recorded as a skill failure without stopping the run.
+environment has none. It stamps each skill event with the run's ``now``,
+and a handler that raises is recorded as a skill failure without stopping
+the run.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class AudioSourceNode(Node):
     number of chunks.
 
     The build environment's ``audio`` is a :class:`SampleChunk`, as
-    :func:`~flowbot.harness.scenario.scenario_audio` returns it, or an
-    :class:`~flowbot.dsp.audio.AudioBuffer`, read with scale 1.0. Each chunk
+    :func:`~flowbot.harness.scenario.scenario_audio` returns it. Each chunk
     emitted is a view of its samples with the audio's scale, so WAV audio
     stays int16 codes until a consumer copies it.
     """
@@ -80,7 +80,7 @@ class AudioSourceNode(Node):
         if audio is None:
             raise ValueError("audio_source requires scenario audio in the build environment")
         self.samples = np.asarray(audio.samples)
-        self.scale = getattr(audio, "scale", 1.0)
+        self.scale = audio.scale
         self._n_chunks = -(-max(len(self.samples), pad_to) // self.chunk_samples)
         self.sample_rate_hz = int(audio.sample_rate_hz)
         self._next_chunk = 0
@@ -171,7 +171,8 @@ class ResamplerNode(Node):
 
 
 class AnnotationIndex:
-    """Annotation spans sorted once by start, with a running maximum of their ends.
+    """:class:`~flowbot.harness.scenario.Annotation` spans sorted once by
+    start, with a running maximum of their ends.
 
     A half-open window ``[lo, hi)`` overlaps a span ``(s, e)`` iff
     ``s < hi and lo < e``. The ``k = bisect_left(starts, hi)`` spans that
@@ -182,10 +183,7 @@ class AnnotationIndex:
     """
 
     def __init__(self, annotations):
-        spans = sorted(
-            (ann["start_s"], ann["end_s"]) if isinstance(ann, dict) else (ann.start_s, ann.end_s)
-            for ann in annotations
-        )
+        spans = sorted((ann.start_s, ann.end_s) for ann in annotations)
         self._starts = [start for start, _ in spans]
         self._max_end = list(accumulate((end for _, end in spans), max))
 
@@ -193,15 +191,9 @@ class AnnotationIndex:
         k = bisect_left(self._starts, hi)
         return k > 0 and self._max_end[k - 1] > lo
 
-    def __call__(self, window_meta) -> int:
+    def __call__(self, window: AggWindow) -> int:
         """The scripted detector: 1 iff an annotation overlaps the window's span."""
-        span = window_meta.span_s if isinstance(window_meta, AggWindow) else tuple(window_meta)
-        return 1 if self.overlaps(*span) else 0
-
-
-def scripted_keyword_detector(window_meta, annotations) -> int:
-    """1 iff any annotation interval overlaps the window's half-open span."""
-    return AnnotationIndex(annotations)(window_meta)
+        return 1 if self.overlaps(*window.span_s) else 0
 
 
 # the index is built once per attention node, when the graph is built
@@ -272,12 +264,13 @@ class SkillManagerNode(Node):
         else:
             self.registry = SkillRegistry()
             register_demo_skills(self.registry)
-        self.registry.bind_clock(ctx)
-        self.registry.event_listener = lambda event: (
-            ctx.collector.skill_failures.append(event.to_json())
-            if event.kind == "failed"
-            else ctx.collector.skill_invocations.append(event.to_json())
-        )
+
+        def collect(event):  # stamped with the dispatch's time, constant within it
+            collector = ctx.collector
+            entries = collector.skill_failures if event.kind == "failed" else collector.skill_invocations
+            entries.append({**event.to_json(), "t_us": ctx.now_us()})
+
+        self.registry.event_listener = collect
         self.manager = SkillManager(self.registry, self.config)
         self._schedule_store: list = []
 

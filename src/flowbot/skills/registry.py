@@ -4,7 +4,8 @@ Dispatch runs the handler to completion and returns its value, whatever the
 descriptor's execution policy; ``Deferred`` is kept because catalogs declare
 it and skill events report it. Exactly one SkillInvoked event is logged per
 dispatch; a handler that raises logs SkillFailed, and dispatch re-raises its
-exception.
+exception. The registry keeps no time: whoever listens to its events stamps
+them, as the skill_manager node does with the run's ``now``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class SkillEvent(NamedTuple):
     skill_id: str
     entities: dict
     policy: str
-    t_us: int = 0
     error: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -33,7 +33,6 @@ class SkillEvent(NamedTuple):
             "skill_id": self.skill_id,
             "entities": dict(self.entities),
             "policy": self.policy,
-            "t_us": self.t_us,
         }
         if self.error is not None:
             out["error"] = self.error
@@ -47,17 +46,9 @@ class SkillRegistry:
     Events go only to ``event_listener``: a registry reused across runs keeps none.
     """
 
-    def __init__(self, clock=None):
+    def __init__(self):
         self._entries: dict[str, tuple[SkillDescriptor, Callable]] = {}
-        self._clock = clock
         self.event_listener: Optional[Callable[[SkillEvent], None]] = None
-
-    def _now_us(self) -> int:
-        return self._clock.now_us() if self._clock is not None else 0
-
-    def bind_clock(self, clock) -> None:
-        """Late-bind the time source used to stamp events (e.g. a run clock)."""
-        self._clock = clock
 
     def register(self, descriptor: SkillDescriptor, handler: Callable) -> None:
         if descriptor.id in self._entries:
@@ -83,26 +74,10 @@ class SkillRegistry:
         if missing:
             raise MissingEntitiesError(skill_id, missing)
         policy = descriptor.execution_policy.value
-        self._log(
-            SkillEvent(
-                kind="invoked",
-                skill_id=skill_id,
-                entities=dict(entities),
-                policy=policy,
-                t_us=self._now_us(),
-            )
-        )
+        self._log(SkillEvent("invoked", skill_id, dict(entities), policy))
         try:
             return handler(dict(entities), context)
         except BaseException as exc:
-            self._log(
-                SkillEvent(
-                    kind="failed",
-                    skill_id=skill_id,
-                    entities=dict(entities),
-                    policy=policy,
-                    t_us=self._now_us(),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            self._log(SkillEvent("failed", skill_id, dict(entities), policy, error))
             raise

@@ -184,10 +184,10 @@ def _random_stream_case(rng):
     delivered = []
     for _ in range(int(rng.integers(1, 120))):
         if rng.random() < 0.6:
-            s.push(Packet(payload=None, timestamp_us=seq, seq=seq))
+            s.push(Packet(payload=None, timestamp_us=seq, seq=seq), seq)
             seq += 1
         else:
-            p = s.pop()
+            p = s.pop(seq)
             if p is not None:
                 delivered.append(p.seq)
         assert s.queued() <= capacity  # bounded memory
@@ -200,10 +200,10 @@ def _random_lossless_case(rng):
     pushed = 0
     for _ in range(int(rng.integers(1, 120))):
         if rng.random() < 0.7:
-            s.push(Packet(payload=None, timestamp_us=pushed, seq=pushed))
+            s.push(Packet(payload=None, timestamp_us=pushed, seq=pushed), pushed)
             pushed += 1
         else:
-            s.pop()
+            s.pop(pushed)
     assert s.dropped == 0
     assert s.pushed == s.delivered + s.queued()
 
@@ -224,7 +224,7 @@ def _random_latch_case(rng):
         for kind, ts, value in sorted(events, key=lambda e: (e[1], 0 if e[0] == "ctl" else 1)):
             if kind == "ctl":
                 latch.apply_control(value, ts)
-            elif latch.forward(Packet(payload=value, timestamp_us=ts, seq=value)) is not None:
+            elif latch.forward(Packet(payload=value, timestamp_us=ts, seq=value), ts) is not None:
                 forwarded.append(value)
         return forwarded, latch.transitions
 
@@ -245,7 +245,7 @@ def test_criterion_09_dataflow_property_suites():
         # five pushes with no pops
         s = Stream("s", LossyPolicy(capacity=2, max_successive_misses=2))
         for i in range(1, 6):
-            s.push(Packet(payload=i, timestamp_us=i, seq=i))
+            s.push(Packet(payload=i, timestamp_us=i, seq=i), i)
         assert s.successive_misses == 3
         assert [v.kind for v in s.violations] == [ViolationKind.BACKPRESSURE_MISS_LIMIT]
         assert s.dropped == 3 and s.queued() == 2

@@ -390,6 +390,24 @@ def test_a_two_node_cycle_runs_with_ranks_in_declaration_order():
     ]
 
 
+def test_a_cycle_is_entered_at_a_node_on_it_not_at_a_consumer_declared_first():
+    # snk is declared first but is fed by the cycle a <-> b, so it ranks last
+    g = GraphDef(
+        nodes=(
+            NodeDef("snk", "sink", {}),
+            NodeDef("a", "splitter", {"outputs": ["o0"]}),
+            NodeDef("b", "splitter", {"outputs": ["o0", "o1"]}),
+        ),
+        streams=(
+            StreamDef("s_ab", "a", "o0", "b", "in", LOSSLESS),
+            StreamDef("s_ba", "b", "o0", "a", "in", LOSSLESS),
+            StreamDef("s_out", "b", "o1", "snk", "in", LOSSLESS),
+        ),
+    )
+    assert validate_graph(g, default_kind_registry()) == []
+    assert GraphRunner(g)._topo == {"a": 0, "b": 1, "snk": 2}
+
+
 class BrokenStart(Node):
     def start(self, ctx):
         raise RuntimeError("start failed")

@@ -1,6 +1,8 @@
 """Random valid graphs: every run terminates, conserves packets and replays,
 and its drop and suppression runs account for every dropped and suppressed
-packet; a clock that reads late changes no byte of the report.
+packet; a clock that reads late changes no byte of the report, and the time
+each stream and latch is given never decreases. Producers rank before their
+consumers, also when relay cycles are added.
 
 Hypothesis draws small DAGs of sources, splitters and sinks, with lossy and
 lossless streams, optional watchdogs, push- and poll-driven sinks, an
@@ -12,10 +14,11 @@ scripted bit node or by the attention node's bits.
 import itertools
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from flowbot.flowcore import (
     GraphDef,
+    GraphRunner,
     LatchDef,
     LatchState,
     LosslessPolicy,
@@ -26,6 +29,7 @@ from flowbot.flowcore import (
     SampleChunk,
     StopCondition,
     StreamDef,
+    VirtualClock,
     WatchdogConfig,
     default_kind_registry,
     graph_run,
@@ -79,10 +83,22 @@ class ChunkSource(Node):
             ctx.schedule(10_000)
 
 
+class Relay(Node):
+    """Two optional inputs and two optional outputs, for wiring cycles; the
+    rank tests build it and never run it."""
+
+    def input_ports(self):
+        return {"in0": PortSpec(optional=True), "in1": PortSpec(optional=True)}
+
+    def output_ports(self):
+        return {"o0": PortSpec(optional=True), "o1": PortSpec(optional=True)}
+
+
 def kinds():
     registry = default_kind_registry()
     registry.register("scripted_bits", ScriptedBits)
     registry.register("chunks", ChunkSource)
+    registry.register("relay", lambda node_id, params, env: Relay(node_id))
     return registry
 
 
@@ -237,6 +253,113 @@ def test_random_graphs_report_the_virtual_bytes_under_a_late_clock(wall_clock_gu
         virtual = graph_run(graph, kinds=kinds(), stop=stop)
         late = graph_run(graph, kinds=kinds(), clock=LateClock(jumps_us), stop=stop)
     assert late.to_json_str() == virtual.to_json_str()
+
+
+def record_times(runner):
+    """Wrap every stream's ``push`` and ``pop`` and every latch's ``forward``
+    on a built runner; returns the list each call appends its ``now_us`` to."""
+    times = []
+
+    def recorded(method):
+        def call(*args):
+            times.append(args[-1])
+            return method(*args)
+        return call
+
+    for stream in runner.streams.values():
+        stream.push, stream.pop = recorded(stream.push), recorded(stream.pop)
+    for latch in runner.latches.values():
+        latch.forward = recorded(latch.forward)
+    return times
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graphs(), st.lists(st.integers(0, 50_000), min_size=1, max_size=8))
+def test_streams_and_latches_are_given_a_time_that_never_decreases(wall_clock_guard, case, jumps_us):
+    graph, time_limit = case
+    stop = StopCondition(time_limit_us=time_limit)
+    seen = []
+    for clock in (VirtualClock(), LateClock(jumps_us)):
+        runner = GraphRunner(graph, kinds(), clock, stop)
+        times = record_times(runner)
+        with wall_clock_guard(20.0):
+            runner.run()
+        assert all(a <= b for a, b in zip(times, times[1:])), times
+        seen.append(times)
+    assert seen[0] == seen[1]
+
+
+@st.composite
+def graphs_with_cycles(draw):
+    """A graph from ``graphs()`` plus up to five relays wired at random, so
+    they may form cycles and feed sinks, with every node's declaration order
+    shuffled."""
+    graph, _ = draw(graphs())
+    relays = [f"relay{i}" for i in range(draw(st.integers(0, 5)))]
+    nodes = list(graph.nodes) + [NodeDef(r, "relay", {}) for r in relays]
+    streams = list(graph.streams)
+    free_inputs = [(r, port) for r in relays for port in ("in0", "in1")]
+    for r in relays:
+        for port in ("o0", "o1"):
+            choice = draw(st.integers(0, len(free_inputs) + 1))
+            if choice == len(free_inputs):  # unwired
+                continue
+            sid = f"r{len(streams)}"
+            if choice == len(free_inputs) + 1:
+                to_node, to_port = f"sink_{sid}", "in"
+                nodes.append(NodeDef(to_node, "sink", {}))
+            else:
+                to_node, to_port = free_inputs.pop(choice)
+            streams.append(StreamDef(sid, r, port, to_node, to_port, LosslessPolicy(deadline_us=1_000)))
+    nodes = draw(st.permutations(nodes))
+    return GraphDef(tuple(nodes), tuple(streams), graph.latches)
+
+
+def relay_graph(*wires):
+    """Relays named by the wires' ends, declared in order of first mention;
+    each wire is ``(producer, output, consumer, input)``."""
+    names = list(dict.fromkeys(name for w in wires for name in (w[0], w[2])))
+    return GraphDef(
+        tuple(NodeDef(n, "relay", {}) for n in names),
+        tuple(StreamDef(f"s{i}", *w, LosslessPolicy(deadline_us=1_000)) for i, w in enumerate(wires)),
+    )
+
+
+# the cycle c <-> x is declared first but is fed by the cycle p <-> q: a
+# cycle entered at its first declared node would rank c before p
+FED_CYCLE = relay_graph(
+    ("c", "o0", "x", "in0"), ("x", "o0", "c", "in0"), ("p", "o0", "c", "in1"),
+    ("p", "o1", "q", "in0"), ("q", "o0", "p", "in0"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_cycles())
+@example(FED_CYCLE)
+def test_a_producer_not_downstream_of_its_consumer_ranks_before_it(graph):
+    assert validate_graph(graph, kinds()) == []
+    ranks = GraphRunner(graph, kinds())._topo
+    consumer_of = {sd.id: sd.to_node for sd in graph.streams}
+    for ld in graph.latches:  # a control stream feeds the gated stream's consumer
+        consumer_of[ld.control_stream_id] = consumer_of[ld.stream_id]
+    downstream = {nd.id: set() for nd in graph.nodes}
+    for sd in graph.streams:
+        downstream[sd.from_node].add(consumer_of[sd.id])
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            for n in downstream[todo.pop()] - seen:
+                if n == goal:
+                    return True
+                seen.add(n)
+                todo.append(n)
+        return False
+
+    for sd in graph.streams:
+        producer, consumer = sd.from_node, consumer_of[sd.id]
+        if producer != consumer and not reaches(consumer, producer):
+            assert ranks[producer] < ranks[consumer], (sd.id, ranks)
 
 
 def assert_runs_ordered_and_disjoint(runs):

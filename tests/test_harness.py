@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from flowbot.flowcore import SampleChunk, SchemaError, validate_graph
+from flowbot.flowcore import AggWindow, SampleChunk, SchemaError, validate_graph
 from flowbot.harness import (
     Annotation,
     DeviceSample,
@@ -19,18 +19,16 @@ from flowbot.harness import (
     report_to_json_str,
     run_scenario,
     scenario_audio,
-    scripted_keyword_detector,
     synthesize_audio,
 )
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.config import load_scan_scene, packaged_config_text
 from flowbot.harness.nodes import AnnotationIndex, harness_kind_registry
-from flowbot.dsp import AudioBuffer
 from flowbot.skills import load_catalog
 
 
 def stub_env():
-    return {"audio": AudioBuffer(samples=np.zeros(16000), sample_rate_hz=16000)}
+    return {"audio": SampleChunk(np.zeros(16000), 16000)}
 
 
 def demo_scenario(script=None, annotations=None, duration_s=4.0, **extra):
@@ -154,16 +152,16 @@ def test_unknown_device_dead_letters():
 
 
 def test_detector_fires_on_overlap():
-    assert scripted_keyword_detector((1.75, 2.75), [Annotation(2.0, 2.5)]) == 1
+    assert AnnotationIndex([Annotation(2.0, 2.5)]).overlaps(1.75, 2.75)
 
 
 def test_detector_quiet_without_annotations():
-    assert scripted_keyword_detector((0.0, 1.0), [Annotation(2.0, 2.5)]) == 0
+    assert not AnnotationIndex([Annotation(2.0, 2.5)]).overlaps(0.0, 1.0)
 
 
 def test_window_end_boundary_is_half_open():
-    assert scripted_keyword_detector((2.0, 3.0), [Annotation(3.0, 3.2)]) == 0
-    assert scripted_keyword_detector((2.0, 3.0), [Annotation(2.999, 3.2)]) == 1
+    assert not AnnotationIndex([Annotation(3.0, 3.2)]).overlaps(2.0, 3.0)
+    assert AnnotationIndex([Annotation(2.999, 3.2)]).overlaps(2.0, 3.0)
 
 
 # spans on a quarter-second grid, so duplicates, nesting and ends that touch a
@@ -181,9 +179,14 @@ _spans = st.tuples(_quarters, st.integers(1, 12).map(lambda q: q / 4)).map(
 def test_indexed_detector_equals_a_scan_of_every_span(spans, lo, width):
     hi = lo + width / 4
     expected = any(s < hi and lo < e for s, e in spans)
-    index = AnnotationIndex([{"start_s": s, "end_s": e} for s, e in spans])
+    index = AnnotationIndex([Annotation(s, e) for s, e in spans])
     assert index.overlaps(lo, hi) is expected
-    assert scripted_keyword_detector((lo, hi), [Annotation(s, e) for s, e in spans]) == int(expected)
+    assert index(quarter_window(lo, hi)) == int(expected)
+
+
+def quarter_window(lo, hi):
+    """An AggWindow spanning ``[lo, hi)`` at 4 samples a second."""
+    return AggWindow(0, round(lo * 4), 4, np.zeros(round((hi - lo) * 4)))
 
 
 def test_scripted_detector_reads_the_annotations_once_at_build():
@@ -192,7 +195,7 @@ def test_scripted_detector_reads_the_annotations_once_at_build():
         "attention", "att", {"detector": {"kind": "scripted"}}, {"annotations": annotations}
     ).detector
     annotations.clear()
-    assert [detector((t, t + 1.0)) for t in (0.5, 1.0, 1.5, 2.5)] == [0, 0, 1, 0]
+    assert [detector(quarter_window(t, t + 1.0)) for t in (0.5, 1.0, 1.5, 2.5)] == [0, 0, 1, 0]
 
 
 # -- scenario audio --------------------------------------------------------------------
@@ -424,6 +427,26 @@ def test_high_level_skill_cannot_reach_devices():
     assert "emit_locomotion" in report["skill_failures"][0]["error"]
 
 
+def test_skill_events_are_stamped_with_the_time_of_their_dispatch():
+    from flowbot.skills import SkillDescriptor, SkillRegistry, register_demo_skills
+
+    def broken(entities, ctx):
+        raise ValueError("nope")
+
+    registry = SkillRegistry()
+    register_demo_skills(registry)
+    registry.register(SkillDescriptor(id="broken"), broken)
+    scenario = demo_scenario(script=[
+        {"trigger_window_index": 5, "skill_id": "get_time", "entities": {}, "confidence": 1.0},
+        {"trigger_window_index": 7, "skill_id": "broken", "entities": {}, "confidence": 1.0},
+    ])
+    report = run_scenario(reference_pipeline(), scenario, registry=registry)
+    executed = [e["t_us"] for e in report["events"] if e["kind"] == "skill_execute"]
+    assert len(executed) == 2 and 0 < executed[0] < executed[1]
+    assert [e["t_us"] for e in report["skill_invocations"]] == executed
+    assert [e["t_us"] for e in report["skill_failures"]] == executed[1:]
+
+
 def test_runs_that_reuse_one_registry_give_identical_reports():
     from flowbot.skills import SkillRegistry, register_demo_skills
 
@@ -484,7 +507,7 @@ def test_resampler_in_graph_feeds_16k_aggregator():
 
     rate = 48000
     t = np.arange(2 * rate) / rate
-    audio = AudioBuffer(samples=0.5 * np.sin(2 * np.pi * 1000.0 * t), sample_rate_hz=rate)
+    audio = SampleChunk(0.5 * np.sin(2 * np.pi * 1000.0 * t), rate)
     lossless = LosslessPolicy(deadline_us=10**9)
     graph = GraphDef(
         nodes=(
@@ -518,7 +541,7 @@ def test_unrouted_device_dead_letters_in_graph():
         GraphDef, NodeDef, StreamDef, LosslessPolicy, StopCondition, graph_run,
     )
 
-    audio = AudioBuffer(samples=np.zeros(8000), sample_rate_hz=16000)
+    audio = SampleChunk(np.zeros(8000), 16000)
     graph = GraphDef(
         nodes=(
             NodeDef("mic", "audio_source", {"device_id": "cam0", "chunk_samples": 1600,

@@ -24,7 +24,7 @@ def replay(events, initial=LatchState.CLOSED):
             latch.apply_control(value, ts)
             continue
         packet = Packet(payload=value, timestamp_us=ts, seq=seq)
-        if latch.forward(packet) is not None:
+        if latch.forward(packet, ts) is not None:
             forwarded.append(value)
         elif runs and runs[-1][-1][0] == seq - 1:
             runs[-1].append((seq, ts))
@@ -39,7 +39,7 @@ def replay(events, initial=LatchState.CLOSED):
 
 def test_closed_latch_suppresses():
     latch = Latch(LatchState.CLOSED)
-    assert latch.forward(pkt(0)) is None
+    assert latch.forward(pkt(0), 0) is None
     assert latch.suppressed == 1 and latch.forwarded == 0
     assert latch.suppressed_runs == [[0, 0, 0, 0, 1]]
 
@@ -48,8 +48,8 @@ def test_suppressed_runs_are_stamped_at_the_given_time():
     latch = Latch(LatchState.CLOSED)
     latch.forward(pkt(10, seq=4), now_us=25)
     latch.forward(pkt(11, seq=5), now_us=30)
-    latch.forward(pkt(12, seq=7))  # seq 6 never reached the latch: a new run
-    assert latch.suppressed_runs == [[4, 5, 25, 30, 2], [7, 7, 12, 12, 1]]
+    latch.forward(pkt(12, seq=7), now_us=40)  # seq 6 never reached the latch: a new run
+    assert latch.suppressed_runs == [[4, 5, 25, 30, 2], [7, 7, 40, 40, 1]]
 
 
 def test_control_applies_to_later_data_only():

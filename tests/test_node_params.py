@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flowbot.dsp import AudioBuffer
-from flowbot.flowcore import validate_graph
+from flowbot.flowcore import SampleChunk, validate_graph
 from flowbot.harness import load_graph_config, reference_pipeline
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.nodes import harness_kind_registry
@@ -46,7 +45,7 @@ def node_of(doc: dict, kind: str) -> dict:
 
 
 def validate(doc: dict):
-    env = {"audio": AudioBuffer(samples=np.zeros(16000), sample_rate_hz=16000)}
+    env = {"audio": SampleChunk(np.zeros(16000), 16000)}
     return validate_graph(load_graph_config(doc), harness_kind_registry(), env=env)
 
 

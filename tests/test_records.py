@@ -156,7 +156,7 @@ CASES = [
     (Prompt, ("1", "when", "when?"), {}, True),
     (Reject, (RejectReason.UNKNOWN_SKILL,), {"detail": ""}, True),
     (ManagerConfig, (), {"confidence_floor": 0.5, "reprompt_limit": 2}, True),
-    (SkillEvent, ("invoked", "get_time", {}, "inline"), {"t_us": 0, "error": None}, True),
+    (SkillEvent, ("invoked", "get_time", {}, "inline"), {"error": None}, True),
     (SkillContext, (speak,), {"notify_fn": None, "state": {}, "schedule_store": []}, False),
     (
         LowLevelContext,

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from flowbot.flowcore import SchemaError, VirtualClock
+from flowbot.flowcore import SchemaError
 from flowbot.skills import (
     CapabilityError,
     DuplicateSkillError,
@@ -34,8 +34,8 @@ from flowbot.skills import (
 )
 
 
-def make_registry(**kwargs):
-    reg = SkillRegistry(**kwargs)
+def make_registry():
+    reg = SkillRegistry()
     reg.register(SkillDescriptor(id="get_time"), lambda entities, ctx: "12:00")
     reg.register(
         SkillDescriptor(
@@ -134,14 +134,6 @@ def test_deferred_equals_inline_for_pure_handler():
             ("invoked", "pure", {"b": 2, "a": 1}, policy.value)
         ]
     assert len(set(map(tuple, map(tuple, results.values())))) == 1
-
-
-def test_event_timestamps_use_bound_clock():
-    clock = VirtualClock(start_us=777)
-    reg, events = make_registry(clock=clock), []
-    reg.event_listener = events.append
-    reg.dispatch("get_time", {})
-    assert events[0].t_us == 777
 
 
 # -- manager -----------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowbot.flowcore import (
+    Latch,
+    LatchState,
     LosslessPolicy,
     LossyPolicy,
     Packet,
@@ -42,31 +44,31 @@ def test_policy_validation():
 
 def test_lossy_overflow_evicts_oldest():
     s = Stream("s", LossyPolicy(capacity=2))
-    s.push(pkt(1))
-    s.push(pkt(2))
-    assert s.push(pkt(3)) is None
+    s.push(pkt(1), 1)
+    s.push(pkt(2), 2)
+    assert s.push(pkt(3), 3) is None
     assert (s.dropped, s.successive_misses) == (1, 1)
     assert s.drop_runs == [[1, 1, 3, 3, 1]]  # packet 1 evicted by the push at t=3
-    assert [s.pop().seq, s.pop().seq] == [2, 3]
+    assert [s.pop(3).seq, s.pop(3).seq] == [2, 3]
 
 
 def test_miss_counter_resets_on_nonevicting_push():
     s = Stream("s", LossyPolicy(capacity=1))
-    s.push(pkt(0))
-    s.push(pkt(1))
+    s.push(pkt(0), 0)
+    s.push(pkt(1), 1)
     assert (s.dropped, s.successive_misses) == (1, 1)
-    s.pop()
-    s.push(pkt(2))
+    s.pop(1)
+    s.push(pkt(2), 2)
     assert (s.dropped, s.successive_misses) == (1, 0)
     assert s.drop_runs == [[0, 0, 1, 1, 1]]
-    assert s.pop().seq == 2
+    assert s.pop(2).seq == 2
 
 
 def test_exceeding_miss_limit_records_backpressure_violation():
     # capacity 2, limit 2: five pushes with no pops miss 3 in a row
     s = Stream("s", LossyPolicy(capacity=2, max_successive_misses=2))
     for i in range(1, 6):
-        s.push(pkt(i))
+        s.push(pkt(i), i)
     assert s.successive_misses == 3
     kinds = [v.kind for v in s.violations]
     assert kinds == [ViolationKind.BACKPRESSURE_MISS_LIMIT]
@@ -77,20 +79,33 @@ def test_exceeding_miss_limit_records_backpressure_violation():
 def test_lossless_never_drops():
     s = Stream("s", LosslessPolicy(deadline_us=10**9))
     for i in range(10_000):
-        s.push(pkt(i))
+        s.push(pkt(i), i)
         assert (s.dropped, s.successive_misses, s.queued()) == (0, 0, i + 1)
     assert s.drop_runs == []
-    got = [s.pop().seq for _ in range(10_000)]
+    got = [s.pop(10_000).seq for _ in range(10_000)]
     assert got == list(range(10_000))
 
 
 def test_pop_order_and_empty():
     s = Stream("s", LosslessPolicy(deadline_us=1000))
-    assert s.pop() is None
-    s.push(pkt(1, ts=0))
-    s.push(pkt(2, ts=0))
+    assert s.pop(0) is None
+    s.push(pkt(1, ts=0), 0)
+    s.push(pkt(2, ts=0), 0)
     assert s.pop(now_us=0).seq == 1
     assert s.pop(now_us=0).seq == 2
+
+
+def test_push_pop_and_forward_have_no_time_of_their_own():
+    """The runner's ``now`` is the only time: no call falls back to the packet's."""
+    s = Stream("s", LossyPolicy(capacity=1))
+    with pytest.raises(TypeError):
+        s.push(pkt(0))
+    s.push(pkt(0), 5)
+    with pytest.raises(TypeError):
+        s.pop()
+    with pytest.raises(TypeError):
+        Latch(LatchState.CLOSED).forward(pkt(0))
+    assert s.queued() == 1
 
 
 def test_lossless_deadline_violation_still_delivers():
@@ -114,10 +129,10 @@ def test_lossy_conservation_fifo_and_bounded_memory(capacity, ops):
     delivered = []
     for op in ops:
         if op == "push":
-            s.push(pkt(seq))
+            s.push(pkt(seq), seq)
             seq += 1
         else:
-            p = s.pop()
+            p = s.pop(seq)
             if p is not None:
                 delivered.append(p.seq)
         assert s.queued() <= capacity
@@ -138,8 +153,8 @@ class ListStream:
         self.windowed = watchdog is not None and watchdog.min_throughput_hz is not None
         self.entries = []
         self.pushed = self.delivered = self.dropped = self.misses = self.max_queued = 0
-        self.drop_runs, self.violations, self.monitor_errors = [], [], []
-        self.last_us = self.window_start = None
+        self.drop_runs, self.violations = [], []
+        self.window_start = None
         self.window_pops = 0
 
     def _violate(self, kind, at_us, observed, bound):
@@ -154,24 +169,17 @@ class ListStream:
                 self._violate("ThroughputBelow", self.window_start, rate_hz, wd.min_throughput_hz)
             self.window_pops = 0
 
-    def _monitored(self, now, event):
-        """Whether the watchdog takes the event at ``now`` (False without one)."""
-        if self.watchdog is None:
-            return False
-        if self.last_us is not None and now < self.last_us:
-            self.monitor_errors.append({"kind": "OutOfOrderEvent", "event": event, "at_us": now})
-            return False
-        self.last_us = now
+    def _windows(self, now):
+        """Open the first throughput window, or close those that end by ``now``."""
         if self.windowed:
             if self.window_start is None:
                 self.window_start = now
             else:
                 self._close_windows(now)
-        return True
 
     def push(self, packet, now):
         self.pushed += 1
-        self._monitored(now, "PacketIn")
+        self._windows(now)
         self.entries.append((now, packet))
         if self.capacity is None or len(self.entries) <= self.capacity:
             self.misses = 0
@@ -186,15 +194,15 @@ class ListStream:
         if self.miss_limit is not None and self.misses > self.miss_limit:
             self._violate("BackpressureMissLimit", now, self.misses, self.miss_limit)
 
-    def pop(self, now_us):
+    def pop(self, now):
         if not self.entries:
             return None
         push_us, packet = self.entries.pop(0)
         self.delivered += 1
-        now = packet.timestamp_us if now_us is None else now_us
         if self.deadline_us is not None and now - packet.timestamp_us > self.deadline_us:
             self._violate("LatencyExceeded", now, now - packet.timestamp_us, self.deadline_us)
-        if self._monitored(now, "PacketOut"):
+        if self.watchdog is not None:
+            self._windows(now)
             self.window_pops += 1
             bound = self.watchdog.max_latency_us
             if bound is not None and now - push_us > bound:
@@ -206,7 +214,7 @@ class ListStream:
             self._close_windows(end_us)
 
     def to_json(self):
-        entry = {
+        return {
             "pushed": self.pushed, "delivered": self.delivered, "dropped": self.dropped,
             "queued": len(self.entries), "max_queued": self.max_queued,
             "drop_runs": [
@@ -215,9 +223,6 @@ class ListStream:
             ],
             "violations": self.violations,
         }
-        if self.monitor_errors:
-            entry["monitor_errors"] = self.monitor_errors
-        return entry
 
 
 # times on a 10 µs grid, so ages, latencies and rates often equal their bounds
@@ -234,32 +239,31 @@ watchdogs = st.builds(
     min_throughput_hz=st.none() | st.sampled_from([5e4, 1e5, 2e5]),
     window_us=grid(1, 4),
 )
-# (operation, clock step, packet age at push, whether now_us is passed)
+# (operation, clock step, packet age at push); the runner's time never decreases
 stream_ops = st.lists(
-    st.tuples(st.sampled_from(["push", "pop", "peek"]), grid(-2, 3), grid(0, 4), st.booleans()),
+    st.tuples(st.sampled_from(["push", "pop", "peek"]), grid(0, 3), grid(0, 4)),
     max_size=60,
 )
 
 
 @pytest.mark.parametrize("watched", [False, True], ids=["plain", "watchdog"])
 @pytest.mark.parametrize("kind", ["lossless", "lossy"])
-@given(data=st.data(), monotone=st.booleans(), ops=stream_ops)
-def test_every_stream_variant_matches_a_list_model(kind, watched, data, monotone, ops):
+@given(data=st.data(), ops=stream_ops)
+def test_every_stream_variant_matches_a_list_model(kind, watched, data, ops):
     policy = data.draw(policies[kind])
     watchdog = data.draw(watchdogs) if watched else None
     s = Stream("s", policy, watchdog=watchdog)
     model = ListStream(policy, watchdog)
     clock, seq = 100, 0
-    for op, step, age, timed in ops:
-        clock += abs(step) if monotone else step
-        now_us = clock if timed else None
+    for op, step, age in ops:
+        clock += step
         if op == "push":
             packet = Packet(payload=seq, timestamp_us=clock - age, seq=seq)
             seq += 1
-            assert s.push(packet, now_us) is None
-            model.push(packet, packet.timestamp_us if now_us is None else now_us)
+            assert s.push(packet, clock) is None
+            model.push(packet, clock)
         elif op == "pop":
-            assert s.pop(now_us) == model.pop(now_us)
+            assert s.pop(clock) == model.pop(clock)
         head = model.entries[0][1].timestamp_us if model.entries else None
         assert s.peek_timestamp() == head
         assert s.pushed == s.delivered + s.dropped + s.queued() == model.pushed
