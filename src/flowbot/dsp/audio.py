@@ -52,10 +52,6 @@ class AudioBuffer(FrozenRecord):
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 def round_half_away(x):
     """Round half away from zero (platform-independent, unlike bankers')."""

@@ -1,8 +1,10 @@
-"""Attention decision: one bit per window, failing safe to 0, and the
-energy-based detector the attention node uses by default."""
+"""Attention decision: one bit per window, failing safe to 0, and the shipped
+RMS-energy (the attention node's default) and scripted keyword detectors."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,6 +16,33 @@ def rms_detect(window, threshold: float) -> int:
     if x.size == 0:
         raise ValueError("rms_detect needs a nonempty window")
     return 1 if float(np.sqrt(np.mean(x * x))) >= threshold else 0
+
+
+class AnnotationIndex:
+    """Annotation spans (``start_s``, ``end_s``) sorted once by start, with a
+    running maximum of their ends.
+
+    A half-open window ``[lo, hi)`` overlaps a span ``(s, e)`` iff
+    ``s < hi and lo < e``. The ``k = bisect_left(starts, hi)`` spans that
+    start before ``hi`` are a prefix of the sorted spans, so the window
+    overlaps one of them iff ``k > 0`` and the largest end in that prefix,
+    ``max_end[k - 1]``, is after ``lo``: O(log A) per window instead of a
+    scan of all A spans.
+    """
+
+    def __init__(self, annotations):
+        spans = sorted((ann.start_s, ann.end_s) for ann in annotations)
+        self._starts = [start for start, _ in spans]
+        self._max_end = list(accumulate((end for _, end in spans), max))
+
+    def overlaps(self, lo: float, hi: float) -> bool:
+        k = bisect_left(self._starts, hi)
+        return k > 0 and self._max_end[k - 1] > lo
+
+    def __call__(self, window) -> int:
+        """The scripted detector: 1 iff an annotation overlaps the
+        :class:`~flowbot.flowcore.aggregator.AggWindow`'s span."""
+        return 1 if self.overlaps(*window.span_s) else 0
 
 
 def attention_decide(detector: Callable, window, on_error: Optional[Callable] = None) -> int:

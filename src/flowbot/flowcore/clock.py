@@ -34,9 +34,10 @@ class MonotonicClock:
         self._origin_ns: int | None = None
 
     def now_us(self) -> int:
+        now_ns = time.monotonic_ns()  # one reading per call: the first is exactly 0
         if self._origin_ns is None:
-            self._origin_ns = time.monotonic_ns()
-        return (time.monotonic_ns() - self._origin_ns) // 1000
+            self._origin_ns = now_ns
+        return (now_ns - self._origin_ns) // 1000
 
     def advance_to(self, t_us: int) -> None:
         """Sleep until ``t_us``; return at once when it is already past."""

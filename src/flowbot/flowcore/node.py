@@ -38,10 +38,10 @@ class Node:
         """Called once before any packet flows; schedule initial timers here."""
 
     def on_packet(self, port: str, packet: Packet, ctx) -> None:
-        pass
+        """Called for each packet delivered to an input port; ignored here."""
 
     def on_timer(self, tag, ctx) -> None:
-        pass
+        """Called with its tag when a timer this node scheduled falls due."""
 
     def finish(self, ctx) -> None:
         """Called after the run stops; flush node-held state here."""

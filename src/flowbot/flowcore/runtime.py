@@ -69,7 +69,7 @@ import json
 from typing import Any, Callable, NamedTuple, Optional
 
 from .aggregator import Aggregator, AggregatorConfig
-from .attention import attention_decide, rms_detect
+from .attention import AnnotationIndex, attention_decide, rms_detect
 from .clock import VirtualClock
 from .graphdef import GraphDef
 from .latch import Latch
@@ -635,11 +635,13 @@ def _rms_detector(spec, env):
 
 register_detector("constant", _constant_detector)
 register_detector("rms", _rms_detector)
+register_detector("scripted", lambda spec, env: AnnotationIndex(env.get("annotations", ())))
 
 
 class AttentionNode(Node):
-    """Emits one bit per :class:`AggWindow` on its ``in`` port from a
-    pluggable detector."""
+    """Emits one bit per :class:`AggWindow` on its ``in`` port from a detector:
+    the shipped ``constant``, ``rms`` (default) or ``scripted``, which indexes
+    the build environment's ``annotations``, or a :func:`register_detector` kind."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)

@@ -3,9 +3,9 @@
 Kinds registered here: audio_source (plays scenario audio as timed chunks),
 io_manager (routes device samples to interfaces), resampler_48to16,
 interpreter_stub (scripted recognizer), skill_manager, speaker_sink and
-uart_sink. Importing this module also registers the "scripted" attention
-detector. Each node reads its params with :func:`~flowbot.flowcore.schema.get_value`,
-so a bad value fails the build with an error that starts with its key, e.g.
+uart_sink. The core registers every detector, ``scripted`` included. Each
+node reads its params with :func:`~flowbot.flowcore.schema.get_value`, so a
+bad value fails the build with an error that starts with its key, e.g.
 ``routing.mic0: must be a list, got 'ui_audio'``.
 
 Audio moves as :class:`SampleChunk` views of the scenario's samples, each
@@ -15,15 +15,14 @@ apply the scale in the copies they already make.
 
 The skill_manager node dispatches through the build environment's
 ``skill_registry``, or through a fresh registry of the demo skills when the
-environment has none. It stamps each skill event with the run's ``now``,
-and a handler that raises is recorded as a skill failure without stopping
-the run.
+environment has none, and writes nothing to it. The node keeps the skill
+log: each dispatch goes into ``skill_invocations`` before it runs, stamped
+with the run's ``now``, and a handler that raises goes into
+``skill_failures`` without stopping the run.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from ..dsp.resample import Decimator3to1
 from ..flowcore.aggregator import AggWindow, SampleChunk
 from ..flowcore.node import Node, NodeKindRegistry, PortSpec
-from ..flowcore.runtime import default_kind_registry, register_detector
+from ..flowcore.runtime import default_kind_registry
 from ..flowcore.schema import SchemaError, check_value, get_value
 from ..robotics.locomotion import encode_locomotion, frame_uart
 from ..skills.builtin import LowLevelContext, SkillContext, register_demo_skills
@@ -170,44 +169,15 @@ class ResamplerNode(Node):
             ctx.emit("out", SampleChunk(out, 16000), timestamp_us=packet.timestamp_us)
 
 
-class AnnotationIndex:
-    """:class:`~flowbot.harness.scenario.Annotation` spans sorted once by
-    start, with a running maximum of their ends.
-
-    A half-open window ``[lo, hi)`` overlaps a span ``(s, e)`` iff
-    ``s < hi and lo < e``. The ``k = bisect_left(starts, hi)`` spans that
-    start before ``hi`` are a prefix of the sorted spans, so the window
-    overlaps one of them iff ``k > 0`` and the largest end in that prefix,
-    ``max_end[k - 1]``, is after ``lo``: O(log A) per window instead of a
-    scan of all A spans.
-    """
-
-    def __init__(self, annotations):
-        spans = sorted((ann.start_s, ann.end_s) for ann in annotations)
-        self._starts = [start for start, _ in spans]
-        self._max_end = list(accumulate((end for _, end in spans), max))
-
-    def overlaps(self, lo: float, hi: float) -> bool:
-        k = bisect_left(self._starts, hi)
-        return k > 0 and self._max_end[k - 1] > lo
-
-    def __call__(self, window: AggWindow) -> int:
-        """The scripted detector: 1 iff an annotation overlaps the window's span."""
-        return 1 if self.overlaps(*window.span_s) else 0
-
-
-# the index is built once per attention node, when the graph is built
-register_detector("scripted", lambda spec, env: AnnotationIndex(env.get("annotations", [])))
-
-
 class InterpreterStubNode(Node):
-    """Deterministic stand-in for a recognizer: scripted by window index."""
+    """Deterministic stand-in for a recognizer: emits the scenario's
+    :class:`Interpretation` records scripted for each window index."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self._by_index: dict[int, list[dict]] = {}
-        for entry in env.get("interpreter_script", []):
-            self._by_index.setdefault(int(entry["trigger_window_index"]), []).append(entry)
+        self._by_index: dict[int, list[Interpretation]] = {}
+        for index, interpretation in env.get("interpreter_script", []):
+            self._by_index.setdefault(index, []).append(interpretation)
 
     def input_ports(self):
         return {"in": PortSpec("window")}
@@ -218,13 +188,8 @@ class InterpreterStubNode(Node):
     def on_packet(self, port, packet, ctx):
         window: AggWindow = packet.payload
         ctx.log("interpreter_window", index=window.index)
-        for entry in self._by_index.get(window.index, []):
-            interp = Interpretation(
-                skill_id=entry.get("skill_id", ""),
-                entities=entry.get("entities", {}),
-                confidence=entry.get("confidence", 1.0),
-            )
-            ctx.emit("out", interp)
+        for interpretation in self._by_index.get(window.index, []):
+            ctx.emit("out", interpretation)
 
 
 class SkillManagerNode(Node):
@@ -248,9 +213,7 @@ class SkillManagerNode(Node):
             self.followup_timeout_us = int(timeout_s * 1e6)
         except OverflowError as exc:
             raise SchemaError("followup_timeout_s", f"{timeout_s:g} s is too long: {exc}") from exc
-        self._env_registry = env.get("skill_registry")
-        self.manager: SkillManager | None = None
-        self.registry: SkillRegistry | None = None
+        self.registry: SkillRegistry | None = env.get("skill_registry")
 
     def input_ports(self):
         return {"in": PortSpec("interpretation")}
@@ -259,18 +222,9 @@ class SkillManagerNode(Node):
         return {"speech": PortSpec("text"), "locomotion": PortSpec("locomotion", optional=True)}
 
     def start(self, ctx):
-        if self._env_registry is not None:
-            self.registry = self._env_registry
-        else:
+        if self.registry is None:
             self.registry = SkillRegistry()
             register_demo_skills(self.registry)
-
-        def collect(event):  # stamped with the dispatch's time, constant within it
-            collector = ctx.collector
-            entries = collector.skill_failures if event.kind == "failed" else collector.skill_invocations
-            entries.append({**event.to_json(), "t_us": ctx.now_us()})
-
-        self.registry.event_listener = collect
         self.manager = SkillManager(self.registry, self.config)
         self._schedule_store: list = []
 
@@ -314,10 +268,14 @@ class SkillManagerNode(Node):
             ctx.log("skill_execute", skill=action.skill_id)
             descriptor, _ = self.registry.lookup(action.skill_id)
             facade = self._facade(ctx, descriptor.level)
+            invoked = {"kind": "invoked", "skill_id": action.skill_id, "entities": dict(action.entities),
+                       "policy": descriptor.execution_policy.value, "t_us": ctx.now_us()}
+            ctx.collector.skill_invocations.append(invoked)
             try:
                 self.registry.dispatch(action.skill_id, action.entities, context=facade)
-            except Exception:
-                pass  # already logged as a SkillFailed event
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                ctx.collector.skill_failures.append({**invoked, "kind": "failed", "error": error})
             if action.session_id is not None:
                 self.manager.mark_done(action.session_id)
         elif isinstance(action, Prompt):

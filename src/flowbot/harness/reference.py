@@ -13,7 +13,7 @@ import json
 from ..flowcore.clock import VirtualClock
 from ..flowcore.graphdef import GraphDef, graph_from_json
 from ..flowcore.runtime import GraphRunner, RunReport, StopCondition
-from ..flowcore.schema import SchemaError
+from ..flowcore.schema import SchemaError, check_value
 from ..skills.registry import SkillRegistry
 from .config import packaged_config_text
 from .nodes import harness_kind_registry
@@ -57,9 +57,11 @@ def run_scenario(
     seed: int | None = None,
 ) -> dict:
     """Execute a scenario under a virtual clock; the result dict is
-    deterministic (byte-identical JSON) for identical inputs and seed."""
+    deterministic (byte-identical JSON) for identical inputs and seed.
+    ``seed`` replaces the scenario's seed, for its synthetic audio too."""
+    if seed is not None:
+        scenario = scenario._replace(seed=check_value(seed, "seed", int, minimum=0))
     audio = scenario_audio(scenario)
-    run_seed = scenario.seed if seed is None else seed
     env = {
         "audio": audio,
         "annotations": list(scenario.annotations),
@@ -78,7 +80,7 @@ def run_scenario(
         kinds=kinds if kinds is not None else harness_kind_registry(),
         clock=VirtualClock(),
         stop=StopCondition(time_limit_us=time_limit_us),
-        seed=run_seed,
+        seed=scenario.seed,
         env=env,
     )
     report = runner.run()

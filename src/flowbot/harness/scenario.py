@@ -13,6 +13,9 @@ A scenario document:
       "seed": 0
     }
 
+:func:`load_scenario` builds each script entry's ``Interpretation`` once:
+``interpreter_script`` holds ``(trigger_window_index, Interpretation)`` pairs.
+
 Values are read with :mod:`flowbot.flowcore.schema`, so a malformed one
 raises :class:`SchemaError` (alias ``ScenarioError``) whose ``path`` names
 its key, e.g. ``annotations[0].start_s``; other keys are ignored. The WAV
@@ -33,6 +36,7 @@ import numpy as np
 from ..dsp.audio import PCM16_SCALE, AudioBuffer, read_wav_pcm16
 from ..flowcore.aggregator import SampleChunk
 from ..flowcore.schema import SchemaError, check_value, get_value, read_document
+from ..skills.types import Interpretation, SkillError
 
 
 #: Scenario errors are schema errors: ``path`` names the key, ``reason`` says why.
@@ -47,7 +51,7 @@ class Annotation(NamedTuple):
 class ScenarioScript(NamedTuple):
     audio: dict
     annotations: tuple[Annotation, ...] = ()
-    interpreter_script: tuple[dict, ...] = ()
+    interpreter_script: tuple[tuple[int, Interpretation], ...] = ()
     time_limit_s: Optional[float] = None
     seed: int = 0
 
@@ -76,14 +80,12 @@ def load_scenario(source) -> ScenarioScript:
             path += ".interpretation"
             entry = check_value(entry["interpretation"], path, dict)
         confidence = get_value(entry, "confidence", path, float, 1.0)
-        if not 0.0 <= confidence <= 1.0:
-            raise SchemaError(f"{path}.confidence", f"must be in [0, 1], got {confidence:g}")
-        script.append({
-            "trigger_window_index": index,
-            "skill_id": get_value(entry, "skill_id", path, str, ""),
-            "entities": get_value(entry, "entities", path, dict, {}),
-            "confidence": confidence,
-        })
+        skill_id = get_value(entry, "skill_id", path, str, "")
+        entities = get_value(entry, "entities", path, dict, {})
+        try:
+            script.append((index, Interpretation(skill_id, entities, confidence)))
+        except SkillError:  # the record owns the [0, 1] rule
+            raise SchemaError(f"{path}.confidence", f"must be in [0, 1], got {confidence:g}") from None
     return ScenarioScript(
         audio=audio,
         annotations=tuple(annotations),

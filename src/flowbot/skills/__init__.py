@@ -14,7 +14,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "Action", "Execute", "ManagerConfig", "Prompt", "Reject", "RejectReason", "SkillManager",
         "TIMEOUT",
     ),
-    "registry": ("SkillEvent", "SkillRegistry"),
+    "registry": ("SkillRegistry",),
     "types": (
         "DuplicateSkillError", "EntitySpec", "EntityType", "ExecutionPolicy", "Interpretation",
         "MissingEntitiesError", "SessionState", "SkillDescriptor", "SkillError", "SkillLevel",

@@ -59,6 +59,11 @@ def test_sample_rate_mismatch_is_config_error():
         agg.feed(np.zeros(100), sample_rate_hz=48000)
 
 
+def test_2d_chunk_is_config_error():
+    with pytest.raises(AggregatorConfigError, match="mono 1-D"):
+        Aggregator(CFG_1S_250MS).feed(np.zeros((2, 100)))
+
+
 def test_int16_chunks_with_a_scale_give_the_decoded_windows_and_one_scale_holds():
     cfg = AggregatorConfig(window_samples=6, hop_samples=2, sample_rate_hz=10)
     codes = np.array([-32768, 32767, 0, -1, 1, 12345, -12345, 7], dtype=np.int16)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from flowbot.flowcore import (
     AggWindow,
@@ -33,6 +34,11 @@ def test_rms_detector_silence():
 def test_rms_detector_full_scale_square_wave():
     window = np.tile([1.0, -1.0], 800)  # RMS exactly 1.0
     assert attention_decide(lambda w: rms_detect(w, 0.1), window) == 1
+
+
+def test_rms_detector_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="nonempty window"):
+        rms_detect(np.zeros(0), 0.1)
 
 
 def test_detector_failure_yields_zero_and_reports():
@@ -128,3 +134,17 @@ def test_importing_the_core_loads_no_other_flowbot_package():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "['flowcore']"
+
+
+def test_the_core_registers_the_scripted_detector_without_the_harness():
+    # the diagnostics of a scripted-detector graph do not depend on what was imported first
+    code = (
+        "from flowbot.flowcore import GraphDef, NodeDef, default_kind_registry, validate_graph\n"
+        "g = GraphDef(nodes=(NodeDef('att', 'attention', {'detector': {'kind': 'scripted'}}),), streams=())\n"
+        "before = [d.code for d in validate_graph(g, default_kind_registry())]\n"
+        "import flowbot.harness\n"
+        "print(before, [d.code for d in validate_graph(g, default_kind_registry())])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "['UnconnectedPort', 'UnconnectedPort'] ['UnconnectedPort', 'UnconnectedPort']"

@@ -72,6 +72,11 @@ def test_length_mismatch_rejected():
         mix_noise_at_snr(buf(np.ones(10)), buf(np.ones(11)), 0.0)
 
 
+def test_sample_rate_mismatch_rejected():
+    with pytest.raises(AugmentError, match="sample rate mismatch"):
+        mix_noise_at_snr(buf(np.ones(10)), AudioBuffer(np.ones(10), 8000), 0.0)
+
+
 def test_clipping_is_counted_not_renormalized():
     signal = buf(np.full(100, 0.9))
     noise = buf(np.full(100, 0.9))

@@ -2,6 +2,7 @@
 
 import collections
 import time
+import types
 
 import pytest
 
@@ -792,6 +793,63 @@ def test_real_clock_handler_sees_the_time_of_its_dispatch(wall_clock_guard):
     # a fresh monotonic clock starts the run at 0, and the handler's time
     # does not move while it sleeps
     assert report.extras == {"now": [0], "timestamps": [0, 0]}
+
+
+def test_a_fresh_monotonic_clock_reads_0_first_however_slow_the_source(monkeypatch):
+    from flowbot.flowcore import MonotonicClock, clock as clock_module
+
+    ticks = iter(range(1_000_000, 10**9, 5_000))  # 5 us pass between any two readings
+    monkeypatch.setattr(clock_module, "time", types.SimpleNamespace(monotonic_ns=lambda: next(ticks)))
+    clock = MonotonicClock()
+    assert [clock.now_us(), clock.now_us(), clock.now_us()] == [0, 5, 10]
+
+
+def test_kind_registry_refuses_a_kind_twice():
+    kinds = default_kind_registry()
+    with pytest.raises(ValueError, match="node kind already registered: sink"):
+        kinds.register("sink", Node)
+
+
+class PastTimer(Node):
+    """At 5 ms asks for a timer at 1 ms, and records when each timer fires."""
+
+    def start(self, ctx):
+        ctx.schedule_at(5_000, tag="first")
+
+    def on_timer(self, tag, ctx):
+        ctx.collector.channel("fired").append((tag, ctx.now_us()))
+        if tag == "first":
+            ctx.schedule_at(1_000, tag="late")
+
+
+class Deaf(Node):
+    """Takes packets on ``in`` and keeps the base node's ``on_packet``."""
+
+    def input_ports(self):
+        return {"in": PortSpec()}
+
+
+def test_a_timer_asked_for_in_the_past_fires_now_and_a_base_node_ignores_packets():
+    kinds = default_kind_registry()
+    kinds.register("past_timer", lambda node_id, params, env: PastTimer(node_id))
+    kinds.register("deaf", lambda node_id, params, env: Deaf(node_id))
+    g = GraphDef(
+        nodes=(NodeDef("t", "past_timer", {}), NodeDef("src", "source", {"count": 2}), NodeDef("d", "deaf", {})),
+        streams=(StreamDef("s", "src", "out", "d", "in", LOSSLESS),),
+    )
+    report = graph_run(g, kinds=kinds)
+    assert report.status == "ok"
+    assert report.extras == {"fired": [("first", 5_000), ("late", 5_000)]}
+    assert report.streams["s"]["delivered"] == 2
+
+
+def test_virtual_clock_refuses_to_move_backwards():
+    clock = VirtualClock()
+    clock.advance_to(10)
+    clock.advance_to(10)
+    with pytest.raises(ValueError, match="backwards: 9 < 10"):
+        clock.advance_to(9)
+    assert clock.now_us() == 10
 
 
 def test_fifo_per_stream_in_run_events():

@@ -1,5 +1,6 @@
 """Config loading, device routing, scripted detection, scenario runs, CLI."""
 
+import copy
 import json
 
 import numpy as np
@@ -21,9 +22,10 @@ from flowbot.harness import (
     scenario_audio,
     synthesize_audio,
 )
+from flowbot.flowcore.attention import AnnotationIndex
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.config import load_scan_scene, packaged_config_text
-from flowbot.harness.nodes import AnnotationIndex, harness_kind_registry
+from flowbot.harness.nodes import harness_kind_registry
 from flowbot.skills import load_catalog
 
 
@@ -105,6 +107,19 @@ def test_infinite_policy_value_is_schema_error(policy):
 def test_graph_def_json_round_trip():
     graph = reference_pipeline()
     assert load_graph_config(graph.to_json()) == graph
+    doc = graph.to_json()
+    doc["streams"][0]["policy"] = {"kind": "lossy", "capacity": 4, "max_successive_misses": 2}
+    doc["streams"][2]["watchdog"] = {"max_latency_us": 1_000_000, "min_throughput_hz": 1.0, "window_us": 500_000}
+    assert load_graph_config(doc).to_json() == doc
+
+
+def test_bad_latch_initial_state_is_schema_error():
+    doc = reference_pipeline().to_json()
+    doc["latches"][0]["initial_state"] = "Ajar"
+    with pytest.raises(SchemaError) as exc:
+        load_graph_config(doc)
+    assert exc.value.path == "latches[0].initial_state"
+    assert exc.value.reason == "must be 'open' or 'closed', got 'ajar'"
 
 
 @pytest.mark.parametrize(
@@ -243,7 +258,7 @@ def test_reference_scenario_opens_gate_once_and_runs_get_time():
     assert report["extras"]["speech"][0]["text"].startswith("the time is")
     assert report["conservation_ok"]
     # every invocation traces back to a scripted interpretation
-    scripted_ids = {e["skill_id"] for e in scenario.interpreter_script}
+    scripted_ids = {interp.skill_id for _, interp in scenario.interpreter_script}
     assert {i["skill_id"] for i in invocations} <= scripted_ids
 
 
@@ -272,6 +287,22 @@ def test_reports_are_byte_identical_across_runs():
 def test_seed_override_changes_report_seed_field():
     report = run_scenario(reference_pipeline(), demo_scenario(), seed=99)
     assert report["seed"] == 99
+
+
+def test_seed_override_seeds_the_scenario_audio():
+    # noise at the RMS threshold: which windows open the gate depends on the seed
+    graph = reference_pipeline(detector={"kind": "rms", "threshold": 0.3})
+    scenario = demo_scenario(annotations=[], audio={"synthetic": {"kind": "noise", "amp": 0.3, "duration_s": 3.0}})
+    overridden = report_to_json_str(run_scenario(graph, scenario, seed=2))
+    assert overridden == report_to_json_str(run_scenario(graph, scenario._replace(seed=2)))
+    assert overridden != report_to_json_str(run_scenario(graph, scenario))
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"audio": {"synthetic": {"kind": "noise", "duration_s": 1.0}}}))
+    assert cli_main(["run", "--scenario", str(scenario_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed: must be an integer >= 0, got -1\n"
 
 
 def test_drive_skill_reaches_uart():
@@ -427,7 +458,7 @@ def test_high_level_skill_cannot_reach_devices():
     assert "emit_locomotion" in report["skill_failures"][0]["error"]
 
 
-def test_skill_events_are_stamped_with_the_time_of_their_dispatch():
+def registry_with_a_broken_skill():
     from flowbot.skills import SkillDescriptor, SkillRegistry, register_demo_skills
 
     def broken(entities, ctx):
@@ -436,15 +467,37 @@ def test_skill_events_are_stamped_with_the_time_of_their_dispatch():
     registry = SkillRegistry()
     register_demo_skills(registry)
     registry.register(SkillDescriptor(id="broken"), broken)
-    scenario = demo_scenario(script=[
-        {"trigger_window_index": 5, "skill_id": "get_time", "entities": {}, "confidence": 1.0},
-        {"trigger_window_index": 7, "skill_id": "broken", "entities": {}, "confidence": 1.0},
-    ])
-    report = run_scenario(reference_pipeline(), scenario, registry=registry)
+    return registry
+
+
+GET_TIME_THEN_BROKEN = [
+    {"trigger_window_index": 5, "skill_id": "get_time", "entities": {}, "confidence": 1.0},
+    {"trigger_window_index": 7, "skill_id": "broken", "entities": {}, "confidence": 1.0},
+]
+
+
+def test_skill_events_are_stamped_with_the_time_of_their_dispatch():
+    scenario = demo_scenario(script=GET_TIME_THEN_BROKEN)
+    report = run_scenario(reference_pipeline(), scenario, registry=registry_with_a_broken_skill())
     executed = [e["t_us"] for e in report["events"] if e["kind"] == "skill_execute"]
     assert len(executed) == 2 and 0 < executed[0] < executed[1]
-    assert [e["t_us"] for e in report["skill_invocations"]] == executed
-    assert [e["t_us"] for e in report["skill_failures"]] == executed[1:]
+    assert report["skill_invocations"] == [
+        {"kind": "invoked", "skill_id": skill_id, "entities": {}, "policy": "inline", "t_us": t_us}
+        for skill_id, t_us in zip(("get_time", "broken"), executed)
+    ]
+    assert report["skill_failures"] == [
+        {"kind": "failed", "skill_id": "broken", "entities": {}, "policy": "inline",
+         "error": "ValueError: nope", "t_us": executed[1]}
+    ]
+
+
+def test_a_run_writes_nothing_to_the_skill_registry_it_is_given():
+    # the skill_manager node keeps the skill log; the registry only dispatches
+    registry = registry_with_a_broken_skill()
+    before = {name: copy.copy(value) for name, value in vars(registry).items()}
+    report = run_scenario(reference_pipeline(), demo_scenario(script=GET_TIME_THEN_BROKEN), registry=registry)
+    assert len(report["skill_failures"]) == 1
+    assert vars(registry) == before
 
 
 def test_runs_that_reuse_one_registry_give_identical_reports():
@@ -498,6 +551,15 @@ def test_streaming_resampler_node_preserves_tone():
     mid = out[1000:15000]
     gain_db = 20 * np.log10(np.sqrt(np.mean(mid**2)) / (0.5 / np.sqrt(2)))
     assert abs(gain_db) <= 1.0
+
+
+def test_resampler_node_refuses_a_rate_other_than_48k():
+    from flowbot.harness.nodes import ResamplerNode
+    from flowbot.flowcore import Packet
+
+    chunk = SampleChunk(samples=np.zeros(160), sample_rate_hz=16000)
+    with pytest.raises(ValueError, match="expects 48000 Hz input, got 16000"):
+        ResamplerNode("rs", {}, {}).on_packet("in", Packet(payload=chunk, timestamp_us=0, seq=0), FakeCtx())
 
 
 def test_resampler_in_graph_feeds_16k_aggregator():
@@ -747,6 +809,7 @@ SILENCE_4S = {"synthetic": {"kind": "silence", "duration_s": 4.0}}
         # 1.1 EiB of samples: numpy fails to allocate it on any host
         ({"audio": {"synthetic": {"kind": "silence", "duration_s": 1e13}}, "time_limit_s": 1.0},
          "audio.synthetic.duration_s"),
+        ({"audio": SILENCE_4S, "annotations": [{"start_s": 2.5, "end_s": 2.5}]}, "annotations[0].end_s"),
     ],
 )
 def test_cli_malformed_scenario_exits_2_naming_its_path(tmp_path, capsys, doc, path):

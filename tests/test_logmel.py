@@ -44,6 +44,11 @@ def test_short_buffer_rejected():
         logmel(np.zeros(399))
 
 
+def test_2d_input_rejected():
+    with pytest.raises(LogMelError, match="mono 1-D"):
+        logmel(np.zeros((2, 16000)))
+
+
 def test_audio_buffer_accepted_with_rate_check():
     from flowbot.dsp import AudioBuffer
 

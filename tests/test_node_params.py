@@ -49,6 +49,13 @@ def validate(doc: dict):
     return validate_graph(load_graph_config(doc), harness_kind_registry(), env=env)
 
 
+def test_audio_source_without_scenario_audio_is_a_build_error():
+    diags = validate_graph(reference_pipeline(), harness_kind_registry(), env={})
+    assert [(d.code, d.location, d.reason) for d in diags] == [
+        ("BadNodeParams", "node mic", "audio_source requires scenario audio in the build environment")
+    ]
+
+
 BAD_VALUES = [
     ("aggregator", "window_samples", "abc"),
     ("aggregator", "window_samples", 16000.7),
@@ -71,6 +78,7 @@ BAD_VALUES = [
     ("io_manager", "routing", {"mic0": [nan]}),
     ("io_manager", "routing", {"mic0": [inf]}),
     ("io_manager", "routing", [["ui_audio"]]),
+    ("io_manager", "routing", {}),
     ("sink", "poll_rate_hz", 0),
     ("splitter", "outputs", "win_att"),
     ("splitter", "outputs", ["win_att", 0.5]),

@@ -1,5 +1,7 @@
 """Embedding matching, quantization regime, pixel normalization, param table."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,6 +188,27 @@ def test_output_moments_near_128_when_nothing_clips():
 def test_empty_image_rejected():
     with pytest.raises(ImageError):
         normalize_image(np.zeros((0,), dtype=np.uint8))
+
+
+def test_out_of_range_pixels_rejected():
+    with pytest.raises(ImageError, match=r"within \[0, 255\]"):
+        normalize_image(np.array([0.0, 256.0]))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"name": "ada", "embedding": [0.0] * 128}, "gallery document must be a JSON list"),
+        ([{"name": "ada", "embedding": [0.0] * 128}] * 2, "duplicate gallery name 'ada'"),
+    ],
+    ids=["not-a-list", "duplicate-name"],
+)
+def test_bad_gallery_document_rejected(tmp_path, doc, message):
+    path = tmp_path / "gallery.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EmbeddingError) as exc:
+        load_gallery(path)
+    assert str(exc.value) == message
 
 
 # -- quantization ----------------------------------------------------------------

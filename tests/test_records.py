@@ -72,7 +72,6 @@ from flowbot.skills import (
     SkillContext,
     SkillDescriptor,
     SkillError,
-    SkillEvent,
     SkillLevel,
     SkillSession,
 )
@@ -156,7 +155,6 @@ CASES = [
     (Prompt, ("1", "when", "when?"), {}, True),
     (Reject, (RejectReason.UNKNOWN_SKILL,), {"detail": ""}, True),
     (ManagerConfig, (), {"confidence_floor": 0.5, "reprompt_limit": 2}, True),
-    (SkillEvent, ("invoked", "get_time", {}, "inline"), {"error": None}, True),
     (SkillContext, (speak,), {"notify_fn": None, "state": {}, "schedule_store": []}, False),
     (
         LowLevelContext,
@@ -195,7 +193,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_converted_class_has_a_case():
-    assert len(CASES) == 44 and len(set(IDS)) == 44
+    assert len(CASES) == 43 and len(set(IDS)) == 43
 
 
 @pytest.mark.parametrize("cls, args, defaults, frozen", CASES, ids=IDS)

@@ -82,6 +82,26 @@ def test_speed_range_validated():
         LocomotionCommand(Direction.LEFT_FORWARD, -1)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: decode_locomotion(0x10000), CodecError, "word 0x10000 is not a 16-bit value"),
+        (lambda: frame_uart(-1), CodecError, "word -0x1 is not a 16-bit value"),
+        (lambda: uart_transfer_time_s(-1), CodecError, "need n_bytes >= 0 and baud > 0"),
+        (lambda: uart_transfer_time_s(2, baud=0), CodecError, "need n_bytes >= 0 and baud > 0"),
+        (lambda: tof_distance(0.01, c_mps=0.0), GeometryError, "speed of sound must be > 0"),
+        (lambda: max_sampling_rate(0.0), GeometryError, "need d_max > 0 and c > 0"),
+        (lambda: scan_to_points([(121.0, None)], SweepConfig()), GeometryError,
+         "theta 121.0 outside sweep range"),
+    ],
+    ids=["decode-word", "frame-word", "negative-bytes", "zero-baud", "zero-c", "zero-d-max", "scan-theta"],
+)
+def test_out_of_range_argument_is_rejected(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_frame_is_little_endian():
     assert frame_uart(0x03FF) == bytes([0xFF, 0x03])
 

@@ -86,12 +86,8 @@ def test_descriptor_invariants():
         )
 
 
-def test_dispatch_inline_logs_one_invoked_event():
-    reg, events = make_registry(), []
-    reg.event_listener = events.append
-    assert reg.dispatch("get_time", {}) == "12:00"
-    assert [e.kind for e in events] == ["invoked"]
-    assert events[0].skill_id == "get_time"
+def test_dispatch_inline_returns_the_handler_value():
+    assert make_registry().dispatch("get_time", {}) == "12:00"
 
 
 def test_dispatch_missing_entities():
@@ -106,33 +102,26 @@ def test_dispatch_not_found():
         make_registry().dispatch("nope", {})
 
 
-def test_handler_failure_logs_failed_event_and_raises_on_result():
-    reg, events = SkillRegistry(), []
-    reg.event_listener = events.append
+def test_handler_failure_passes_through_dispatch():
+    reg = SkillRegistry()
 
     def broken(entities, ctx):
         raise ValueError("nope")
 
     reg.register(SkillDescriptor(id="bad"), broken)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nope"):
         reg.dispatch("bad", {})
-    assert [e.kind for e in events] == ["invoked", "failed"]
-    assert "nope" in events[1].error
 
 
 def test_deferred_equals_inline_for_pure_handler():
     results = {}
     for policy in (ExecutionPolicy.INLINE, ExecutionPolicy.DEFERRED):
-        reg, events = SkillRegistry(), []
-        reg.event_listener = events.append
+        reg = SkillRegistry()
         reg.register(
             SkillDescriptor(id="pure", execution_policy=policy),
             lambda entities, ctx: sorted(entities.items()),
         )
         results[policy] = reg.dispatch("pure", {"b": 2, "a": 1})
-        assert [(e.kind, e.skill_id, e.entities, e.policy) for e in events] == [
-            ("invoked", "pure", {"b": 2, "a": 1}, policy.value)
-        ]
     assert len(set(map(tuple, map(tuple, results.values())))) == 1
 
 
@@ -212,6 +201,14 @@ def test_followup_unknown_session_errors():
     mgr = SkillManager(make_registry())
     with pytest.raises(UnknownSessionError):
         mgr.followup("sX", TIMEOUT)
+
+
+def test_followup_on_a_session_that_is_not_filling_errors():
+    mgr = SkillManager(make_registry())
+    prompt = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    assert isinstance(mgr.followup(prompt.session_id, Interpretation("", {"object_label": "keys"})), Execute)
+    with pytest.raises(UnknownSessionError, match="is ready, not filling"):
+        mgr.followup(prompt.session_id, TIMEOUT)
 
 
 def test_unhelpful_answer_reprompts_same_entity():
@@ -307,6 +304,33 @@ def test_demo_skill_set_registers():
     register_demo_skills(reg)
     for skill_id in ("get_time", "find_object", "find_person", "call_phone", "drive"):
         assert skill_id in reg
+
+
+@pytest.mark.parametrize(
+    "skill_id, entities, spoken, notified",
+    [
+        ("find_object", {"object_label": "keys"}, "looking for the keys", "search_started:object:keys"),
+        ("find_person", {"person_name": "ada"}, "looking for ada", "search_started:person:ada"),
+        ("call_phone", {"contact_name": "bob"}, "calling bob", "call_started:bob"),
+    ],
+)
+def test_search_and_call_demo_skills_speak_notify_and_return_their_target(skill_id, entities, spoken, notified):
+    reg = SkillRegistry()
+    register_demo_skills(reg)
+    said, notes = [], []
+    ctx = SkillContext(speak_fn=said.append, notify_fn=notes.append)
+    assert reg.dispatch(skill_id, entities, context=ctx) == next(iter(entities.values()))
+    assert (said, notes) == ([spoken], [notified])
+
+
+def test_drive_demo_skill_refuses_an_unknown_direction():
+    reg = SkillRegistry()
+    register_demo_skills(reg)
+    sent = []
+    ctx = LowLevelContext(speak_fn=lambda text: None, locomotion_fn=sent.append)
+    with pytest.raises(ValueError, match="unknown drive direction 'sideways'"):
+        reg.dispatch("drive", {"direction": "sideways", "speed": 10}, context=ctx)
+    assert sent == []
 
 
 def test_schedule_demo_skill_keeps_in_memory_state():

@@ -68,6 +68,15 @@ def test_params_and_scan_work_in_fresh_interpreters():
     assert scan.stdout.startswith("theta_deg,T_s,d_ideal_m,d_x_m,d_y_m,classification\n")
 
 
+def test_the_cli_module_runs_as_a_script():
+    # how an uninstalled tree runs the CLI: python -m flowbot.harness.cli
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "flowbot.harness.cli", "validate"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok")
+
+
 RESOLVE_ALL = """
 import importlib, json, sys
 package = importlib.import_module(sys.argv[1])
