@@ -3,11 +3,12 @@
 The filter is a 159-tap Hamming-windowed sinc with 7.5 kHz cutoff: flat to
 within 0.03 dB below 7 kHz, -51 dB by 8 kHz, -81 dB at 23 kHz.
 :class:`Decimator3to1` applies it causally to a stream, in any chunking, with
-158 samples of history. It computes only the outputs it keeps: the reversed
-kernel is split into three 53-tap branches, each correlated with every third
-input sample (a polyphase decimator; Crochiere & Rabiner, *Multirate Digital
-Signal Processing*, 1983). :func:`resample_3to1` runs it over a whole buffer and
-trims the filter's 79-sample group delay, so the batch form is zero-phase.
+158 samples of history. Like a polyphase decimator (Crochiere & Rabiner,
+*Multirate Digital Signal Processing*, 1983) it computes only the outputs it
+keeps: each is one dot product of the reversed kernel with the 159 inputs
+ending at it, and those spans are one strided view of the input.
+:func:`resample_3to1` runs it over a whole buffer and trims the filter's
+79-sample group delay, so the batch form is zero-phase.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ def lowpass_kernel(numtaps: int, cutoff_hz: float, fs_hz: float) -> np.ndarray:
     return h / h.sum()
 
 
-_KERNEL_48K = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)
-# branch r holds reversed taps r, r+3, ...; it weighs inputs r, r+3, ... of a span
-_BRANCHES = tuple(_KERNEL_48K[::-1][r::3] for r in range(3))
+# reversed, so that a span's dot with it is the causal filter output at the span's end
+_KERNEL_REV = lowpass_kernel(FILTER_TAPS, CUTOFF_HZ, 48000.0)[::-1].copy()
 
 
 class Decimator3to1:
-    """Output ``m`` is the causal filter output at input index ``3*m``."""
+    """Output ``m`` is the causal filter output at input index ``3*m``, one
+    dot product of its own span, so no chunking changes it by a bit."""
 
     def __init__(self):
         self._hist = np.zeros(FILTER_TAPS - 1)
@@ -53,16 +54,12 @@ class Decimator3to1:
         buf[: FILTER_TAPS - 1] = self._hist
         np.multiply(samples, scale, out=buf[FILTER_TAPS - 1 :])
         # span j of buf (159 samples from j) gives the filter output at input
-        # index consumed + j; keep the spans j0, j0 + 3, ...
+        # index consumed + j; keep the spans j0, j0 + 3, ... as one strided view
         j0 = (-self._consumed) % 3
-        n_out = -(-(len(buf) - FILTER_TAPS + 1 - j0) // 3)
-        if not n_out:  # else a branch may be shorter than its taps, and np.correlate swaps them
-            out = np.zeros(0)
-        else:  # summed into the first branch's output, so an all -0.0 sum stays -0.0
-            b0, b1, b2 = _BRANCHES
-            out = np.correlate(buf[j0::3], b0, mode="valid")[:n_out]
-            out += np.correlate(buf[j0 + 1 :: 3], b1, mode="valid")[:n_out]
-            out += np.correlate(buf[j0 + 2 :: 3], b2, mode="valid")[:n_out]
+        n_out = -(-(n - j0) // 3)
+        size = buf.itemsize
+        spans = np.ndarray((n_out, FILTER_TAPS), np.float64, buf, j0 * size, (3 * size, size))
+        out = np.vecdot(spans, _KERNEL_REV)
         self._consumed += n
         self._hist = buf[1 - FILTER_TAPS :]
         return out

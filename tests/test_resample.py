@@ -3,6 +3,7 @@ batch and streaming forms of the one decimator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowbot.dsp import AudioBuffer, Decimator3to1, ResampleError, resample_3to1
 from flowbot.dsp.resample import CUTOFF_HZ, FILTER_TAPS, lowpass_kernel
@@ -121,3 +122,29 @@ def test_polyphase_decimator_matches_the_full_convolution(phase, n):
     expected = full_convolution_decimated(buf, (-len(lead)) % 3)
     assert len(out) == len(expected)
     assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 5000),
+    pcm16=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    # chunk lengths in turn, the rest of the input last; empty and 1-2 sample chunks included
+    lengths=st.lists(st.one_of(st.integers(0, 2), st.integers(3, 2000)), max_size=12),
+)
+def test_any_chunking_gives_the_one_call_output_bit_for_bit(n, pcm16, seed, lengths):
+    rng = np.random.default_rng(seed)
+    if pcm16:
+        x, scale = rng.integers(-32768, 32768, n).astype(np.int16), 2.0**-15
+    else:
+        x, scale = rng.uniform(-1, 1, n), 1.0
+    whole = Decimator3to1().process(x, scale)
+    decimator = Decimator3to1()
+    bounds = np.minimum(np.cumsum([0, *lengths]), n)
+    pieces = [decimator.process(x[a:b], scale) for a, b in zip(bounds[:-1], bounds[1:])]
+    pieces.append(decimator.process(x[bounds[-1] :], scale))
+    assert np.array_equal(np.concatenate(pieces), whole)
+    assert len(whole) == -(-n // 3)
+    expected = full_convolution_decimated(np.concatenate([np.zeros(FILTER_TAPS - 1), x * scale]), 0)
+    assert len(expected) == len(whole)
+    assert np.max(np.abs(whole - expected), initial=0.0) <= 1e-12
