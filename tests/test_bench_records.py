@@ -1,0 +1,79 @@
+"""The committed benchmark records: every ``BENCH_*.json`` summary follows from
+its own result lines by the rule ``scripts/ab_pairs.py`` writes it with."""
+
+import glob
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORDS = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+
+_spec = importlib.util.spec_from_file_location("ab_pairs", os.path.join(ROOT, "scripts", "ab_pairs.py"))
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+BETTER = ab_pairs.end_to_end_metrics(ROOT)
+
+
+def test_there_are_records_to_check():
+    assert len(RECORDS) >= 8
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=os.path.basename)
+def test_every_summary_field_follows_from_the_result_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        record = json.load(fh)
+    recomputed = {(row["workload"], row["seed"]): row
+                  for row in ab_pairs.summarise(record["parent"], record["change"], BETTER)}
+    assert record["summary"]
+    for row in record["summary"]:
+        again = recomputed[(row["workload"], row["seed"])]
+        for field, value in row.items():
+            if field not in BETTER:
+                assert value == again[field], (row["workload"], row["seed"], field)
+                continue
+            for key, stat in value.items():
+                if key not in ab_pairs.SIDES:
+                    assert stat == again[field][key], (row["workload"], row["seed"], field, key)
+                    continue
+                for name, number in stat.items():
+                    expected = again[field][key][name]
+                    if name in ("q1", "q3"):
+                        # one record interpolated its quartiles in another float order
+                        assert number == pytest.approx(expected, rel=1e-12, abs=0.0)
+                    else:
+                        assert number == expected, (row["workload"], row["seed"], field, key, name)
+
+
+def line(side_value, pair, metric="tick_p99_us", correct=True):
+    return {"workload": "w", "seed": 3, "pair": pair, "correct": correct, "failed": 0 if correct else 1,
+            "metrics": {metric: {"value": side_value, "unit": "us"}}}
+
+
+def test_a_tie_is_no_win_and_the_ratio_is_change_over_parent():
+    parent = [line(v, pair) for pair, v in enumerate([10.0, 20.0, 30.0, 40.0], 1)]
+    change = [line(v, pair) for pair, v in enumerate([10.0, 10.0, 20.0, 50.0], 1)]
+    (row,) = ab_pairs.summarise(parent, change, {"tick_p99_us": "lower"})
+    entry = row["tick_p99_us"]
+    assert row["pairs"] == 4 and row["all_correct"]
+    assert entry["change_wins"] == "2/4"
+    assert entry["parent"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "n": 4}
+    assert entry["median_ratio"] == 15.0 / 25.0
+
+
+def test_one_failed_run_clears_all_correct():
+    parent = [line(1.0, 1), line(2.0, 2)]
+    change = [line(1.0, 1), line(2.0, 2, correct=False)]
+    (row,) = ab_pairs.summarise(parent, change, {"tick_p99_us": "lower"})
+    assert row["all_correct"] is False
+
+
+def test_pairs_take_one_count_or_one_per_seed():
+    common = ["--parent", "HEAD", "--workloads", "speech_ref,kws_frontend_48k", "--out", "x.json"]
+    assert ab_pairs.parse_args(common + ["--seeds", "3,1000", "--pairs", "10"]).pairs == {3: 10, 1000: 10}
+    assert ab_pairs.parse_args(common + ["--seeds", "3,1000", "--pairs", "10,5"]).pairs == {3: 10, 1000: 5}
+    with pytest.raises(SystemExit):
+        ab_pairs.parse_args(common + ["--seeds", "3,1000", "--pairs", "10,5,2"])
