@@ -75,7 +75,7 @@ from .graphdef import GraphDef
 from .latch import Latch
 from .node import Node, NodeKindRegistry, PortSpec
 from .packet import Packet
-from .schema import SchemaError, check_value, get_value
+from .schema import SchemaError, check_names, get_value
 from .stream import Stream
 from .validation import Diagnostic, build_nodes, check_wiring
 
@@ -571,8 +571,7 @@ class SplitterNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        outputs = get_value(params, "outputs", "", list, ["out0", "out1"])
-        self.outputs = [check_value(name, f"outputs[{i}]", str) for i, name in enumerate(outputs)]
+        self.outputs = check_names(get_value(params, "outputs", "", list, ["out0", "out1"]), "outputs")
         if not self.outputs:
             raise SchemaError("outputs", "needs at least one output")
 

@@ -38,6 +38,14 @@ def check_value(value, path: str, kind: type, minimum: float = -math.inf):
     raise SchemaError(path, f"must be {_KINDS[kind]}{bound}, got {value!r:.40}")
 
 
+def check_names(values: list, path: str) -> list[str]:
+    """``values`` as distinct strings; a repeat is named by its index."""
+    for i, name in enumerate(values):
+        if check_value(name, f"{path}[{i}]", str) in values[:i]:
+            raise SchemaError(f"{path}[{i}]", f"repeats {name!r:.40}")
+    return values
+
+
 def get_value(doc: dict, key: str, path: str, kind: type, default=_REQUIRED, minimum=-math.inf):
     """``doc[key]`` checked as ``kind`` at ``path.key`` (``key`` when ``path``
     is empty); ``default`` if absent (or null, when that is None)."""

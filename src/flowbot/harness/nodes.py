@@ -31,12 +31,12 @@ from ..dsp.resample import Decimator3to1
 from ..flowcore.aggregator import AggWindow, SampleChunk
 from ..flowcore.node import Node, NodeKindRegistry, PortSpec
 from ..flowcore.runtime import default_kind_registry
-from ..flowcore.schema import SchemaError, check_value, get_value
+from ..flowcore.schema import SchemaError, check_names, check_value, get_value
 from ..robotics.locomotion import encode_locomotion, frame_uart
 from ..skills.builtin import LowLevelContext, SkillContext, register_demo_skills
-from ..skills.manager import Execute, ManagerConfig, Prompt, Reject, SkillManager, TIMEOUT
+from ..skills.manager import Execute, ManagerConfig, Prompt, Reject, SkillManager
 from ..skills.registry import SkillRegistry
-from ..skills.types import Interpretation, SessionState, SkillLevel
+from ..skills.types import Interpretation, SkillLevel
 
 
 class DeviceSample(NamedTuple):
@@ -113,8 +113,7 @@ class IoManagerNode(Node):
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
         self.routing = {
-            device: [check_value(port, f"routing.{device}[{i}]", str)
-                     for i, port in enumerate(check_value(targets, f"routing.{device}", list))]
+            device: check_names(check_value(targets, f"routing.{device}", list), f"routing.{device}")
             for device, targets in get_value(params, "routing", "", dict, {}).items()
         }
         self._ports = sorted({p for targets in self.routing.values() for p in targets})
@@ -195,17 +194,22 @@ class InterpreterStubNode(Node):
 class SkillManagerNode(Node):
     """Feeds interpretations through the skill manager and runs the actions.
 
-    Speech (including prompts and abort notices) goes out the ``speech``
-    port; low-level skills may emit locomotion commands. Prompt timeouts are
-    driven by scheduled timers on the run clock.
+    Each interpretation is one ``handle`` call: a fresh request, or the
+    answer to the manager's open session. Speech (including prompts and
+    abort notices) goes out the ``speech`` port; low-level skills may emit
+    locomotion commands. Each prompt schedules a timer tagged ``(session,
+    reprompts_used)`` on the run clock; it is stale, and does nothing,
+    unless that session is still open and not reprompted since.
     """
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
         self.config = ManagerConfig(
-            confidence_floor=get_value(params, "confidence_floor", "", float, 0.5),
-            reprompt_limit=get_value(params, "reprompt_limit", "", int, 2),
+            confidence_floor=get_value(params, "confidence_floor", "", float, 0.5, minimum=0),
+            reprompt_limit=get_value(params, "reprompt_limit", "", int, 2, minimum=0),
         )
+        if self.config.confidence_floor > 1:
+            raise SchemaError("confidence_floor", f"must be <= 1, got {self.config.confidence_floor:g}")
         timeout_s = get_value(params, "followup_timeout_s", "", float, 10.0)
         if timeout_s <= 0:
             raise SchemaError("followup_timeout_s", f"must be > 0, got {timeout_s:g}")
@@ -244,24 +248,12 @@ class SkillManagerNode(Node):
         return SkillContext(**common)
 
     def on_packet(self, port, packet, ctx):
-        interp: Interpretation = packet.payload
-        session = self.manager.active_session()
-        if session is not None:
-            action = self.manager.followup(session.session_id, interp)
-        else:
-            action = self.manager.handle(interp)
-        self._run_action(action, ctx)
+        self._run_action(self.manager.handle(packet.payload), ctx)
 
     def on_timer(self, tag, ctx):
-        _, session_id, reprompts_at_schedule = tag
-        session = self.manager.sessions.get(session_id)
-        if (
-            session is None
-            or session.state is not SessionState.FILLING
-            or session.reprompts_used != reprompts_at_schedule
-        ):
-            return
-        self._run_action(self.manager.followup(session_id, TIMEOUT), ctx)
+        session, reprompts_at_schedule = tag
+        if self.manager.session is session and session.reprompts_used == reprompts_at_schedule:
+            self._run_action(self.manager.timeout(), ctx)
 
     def _run_action(self, action, ctx):
         if isinstance(action, Execute):
@@ -276,15 +268,10 @@ class SkillManagerNode(Node):
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 ctx.collector.skill_failures.append({**invoked, "kind": "failed", "error": error})
-            if action.session_id is not None:
-                self.manager.mark_done(action.session_id)
         elif isinstance(action, Prompt):
             ctx.emit("speech", action.prompt_text)
-            session = self.manager.sessions[action.session_id]
-            ctx.schedule(
-                self.followup_timeout_us,
-                tag=("timeout", action.session_id, session.reprompts_used),
-            )
+            session = self.manager.session
+            ctx.schedule(self.followup_timeout_us, tag=(session, session.reprompts_used))
         elif isinstance(action, Reject):
             ctx.log("reject", reason=action.reason.value, detail=action.detail)
             if action.reason.value == "session_aborted":

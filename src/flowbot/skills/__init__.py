@@ -12,13 +12,11 @@ __all__, __getattr__ = lazy_exports(__name__, {
     ),
     "manager": (
         "Action", "Execute", "ManagerConfig", "Prompt", "Reject", "RejectReason", "SkillManager",
-        "TIMEOUT",
     ),
     "registry": ("SkillRegistry",),
     "types": (
         "DuplicateSkillError", "EntitySpec", "EntityType", "ExecutionPolicy", "Interpretation",
-        "MissingEntitiesError", "SessionState", "SkillDescriptor", "SkillError", "SkillLevel",
-        "SkillNotFoundError", "SkillSession", "UnknownSessionError", "descriptor_from_json",
-        "load_catalog",
+        "MissingEntitiesError", "SkillDescriptor", "SkillError", "SkillLevel", "SkillNotFoundError",
+        "SkillSession", "descriptor_from_json", "load_catalog",
     ),
 })

@@ -1,25 +1,25 @@
 """Skill manager: confidence gating, dispatch decisions and slot filling.
 
-An interpretation with every required entity present yields Execute; a
-missing entity opens a session and prompts for slots in declaration order.
-A followup naming a different skill aborts the session and is handled as a
-fresh interpretation (barge-in wins). Sessions end in exactly one of
-Execute or Aborted.
+A form-based dialogue with one active form: ``SkillManager.session`` is the
+one open slot-filling session, or None. With no session open, ``handle``
+takes an interpretation as a fresh request. One with every required entity
+present yields Execute; a missing entity opens a session and prompts for
+slots in declaration order. While a session is open, ``handle`` takes the
+interpretation as its answer, and a request naming a different skill
+aborts the session and is handled as a fresh one (barge-in wins).
+``timeout`` is a prompt left unanswered. An answer that does not name the
+prompted slot, or a timeout, reprompts up to ``reprompt_limit`` times and
+then aborts. A session ends in exactly one of Execute or a
+``session_aborted`` Reject, and either sets ``session`` back to None.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 from .registry import SkillRegistry
-from .types import (
-    Interpretation,
-    SessionState,
-    SkillSession,
-    UnknownSessionError,
-)
+from .types import Interpretation, SkillError, SkillSession
 
 
 class RejectReason(Enum):
@@ -31,11 +31,9 @@ class RejectReason(Enum):
 class Execute(NamedTuple):
     skill_id: str
     entities: dict
-    session_id: Optional[str] = None
 
 
 class Prompt(NamedTuple):
-    session_id: str
     entity_name: str
     prompt_text: str
 
@@ -47,9 +45,6 @@ class Reject(NamedTuple):
 
 Action = Union[Execute, Prompt, Reject]
 
-#: marker passed to followup() when the user said nothing in time
-TIMEOUT = object()
-
 
 class ManagerConfig(NamedTuple):
     confidence_floor: float = 0.5
@@ -60,16 +55,15 @@ class SkillManager:
     def __init__(self, registry: SkillRegistry, config: ManagerConfig = ManagerConfig()):
         self.registry = registry
         self.config = config
-        self.sessions: dict[str, SkillSession] = {}
-        self._ids = itertools.count(1)
-
-    def active_session(self) -> Optional[SkillSession]:
-        for session in self.sessions.values():
-            if session.state is SessionState.FILLING:
-                return session
-        return None
+        self.session: Optional[SkillSession] = None
 
     def handle(self, interp: Interpretation) -> Action:
+        """A fresh request, or the open session's answer."""
+        session = self.session
+        if session is not None:
+            if not interp.skill_id or interp.skill_id == session.descriptor.id:
+                return self._answer(session, interp)
+            self.session = None  # barge-in: the new request wins, the open session dies
         if interp.skill_id not in self.registry:
             return Reject(RejectReason.UNKNOWN_SKILL, detail=interp.skill_id)
         if interp.confidence < self.config.confidence_floor:
@@ -82,67 +76,45 @@ class SkillManager:
         missing = descriptor.missing_from(entities)
         if not missing:
             return Execute(skill_id=descriptor.id, entities=entities)
-        session = SkillSession(
-            session_id=f"s{next(self._ids)}",
-            descriptor=descriptor,
-            filled=entities,
-            missing=missing,
-        )
-        self.sessions[session.session_id] = session
-        return self._prompt(session)
+        self.session = SkillSession(descriptor, filled=entities, missing=missing)
+        return self._prompt()
 
-    def followup(self, session_id: str, answer: Union[Interpretation, object]) -> Action:
-        """Advance a session with the user's answer, or TIMEOUT."""
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise UnknownSessionError(f"no such session {session_id!r}")
-        if session.state is not SessionState.FILLING:
-            raise UnknownSessionError(f"session {session_id!r} is {session.state.value}, not filling")
+    def timeout(self) -> Action:
+        """The open session's prompt went unanswered."""
+        if self.session is None:
+            raise SkillError("no session is open")
+        return self._reprompt_or_abort(why="timed out waiting for an answer")
 
-        if answer is TIMEOUT:
-            return self._reprompt_or_abort(session, why="timed out waiting for an answer")
-
-        interp: Interpretation = answer
-        if interp.skill_id and interp.skill_id != session.descriptor.id:
-            # barge-in: the new request wins, the open session dies
-            session.state = SessionState.ABORTED
-            return self.handle(interp)
-
+    def _answer(self, session: SkillSession, interp: Interpretation) -> Action:
         provided = {
             k: v for k, v in interp.entities.items()
             if k in session.descriptor.declared_entity_names and k not in session.filled
         }
         prompted = session.missing[0]
         if prompted not in provided:
-            return self._reprompt_or_abort(session, why=f"answer did not name {prompted!r}")
+            return self._reprompt_or_abort(why=f"answer did not name {prompted!r}")
         session.filled.update(provided)
         session.missing = [name for name in session.missing if name not in provided]
         if session.missing:
-            return self._prompt(session)
-        session.state = SessionState.READY
-        return Execute(
-            skill_id=session.descriptor.id,
-            entities=dict(session.filled),
-            session_id=session.session_id,
-        )
+            return self._prompt()
+        self.session = None
+        return Execute(skill_id=session.descriptor.id, entities=session.filled)
 
-    def mark_done(self, session_id: str) -> None:
-        self.sessions[session_id].state = SessionState.DONE
-
-    def _prompt(self, session: SkillSession) -> Prompt:
+    def _prompt(self) -> Prompt:
+        session = self.session
         entity = session.missing[0]
         return Prompt(
-            session_id=session.session_id,
             entity_name=entity,
             prompt_text=f"What {entity.replace('_', ' ')} for {session.descriptor.id}?",
         )
 
-    def _reprompt_or_abort(self, session: SkillSession, why: str) -> Action:
+    def _reprompt_or_abort(self, why: str) -> Action:
+        session = self.session
         session.reprompts_used += 1
         if session.reprompts_used > self.config.reprompt_limit:
-            session.state = SessionState.ABORTED
+            self.session = None
             return Reject(
                 RejectReason.SESSION_ABORTED,
                 detail=f"giving up on {session.descriptor.id}: {why}",
             )
-        return self._prompt(session)
+        return self._prompt()

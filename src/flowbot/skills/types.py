@@ -1,4 +1,4 @@
-"""Skill descriptors, interpretations and slot-filling sessions."""
+"""Skill descriptors, interpretations and the slot-filling session."""
 
 from __future__ import annotations
 
@@ -26,10 +26,6 @@ class MissingEntitiesError(SkillError):
         self.skill_id = skill_id
         self.missing = list(missing)
         super().__init__(f"skill {skill_id!r} missing entities: {missing}")
-
-
-class UnknownSessionError(SkillError):
-    pass
 
 
 class EntityType(Enum):
@@ -94,7 +90,8 @@ class SkillDescriptor(FrozenRecord):
 
 class Interpretation(FrozenRecord):
     """A recognized command: skill id, entity values and the recognizer's
-    confidence. An empty skill_id marks a bare entity answer to a prompt."""
+    confidence. An empty skill_id marks a bare entity answer to the skill
+    manager's open session."""
 
     __slots__ = _fields = ("skill_id", "entities", "confidence")
 
@@ -104,28 +101,23 @@ class Interpretation(FrozenRecord):
         self._init(skill_id, {} if entities is None else entities, confidence)
 
 
-class SessionState(Enum):
-    FILLING = "filling"
-    READY = "ready"
-    DONE = "done"
-    ABORTED = "aborted"
-
-
 class SkillSession(Record):
-    __slots__ = _fields = ("session_id", "descriptor", "filled", "missing", "reprompts_used", "state")
+    """The skill manager's open slot-filling session: the entities filled
+    so far, the required ones still missing (the first is the one prompted
+    for) and the reprompts spent. It lives only while it is open."""
+
+    __slots__ = _fields = ("descriptor", "filled", "missing", "reprompts_used")
 
     def __init__(
         self,
-        session_id: str,
         descriptor: SkillDescriptor,
         filled: Optional[dict] = None,
         missing: Optional[list[str]] = None,
         reprompts_used: int = 0,
-        state: SessionState = SessionState.FILLING,
     ):
         self._init(
-            session_id, descriptor, {} if filled is None else filled,
-            [] if missing is None else missing, reprompts_used, state,
+            descriptor, {} if filled is None else filled, [] if missing is None else missing,
+            reprompts_used,
         )
 
 

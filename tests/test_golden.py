@@ -45,6 +45,12 @@ DEMO_SHA256 = "48acbcfda4632a12656dab8c3b9a02fd9909a8d057190cb9cae30f54d61259ae"
 BURSTS_SHA256 = "f8049cec9b72626a74788d6ee99d7201f1f7168a83ff74d50fa64940c9d4133f"
 EXECUTOR_SHA256 = "011aaaa06ae15272550b8a79b81e265a330de0503ad15f636ac9877e13f4b4f3"
 RESAMPLER_SHA256 = "d6383d236d6bc3643311bb10df298bc9df375751a6095fe9f5b2cab521a660ef"
+# per skill_manager (followup_timeout_s, reprompt_limit)
+SLOT_FILLING_SHA256 = {
+    (0.3, 0): "d8075051e2e8d8a5772f92697d5df397e1d84bb5bf204cc0d73febda4128a533",
+    (0.6, 1): "00ffe2414fe1fd677aef97c71aa0016ed1d7f5dcf03886dbbb017a8c478ceeea",
+    (2.0, 2): "9ad0aa1dd76afb7fc007fa2142a59f4bd1f709024d5d5a2ebbfb36a24ee1c332",
+}
 
 # per case, from the version 1 report: (sha256 of v1_facts' drop and
 # suppression facts, sha256 of its other events, dropped packets,
@@ -198,6 +204,35 @@ def resampler_report() -> dict:
     return run_scenario(resampler_graph(), scenario)
 
 
+def slot_filling_report(followup_timeout_s: float, reprompt_limit: int) -> dict:
+    """Prompts, fills, reprompts, aborts, a barge-in and stale timeouts.
+
+    A window starts every 250 ms, so window ``i`` reaches the manager at
+    ``1 + i / 4`` s. Depending on the params, the bare ``when`` answer 0.75 s
+    after its prompt fills the slot, follows one reprompt or comes after the
+    abort, and the ``irrelevant`` answer is reprompted or ends the session.
+    """
+    scenario = load_scenario({
+        "audio": {"synthetic": {"kind": "silence", "duration_s": 20.0}},
+        "annotations": [{"start_s": 1.0, "end_s": 9.5}, {"start_s": 10.5, "end_s": 19.0}],
+        "interpreter_script": [
+            {"trigger_window_index": 4, "skill_id": "find_object", "entities": {}, "confidence": 0.9},
+            {"trigger_window_index": 30, "skill_id": "schedule_note",
+             "entities": {"note": "call mum"}, "confidence": 0.9},
+            {"trigger_window_index": 33, "skill_id": "", "entities": {"when": "10m"}},
+            {"trigger_window_index": 44, "skill_id": "find_person", "entities": {}, "confidence": 0.9},
+            {"trigger_window_index": 47, "skill_id": "get_time", "entities": {}, "confidence": 0.9},
+            {"trigger_window_index": 56, "skill_id": "drive", "entities": {"speed": 3}, "confidence": 0.95},
+            {"trigger_window_index": 59, "skill_id": "", "entities": {"irrelevant": 1}},
+        ],
+        "seed": 7,
+    })
+    graph = reference_pipeline(manager_params={
+        "followup_timeout_s": followup_timeout_s, "reprompt_limit": reprompt_limit,
+    })
+    return run_scenario(graph, scenario)
+
+
 CASES = {
     "demo": demo_report,
     "bursts": bursts_report,
@@ -223,6 +258,11 @@ def test_resampler_scenario_digest():
     opened = [e for e in report["events"] if e["kind"] == "latch" and e["state"] == "open"]
     assert len(opened) == 2
     assert sha256(report_to_json_str(report)) == RESAMPLER_SHA256
+
+
+@pytest.mark.parametrize("params", sorted(SLOT_FILLING_SHA256))
+def test_slot_filling_scenario_digest(params):
+    assert sha256(report_to_json_str(slot_filling_report(*params))) == SLOT_FILLING_SHA256[params]
 
 
 def v1_facts(events: list[dict]) -> tuple[dict, list[dict]]:

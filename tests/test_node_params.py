@@ -79,6 +79,7 @@ BAD_VALUES = [
     ("io_manager", "routing", {"mic0": [inf]}),
     ("io_manager", "routing", [["ui_audio"]]),
     ("io_manager", "routing", {}),
+    ("io_manager", "routing", {"mic0": ["ui_audio", "ui_audio"]}),
     ("sink", "poll_rate_hz", 0),
     ("splitter", "outputs", "win_att"),
     ("splitter", "outputs", ["win_att", 0.5]),
@@ -86,10 +87,14 @@ BAD_VALUES = [
     ("splitter", "outputs", ["win_att", inf]),
     ("splitter", "outputs", {"win_att": "win_gate"}),
     ("splitter", "outputs", []),
+    ("splitter", "outputs", ["win_att", "win_att"]),
     ("skill_manager", "confidence_floor", "high"),
     ("skill_manager", "confidence_floor", nan),
     ("skill_manager", "confidence_floor", inf),
     ("skill_manager", "confidence_floor", [0.5]),
+    ("skill_manager", "confidence_floor", 1.5),
+    ("skill_manager", "confidence_floor", -0.2),
+    ("skill_manager", "reprompt_limit", -1),
     ("skill_manager", "followup_timeout_s", "10"),
     ("skill_manager", "followup_timeout_s", nan),
     ("skill_manager", "followup_timeout_s", inf),
@@ -117,6 +122,26 @@ def test_bad_node_param_is_one_diagnostic_naming_its_key(tmp_path, capsys, kind,
     graph_path.write_text(json.dumps(doc))  # JSON spells NaN / Infinity
     assert cli_main(["validate", "--graph", str(graph_path)]) == 2
     assert f"BadNodeParams at node {node['id']}: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key, value, reason", [
+    ("splitter", "outputs", ["win_att", "win_gate", "win_att"], "outputs[2]: repeats 'win_att'"),
+    ("io_manager", "routing", {"mic0": ["ui_audio", "ui_audio"]}, "routing.mic0[1]: repeats 'ui_audio'"),
+    ("skill_manager", "confidence_floor", 1.5, "confidence_floor: must be <= 1, got 1.5"),
+    ("skill_manager", "confidence_floor", -0.2,
+     "confidence_floor: must be a finite number >= 0, got -0.2"),
+    ("skill_manager", "reprompt_limit", -1, "reprompt_limit: must be an integer >= 0, got -1"),
+])
+def test_repeated_port_names_and_out_of_range_manager_params_are_named(kind, key, value, reason):
+    doc = graph_doc(kind)
+    node_of(doc, kind)["params"][key] = value
+    assert [d.reason for d in validate(doc)] == [reason]
+
+
+def test_two_devices_may_feed_one_interface():
+    doc = graph_doc("io_manager")
+    node_of(doc, "io_manager")["params"]["routing"] = {"mic0": ["ui_audio"], "mic1": ["ui_audio"]}
+    assert validate(doc) == []
 
 
 PARAM_KEYS = [

@@ -19,6 +19,7 @@ from flowbot.flowcore import (
     AggWindow,
     Diagnostic,
     GraphDef,
+    GraphRunner,
     LatchDef,
     LatchState,
     LosslessPolicy,
@@ -32,10 +33,19 @@ from flowbot.flowcore import (
     StreamDef,
     Violation,
     ViolationKind,
+    VirtualClock,
     WatchdogConfig,
     WatchdogConfigError,
 )
-from flowbot.harness import Annotation, DeviceSample, ScenarioScript
+from flowbot.harness import (
+    Annotation,
+    DeviceSample,
+    ScenarioScript,
+    harness_kind_registry,
+    load_scenario,
+    reference_pipeline,
+    scenario_audio,
+)
 from flowbot.perception import (
     Identity,
     LayerSpec,
@@ -68,7 +78,6 @@ from flowbot.skills import (
     Prompt,
     Reject,
     RejectReason,
-    SessionState,
     SkillContext,
     SkillDescriptor,
     SkillError,
@@ -145,14 +154,9 @@ CASES = [
         True,
     ),
     (Interpretation, ("get_time",), {"entities": {}, "confidence": 1.0}, True),
-    (
-        SkillSession,
-        ("1", SkillDescriptor("get_time")),
-        {"filled": {}, "missing": [], "reprompts_used": 0, "state": SessionState.FILLING},
-        False,
-    ),
-    (Execute, ("get_time", {}), {"session_id": None}, True),
-    (Prompt, ("1", "when", "when?"), {}, True),
+    (SkillSession, (SkillDescriptor("get_time"),), {"filled": {}, "missing": [], "reprompts_used": 0}, False),
+    (Execute, ("get_time", {}), {}, True),
+    (Prompt, ("when", "when?"), {}, True),
     (Reject, (RejectReason.UNKNOWN_SKILL,), {"detail": ""}, True),
     (ManagerConfig, (), {"confidence_floor": 0.5, "reprompt_limit": 2}, True),
     (SkillContext, (speak,), {"notify_fn": None, "state": {}, "schedule_store": []}, False),
@@ -329,7 +333,7 @@ def test_conversions_are_unchanged():
     [
         (lambda: NodeDef("a", "k"), ("params",)),
         (lambda: Interpretation("s"), ("entities",)),
-        (lambda: SkillSession("1", SkillDescriptor("s")), ("filled", "missing")),
+        (lambda: SkillSession(SkillDescriptor("s")), ("filled", "missing")),
         (lambda: SkillContext(speak), ("state", "schedule_store")),
         (lambda: LowLevelContext(speak), ("state", "schedule_store")),
     ],
@@ -338,3 +342,26 @@ def test_mutable_defaults_are_not_shared(build, names):
     first, second = build(), build()
     for name in names:
         assert getattr(first, name) is not getattr(second, name)
+
+
+def test_a_run_of_200_aborted_requests_keeps_no_session():
+    requests = [
+        {"trigger_window_index": i, "skill_id": "find_object", "entities": {}, "confidence": 0.9}
+        for i in range(4, 204)
+    ]
+    scenario = load_scenario({
+        "audio": {"synthetic": {"kind": "silence", "duration_s": 52.0}},
+        "annotations": [{"start_s": 1.0, "end_s": 52.0}],
+        "interpreter_script": requests,
+    })
+    env = {"audio": scenario_audio(scenario), "annotations": list(scenario.annotations),
+           "interpreter_script": list(scenario.interpreter_script)}
+    graph = reference_pipeline(manager_params={"followup_timeout_s": 0.1, "reprompt_limit": 0})
+    runner = GraphRunner(graph, harness_kind_registry(), VirtualClock(),
+                         StopCondition(time_limit_us=53_000_000), env=env)
+    report = runner.run()
+    aborts = [e for e in report.events if e["kind"] == "reject" and e["reason"] == "session_aborted"]
+    assert len(aborts) == 200
+    manager = runner.nodes["mgr"].manager
+    assert manager.session is None
+    assert sorted(vars(manager)) == ["config", "registry", "session"]

@@ -1,4 +1,4 @@
-"""Registry dispatch, execution policies, and slot-filling sessions."""
+"""Registry dispatch, execution policies, and the slot-filling session."""
 
 import json
 
@@ -20,15 +20,12 @@ from flowbot.skills import (
     Prompt,
     Reject,
     RejectReason,
-    SessionState,
     SkillContext,
     SkillDescriptor,
     SkillError,
     SkillManager,
     SkillNotFoundError,
     SkillRegistry,
-    TIMEOUT,
-    UnknownSessionError,
     load_catalog,
     register_demo_skills,
 )
@@ -153,14 +150,13 @@ def test_handle_rejects_unknown_skill():
     assert isinstance(action, Reject) and action.reason is RejectReason.UNKNOWN_SKILL
 
 
-def test_followup_fills_slot_then_executes():
+def test_answer_fills_slot_then_executes():
     mgr = SkillManager(make_registry())
-    prompt = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
-    action = mgr.followup(prompt.session_id, Interpretation("", {"object_label": "keys"}))
-    assert action == Execute(
-        skill_id="find_object", entities={"object_label": "keys"}, session_id=prompt.session_id
-    )
-    assert mgr.sessions[prompt.session_id].state is SessionState.READY
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    assert mgr.session is not None
+    action = mgr.handle(Interpretation("", {"object_label": "keys"}))
+    assert action == Execute(skill_id="find_object", entities={"object_label": "keys"})
+    assert mgr.session is None
 
 
 def test_prompt_order_follows_declaration_order():
@@ -175,48 +171,61 @@ def test_prompt_order_follows_declaration_order():
     mgr = SkillManager(reg)
     action = mgr.handle(Interpretation("multi", {"second": "x"}, confidence=1.0))
     assert action.entity_name == "first"
-    action = mgr.followup(action.session_id, Interpretation("", {"first": "a"}))
+    action = mgr.handle(Interpretation("", {"first": "a"}))
     assert action.entity_name == "third"
 
 
 def test_two_timeouts_with_reprompt_limit_one_aborts():
     mgr = SkillManager(make_registry(), ManagerConfig(reprompt_limit=1))
-    prompt = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
-    again = mgr.followup(prompt.session_id, TIMEOUT)
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    again = mgr.timeout()
     assert isinstance(again, Prompt)
-    final = mgr.followup(prompt.session_id, TIMEOUT)
+    final = mgr.timeout()
     assert isinstance(final, Reject) and final.reason is RejectReason.SESSION_ABORTED
-    assert mgr.sessions[prompt.session_id].state is SessionState.ABORTED
+    assert mgr.session is None
 
 
-def test_followup_with_new_skill_aborts_and_handles_it():
+def test_request_for_another_skill_aborts_the_session_and_is_handled():
     mgr = SkillManager(make_registry())
-    prompt = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
-    action = mgr.followup(prompt.session_id, Interpretation("get_time", {}, confidence=1.0))
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    action = mgr.handle(Interpretation("get_time", {}, confidence=1.0))
     assert action == Execute(skill_id="get_time", entities={})
-    assert mgr.sessions[prompt.session_id].state is SessionState.ABORTED
+    assert mgr.session is None
 
 
-def test_followup_unknown_session_errors():
+def test_request_for_the_open_skill_answers_the_session():
     mgr = SkillManager(make_registry())
-    with pytest.raises(UnknownSessionError):
-        mgr.followup("sX", TIMEOUT)
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    session = mgr.session
+    again = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    assert again == Prompt("object_label", "What object label for find_object?")
+    assert mgr.session is session and session.reprompts_used == 1
 
 
-def test_followup_on_a_session_that_is_not_filling_errors():
+def test_unknown_skill_barges_in_and_is_rejected():
     mgr = SkillManager(make_registry())
-    prompt = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
-    assert isinstance(mgr.followup(prompt.session_id, Interpretation("", {"object_label": "keys"})), Execute)
-    with pytest.raises(UnknownSessionError, match="is ready, not filling"):
-        mgr.followup(prompt.session_id, TIMEOUT)
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    action = mgr.handle(Interpretation("fly_to_moon", {}, confidence=1.0))
+    assert action == Reject(RejectReason.UNKNOWN_SKILL, detail="fly_to_moon")
+    assert mgr.session is None
+
+
+def test_timeout_with_no_open_session_errors():
+    mgr = SkillManager(make_registry())
+    with pytest.raises(SkillError, match="no session is open"):
+        mgr.timeout()
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    assert isinstance(mgr.handle(Interpretation("", {"object_label": "keys"})), Execute)
+    with pytest.raises(SkillError, match="no session is open"):
+        mgr.timeout()
 
 
 def test_unhelpful_answer_reprompts_same_entity():
     mgr = SkillManager(make_registry())
-    prompt = mgr.handle(Interpretation("find_object", {}, confidence=1.0))
-    again = mgr.followup(prompt.session_id, Interpretation("", {"irrelevant": 1}))
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    again = mgr.handle(Interpretation("", {"irrelevant": 1}))
     assert isinstance(again, Prompt) and again.entity_name == "object_label"
-    assert mgr.sessions[prompt.session_id].reprompts_used == 1
+    assert mgr.session.reprompts_used == 1
 
 
 entity_names = st.sampled_from(["alpha", "beta", "gamma", "delta"])
@@ -260,26 +269,24 @@ def test_every_opened_session_terminates_in_execute_or_abort(answers):
         lambda e, c: None,
     )
     mgr = SkillManager(reg, ManagerConfig(reprompt_limit=2))
-    action = mgr.handle(Interpretation("s", {}, confidence=1.0))
-    session_id = action.session_id
+    mgr.handle(Interpretation("s", {}, confidence=1.0))
+    session = mgr.session
     outcome = None
     for answer in answers:
-        if mgr.sessions[session_id].state is not SessionState.FILLING:
+        if mgr.session is None:
             break
-        action = mgr.followup(
-            session_id, TIMEOUT if answer is None else Interpretation("", answer)
-        )
+        action = mgr.timeout() if answer is None else mgr.handle(Interpretation("", answer))
         if isinstance(action, (Execute, Reject)):
             outcome = action
             break
-    state = mgr.sessions[session_id].state
     if outcome is None:
-        assert state is SessionState.FILLING  # ran out of scripted answers
+        assert mgr.session is session  # ran out of scripted answers
     elif isinstance(outcome, Execute):
-        assert state is SessionState.READY
+        assert mgr.session is None
         assert {"alpha", "beta"} <= set(outcome.entities)
     else:
-        assert state is SessionState.ABORTED
+        assert outcome.reason is RejectReason.SESSION_ABORTED
+        assert mgr.session is None
 
 
 # -- facades and catalog -------------------------------------------------------
