@@ -34,14 +34,12 @@ class Latch:
         self.suppressed_runs: list[list[int]] = []
         self.transitions: list[tuple[int, LatchState]] = []
 
-    def apply_control(self, bit, ts_us: int) -> bool:
-        """Set the gate from a control bit. Returns True on a state change."""
+    def apply_control(self, bit, ts_us: int) -> None:
+        """Set the gate from a control bit; a change of state is a transition."""
         target = LatchState.OPEN if bit else LatchState.CLOSED
-        if target is self.state:
-            return False
-        self.state = target
-        self.transitions.append((ts_us, target))
-        return True
+        if target is not self.state:
+            self.state = target
+            self.transitions.append((ts_us, target))
 
     def forward(self, packet: Packet, now_us: int) -> Optional[Packet]:
         """Pass the packet through when open; when closed, drop it and record

@@ -92,7 +92,9 @@ _heappop = heapq.heappop
 
 #: Version 2 keeps drops and suppressions as run records on their stream and
 #: latch instead of one event per packet, and adds ``max_queued`` and ``nodes``.
-REPORT_VERSION = 2
+#: Version 3 logs no event for a fact another entry owns: latch transitions,
+#: skill invocations, UART bytes and dead-lettered chunks.
+REPORT_VERSION = 3
 
 
 class GraphValidationError(ValueError):
@@ -358,11 +360,7 @@ class GraphRunner:
             if ts is None or ts > limit:
                 return
             packet = control.pop(now)
-            if latch.apply_control(packet.payload, packet.timestamp_us):
-                self.log_event(
-                    "latch", stream=gated.stream.stream_id, state=latch.state.value,
-                    bit=int(bool(packet.payload)),
-                )
+            latch.apply_control(packet.payload, packet.timestamp_us)
 
     def _pop_through_latch(self, route: _Route, now: int) -> Optional[Packet]:
         stream = route.stream

@@ -47,7 +47,7 @@ class LossyPolicy(FrozenRecord):
 class LosslessPolicy(FrozenRecord):
     """Unbounded delivery: never drops, but each packet should be consumed
     within ``deadline_us`` of its timestamp. Late packets are still delivered
-    and the lateness is recorded as a LatencyExceeded violation."""
+    and the lateness is recorded as a DeadlineExceeded violation."""
 
     __slots__ = _fields = ("deadline_us",)
     kind = "lossless"
@@ -170,7 +170,7 @@ class Stream:
         if deadline is not None:
             age = now_us - packet.timestamp_us
             if age > deadline:
-                self._violate(ViolationKind.LATENCY_EXCEEDED, now_us, age, deadline)
+                self._violate(ViolationKind.DEADLINE_EXCEEDED, now_us, age, deadline)
         if self._monitored:
             if now_us >= self._window_end:
                 self._close_windows(now_us)

@@ -17,6 +17,7 @@ from .schema import get_value
 
 
 class ViolationKind(str, Enum):
+    DEADLINE_EXCEEDED = "DeadlineExceeded"
     LATENCY_EXCEEDED = "LatencyExceeded"
     THROUGHPUT_BELOW = "ThroughputBelow"
     BACKPRESSURE_MISS_LIMIT = "BackpressureMissLimit"

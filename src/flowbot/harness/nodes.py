@@ -132,7 +132,6 @@ class IoManagerNode(Node):
         routed = io_manager_route(packet.payload, self.routing)
         if not routed:
             self.dead_letter += 1
-            ctx.log("dead_letter", device=packet.payload.device_id)
             return
         for interface_id, chunk in routed:
             self.delivered += 1
@@ -257,11 +256,10 @@ class SkillManagerNode(Node):
 
     def _run_action(self, action, ctx):
         if isinstance(action, Execute):
-            ctx.log("skill_execute", skill=action.skill_id)
             descriptor, _ = self.registry.lookup(action.skill_id)
             facade = self._facade(ctx, descriptor.level)
             invoked = {"kind": "invoked", "skill_id": action.skill_id, "entities": dict(action.entities),
-                       "policy": descriptor.execution_policy.value, "t_us": ctx.now_us()}
+                       "t_us": ctx.now_us()}
             ctx.collector.skill_invocations.append(invoked)
             try:
                 self.registry.dispatch(action.skill_id, action.entities, context=facade)
@@ -301,10 +299,7 @@ class UartSinkNode(Node):
         return {"in": PortSpec("locomotion")}
 
     def on_packet(self, port, packet, ctx):
-        word = encode_locomotion(packet.payload)
-        data = frame_uart(word)
-        ctx.collector.uart.extend(data)
-        ctx.log("uart_tx", hex=data.hex())
+        ctx.collector.uart.extend(frame_uart(encode_locomotion(packet.payload)))
 
 
 def harness_kind_registry() -> NodeKindRegistry:

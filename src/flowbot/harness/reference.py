@@ -33,11 +33,12 @@ def reference_pipeline(detector: dict | None = None, manager_params: dict | None
 
 
 def _led_states(report: RunReport) -> list[dict]:
-    """Consciousness-state stream: awaiting / receiving / executing."""
+    """Consciousness-state stream: awaiting / receiving / executing, from the
+    latch transitions and the skill invocations."""
     changes: list[tuple[int, int, str]] = [(0, -1, "awaiting")]
-    for i, event in enumerate(report.events):
-        if event["kind"] == "latch":
-            changes.append((event["t_us"], i, "receiving" if event["state"] == "open" else "awaiting"))
+    transitions = [t for latch in report.latches.values() for t in latch["transitions"]]
+    for i, t in enumerate(transitions):
+        changes.append((t["t_us"], i, "receiving" if t["state"] == "open" else "awaiting"))
     for i, inv in enumerate(report.skill_invocations):
         changes.append((inv["t_us"], 10_000_000 + 2 * i, "executing"))
         changes.append((inv["t_us"], 10_000_000 + 2 * i + 1, "awaiting"))

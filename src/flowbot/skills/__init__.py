@@ -15,8 +15,8 @@ __all__, __getattr__ = lazy_exports(__name__, {
     ),
     "registry": ("SkillRegistry",),
     "types": (
-        "DuplicateSkillError", "EntitySpec", "EntityType", "ExecutionPolicy", "Interpretation",
-        "MissingEntitiesError", "SkillDescriptor", "SkillError", "SkillLevel", "SkillNotFoundError",
-        "SkillSession", "descriptor_from_json", "load_catalog",
+        "DuplicateSkillError", "Interpretation", "MissingEntitiesError", "SkillDescriptor",
+        "SkillError", "SkillLevel", "SkillNotFoundError", "SkillSession", "descriptor_from_json",
+        "load_catalog",
     ),
 })

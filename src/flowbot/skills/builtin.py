@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from ..flowcore.record import Record
 from ..robotics.locomotion import Direction, LocomotionCommand
 from .registry import SkillRegistry
-from .types import EntitySpec, EntityType, SkillDescriptor, SkillLevel
+from .types import SkillDescriptor, SkillLevel
 
 
 class CapabilityError(RuntimeError):
@@ -132,33 +132,11 @@ def drive_handler(entities, ctx: LowLevelContext):
 def demo_descriptors() -> list[SkillDescriptor]:
     return [
         SkillDescriptor(id="get_time"),
-        SkillDescriptor(
-            id="find_object",
-            required_entities=(EntitySpec("object_label", EntityType.OBJECT_LABEL),),
-        ),
-        SkillDescriptor(
-            id="find_person",
-            required_entities=(EntitySpec("person_name", EntityType.PERSON_NAME),),
-        ),
-        SkillDescriptor(
-            id="call_phone",
-            required_entities=(EntitySpec("contact_name", EntityType.PERSON_NAME),),
-        ),
-        SkillDescriptor(
-            id="schedule_note",
-            required_entities=(
-                EntitySpec("note", EntityType.TEXT),
-                EntitySpec("when", EntityType.DURATION),
-            ),
-        ),
-        SkillDescriptor(
-            id="drive",
-            required_entities=(
-                EntitySpec("direction", EntityType.TEXT),
-                EntitySpec("speed", EntityType.NUMBER),
-            ),
-            level=SkillLevel.LOW_LEVEL,
-        ),
+        SkillDescriptor(id="find_object", required_entities=("object_label",)),
+        SkillDescriptor(id="find_person", required_entities=("person_name",)),
+        SkillDescriptor(id="call_phone", required_entities=("contact_name",)),
+        SkillDescriptor(id="schedule_note", required_entities=("note", "when")),
+        SkillDescriptor(id="drive", required_entities=("direction", "speed"), level=SkillLevel.LOW_LEVEL),
     ]
 
 

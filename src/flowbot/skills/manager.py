@@ -1,15 +1,16 @@
 """Skill manager: confidence gating, dispatch decisions and slot filling.
 
 A form-based dialogue with one active form: ``SkillManager.session`` is the
-one open slot-filling session, or None. With no session open, ``handle``
-takes an interpretation as a fresh request. One with every required entity
-present yields Execute; a missing entity opens a session and prompts for
-slots in declaration order. While a session is open, ``handle`` takes the
-interpretation as its answer, and a request naming a different skill
-aborts the session and is handled as a fresh one (barge-in wins).
-``timeout`` is a prompt left unanswered. An answer that does not name the
-prompted slot, or a timeout, reprompts up to ``reprompt_limit`` times and
-then aborts. A session ends in exactly one of Execute or a
+one open slot-filling session, or None. ``handle`` first rejects an
+interpretation below ``confidence_floor``, a bare answer too, and leaves the
+session as it is. With no session open, it takes an interpretation as a
+fresh request. One with every required entity present yields Execute; a
+missing entity opens a session and prompts for slots in declaration order.
+While a session is open, ``handle`` takes the interpretation as its
+answer, and a request naming a different skill aborts the session and is
+handled as a fresh one (barge-in wins). ``timeout`` is a prompt left
+unanswered. An answer that does not name the prompted slot, or a timeout,
+reprompts up to ``reprompt_limit`` times and then aborts. A session ends in exactly one of Execute or a
 ``session_aborted`` Reject, and either sets ``session`` back to None.
 """
 
@@ -59,6 +60,11 @@ class SkillManager:
 
     def handle(self, interp: Interpretation) -> Action:
         """A fresh request, or the open session's answer."""
+        if interp.confidence < self.config.confidence_floor:
+            return Reject(
+                RejectReason.LOW_CONFIDENCE,
+                detail=f"{interp.confidence:g} < {self.config.confidence_floor:g}",
+            )
         session = self.session
         if session is not None:
             if not interp.skill_id or interp.skill_id == session.descriptor.id:
@@ -66,11 +72,6 @@ class SkillManager:
             self.session = None  # barge-in: the new request wins, the open session dies
         if interp.skill_id not in self.registry:
             return Reject(RejectReason.UNKNOWN_SKILL, detail=interp.skill_id)
-        if interp.confidence < self.config.confidence_floor:
-            return Reject(
-                RejectReason.LOW_CONFIDENCE,
-                detail=f"{interp.confidence:g} < {self.config.confidence_floor:g}",
-            )
         descriptor, _ = self.registry.lookup(interp.skill_id)
         entities = {k: v for k, v in interp.entities.items() if k in descriptor.declared_entity_names}
         missing = descriptor.missing_from(entities)

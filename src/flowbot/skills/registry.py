@@ -1,11 +1,9 @@
 """Skill registry: exact-match string keys to handlers, with dispatch.
 
 Dispatch looks the skill up, checks its required entities and returns the
-handler's value, whatever the descriptor's execution policy; ``Deferred`` is
-kept because catalogs declare it and the skill log reports it. A handler's
-exception passes through unchanged. The registry keeps no log and no time:
-the skill_manager node records each invocation and failure with the run's
-``now``.
+handler's value. A handler's exception passes through unchanged. The
+registry keeps no log and no time: the skill_manager node records each
+invocation and failure with the run's ``now``.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..flowcore.record import FrozenRecord, Record
-from ..flowcore.schema import SchemaError, check_value, get_value, read_document
+from ..flowcore.schema import SchemaError, check_names, check_value, get_value, read_document
 
 
 class SkillError(Exception):
@@ -28,64 +28,44 @@ class MissingEntitiesError(SkillError):
         super().__init__(f"skill {skill_id!r} missing entities: {missing}")
 
 
-class EntityType(Enum):
-    TEXT = "text"
-    NUMBER = "number"
-    DURATION = "duration"
-    OBJECT_LABEL = "object_label"
-    PERSON_NAME = "person_name"
-
-
-class EntitySpec(NamedTuple):
-    name: str
-    type: EntityType = EntityType.TEXT
-
-
-class ExecutionPolicy(Enum):
-    INLINE = "inline"
-    DEFERRED = "deferred"
-
-
 class SkillLevel(Enum):
     HIGH_LEVEL = "high"
     LOW_LEVEL = "low"
 
 
 class SkillDescriptor(FrozenRecord):
-    """What a skill needs before it can run and how it executes.
+    """What a skill needs before it can run: the names of its required and
+    optional entities, and its level.
 
     High-level skills see only the abstract capability facade; low-level
     skills additionally get device outputs (e.g. the locomotion stream).
     """
 
-    __slots__ = _fields = ("id", "required_entities", "optional_entities", "execution_policy", "level")
+    __slots__ = _fields = ("id", "required_entities", "optional_entities", "level")
 
     def __init__(
         self,
         id: str,
-        required_entities: tuple[EntitySpec, ...] = (),
-        optional_entities: tuple[EntitySpec, ...] = (),
-        execution_policy: ExecutionPolicy = ExecutionPolicy.INLINE,
+        required_entities: tuple[str, ...] = (),
+        optional_entities: tuple[str, ...] = (),
         level: SkillLevel = SkillLevel.HIGH_LEVEL,
     ):
         if not id:
             raise SkillError("skill id must be nonempty")
-        required_entities, optional_entities = tuple(required_entities), tuple(optional_entities)
-        req = [e.name for e in required_entities]
-        opt = [e.name for e in optional_entities]
+        req, opt = tuple(required_entities), tuple(optional_entities)
         if len(set(req)) != len(req) or len(set(opt)) != len(opt):
             raise SkillError(f"skill {id!r} declares a duplicate entity name")
         clash = set(req) & set(opt)
         if clash:
             raise SkillError(f"skill {id!r}: entities both required and optional: {sorted(clash)}")
-        self._init(id, required_entities, optional_entities, execution_policy, level)
+        self._init(id, req, opt, level)
 
     @property
     def declared_entity_names(self) -> set[str]:
-        return {e.name for e in self.required_entities} | {e.name for e in self.optional_entities}
+        return set(self.required_entities) | set(self.optional_entities)
 
     def missing_from(self, entities: dict) -> list[str]:
-        return [e.name for e in self.required_entities if e.name not in entities]
+        return [name for name in self.required_entities if name not in entities]
 
 
 class Interpretation(FrozenRecord):
@@ -125,36 +105,27 @@ def _key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _enum(cls: type, doc: dict, key: str, path: str, default: str) -> Enum:
-    value = get_value(doc, key, path, str, default)
-    try:
-        return cls(value)
-    except ValueError:
-        names = ", ".join(m.value for m in cls)
-        raise SchemaError(_key(path, key), f"must be one of {names}, got {value!r:.40}") from None
-
-
 def descriptor_from_json(doc: dict, path: str = "") -> SkillDescriptor:
     """One catalog entry; a bad value raises :class:`SchemaError` naming its
-    key below ``path``, e.g. ``[0].required_entities[1].name``."""
+    key below ``path``, e.g. ``[0].required_entities[1]``."""
     check_value(doc, path or "$", dict)
 
-    def entities(key: str) -> tuple[EntitySpec, ...]:
-        specs = []
-        for i, entity in enumerate(get_value(doc, key, path, list, [])):
-            where = f"{_key(path, key)}[{i}]"
-            check_value(entity, where, dict)
-            name = get_value(entity, "name", where, str)
-            specs.append(EntitySpec(name, _enum(EntityType, entity, "type", where, "text")))
-        return tuple(specs)
+    def entities(key: str) -> list[str]:
+        return check_names(get_value(doc, key, path, list, []), _key(path, key))
+
+    def level() -> SkillLevel:
+        value = get_value(doc, "level", path, str, "high")
+        levels = [m.value for m in SkillLevel]
+        if value not in levels:
+            raise SchemaError(_key(path, "level"), f"must be one of {', '.join(levels)}, got {value!r:.40}")
+        return SkillLevel(value)
 
     try:
         return SkillDescriptor(
             id=get_value(doc, "id", path, str),
             required_entities=entities("required_entities"),
             optional_entities=entities("optional_entities"),
-            execution_policy=_enum(ExecutionPolicy, doc, "execution_policy", path, "inline"),
-            level=_enum(SkillLevel, doc, "level", path, "high"),
+            level=level(),
         )
     except SkillError as exc:
         raise SchemaError(path or "$", str(exc)) from exc

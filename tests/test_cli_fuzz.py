@@ -8,6 +8,7 @@ numpy tries to allocate them. Graph params are bounded, so that no example
 builds a run of many thousands of chunks or windows.
 """
 
+import copy
 import json
 import struct
 from math import inf, nan
@@ -50,8 +51,11 @@ def _slots(doc):
 
 @st.composite
 def spoiled(draw, docs):
-    """A document from ``docs``; half of them get junk in one place, at any depth."""
-    doc = draw(docs)
+    """A document from ``docs``; half of them get junk in one place, at any depth.
+
+    The junk goes into a copy: a strategy such as ``st.just`` hands the same
+    object to every example, and a spoil must not leak into the next one."""
+    doc = copy.deepcopy(draw(docs))
     slots = list(_slots(doc))
     if slots and draw(st.booleans()):
         container, key = draw(st.sampled_from(slots))

@@ -10,8 +10,16 @@ case gives back the version 1 facts, pinned as digests taken from version 1
 reports: every dropped packet's ``(seq, successive_misses)``, every
 suppressed packet's ``seq``, each run's first and last ``t_us``, and the
 other events in order. Only the timestamps inside a run are not kept.
+
+Version 3 logs no event for a fact that another entry owns: ``latch``
+(``latches[*].transitions``), ``skill_execute`` (``skill_invocations``),
+``uart_tx`` (``uart_hex``) and ``dead_letter`` (the ``io_manager``
+channel); skill entries lose ``policy``, which no run read. Each case's
+version 2 report, and each deleted event list, is pinned as a digest taken
+from version 2 reports and rebuilt from the version 3 report.
 """
 
+import functools
 import hashlib
 import json
 
@@ -41,42 +49,98 @@ from flowbot.harness import (
 )
 from flowbot.harness.config import packaged_config_text
 
-DEMO_SHA256 = "48acbcfda4632a12656dab8c3b9a02fd9909a8d057190cb9cae30f54d61259ae"
-BURSTS_SHA256 = "f8049cec9b72626a74788d6ee99d7201f1f7168a83ff74d50fa64940c9d4133f"
-EXECUTOR_SHA256 = "011aaaa06ae15272550b8a79b81e265a330de0503ad15f636ac9877e13f4b4f3"
-RESAMPLER_SHA256 = "d6383d236d6bc3643311bb10df298bc9df375751a6095fe9f5b2cab521a660ef"
+DEMO_SHA256 = "1d535e3e56ceb6fc180b1b1eb97a8e04a960cdd8b0c55828dc6d646f054b41f8"
+BURSTS_SHA256 = "312bc3adfacb2d972e6b6afef9664d1e0f2002aabcfea806dd47ea3bd3dd4d83"
+EXECUTOR_SHA256 = "7b31dd84a72197b066b8bf0478cacae420d4203b99cd0b92eb7f3aa6e92570d9"
+RESAMPLER_SHA256 = "2b7fd4d1dd116f89a66ec998edde235fb81d90728ecfba2abaee49abf9509b6f"
 # per skill_manager (followup_timeout_s, reprompt_limit)
 SLOT_FILLING_SHA256 = {
-    (0.3, 0): "d8075051e2e8d8a5772f92697d5df397e1d84bb5bf204cc0d73febda4128a533",
-    (0.6, 1): "00ffe2414fe1fd677aef97c71aa0016ed1d7f5dcf03886dbbb017a8c478ceeea",
-    (2.0, 2): "9ad0aa1dd76afb7fc007fa2142a59f4bd1f709024d5d5a2ebbfb36a24ee1c332",
+    (0.3, 0): "9b431aff791df4b8a468d9fbfba6ee5571d365f5f39977e78543fd267f273712",
+    (0.6, 1): "3bc01410233a638618279b25b0158ffd8c14e1807b92a4beac4e1c64ee8552b0",
+    (2.0, 2): "9db4a6ea8fdf9f5eddd62f2b23b26747e01a1979c7601007e093418a6a1e30d3",
 }
 
 # per case, from the version 1 report: (sha256 of v1_facts' drop and
-# suppression facts, sha256 of its other events, dropped packets,
-# suppressed packets)
+# suppression facts, sha256 of its other events without the four kinds that
+# version 3 leaves to their owners, dropped packets, suppressed packets)
 V1_FACTS = {
     "demo": (
         "b490a97c47067f2de766ed4ae962e67e003a2cd66cafb4e0425e945029e5b675",
-        "855149e135e889286bd1fb4936663fb1fe995ce44b9ebc43c83171e6a3ce7551",
+        "23c2d83cbc3413284a9b3b35163e1a1be42af0fcefded72283a5354f5ac1aa4a",
         0, 8,
     ),
     "bursts": (
         "5a68315f037244b66fb1da758fc75199ff33c636028755b6d8513b343154e44f",
-        "69e22fbcf97e336500af4aa1c1174f792c784e3e2784b6cdb95ad2f763c8d094",
+        "a957380e20b90fa5568950654f6647d50c7d07b105d79bfe907dacdea4d63894",
         0, 207,
     ),
     "executor": (
         "b610d05c53168f1fbf1e805778fd866ab827df8df79eecb61cf6b3ad61f42dda",
-        "5d862064b75046725da3eb0e3b8cf008eeeaec9786ca4aad7657536d81926b38",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         1526, 860,
     ),
     "resampler": (
         "063c07012432ccf59f49a516990c8a96e9989ac1bfef1274ec679d7712fb1908",
-        "3a39ceee3e28a5efd3fe73fccc4b69d83cac4bc087936967ba44c0d6ba7200a8",
+        "42c2a6c817818111bc3d66eafadf2768f3eae1fc3042da3d6f18db8ad105e556",
         0, 34,
     ),
 }
+
+# per case, from the version 2 report: (sha256 of the report without
+# report_version, the DELETED_EVENTS and each skill entry's policy; sha256 of
+# its latch, skill_execute and uart_tx events; its dead_letter events)
+V2_FACTS = {
+    "demo": (
+        "596c707421fbbca692cfa50eaf0089c3eb32d580effe577285d1a57f34e5f714",
+        "a262679fcf23f5a1781eff24e2f09acb655aa4024da7912282eec246b1eb6270",
+        "81d1d4dcd48a43775cbce1cd37321d1dc52c43f1e312acad909ec688efad436f",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+    ),
+    "bursts": (
+        "6f0f26b8c18c4098e175e819d3ca39c6cd680fe293ac8c09f527a2c8602d5392",
+        "a808eabe5c36e0b331e408e78c89293b53f72d9daca47083c5b1645675f10438",
+        "8cc7e52bb4561cf75f0d072dc3962d749d86ee8d7dbdc0a1d5c7f6f29507cc04",
+        "9e88a7a04bde2bf790e07687aab9861f2ab078196f21bdb09c31f3e12e61caff",
+        0,
+    ),
+    "executor": (
+        "814f87cd8f580bd7a82c7e3da9748e3ed61d5c5cb883fa2d951f983856812a40",
+        "5d862064b75046725da3eb0e3b8cf008eeeaec9786ca4aad7657536d81926b38",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+    ),
+    "resampler": (
+        "f686923482749e17a5d811cd8ef6e701105d72a4ca14b29db32b5397ef87c12e",
+        "adb3d4f7506a9ccabc8425bd693b36dabba981658a165846126ece6ee435d524",
+        "10cd9390d431ae3347debe49f37aff3c9d56ceae922e154efae76eb086ac25a2",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+    ),
+    "slot_filling_0.3_0": (
+        "5e3c094b5f7e2c5cb68ba7d27b851b52248c16c3f6b3eec42c28ec6d1c86c5ca",
+        "0ffeb60adc6af36fb2c8f87c6350a31f68bbfb7e737ba2447fbef5d19d3f6458",
+        "3edded1e388107209895f29cff782f65735efc32f0c32b69ce6a40d9e76eaa82",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+    ),
+    "slot_filling_0.6_1": (
+        "00e5599eac17014587eda3eae7baa45a964c936a2120727c6fe44d2a0360d42b",
+        "0ffeb60adc6af36fb2c8f87c6350a31f68bbfb7e737ba2447fbef5d19d3f6458",
+        "5d3d20672c88b0e59121a3f674e5e550b194d5934feeb3f45c143ada7909b2ae",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+    ),
+    "slot_filling_2_2": (
+        "ef1e1f121de04740860bfb66a5227898818ffb794705ceb01ce17e7e196862ac",
+        "0ffeb60adc6af36fb2c8f87c6350a31f68bbfb7e737ba2447fbef5d19d3f6458",
+        "5d3d20672c88b0e59121a3f674e5e550b194d5934feeb3f45c143ada7909b2ae",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0,
+    ),
+}
+DELETED_EVENTS = ("latch", "skill_execute", "uart_tx", "dead_letter")
 
 
 def sha256(text: str) -> str:
@@ -239,6 +303,13 @@ CASES = {
     "executor": executor_report,
     "resampler": resampler_report,
 }
+V3_CASES = {
+    **CASES,
+    **{
+        f"slot_filling_{timeout_s:g}_{limit}": functools.partial(slot_filling_report, timeout_s, limit)
+        for timeout_s, limit in SLOT_FILLING_SHA256
+    },
+}
 
 
 def test_demo_scenario_digest():
@@ -255,8 +326,8 @@ def test_executor_graph_digest():
 
 def test_resampler_scenario_digest():
     report = resampler_report()
-    opened = [e for e in report["events"] if e["kind"] == "latch" and e["state"] == "open"]
-    assert len(opened) == 2
+    (latch,) = report["latches"].values()
+    assert latch["openings"] == 2
     assert sha256(report_to_json_str(report)) == RESAMPLER_SHA256
 
 
@@ -317,7 +388,7 @@ def v1_events_from_runs(report: dict) -> list[dict]:
 def test_v2_runs_expand_to_the_v1_events(case):
     facts_sha256, events_sha256, dropped, suppressed = V1_FACTS[case]
     report = CASES[case]()
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     assert not [e for e in report["events"] if e["kind"] in ("drop", "suppressed")]
     rebuilt = v1_events_from_runs(report)
     assert sum(e["kind"] == "drop" for e in rebuilt) == dropped
@@ -326,3 +397,50 @@ def test_v2_runs_expand_to_the_v1_events(case):
     assert sha256(json.dumps(facts, sort_keys=True)) == facts_sha256
     assert rest == report["events"]
     assert sha256(json.dumps(rest, sort_keys=True)) == events_sha256
+
+
+def v2_events_from_owners(report: dict) -> dict[str, list[dict]]:
+    """The ``latch``, ``skill_execute`` and ``uart_tx`` events of a version 2
+    report, rebuilt from the version 3 entries that own their facts. In the
+    reference pipeline the skill manager is ``mgr`` and the UART sink
+    ``uart``, and each ``drive`` invocation sends one 2-byte frame at its
+    ``t_us``."""
+    latch = sorted(
+        (
+            {"t_us": t["t_us"], "kind": "latch", "stream": sid, "state": t["state"],
+             "bit": int(t["state"] == "open")}
+            for sid, entry in sorted(report["latches"].items()) for t in entry["transitions"]
+        ),
+        key=lambda event: event["t_us"],
+    )
+    invocations = report["skill_invocations"]
+    drives = [inv["t_us"] for inv in invocations if inv["skill_id"] == "drive"]
+    frames = report["uart_hex"]
+    assert len(frames) == 4 * len(drives)
+    return {
+        "latch": latch,
+        "skill_execute": [
+            {"t_us": inv["t_us"], "kind": "skill_execute", "node": "mgr", "skill": inv["skill_id"]}
+            for inv in invocations
+        ],
+        "uart_tx": [
+            {"t_us": t_us, "kind": "uart_tx", "node": "uart", "hex": frames[4 * k : 4 * k + 4]}
+            for k, t_us in enumerate(drives)
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(V2_FACTS))
+def test_v3_facts_expand_to_the_v2_report(case):
+    report_sha256, latch_sha256, execute_sha256, uart_sha256, dead_letters = V2_FACTS[case]
+    report = V3_CASES[case]()
+    assert report.pop("report_version") == 3
+    assert not [e for e in report["events"] if e["kind"] in DELETED_EVENTS]
+    assert not [e for e in report["skill_invocations"] + report["skill_failures"] if "policy" in e]
+    assert sha256(report_to_json_str(report)) == report_sha256
+    rebuilt = v2_events_from_owners(report)
+    assert sha256(json.dumps(rebuilt["latch"], sort_keys=True)) == latch_sha256
+    assert sha256(json.dumps(rebuilt["skill_execute"], sort_keys=True)) == execute_sha256
+    assert sha256(json.dumps(rebuilt["uart_tx"], sort_keys=True)) == uart_sha256
+    io_manager = report["extras"].get("io_manager", [])
+    assert sum(counts["dead_letter"] for counts in io_manager) == dead_letters

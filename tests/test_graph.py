@@ -233,7 +233,7 @@ def test_lossless_deadline_violations_in_graph():
     )
     s = report.streams["s"]
     assert s["dropped"] == 0 and s["delivered"] == 10
-    assert any(v["kind"] == "LatencyExceeded" for v in s["violations"])
+    assert s["violations"] and all(v["kind"] == "DeadlineExceeded" for v in s["violations"])
 
 
 def test_splitter_duplicates_packets():

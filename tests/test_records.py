@@ -68,10 +68,7 @@ from flowbot.robotics import (
     SweepStop,
 )
 from flowbot.skills import (
-    EntitySpec,
-    EntityType,
     Execute,
-    ExecutionPolicy,
     Interpretation,
     LowLevelContext,
     ManagerConfig,
@@ -143,14 +140,10 @@ CASES = [
         True,
     ),
     # skills
-    (EntitySpec, ("when",), {"type": EntityType.TEXT}, True),
     (
         SkillDescriptor,
         ("get_time",),
-        {
-            "required_entities": (), "optional_entities": (),
-            "execution_policy": ExecutionPolicy.INLINE, "level": SkillLevel.HIGH_LEVEL,
-        },
+        {"required_entities": (), "optional_entities": (), "level": SkillLevel.HIGH_LEVEL},
         True,
     ),
     (Interpretation, ("get_time",), {"entities": {}, "confidence": 1.0}, True),
@@ -197,7 +190,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 
 def test_every_converted_class_has_a_case():
-    assert len(CASES) == 43 and len(set(IDS)) == 43
+    assert len(CASES) == 42 and len(set(IDS)) == 42
 
 
 @pytest.mark.parametrize("cls, args, defaults, frozen", CASES, ids=IDS)
@@ -297,9 +290,9 @@ def test_log_mel_config_stays_a_cache_key():
         (lambda: LogMelConfig(hop_samples=0), LogMelError, "hop_samples must be >= 1"),
         (lambda: LogMelConfig(log_floor=0.0), LogMelError, "log_floor must be > 0"),
         (lambda: SkillDescriptor(""), SkillError, "skill id must be nonempty"),
-        (lambda: SkillDescriptor("s", [EntitySpec("a"), EntitySpec("a")]), SkillError,
+        (lambda: SkillDescriptor("s", ["a", "a"]), SkillError,
          "skill 's' declares a duplicate entity name"),
-        (lambda: SkillDescriptor("s", [EntitySpec("a")], [EntitySpec("a")]), SkillError,
+        (lambda: SkillDescriptor("s", ["a"], ["a"]), SkillError,
          "skill 's': entities both required and optional: ['a']"),
         (lambda: Interpretation("s", confidence=1.5), SkillError, "confidence 1.5 outside [0, 1]"),
         (lambda: LocomotionCommand("fwd", 1), CodecError, "invalid direction 'fwd'"),
@@ -323,9 +316,8 @@ def test_validation_errors_are_unchanged(build, error, message):
 
 def test_conversions_are_unchanged():
     assert AudioBuffer([0, 1], 16000).samples.dtype == np.float64
-    spec = EntitySpec("a")
-    descriptor = SkillDescriptor("s", [spec], [EntitySpec("b")])
-    assert descriptor.required_entities == (spec,) and type(descriptor.optional_entities) is tuple
+    descriptor = SkillDescriptor("s", ["a"], ["b"])
+    assert descriptor.required_entities == ("a",) and type(descriptor.optional_entities) is tuple
 
 
 @pytest.mark.parametrize(

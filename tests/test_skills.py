@@ -1,4 +1,4 @@
-"""Registry dispatch, execution policies, and the slot-filling session."""
+"""Registry dispatch, the skill catalog and the slot-filling session."""
 
 import json
 
@@ -9,10 +9,7 @@ from flowbot.flowcore import SchemaError
 from flowbot.skills import (
     CapabilityError,
     DuplicateSkillError,
-    EntitySpec,
-    EntityType,
     Execute,
-    ExecutionPolicy,
     Interpretation,
     LowLevelContext,
     ManagerConfig,
@@ -23,6 +20,7 @@ from flowbot.skills import (
     SkillContext,
     SkillDescriptor,
     SkillError,
+    SkillLevel,
     SkillManager,
     SkillNotFoundError,
     SkillRegistry,
@@ -35,10 +33,7 @@ def make_registry():
     reg = SkillRegistry()
     reg.register(SkillDescriptor(id="get_time"), lambda entities, ctx: "12:00")
     reg.register(
-        SkillDescriptor(
-            id="find_object",
-            required_entities=(EntitySpec("object_label", EntityType.OBJECT_LABEL),),
-        ),
+        SkillDescriptor(id="find_object", required_entities=("object_label",)),
         lambda entities, ctx: f"found {entities['object_label']}",
     )
     return reg
@@ -76,11 +71,7 @@ def test_descriptor_invariants():
     with pytest.raises(SkillError):
         SkillDescriptor(id="")
     with pytest.raises(SkillError):
-        SkillDescriptor(
-            id="x",
-            required_entities=(EntitySpec("a"),),
-            optional_entities=(EntitySpec("a"),),
-        )
+        SkillDescriptor(id="x", required_entities=("a",), optional_entities=("a",))
 
 
 def test_dispatch_inline_returns_the_handler_value():
@@ -110,18 +101,6 @@ def test_handler_failure_passes_through_dispatch():
         reg.dispatch("bad", {})
 
 
-def test_deferred_equals_inline_for_pure_handler():
-    results = {}
-    for policy in (ExecutionPolicy.INLINE, ExecutionPolicy.DEFERRED):
-        reg = SkillRegistry()
-        reg.register(
-            SkillDescriptor(id="pure", execution_policy=policy),
-            lambda entities, ctx: sorted(entities.items()),
-        )
-        results[policy] = reg.dispatch("pure", {"b": 2, "a": 1})
-    assert len(set(map(tuple, map(tuple, results.values())))) == 1
-
-
 # -- manager -----------------------------------------------------------------
 
 
@@ -144,6 +123,18 @@ def test_handle_rejects_low_confidence():
     assert action == Reject(RejectReason.LOW_CONFIDENCE, detail="0.3 < 0.5")
 
 
+def test_an_interpretation_below_the_floor_leaves_the_open_session_alone():
+    mgr = SkillManager(make_registry())
+    mgr.handle(Interpretation("find_object", {}, confidence=0.9))
+    session = mgr.session
+    for low in (Interpretation("get_time", {}, 0.1), Interpretation("", {"object_label": "keys"}, 0.0)):
+        assert mgr.handle(low) == Reject(RejectReason.LOW_CONFIDENCE, detail=f"{low.confidence:g} < 0.5")
+        assert mgr.session is session
+        assert (session.filled, session.missing, session.reprompts_used) == ({}, ["object_label"], 0)
+    action = mgr.handle(Interpretation("", {"object_label": "keys"}))
+    assert action == Execute(skill_id="find_object", entities={"object_label": "keys"})
+
+
 def test_handle_rejects_unknown_skill():
     mgr = SkillManager(make_registry())
     action = mgr.handle(Interpretation("fly_to_moon", {}, confidence=1.0))
@@ -162,10 +153,7 @@ def test_answer_fills_slot_then_executes():
 def test_prompt_order_follows_declaration_order():
     reg = SkillRegistry()
     reg.register(
-        SkillDescriptor(
-            id="multi",
-            required_entities=(EntitySpec("first"), EntitySpec("second"), EntitySpec("third")),
-        ),
+        SkillDescriptor(id="multi", required_entities=("first", "second", "third")),
         lambda e, c: None,
     )
     mgr = SkillManager(reg)
@@ -239,7 +227,7 @@ def test_handler_only_runs_with_all_required_entities(required, provided):
     reg = SkillRegistry()
     seen = []
     reg.register(
-        SkillDescriptor(id="s", required_entities=tuple(EntitySpec(n) for n in required)),
+        SkillDescriptor(id="s", required_entities=required),
         lambda entities, ctx: seen.append(dict(entities)),
     )
     try:
@@ -263,9 +251,7 @@ def test_handler_only_runs_with_all_required_entities(required, provided):
 def test_every_opened_session_terminates_in_execute_or_abort(answers):
     reg = SkillRegistry()
     reg.register(
-        SkillDescriptor(
-            id="s", required_entities=(EntitySpec("alpha"), EntitySpec("beta"))
-        ),
+        SkillDescriptor(id="s", required_entities=("alpha", "beta")),
         lambda e, c: None,
     )
     mgr = SkillManager(reg, ManagerConfig(reprompt_limit=2))
@@ -355,16 +341,15 @@ def test_catalog_round_trip(tmp_path):
     path.write_text(
         """
         [
-          {"id": "wave", "required_entities": [{"name": "arm", "type": "text"}],
-           "execution_policy": "deferred", "level": "low"},
+          {"id": "wave", "required_entities": ["arm"], "optional_entities": ["speed"], "level": "low"},
           {"id": "blink"}
         ]
         """
     )
-    descriptors = load_catalog(path)
-    assert [d.id for d in descriptors] == ["wave", "blink"]
-    assert descriptors[0].execution_policy is ExecutionPolicy.DEFERRED
-    assert descriptors[0].required_entities[0].name == "arm"
+    assert load_catalog(path) == [
+        SkillDescriptor("wave", ("arm",), ("speed",), SkillLevel.LOW_LEVEL),
+        SkillDescriptor("blink"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -374,14 +359,14 @@ def test_catalog_round_trip(tmp_path):
         ([{}], "[0].id"),
         ([1], "[0]"),
         ({"id": "wave"}, "$"),
-        ([{"id": "wave", "execution_policy": "later"}], "[0].execution_policy"),
         ([{"id": "wave", "level": 3}], "[0].level"),
+        ([{"id": "wave", "level": "middle"}], "[0].level"),
         ([{"id": "wave"}, {"id": "blink", "optional_entities": {"name": "arm"}}], "[1].optional_entities"),
-        ([{"id": "wave", "required_entities": ["arm"]}], "[0].required_entities[0]"),
-        ([{"id": "wave", "required_entities": [{"name": "arm"}, {"name": 3}]}], "[0].required_entities[1].name"),
-        ([{"id": "wave", "required_entities": [{"name": "arm", "type": "colour"}]}], "[0].required_entities[0].type"),
+        ([{"id": "wave", "required_entities": [{"name": "arm"}]}], "[0].required_entities[0]"),
+        ([{"id": "wave", "required_entities": ["arm", 3]}], "[0].required_entities[1]"),
+        ([{"id": "wave", "optional_entities": ["arm", "arm"]}], "[0].optional_entities[1]"),
         ([{"id": ""}], "[0]"),
-        ([{"id": "wave", "required_entities": [{"name": "arm"}], "optional_entities": [{"name": "arm"}]}], "[0]"),
+        ([{"id": "wave", "required_entities": ["arm"], "optional_entities": ["arm"]}], "[0]"),
         ("[{", "$"),
     ],
 )

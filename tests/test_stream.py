@@ -115,7 +115,7 @@ def test_lossless_deadline_violation_still_delivers():
     assert p is not None and p.seq == 0
     assert len(s.violations) == 1
     v = s.violations[0]
-    assert v.kind is ViolationKind.LATENCY_EXCEEDED
+    assert v.kind is ViolationKind.DEADLINE_EXCEEDED
     assert (v.observed, v.bound) == (1500.0, 1000.0)
 
 
@@ -200,7 +200,7 @@ class ListStream:
         push_us, packet = self.entries.pop(0)
         self.delivered += 1
         if self.deadline_us is not None and now - packet.timestamp_us > self.deadline_us:
-            self._violate("LatencyExceeded", now, now - packet.timestamp_us, self.deadline_us)
+            self._violate("DeadlineExceeded", now, now - packet.timestamp_us, self.deadline_us)
         if self.watchdog is not None:
             self._windows(now)
             self.window_pops += 1

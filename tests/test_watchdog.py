@@ -93,10 +93,21 @@ def test_violations_of_one_pop_in_check_order():
     s.push(pkt(0, ts=0), now_us=0)
     s.pop(now_us=2_500_000)
     assert [(v.kind, v.at_us) for v in s.violations] == [
-        (ViolationKind.LATENCY_EXCEEDED, 2_500_000),
+        (ViolationKind.DEADLINE_EXCEEDED, 2_500_000),
         (ViolationKind.THROUGHPUT_BELOW, 1_000_000),
         (ViolationKind.THROUGHPUT_BELOW, 2_000_000),
         (ViolationKind.LATENCY_EXCEEDED, 2_500_000),
+    ]
+
+
+def test_a_late_pop_on_a_watched_lossless_stream_names_each_bound_by_its_kind():
+    """Packet age against the deadline, queue time against the watchdog."""
+    s = Stream("s", LosslessPolicy(deadline_us=10), watchdog=WatchdogConfig(max_latency_us=5))
+    s.push(pkt(0, ts=0), now_us=0)
+    s.pop(now_us=100)
+    assert [v.to_json() for v in s.violations] == [
+        {"kind": "DeadlineExceeded", "at_us": 100, "observed": 100.0, "bound": 10.0},
+        {"kind": "LatencyExceeded", "at_us": 100, "observed": 100.0, "bound": 5.0},
     ]
 
 
