@@ -33,7 +33,6 @@ from .stream import (
     StreamConfigError,
     StreamPolicy,
     policy_from_json,
-    policy_to_json,
 )
 from .validation import Diagnostic, validate_graph
 from .watchdog import Violation, ViolationKind, WatchdogConfig, WatchdogConfigError
@@ -76,7 +75,6 @@ __all__ = [
     "graph_from_json",
     "graph_run",
     "policy_from_json",
-    "policy_to_json",
     "register_detector",
     "validate_graph",
 ]

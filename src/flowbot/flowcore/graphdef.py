@@ -1,4 +1,4 @@
-"""Graph definition: nodes, streams, latches, and its JSON document form.
+"""Graph definition: nodes, streams, latches, and the reader of its JSON document.
 
 The JSON schema (documented in docs/graph_schema.md):
 
@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 from .latch import LatchState
 from .record import FrozenRecord
 from .schema import SchemaError, check_value, get_value
-from .stream import StreamPolicy, policy_from_json, policy_to_json
+from .stream import StreamPolicy, policy_from_json
 from .watchdog import WatchdogConfig, WatchdogConfigError
 
 
@@ -59,34 +59,6 @@ class GraphDef(NamedTuple):
     nodes: tuple[NodeDef, ...] = ()
     streams: tuple[StreamDef, ...] = ()
     latches: tuple[LatchDef, ...] = ()
-
-    def to_json(self) -> dict:
-        streams = []
-        for s in self.streams:
-            doc = {
-                "id": s.id,
-                "from_node": s.from_node,
-                "from_port": s.from_port,
-                "policy": policy_to_json(s.policy),
-            }
-            if s.to_node is not None:
-                doc["to_node"] = s.to_node
-                doc["to_port"] = s.to_port
-            if s.watchdog is not None:
-                doc["watchdog"] = s.watchdog.to_json()
-            streams.append(doc)
-        return {
-            "nodes": [{"id": n.id, "kind": n.kind, "params": dict(n.params)} for n in self.nodes],
-            "streams": streams,
-            "latches": [
-                {
-                    "stream_id": l.stream_id,
-                    "control_stream_id": l.control_stream_id,
-                    "initial_state": l.initial_state.value,
-                }
-                for l in self.latches
-            ],
-        }
 
 
 def graph_from_json(doc: dict) -> GraphDef:

@@ -14,18 +14,14 @@ class Packet(NamedTuple):
     any Python-level constructor.
 
     The executor sets ``seq`` to the number of packets pushed onto the
-    packet's stream before it, so seqs count up by one along a stream. The payload is treated as immutable once emitted; holders
-    must not mutate it, which makes packets safe to copy and to hand across
-    execution contexts.
+    packet's stream before it, so seqs count up by one along a stream. The
+    payload is treated as immutable once emitted; holders must not mutate
+    it, which makes packets safe to share between nodes.
     """
 
     payload: Any
     timestamp_us: int
     seq: int
-
-    def copy(self) -> "Packet":
-        """Return a packet observationally identical to this one."""
-        return tuple.__new__(Packet, self)
 
 
 #: The fields of one run record, in the order a run is kept as a list.

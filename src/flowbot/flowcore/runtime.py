@@ -545,8 +545,9 @@ class SinkNode(Node):
         super().__init__(node_id)
         self.poll_rate_hz = get_value(params, "poll_rate_hz", "", float, None)
         self.poll_driven = self.poll_rate_hz is not None
-        if self.poll_driven and self.poll_rate_hz <= 0:
-            raise SchemaError("poll_rate_hz", f"must be > 0, got {self.poll_rate_hz:g}")
+        # above one poll per microsecond, the clock's resolution, polls stop advancing time
+        if self.poll_driven and not 0 < self.poll_rate_hz <= 1e6:
+            raise SchemaError("poll_rate_hz", f"must be > 0 and <= 1e6, got {self.poll_rate_hz:g}")
         self._polls = 0
 
     def input_ports(self):

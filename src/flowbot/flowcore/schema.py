@@ -1,7 +1,7 @@
 """The one reader of config documents and values: graphs, policies, node
-params, detector specs, scenarios, scan scenes and skill catalogs. A document
-that is not JSON raises :class:`SchemaError` at ``$``; a bad value raises one
-whose ``path`` names its key, e.g. ``streams[2].policy`` or, for node params,
+params, detector specs, scenarios and scan scenes. A document that is not
+JSON raises :class:`SchemaError` at ``$``; a bad value raises one whose
+``path`` names its key, e.g. ``streams[2].policy`` or, for node params,
 ``window_samples``.
 """
 

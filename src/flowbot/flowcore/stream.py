@@ -61,15 +61,6 @@ class LosslessPolicy(FrozenRecord):
 StreamPolicy = Union[LossyPolicy, LosslessPolicy]
 
 
-def policy_to_json(policy: StreamPolicy) -> dict:
-    if isinstance(policy, LossyPolicy):
-        out = {"kind": "lossy", "capacity": policy.capacity}
-        if policy.max_successive_misses is not None:
-            out["max_successive_misses"] = policy.max_successive_misses
-        return out
-    return {"kind": "lossless", "deadline_us": policy.deadline_us}
-
-
 def policy_from_json(doc: dict) -> StreamPolicy:
     """A policy object; a bad value raises :class:`SchemaError` naming its key."""
     kind = doc.get("kind")
@@ -200,9 +191,6 @@ class Stream:
 
     def peek_timestamp(self) -> Optional[int]:
         return self._q[0][1].timestamp_us if self._q else None
-
-    def queued(self) -> int:
-        return len(self._q)
 
     def __len__(self) -> int:
         return len(self._q)

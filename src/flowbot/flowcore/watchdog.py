@@ -62,16 +62,6 @@ class WatchdogConfig(FrozenRecord):
         if min_throughput_hz is not None and window_us is None:
             raise WatchdogConfigError("min_throughput_hz requires window_us")
 
-    def to_json(self) -> dict:
-        out = {}
-        if self.max_latency_us is not None:
-            out["max_latency_us"] = self.max_latency_us
-        if self.min_throughput_hz is not None:
-            out["min_throughput_hz"] = self.min_throughput_hz
-        if self.window_us is not None:
-            out["window_us"] = self.window_us
-        return out
-
     @staticmethod
     def from_json(doc: dict, path: str = "") -> "WatchdogConfig":
         """A config from ``doc``; a bad value raises :class:`SchemaError` naming ``path.<key>``."""

@@ -16,7 +16,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
     "registry": ("SkillRegistry",),
     "types": (
         "DuplicateSkillError", "Interpretation", "MissingEntitiesError", "SkillDescriptor",
-        "SkillError", "SkillLevel", "SkillNotFoundError", "SkillSession", "descriptor_from_json",
-        "load_catalog",
+        "SkillError", "SkillLevel", "SkillNotFoundError", "SkillSession",
     ),
 })

@@ -6,7 +6,6 @@ from enum import Enum
 from typing import Optional
 
 from ..flowcore.record import FrozenRecord, Record
-from ..flowcore.schema import SchemaError, check_names, check_value, get_value, read_document
 
 
 class SkillError(Exception):
@@ -53,6 +52,8 @@ class SkillDescriptor(FrozenRecord):
         if not id:
             raise SkillError("skill id must be nonempty")
         req, opt = tuple(required_entities), tuple(optional_entities)
+        if "" in req + opt:
+            raise SkillError(f"skill {id!r} declares an empty entity name")
         if len(set(req)) != len(req) or len(set(opt)) != len(opt):
             raise SkillError(f"skill {id!r} declares a duplicate entity name")
         clash = set(req) & set(opt)
@@ -99,43 +100,3 @@ class SkillSession(Record):
             descriptor, {} if filled is None else filled, [] if missing is None else missing,
             reprompts_used,
         )
-
-
-def _key(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def descriptor_from_json(doc: dict, path: str = "") -> SkillDescriptor:
-    """One catalog entry; a bad value raises :class:`SchemaError` naming its
-    key below ``path``, e.g. ``[0].required_entities[1]``."""
-    check_value(doc, path or "$", dict)
-
-    def entities(key: str) -> list[str]:
-        return check_names(get_value(doc, key, path, list, []), _key(path, key))
-
-    def level() -> SkillLevel:
-        value = get_value(doc, "level", path, str, "high")
-        levels = [m.value for m in SkillLevel]
-        if value not in levels:
-            raise SchemaError(_key(path, "level"), f"must be one of {', '.join(levels)}, got {value!r:.40}")
-        return SkillLevel(value)
-
-    try:
-        return SkillDescriptor(
-            id=get_value(doc, "id", path, str),
-            required_entities=entities("required_entities"),
-            optional_entities=entities("optional_entities"),
-            level=level(),
-        )
-    except SkillError as exc:
-        raise SchemaError(path or "$", str(exc)) from exc
-
-
-def load_catalog(path) -> list[SkillDescriptor]:
-    """Load skill descriptors from a JSON document (a list of objects).
-
-    A document that is not JSON, or breaks the catalog schema, raises
-    :class:`SchemaError` naming the offending key, e.g. ``[0].id``.
-    """
-    doc = check_value(read_document(path), "$", list)
-    return [descriptor_from_json(entry, f"[{i}]") for i, entry in enumerate(doc)]

@@ -190,8 +190,8 @@ def _random_stream_case(rng):
             p = s.pop(seq)
             if p is not None:
                 delivered.append(p.seq)
-        assert s.queued() <= capacity  # bounded memory
-    assert s.pushed == s.delivered + s.dropped + s.queued()  # conservation
+        assert len(s) <= capacity  # bounded memory
+    assert s.pushed == s.delivered + s.dropped + len(s)  # conservation
     assert delivered == sorted(set(delivered))  # FIFO, strictly increasing
 
 
@@ -205,7 +205,7 @@ def _random_lossless_case(rng):
         else:
             s.pop(pushed)
     assert s.dropped == 0
-    assert s.pushed == s.delivered + s.queued()
+    assert s.pushed == s.delivered + len(s)
 
 
 def _random_latch_case(rng):
@@ -248,7 +248,7 @@ def test_criterion_09_dataflow_property_suites():
             s.push(Packet(payload=i, timestamp_us=i, seq=i), i)
         assert s.successive_misses == 3
         assert [v.kind for v in s.violations] == [ViolationKind.BACKPRESSURE_MISS_LIMIT]
-        assert s.dropped == 3 and s.queued() == 2
+        assert s.dropped == 3 and len(s) == 2
 
 
 def test_criterion_10_end_to_end_reference_scenario():

@@ -15,8 +15,8 @@ from math import inf, nan
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flowbot.harness import reference_pipeline
 from flowbot.harness.cli import main as cli_main
+from flowbot.harness.config import packaged_config_text
 
 FUZZ = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -175,7 +175,7 @@ FIELD_KEYS = ["id", "kind", "from_node", "from_port", "to_node", "to_port", "pol
 @FUZZ
 @given(st.data())
 def test_run_on_fuzzed_graphs_exits_0_1_or_2(tmp_path, data):
-    graph = reference_pipeline().to_json()
+    graph = json.loads(packaged_config_text("reference_pipeline.json"))
     for _ in range(data.draw(st.integers(1, 3))):
         section = graph[data.draw(st.sampled_from(["nodes", "streams", "latches"]))]
         if not section:

@@ -7,7 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from flowbot.flowcore import AggWindow, SampleChunk, SchemaError, validate_graph
+from flowbot.flowcore import (
+    AggWindow,
+    GraphDef,
+    LatchDef,
+    LatchState,
+    LosslessPolicy,
+    LossyPolicy,
+    NodeDef,
+    SampleChunk,
+    SchemaError,
+    StreamDef,
+    WatchdogConfig,
+    validate_graph,
+)
 from flowbot.harness import (
     Annotation,
     DeviceSample,
@@ -26,7 +39,10 @@ from flowbot.flowcore.attention import AnnotationIndex
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.config import load_scan_scene, packaged_config_text
 from flowbot.harness.nodes import harness_kind_registry
-from flowbot.skills import load_catalog
+
+
+def reference_doc() -> dict:
+    return json.loads(packaged_config_text("reference_pipeline.json"))
 
 
 def stub_env():
@@ -104,17 +120,33 @@ def test_infinite_policy_value_is_schema_error(policy):
     assert exc.value.path == "streams[0].policy"
 
 
-def test_graph_def_json_round_trip():
-    graph = reference_pipeline()
-    assert load_graph_config(graph.to_json()) == graph
-    doc = graph.to_json()
-    doc["streams"][0]["policy"] = {"kind": "lossy", "capacity": 4, "max_successive_misses": 2}
-    doc["streams"][2]["watchdog"] = {"max_latency_us": 1_000_000, "min_throughput_hz": 1.0, "window_us": 500_000}
-    assert load_graph_config(doc).to_json() == doc
+def test_graph_document_parses_to_the_graph_it_describes():
+    doc = {
+        "nodes": [
+            {"id": "src", "kind": "source", "params": {"count": 3}},
+            {"id": "snk", "kind": "sink"},
+        ],
+        "streams": [
+            {"id": "s", "from_node": "src", "from_port": "out", "to_node": "snk", "to_port": "in",
+             "policy": {"kind": "lossy", "capacity": 4, "max_successive_misses": 2},
+             "watchdog": {"max_latency_us": 1000, "min_throughput_hz": 1.5, "window_us": 500}},
+            {"id": "ctl", "from_node": "src", "from_port": "bit",
+             "policy": {"kind": "lossless", "deadline_us": 2000}},
+        ],
+        "latches": [{"stream_id": "s", "control_stream_id": "ctl", "initial_state": "open"}],
+    }
+    assert load_graph_config(doc) == GraphDef(
+        nodes=(NodeDef("src", "source", {"count": 3}), NodeDef("snk", "sink")),
+        streams=(
+            StreamDef("s", "src", "out", "snk", "in", LossyPolicy(4, 2), WatchdogConfig(1000, 1.5, 500)),
+            StreamDef("ctl", "src", "bit", None, None, LosslessPolicy(2000)),
+        ),
+        latches=(LatchDef("s", "ctl", LatchState.OPEN),),
+    )
 
 
 def test_bad_latch_initial_state_is_schema_error():
-    doc = reference_pipeline().to_json()
+    doc = reference_doc()
     doc["latches"][0]["initial_state"] = "Ajar"
     with pytest.raises(SchemaError) as exc:
         load_graph_config(doc)
@@ -128,9 +160,8 @@ def test_bad_latch_initial_state_is_schema_error():
         (load_graph_config, packaged_config_text("reference_pipeline.json")),
         (load_scenario, packaged_config_text("demo_scenario.json")),
         (load_scan_scene, packaged_config_text("demo_scan_scene.json")),
-        (load_catalog, json.dumps([{"id": "wave", "required_entities": [{"name": "arm"}]}])),
     ],
-    ids=["graph", "scenario", "scan_scene", "catalog"],
+    ids=["graph", "scenario", "scan_scene"],
 )
 def test_a_truncated_document_is_a_schema_error_at_its_root(tmp_path, loader, text):
     path = tmp_path / "truncated.json"
@@ -637,7 +668,7 @@ def test_cli_run_and_validate(tmp_path, capsys):
         "seed": 0,
     }))
     graph_path = tmp_path / "graph.json"
-    graph_path.write_text(json.dumps(reference_pipeline().to_json()))
+    graph_path.write_text(json.dumps(reference_doc()))
     report_path = tmp_path / "report.json"
 
     code = cli_main([
@@ -669,7 +700,7 @@ def test_cli_run_and_validate(tmp_path, capsys):
 def test_cli_non_object_section_exits_2_naming_its_path(
     tmp_path, capsys, command, section, index, key, value, path
 ):
-    doc = reference_pipeline().to_json()
+    doc = reference_doc()
     doc[section][index][key] = value
     graph_path = tmp_path / "graph.json"
     graph_path.write_text(json.dumps(doc))
@@ -705,11 +736,13 @@ def _write_graph_and_scenario(tmp_path, doc):
 def test_bad_detector_param_is_a_build_error_naming_its_key(tmp_path, capsys, detector, key):
     # a detector that failed on every window would fail safe to 0 and
     # silently switch attention off; the spec is checked when the node is built
-    graph = reference_pipeline(detector=detector)
+    doc = reference_doc()
+    doc["nodes"][4]["params"]["detector"] = detector  # att
+    graph = load_graph_config(doc)
     diags = validate_graph(graph, harness_kind_registry(), env=stub_env())
     assert [d.code for d in diags] == ["BadNodeParams"]
     assert diags[0].location == "node att" and diags[0].reason.startswith(key)
-    graph_path, scenario_path = _write_graph_and_scenario(tmp_path, graph.to_json())
+    graph_path, scenario_path = _write_graph_and_scenario(tmp_path, doc)
     assert cli_main(["validate", "--graph", graph_path]) == 2
     assert key in capsys.readouterr().err
     assert cli_main(["run", "--graph", graph_path, "--scenario", scenario_path]) == 2
@@ -720,11 +753,13 @@ def test_bad_detector_param_is_a_build_error_naming_its_key(tmp_path, capsys, de
 def test_bad_followup_timeout_is_a_build_error(tmp_path, capsys, bad):
     # 1e303 s is finite, but its microseconds are not: the first prompt
     # would fail with an OverflowError in the middle of a run
-    graph = reference_pipeline(manager_params={"followup_timeout_s": bad})
+    doc = reference_doc()
+    doc["nodes"][6]["params"] = {"followup_timeout_s": bad}  # mgr
+    graph = load_graph_config(doc)
     diags = validate_graph(graph, harness_kind_registry(), env=stub_env())
     assert [(d.code, d.location) for d in diags] == [("BadNodeParams", "node mgr")]
     assert diags[0].reason.startswith("followup_timeout_s: ")
-    graph_path, scenario_path = _write_graph_and_scenario(tmp_path, graph.to_json())
+    graph_path, scenario_path = _write_graph_and_scenario(tmp_path, doc)
     assert cli_main(["validate", "--graph", graph_path]) == 2
     assert "BadNodeParams at node mgr: followup_timeout_s: " in capsys.readouterr().err
     assert cli_main(["run", "--graph", graph_path, "--scenario", scenario_path]) == 2
@@ -740,7 +775,7 @@ def test_bad_followup_timeout_is_a_build_error(tmp_path, capsys, bad):
 def test_bad_watchdog_bound_is_schema_error_naming_its_key(tmp_path, capsys, key, bad):
     # NaN fails every comparison, so it would switch the bound off silently;
     # true once passed as 1, and window_us 2.5 as a fractional window
-    doc = reference_pipeline().to_json()
+    doc = reference_doc()
     watchdog = {"max_latency_us": 1_000_000, "min_throughput_hz": 1.0, "window_us": 1_000_000}
     watchdog[key] = bad
     doc["streams"][2]["watchdog"] = watchdog
@@ -753,15 +788,23 @@ def test_bad_watchdog_bound_is_schema_error_naming_its_key(tmp_path, capsys, key
     assert f"streams[2].watchdog.{key}: must be " in err and "Traceback" not in err
 
 
+def test_watchdog_throughput_bound_without_window_is_schema_error_at_the_watchdog():
+    doc = reference_doc()
+    doc["streams"][2]["watchdog"] = {"min_throughput_hz": 1.0}
+    with pytest.raises(SchemaError) as exc:
+        load_graph_config(doc)
+    assert (exc.value.path, exc.value.reason) == ("streams[2].watchdog", "min_throughput_hz requires window_us")
+
+
 def test_node_that_fails_to_build_gives_no_unresolved_endpoint_diagnostics():
-    doc = reference_pipeline().to_json()
+    doc = reference_doc()
     doc["nodes"][2]["params"]["window_samples"] = "abc"  # agg: two streams touch it
     diags = validate_graph(load_graph_config(doc), harness_kind_registry(), env=stub_env())
     assert [(d.code, d.location) for d in diags] == [("BadNodeParams", "node agg")]
 
 
 def test_unknown_kind_and_unknown_endpoint_are_still_reported():
-    doc = reference_pipeline().to_json()
+    doc = reference_doc()
     doc["nodes"][2]["kind"] = "no_such_kind"
     doc["streams"][3]["from_node"] = "nowhere"
     diags = validate_graph(load_graph_config(doc), harness_kind_registry(), env=stub_env())

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from flowbot.flowcore import SampleChunk, validate_graph
 from flowbot.harness import load_graph_config, reference_pipeline
 from flowbot.harness.cli import main as cli_main
+from flowbot.harness.config import packaged_config_text
 from flowbot.harness.nodes import harness_kind_registry
 
 SOURCE_TO_SINK = {
@@ -37,7 +38,7 @@ def graph_doc(kind: str) -> dict:
     or a source->sink graph for the two core kinds it lacks."""
     if kind in ("source", "sink"):
         return json.loads(json.dumps(SOURCE_TO_SINK))
-    return reference_pipeline().to_json()
+    return json.loads(packaged_config_text("reference_pipeline.json"))
 
 
 def node_of(doc: dict, kind: str) -> dict:
@@ -81,6 +82,8 @@ BAD_VALUES = [
     ("io_manager", "routing", {}),
     ("io_manager", "routing", {"mic0": ["ui_audio", "ui_audio"]}),
     ("sink", "poll_rate_hz", 0),
+    ("sink", "poll_rate_hz", 1e300),
+    ("sink", "poll_rate_hz", 2e6),
     ("splitter", "outputs", "win_att"),
     ("splitter", "outputs", ["win_att", 0.5]),
     ("splitter", "outputs", ["win_att", nan]),

@@ -290,6 +290,8 @@ def test_log_mel_config_stays_a_cache_key():
         (lambda: LogMelConfig(hop_samples=0), LogMelError, "hop_samples must be >= 1"),
         (lambda: LogMelConfig(log_floor=0.0), LogMelError, "log_floor must be > 0"),
         (lambda: SkillDescriptor(""), SkillError, "skill id must be nonempty"),
+        (lambda: SkillDescriptor("s", [""]), SkillError, "skill 's' declares an empty entity name"),
+        (lambda: SkillDescriptor("s", ["a"], [""]), SkillError, "skill 's' declares an empty entity name"),
         (lambda: SkillDescriptor("s", ["a", "a"]), SkillError,
          "skill 's' declares a duplicate entity name"),
         (lambda: SkillDescriptor("s", ["a"], ["a"]), SkillError,

@@ -1,11 +1,8 @@
-"""Registry dispatch, the skill catalog and the slot-filling session."""
-
-import json
+"""Registry dispatch, skill descriptors and the slot-filling session."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flowbot.flowcore import SchemaError
 from flowbot.skills import (
     CapabilityError,
     DuplicateSkillError,
@@ -20,11 +17,9 @@ from flowbot.skills import (
     SkillContext,
     SkillDescriptor,
     SkillError,
-    SkillLevel,
     SkillManager,
     SkillNotFoundError,
     SkillRegistry,
-    load_catalog,
     register_demo_skills,
 )
 
@@ -334,45 +329,3 @@ def test_schedule_demo_skill_keeps_in_memory_state():
     reg.dispatch("schedule_note", {"note": "water plants", "when": "18:00"}, context=ctx)
     assert ctx.schedule_store == [{"when": "18:00", "note": "water plants"}]
     assert spoken
-
-
-def test_catalog_round_trip(tmp_path):
-    path = tmp_path / "catalog.json"
-    path.write_text(
-        """
-        [
-          {"id": "wave", "required_entities": ["arm"], "optional_entities": ["speed"], "level": "low"},
-          {"id": "blink"}
-        ]
-        """
-    )
-    assert load_catalog(path) == [
-        SkillDescriptor("wave", ("arm",), ("speed",), SkillLevel.LOW_LEVEL),
-        SkillDescriptor("blink"),
-    ]
-
-
-@pytest.mark.parametrize(
-    "doc, path",
-    [
-        ([{"id": 5}], "[0].id"),
-        ([{}], "[0].id"),
-        ([1], "[0]"),
-        ({"id": "wave"}, "$"),
-        ([{"id": "wave", "level": 3}], "[0].level"),
-        ([{"id": "wave", "level": "middle"}], "[0].level"),
-        ([{"id": "wave"}, {"id": "blink", "optional_entities": {"name": "arm"}}], "[1].optional_entities"),
-        ([{"id": "wave", "required_entities": [{"name": "arm"}]}], "[0].required_entities[0]"),
-        ([{"id": "wave", "required_entities": ["arm", 3]}], "[0].required_entities[1]"),
-        ([{"id": "wave", "optional_entities": ["arm", "arm"]}], "[0].optional_entities[1]"),
-        ([{"id": ""}], "[0]"),
-        ([{"id": "wave", "required_entities": ["arm"], "optional_entities": ["arm"]}], "[0]"),
-        ("[{", "$"),
-    ],
-)
-def test_bad_catalog_is_schema_error_naming_its_path(tmp_path, doc, path):
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    with pytest.raises(SchemaError) as exc:
-        load_catalog(catalog)
-    assert exc.value.path == path

@@ -21,12 +21,6 @@ def pkt(seq, ts=None, payload=None):
                   timestamp_us=seq if ts is None else ts, seq=seq)
 
 
-def test_packet_copy_is_observationally_identical():
-    p = Packet(payload=(1, 2), timestamp_us=5, seq=3)
-    q = p.copy()
-    assert q == p and q.payload is p.payload
-
-
 def test_packet_is_immutable():
     p = pkt(0)
     with pytest.raises(AttributeError):
@@ -80,7 +74,7 @@ def test_lossless_never_drops():
     s = Stream("s", LosslessPolicy(deadline_us=10**9))
     for i in range(10_000):
         s.push(pkt(i), i)
-        assert (s.dropped, s.successive_misses, s.queued()) == (0, 0, i + 1)
+        assert (s.dropped, s.successive_misses, len(s)) == (0, 0, i + 1)
     assert s.drop_runs == []
     got = [s.pop(10_000).seq for _ in range(10_000)]
     assert got == list(range(10_000))
@@ -105,7 +99,7 @@ def test_push_pop_and_forward_have_no_time_of_their_own():
         s.pop()
     with pytest.raises(TypeError):
         Latch(LatchState.CLOSED).forward(pkt(0))
-    assert s.queued() == 1
+    assert len(s) == 1
 
 
 def test_lossless_deadline_violation_still_delivers():
@@ -135,8 +129,8 @@ def test_lossy_conservation_fifo_and_bounded_memory(capacity, ops):
             p = s.pop(seq)
             if p is not None:
                 delivered.append(p.seq)
-        assert s.queued() <= capacity
-    assert s.pushed == s.delivered + s.dropped + s.queued()
+        assert len(s) <= capacity
+    assert s.pushed == s.delivered + s.dropped + len(s)
     assert delivered == sorted(delivered)
     assert len(set(delivered)) == len(delivered)
 
@@ -266,8 +260,8 @@ def test_every_stream_variant_matches_a_list_model(kind, watched, data, ops):
             assert s.pop(clock) == model.pop(clock)
         head = model.entries[0][1].timestamp_us if model.entries else None
         assert s.peek_timestamp() == head
-        assert s.pushed == s.delivered + s.dropped + s.queued() == model.pushed
-        assert (s.queued(), len(s), s.max_queued) == (len(model.entries), len(model.entries), model.max_queued)
+        assert s.pushed == s.delivered + s.dropped + len(s) == model.pushed
+        assert (len(s), s.max_queued) == (len(model.entries), model.max_queued)
     s.finalize(clock)
     model.finalize(clock)
     assert s.to_json() == model.to_json()

@@ -213,7 +213,7 @@ def test_throughput_windows_match_a_tumbling_window_model(capacity, window_us, m
     expected = tumbling_windows(events, end_us, window_us, min_hz)
     assert all(v.kind is ViolationKind.THROUGHPUT_BELOW for v in s.violations)
     assert [(v.at_us, v.observed) for v in s.violations] == expected
-    assert s.queued() == queued
+    assert len(s) == queued
 
 
 def test_watchdog_passivity_on_stream_counters():
