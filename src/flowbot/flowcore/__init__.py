@@ -1,4 +1,4 @@
-"""Dataflow core: packets, policy streams, monitors, gates and the executor.
+"""Dataflow core: packets, streams with their policies and watchdogs, latches and the executor.
 
 Every module loads with the package. :mod:`.record` holds the bases of the
 slotted value classes here and in the other packages.
@@ -32,10 +32,11 @@ from .stream import (
     Stream,
     StreamConfigError,
     StreamPolicy,
+    ViolationKind,
+    WatchdogConfig,
     policy_from_json,
 )
 from .validation import Diagnostic, validate_graph
-from .watchdog import Violation, ViolationKind, WatchdogConfig, WatchdogConfigError
 
 __all__ = [
     "Aggregator",
@@ -65,11 +66,9 @@ __all__ = [
     "StreamConfigError",
     "StreamDef",
     "StreamPolicy",
-    "Violation",
     "ViolationKind",
     "VirtualClock",
     "WatchdogConfig",
-    "WatchdogConfigError",
     "attention_decide",
     "default_kind_registry",
     "graph_from_json",

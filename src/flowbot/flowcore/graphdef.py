@@ -26,8 +26,7 @@ from typing import NamedTuple, Optional
 from .latch import LatchState
 from .record import FrozenRecord
 from .schema import SchemaError, check_value, get_value
-from .stream import StreamPolicy, policy_from_json
-from .watchdog import WatchdogConfig, WatchdogConfigError
+from .stream import StreamConfigError, StreamPolicy, WatchdogConfig, policy_from_json
 
 
 class NodeDef(FrozenRecord):
@@ -87,13 +86,13 @@ def graph_from_json(doc: dict) -> GraphDef:
         policy_doc = get_value(sd, "policy", path, dict)
         try:
             policy = policy_from_json(policy_doc)
-        except ValueError as exc:
+        except (SchemaError, StreamConfigError) as exc:
             raise SchemaError(f"{path}.policy", str(exc)) from exc
         watchdog = get_value(sd, "watchdog", path, dict, None)
         if watchdog is not None:
             try:
                 watchdog = WatchdogConfig.from_json(watchdog, f"{path}.watchdog")
-            except WatchdogConfigError as exc:
+            except StreamConfigError as exc:
                 raise SchemaError(f"{path}.watchdog", str(exc)) from exc
         to_node = get_value(sd, "to_node", path, str, None)
         to_port = get_value(sd, "to_port", path, str, None)

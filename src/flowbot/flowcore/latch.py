@@ -5,11 +5,13 @@ an exact timestamp tie the control applies first, so a gate opened "by" a
 packet admits that packet.
 
 A latch keeps the packets it suppresses in ``suppressed_runs``, as a
-stream keeps its evictions in ``drop_runs``: one record ``[first_seq,
-last_seq, first_t_us, last_t_us, count]`` per run of suppressed packets
+stream keeps its evictions in ``drop_runs``: one dict ``{first_seq,
+last_seq, first_t_us, last_t_us, count}`` per run of suppressed packets
 with consecutive seqs, stamped with the ``now_us`` each ``forward`` is
 given, which never decreases within a run. A stream pops in seq order, so
 a forwarded packet, or one dropped before it reached the latch, ends a run.
+Each change of state is kept in ``transitions`` as ``{t_us, state}``, with
+the state's value, ``"open"`` or ``"closed"``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .packet import Packet, runs_to_json
+from .packet import Packet
 
 
 class LatchState(Enum):
@@ -31,15 +33,15 @@ class Latch:
         self.initial = initial
         self.forwarded = 0
         self.suppressed = 0
-        self.suppressed_runs: list[list[int]] = []
-        self.transitions: list[tuple[int, LatchState]] = []
+        self.suppressed_runs: list[dict] = []
+        self.transitions: list[dict] = []
 
     def apply_control(self, bit, ts_us: int) -> None:
         """Set the gate from a control bit; a change of state is a transition."""
         target = LatchState.OPEN if bit else LatchState.CLOSED
         if target is not self.state:
             self.state = target
-            self.transitions.append((ts_us, target))
+            self.transitions.append({"t_us": ts_us, "state": target.value})
 
     def forward(self, packet: Packet, now_us: int) -> Optional[Packet]:
         """Pass the packet through when open; when closed, drop it and record
@@ -50,24 +52,25 @@ class Latch:
         self.suppressed += 1
         seq = packet.seq
         runs = self.suppressed_runs
-        if runs and runs[-1][1] == seq - 1:
+        if runs and runs[-1]["last_seq"] == seq - 1:
             run = runs[-1]
-            run[1], run[3], run[4] = seq, now_us, run[4] + 1
+            run["last_seq"], run["last_t_us"], run["count"] = seq, now_us, run["count"] + 1
         else:
-            runs.append([seq, seq, now_us, now_us, 1])
+            runs.append({"first_seq": seq, "last_seq": seq, "first_t_us": now_us, "last_t_us": now_us, "count": 1})
         return None
 
     @property
     def openings(self) -> int:
-        return sum(1 for _, s in self.transitions if s is LatchState.OPEN)
+        return sum(1 for t in self.transitions if t["state"] == "open")
 
     def to_json(self) -> dict:
+        """The latch's report entry, a snapshot that later calls leave as it is."""
         return {
             "initial": self.initial.value,
             "state": self.state.value,
             "forwarded": self.forwarded,
             "suppressed": self.suppressed,
             "openings": self.openings,
-            "transitions": [{"t_us": t, "state": s.value} for t, s in self.transitions],
-            "suppressed_runs": runs_to_json(self.suppressed_runs),
+            "transitions": list(self.transitions),
+            "suppressed_runs": [dict(run) for run in self.suppressed_runs],
         }

@@ -1,4 +1,4 @@
-"""The unit of data exchanged between graph nodes, and runs of packets as report records."""
+"""The unit of data exchanged between graph nodes."""
 
 from __future__ import annotations
 
@@ -23,11 +23,3 @@ class Packet(NamedTuple):
     timestamp_us: int
     seq: int
 
-
-#: The fields of one run record, in the order a run is kept as a list.
-RUN_FIELDS = ("first_seq", "last_seq", "first_t_us", "last_t_us", "count")
-
-
-def runs_to_json(runs: list[list[int]]) -> list[dict]:
-    """Run records ``[first_seq, last_seq, first_t_us, last_t_us, count]`` as report objects."""
-    return [dict(zip(RUN_FIELDS, run)) for run in runs]

@@ -516,11 +516,11 @@ class SourceNode(Node):
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
-        self.count = get_value(params, "count", "", int, 0)
+        self.count = get_value(params, "count", "", int, 0, minimum=0)
         self.rate_hz = get_value(params, "rate_hz", "", float, 1000.0)
         if self.rate_hz <= 0:
             raise SchemaError("rate_hz", f"must be > 0, got {self.rate_hz:g}")
-        self.start_us = get_value(params, "start_us", "", int, 0)
+        self.start_us = get_value(params, "start_us", "", int, 0, minimum=0)
         self._emitted = 0
 
     def output_ports(self):

@@ -57,13 +57,11 @@ def get_value(doc: dict, key: str, path: str, kind: type, default=_REQUIRED, min
 
 
 def read_document(source):
-    """A JSON document from a dict (returned as is), the text of a JSON
-    object or a file path; malformed JSON raises :class:`SchemaError` at ``$``."""
+    """A JSON document from a dict (returned as is) or a file path; malformed
+    JSON raises :class:`SchemaError` at ``$``."""
     if isinstance(source, dict):
         return source
     try:
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:

@@ -1,28 +1,35 @@
-"""Streams: single-threaded packet queues with delivery policies.
+"""Streams: single-threaded packet queues with delivery policies and watchdog bounds.
 
 A stream is either lossy (bounded; overflow evicts the oldest packet, and
 each run of consecutive evictions is kept as one record) or lossless
 (unbounded; every packet is delivered but its age at delivery is checked
 against a deadline). The producer never blocks in either mode. A stream
-also checks the latency and throughput bounds of an optional watchdog
-config itself. Violations are recorded, never enforced by altering the
-flow.
+also checks the latency and throughput bounds of an optional
+:class:`WatchdogConfig` itself. Violations are recorded, never enforced by
+altering the flow. Every record is kept as the dict its report entry holds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from enum import Enum
 from typing import Optional, Union
 
-from .packet import Packet, runs_to_json
+from .packet import Packet
 from .record import FrozenRecord
 from .schema import get_value
-from .watchdog import Violation, ViolationKind, WatchdogConfig
 
 
 class StreamConfigError(ValueError):
-    """Raised for an invalid stream policy or a policy/usage mismatch."""
+    """Raised for an invalid stream policy or watchdog config."""
+
+
+class ViolationKind(str, Enum):
+    DEADLINE_EXCEEDED = "DeadlineExceeded"
+    LATENCY_EXCEEDED = "LatencyExceeded"
+    THROUGHPUT_BELOW = "ThroughputBelow"
+    BACKPRESSURE_MISS_LIMIT = "BackpressureMissLimit"
 
 
 class LossyPolicy(FrozenRecord):
@@ -61,6 +68,36 @@ class LosslessPolicy(FrozenRecord):
 StreamPolicy = Union[LossyPolicy, LosslessPolicy]
 
 
+class WatchdogConfig(FrozenRecord):
+    """A stream's latency and throughput bounds; any of them may be disabled with None."""
+
+    __slots__ = _fields = ("max_latency_us", "min_throughput_hz", "window_us")
+
+    def __init__(
+        self,
+        max_latency_us: Optional[int] = None,
+        min_throughput_hz: Optional[float] = None,
+        window_us: Optional[int] = None,
+    ):
+        self._init(max_latency_us, min_throughput_hz, window_us)
+        for key in self._fields:
+            value = getattr(self, key)
+            # false for NaN too, which would otherwise switch the bound off
+            if value is not None and not 0 < value < math.inf:
+                raise StreamConfigError(f"{key} must be finite and > 0 when enabled, got {value!r:.40}")
+        if min_throughput_hz is not None and window_us is None:
+            raise StreamConfigError("min_throughput_hz requires window_us")
+
+    @staticmethod
+    def from_json(doc: dict, path: str = "") -> "WatchdogConfig":
+        """A config from ``doc``; a bad value raises :class:`SchemaError` naming ``path.<key>``."""
+        return WatchdogConfig(
+            max_latency_us=get_value(doc, "max_latency_us", path, int, None),
+            min_throughput_hz=get_value(doc, "min_throughput_hz", path, float, None),
+            window_us=get_value(doc, "window_us", path, int, None),
+        )
+
+
 def policy_from_json(doc: dict) -> StreamPolicy:
     """A policy object; a bad value raises :class:`SchemaError` naming its key."""
     kind = doc.get("kind")
@@ -79,14 +116,15 @@ class Stream:
 
     Counters satisfy ``pushed == delivered + dropped + queued`` at all times.
     ``max_queued`` is the queue's high-water mark. Evictions are kept in
-    ``drop_runs``, one record ``[first_seq, last_seq, first_t_us, last_t_us,
-    count]`` per run of consecutive evictions: a run opens when
-    ``successive_misses`` becomes 1, each further eviction extends it, and
-    the next accepted push ends it. ``count`` is the run's last
+    ``drop_runs``, one dict ``{first_seq, last_seq, first_t_us, last_t_us,
+    count}`` per run of consecutive evictions: a run opens when
+    ``successive_misses`` becomes 1, each further eviction extends it in
+    place, and the next accepted push ends it. ``count`` is the run's last
     ``successive_misses``.
 
     The stream checks every bound on itself and records each breach in
-    ``violations``; checking never blocks either side. The policy gives a
+    ``violations``, one dict ``{kind, at_us, observed, bound}`` per breach;
+    checking never blocks either side. The policy gives a
     miss limit (lossy) or a deadline on the packet's age (lossless). An
     optional :class:`WatchdogConfig` adds a latency bound, from the push
     that queued a packet to its pop, and a throughput bound on pops per
@@ -105,13 +143,13 @@ class Stream:
 
     def __init__(self, stream_id: str, policy: StreamPolicy, watchdog: Optional[WatchdogConfig] = None):
         self.stream_id = stream_id
-        self.violations: list[Violation] = []
+        self.violations: list[dict] = []
         self.pushed = 0
         self.delivered = 0
         self.dropped = 0
         self.successive_misses = 0
         self.max_queued = 0
-        self.drop_runs: list[list[int]] = []
+        self.drop_runs: list[dict] = []
         self._q: deque[tuple[int, Packet]] = deque()
         lossy = isinstance(policy, LossyPolicy)
         self._capacity: Optional[int] = policy.capacity if lossy else None
@@ -144,10 +182,12 @@ class Stream:
         self.successive_misses = misses = self.successive_misses + 1
         seq = evicted.seq
         if misses == 1:
-            self.drop_runs.append([seq, seq, now_us, now_us, 1])
+            self.drop_runs.append(
+                {"first_seq": seq, "last_seq": seq, "first_t_us": now_us, "last_t_us": now_us, "count": 1}
+            )
         else:
             run = self.drop_runs[-1]
-            run[1], run[3], run[4] = seq, now_us, misses
+            run["last_seq"], run["last_t_us"], run["count"] = seq, now_us, misses
         if self._miss_limit is not None and misses > self._miss_limit:
             self._violate(ViolationKind.BACKPRESSURE_MISS_LIMIT, now_us, misses, self._miss_limit)
 
@@ -172,7 +212,9 @@ class Stream:
         return packet
 
     def _violate(self, kind: ViolationKind, at_us: int, observed: float, bound: float) -> None:
-        self.violations.append(Violation(kind, at_us, float(observed), float(bound)))
+        self.violations.append(
+            {"kind": kind.value, "at_us": at_us, "observed": float(observed), "bound": float(bound)}
+        )
 
     def _close_windows(self, now: int) -> None:
         """Open the first throughput window, or check each one that ends by ``now``."""
@@ -200,18 +242,15 @@ class Stream:
         if end_us >= self._window_end:  # a window not yet open opens empty
             self._close_windows(end_us)
 
-    def counters(self) -> dict:
+    def to_json(self) -> dict:
+        """The stream's report entry: a snapshot of its counters, drop runs
+        and violations, which later pushes and pops leave as it is."""
         return {
             "pushed": self.pushed,
             "delivered": self.delivered,
             "dropped": self.dropped,
             "queued": len(self._q),
             "max_queued": self.max_queued,
+            "drop_runs": [dict(run) for run in self.drop_runs],
+            "violations": list(self.violations),
         }
-
-    def to_json(self) -> dict:
-        """The stream's report entry: counters, drop runs and violations."""
-        entry = self.counters()
-        entry["drop_runs"] = runs_to_json(self.drop_runs)
-        entry["violations"] = [v.to_json() for v in self.violations]
-        return entry

@@ -13,7 +13,7 @@ _CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 
 def load_graph_config(source) -> GraphDef:
-    """Load a GraphDef from a dict, a JSON string or a file path.
+    """Load a GraphDef from a dict or a file path.
 
     Schema violations raise :class:`SchemaError` naming the offending key.
     """
@@ -22,7 +22,7 @@ def load_graph_config(source) -> GraphDef:
 
 def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
     """Load an ultrasonic scene, {"ultrasonic_scene": [...], "climb_height_m": ...},
-    from a dict, a JSON string or a file path.
+    from a dict or a file path.
 
     Each scene entry needs a number ``theta_deg``; its ``t_s`` and
     ``distance_m`` are numbers or null. The optional ``d_max_m``,
@@ -58,4 +58,4 @@ def packaged_config_text(name: str) -> str:
 
 
 def packaged_graph(name: str = "reference_pipeline.json") -> GraphDef:
-    return load_graph_config(packaged_config_text(name))
+    return load_graph_config(os.path.join(_CONFIG_DIR, name))

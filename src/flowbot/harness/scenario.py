@@ -57,7 +57,7 @@ class ScenarioScript(NamedTuple):
 
 
 def load_scenario(source) -> ScenarioScript:
-    """Build a scenario from a dict, a JSON string or a file path."""
+    """Build a scenario from a dict or a file path."""
     doc = read_document(source)
     audio = dict(get_value(check_value(doc, "$", dict), "audio", "", dict))
     if "wav" in audio:

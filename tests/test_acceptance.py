@@ -247,7 +247,7 @@ def test_criterion_09_dataflow_property_suites():
         for i in range(1, 6):
             s.push(Packet(payload=i, timestamp_us=i, seq=i), i)
         assert s.successive_misses == 3
-        assert [v.kind for v in s.violations] == [ViolationKind.BACKPRESSURE_MISS_LIMIT]
+        assert [v["kind"] for v in s.violations] == [ViolationKind.BACKPRESSURE_MISS_LIMIT]
         assert s.dropped == 3 and len(s) == 2
 
 

@@ -201,7 +201,7 @@ def executor_graph() -> GraphDef:
 
 
 def demo_report() -> dict:
-    scenario = load_scenario(packaged_config_text("demo_scenario.json"))
+    scenario = load_scenario(json.loads(packaged_config_text("demo_scenario.json")))
     return run_scenario(packaged_graph(), scenario)
 
 

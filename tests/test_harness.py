@@ -688,6 +688,16 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert cli_main(["validate", "--graph", str(bad)]) == 2
 
 
+def test_a_path_that_begins_with_a_brace_is_read_as_a_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{g}.json").write_text(packaged_config_text("reference_pipeline.json"))
+    (tmp_path / "{s}.json").write_text(packaged_config_text("demo_scenario.json"))
+    assert load_graph_config("{g}.json") == packaged_graph()
+    assert load_scenario("{s}.json") == load_scenario(json.loads(packaged_config_text("demo_scenario.json")))
+    assert cli_main(["validate", "--graph", "{g}.json"]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "section, index, key, value, path",

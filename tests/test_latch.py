@@ -31,9 +31,13 @@ def replay(events, initial=LatchState.CLOSED):
         else:
             runs.append([(seq, ts)])
         seq += 1
-    expected = [[run[0][0], run[-1][0], run[0][1], run[-1][1], len(run)] for run in runs]
+    expected = [
+        {"first_seq": run[0][0], "last_seq": run[-1][0], "first_t_us": run[0][1], "last_t_us": run[-1][1],
+         "count": len(run)}
+        for run in runs
+    ]
     assert latch.suppressed_runs == expected
-    assert sum(run[4] for run in latch.suppressed_runs) == latch.suppressed
+    assert sum(run["count"] for run in latch.suppressed_runs) == latch.suppressed
     return latch, forwarded
 
 
@@ -41,7 +45,7 @@ def test_closed_latch_suppresses():
     latch = Latch(LatchState.CLOSED)
     assert latch.forward(pkt(0), 0) is None
     assert latch.suppressed == 1 and latch.forwarded == 0
-    assert latch.suppressed_runs == [[0, 0, 0, 0, 1]]
+    assert latch.suppressed_runs == [{"first_seq": 0, "last_seq": 0, "first_t_us": 0, "last_t_us": 0, "count": 1}]
 
 
 def test_suppressed_runs_are_stamped_at_the_given_time():
@@ -49,7 +53,10 @@ def test_suppressed_runs_are_stamped_at_the_given_time():
     latch.forward(pkt(10, seq=4), now_us=25)
     latch.forward(pkt(11, seq=5), now_us=30)
     latch.forward(pkt(12, seq=7), now_us=40)  # seq 6 never reached the latch: a new run
-    assert latch.suppressed_runs == [[4, 5, 25, 30, 2], [7, 7, 40, 40, 1]]
+    assert latch.suppressed_runs == [
+        {"first_seq": 4, "last_seq": 5, "first_t_us": 25, "last_t_us": 30, "count": 2},
+        {"first_seq": 7, "last_seq": 7, "first_t_us": 40, "last_t_us": 40, "count": 1},
+    ]
 
 
 def test_control_applies_to_later_data_only():
@@ -86,7 +93,7 @@ def test_openings_counts_transitions_to_open():
     latch.apply_control(0, 2)
     latch.apply_control(1, 3)
     assert latch.openings == 2
-    assert [s.value for _, s in latch.transitions] == ["open", "closed", "open"]
+    assert [t["state"] for t in latch.transitions] == ["open", "closed", "open"]
 
 
 @given(

@@ -107,6 +107,8 @@ BAD_VALUES = [
     ("source", "count", nan),
     ("source", "count", inf),
     ("source", "count", [10]),
+    ("source", "count", -1),
+    ("source", "start_us", -3000),
 ]
 
 

@@ -48,10 +48,9 @@ def test_an_absent_key_gives_its_default_unchecked():
     assert get_value({"n": 4.0}, "n", "", int, 1) == 4
 
 
-def test_a_document_is_read_from_a_dict_text_or_file(tmp_path):
+def test_a_document_is_read_from_a_dict_or_a_file(tmp_path):
     doc = {"nodes": [], "streams": []}
     assert read_document(doc) is doc
-    assert read_document(json.dumps(doc)) == doc
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(doc))
     assert read_document(path) == doc and read_document(str(path)) == doc
@@ -61,7 +60,6 @@ def test_a_document_is_read_from_a_dict_text_or_file(tmp_path):
 def test_malformed_json_is_a_schema_error_at_the_root(tmp_path, text):
     path = tmp_path / "broken.json"
     path.write_text(text)
-    for source in (path, text) if text.lstrip().startswith("{") else (path,):
-        with pytest.raises(SchemaError) as exc:
-            read_document(source)
-        assert exc.value.path == "$" and exc.value.reason.startswith("not valid JSON: ")
+    with pytest.raises(SchemaError) as exc:
+        read_document(path)
+    assert exc.value.path == "$" and exc.value.reason.startswith("not valid JSON: ")

@@ -42,7 +42,7 @@ def test_lossy_overflow_evicts_oldest():
     s.push(pkt(2), 2)
     assert s.push(pkt(3), 3) is None
     assert (s.dropped, s.successive_misses) == (1, 1)
-    assert s.drop_runs == [[1, 1, 3, 3, 1]]  # packet 1 evicted by the push at t=3
+    assert s.drop_runs == [{"first_seq": 1, "last_seq": 1, "first_t_us": 3, "last_t_us": 3, "count": 1}]  # packet 1 evicted by the push at t=3
     assert [s.pop(3).seq, s.pop(3).seq] == [2, 3]
 
 
@@ -54,7 +54,7 @@ def test_miss_counter_resets_on_nonevicting_push():
     s.pop(1)
     s.push(pkt(2), 2)
     assert (s.dropped, s.successive_misses) == (1, 0)
-    assert s.drop_runs == [[0, 0, 1, 1, 1]]
+    assert s.drop_runs == [{"first_seq": 0, "last_seq": 0, "first_t_us": 1, "last_t_us": 1, "count": 1}]
     assert s.pop(2).seq == 2
 
 
@@ -64,10 +64,10 @@ def test_exceeding_miss_limit_records_backpressure_violation():
     for i in range(1, 6):
         s.push(pkt(i), i)
     assert s.successive_misses == 3
-    kinds = [v.kind for v in s.violations]
+    kinds = [v["kind"] for v in s.violations]
     assert kinds == [ViolationKind.BACKPRESSURE_MISS_LIMIT]
-    assert s.violations[0].observed == 3.0
-    assert s.violations[0].bound == 2.0
+    assert s.violations[0]["observed"] == 3.0
+    assert s.violations[0]["bound"] == 2.0
 
 
 def test_lossless_never_drops():
@@ -109,8 +109,29 @@ def test_lossless_deadline_violation_still_delivers():
     assert p is not None and p.seq == 0
     assert len(s.violations) == 1
     v = s.violations[0]
-    assert v.kind is ViolationKind.DEADLINE_EXCEEDED
-    assert (v.observed, v.bound) == (1500.0, 1000.0)
+    assert v["kind"] == ViolationKind.DEADLINE_EXCEEDED
+    assert (v["observed"], v["bound"]) == (1500.0, 1000.0)
+
+
+def test_a_report_entry_taken_mid_run_is_a_snapshot():
+    """The open drop and suppression runs grow in place; an entry taken
+    before they grow keeps the values it had."""
+    s = Stream("s", LossyPolicy(capacity=1, max_successive_misses=0))
+    latch = Latch(LatchState.CLOSED)
+    for seq in range(3):
+        s.push(pkt(seq), seq)
+        latch.forward(pkt(seq), seq)
+    stream_entry, latch_entry = s.to_json(), latch.to_json()
+    expected = (repr(stream_entry), repr(latch_entry))
+    for seq in range(3, 6):
+        s.push(pkt(seq), seq)
+        latch.forward(pkt(seq), seq)
+    latch.apply_control(1, 6)
+    assert (repr(stream_entry), repr(latch_entry)) == expected
+    assert stream_entry["drop_runs"] == [{"first_seq": 0, "last_seq": 1, "first_t_us": 1, "last_t_us": 2, "count": 2}]
+    assert latch_entry["suppressed_runs"] == [{"first_seq": 0, "last_seq": 2, "first_t_us": 0, "last_t_us": 2, "count": 3}]
+    assert s.to_json()["drop_runs"] == [{"first_seq": 0, "last_seq": 4, "first_t_us": 1, "last_t_us": 5, "count": 5}]
+    assert latch.to_json()["suppressed_runs"] == [{"first_seq": 0, "last_seq": 5, "first_t_us": 0, "last_t_us": 5, "count": 6}]
 
 
 @given(

@@ -8,9 +8,9 @@ from flowbot.flowcore import (
     LossyPolicy,
     Packet,
     Stream,
+    StreamConfigError,
     ViolationKind,
     WatchdogConfig,
-    WatchdogConfigError,
 )
 
 
@@ -24,11 +24,11 @@ def monitored(**bounds):
 
 
 def test_config_validation():
-    with pytest.raises(WatchdogConfigError):
+    with pytest.raises(StreamConfigError):
         WatchdogConfig(max_latency_us=0)
-    with pytest.raises(WatchdogConfigError):
+    with pytest.raises(StreamConfigError):
         WatchdogConfig(min_throughput_hz=10.0)  # needs window_us
-    with pytest.raises(WatchdogConfigError):
+    with pytest.raises(StreamConfigError):
         WatchdogConfig(min_throughput_hz=10.0, window_us=-5)
     WatchdogConfig()  # everything disabled is fine
 
@@ -38,8 +38,8 @@ def test_latency_exceeded():
     s.push(pkt(0), now_us=0)
     assert s.violations == []
     s.pop(now_us=15_000)
-    assert [v.kind for v in s.violations] == [ViolationKind.LATENCY_EXCEEDED]
-    assert (s.violations[0].observed, s.violations[0].bound) == (15_000.0, 10_000.0)
+    assert [v["kind"] for v in s.violations] == [ViolationKind.LATENCY_EXCEEDED]
+    assert (s.violations[0]["observed"], s.violations[0]["bound"]) == (15_000.0, 10_000.0)
 
 
 def test_latency_within_bound_is_silent():
@@ -57,9 +57,9 @@ def test_throughput_below_over_completed_window():
         s.pop(now_us=t)
     assert s.violations == []
     s.push(pkt(6, ts=0), now_us=1_200_000)  # crosses the window boundary
-    assert [v.kind for v in s.violations] == [ViolationKind.THROUGHPUT_BELOW]
-    assert (s.violations[0].observed, s.violations[0].bound) == (5.0, 10.0)
-    assert s.violations[0].at_us == 1_000_000
+    assert [v["kind"] for v in s.violations] == [ViolationKind.THROUGHPUT_BELOW]
+    assert (s.violations[0]["observed"], s.violations[0]["bound"]) == (5.0, 10.0)
+    assert s.violations[0]["at_us"] == 1_000_000
 
 
 def test_throughput_ok_window_is_silent():
@@ -78,7 +78,7 @@ def test_finalize_closes_trailing_windows():
     s.pop(now_us=0)
     s.finalize(1_600_000)  # windows [0,.5), [.5,1), [1,1.5) complete
     # the first window has the packet, the next two are empty
-    assert [(v.kind, v.at_us) for v in s.violations] == [
+    assert [(v["kind"], v["at_us"]) for v in s.violations] == [
         (ViolationKind.THROUGHPUT_BELOW, 1_000_000),
         (ViolationKind.THROUGHPUT_BELOW, 1_500_000),
     ]
@@ -92,7 +92,7 @@ def test_violations_of_one_pop_in_check_order():
     )
     s.push(pkt(0, ts=0), now_us=0)
     s.pop(now_us=2_500_000)
-    assert [(v.kind, v.at_us) for v in s.violations] == [
+    assert [(v["kind"], v["at_us"]) for v in s.violations] == [
         (ViolationKind.DEADLINE_EXCEEDED, 2_500_000),
         (ViolationKind.THROUGHPUT_BELOW, 1_000_000),
         (ViolationKind.THROUGHPUT_BELOW, 2_000_000),
@@ -105,7 +105,7 @@ def test_a_late_pop_on_a_watched_lossless_stream_names_each_bound_by_its_kind():
     s = Stream("s", LosslessPolicy(deadline_us=10), watchdog=WatchdogConfig(max_latency_us=5))
     s.push(pkt(0, ts=0), now_us=0)
     s.pop(now_us=100)
-    assert [v.to_json() for v in s.violations] == [
+    assert s.violations == [
         {"kind": "DeadlineExceeded", "at_us": 100, "observed": 100.0, "bound": 10.0},
         {"kind": "LatencyExceeded", "at_us": 100, "observed": 100.0, "bound": 5.0},
     ]
@@ -118,7 +118,7 @@ def test_throughput_windows_a_push_closes_come_before_its_miss_limit():
     )
     s.push(pkt(0), now_us=0)
     s.push(pkt(1), now_us=1_500)  # evicts seq 0 and closes [0, 1000)
-    assert [v.kind for v in s.violations] == [
+    assert [v["kind"] for v in s.violations] == [
         ViolationKind.THROUGHPUT_BELOW,
         ViolationKind.BACKPRESSURE_MISS_LIMIT,
     ]
@@ -132,7 +132,7 @@ def test_drop_consumes_oldest_pending_in():
     assert s.violations == []
     s.push(pkt(2), now_us=30)
     s.pop(now_us=60)
-    assert [v.observed for v in s.violations] == [30.0]
+    assert [v["observed"] for v in s.violations] == [30.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,7 +160,7 @@ def test_latency_pairs_each_popped_packet_with_its_own_push_time(capacity, max_l
                 latency = now - model.pop(0)
                 if latency > max_latency_us:
                     expected.append((now, float(latency)))
-    assert [(v.at_us, v.observed) for v in s.violations] == expected
+    assert [(v["at_us"], v["observed"]) for v in s.violations] == expected
 
 
 def tumbling_windows(events, end_us, window_us, min_hz):
@@ -211,8 +211,8 @@ def test_throughput_windows_match_a_tumbling_window_model(capacity, window_us, m
     end_us = max(0, now + end_dt)
     s.finalize(end_us)
     expected = tumbling_windows(events, end_us, window_us, min_hz)
-    assert all(v.kind is ViolationKind.THROUGHPUT_BELOW for v in s.violations)
-    assert [(v.at_us, v.observed) for v in s.violations] == expected
+    assert all(v["kind"] == ViolationKind.THROUGHPUT_BELOW for v in s.violations)
+    assert [(v["at_us"], v["observed"]) for v in s.violations] == expected
     assert len(s) == queued
 
 
@@ -224,6 +224,8 @@ def test_watchdog_passivity_on_stream_counters():
             s.push(Packet(payload=i, timestamp_us=i, seq=i), now_us=i)
             if i % 3 == 0:
                 s.pop(now_us=i + 100)
-        return s.counters()
+        entry = s.to_json()
+        del entry["violations"]
+        return entry
 
     assert run(True) == run(False)
