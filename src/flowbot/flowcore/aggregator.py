@@ -45,7 +45,7 @@ class AggregatorConfig(FrozenRecord):
     def __init__(self, window_samples: int, hop_samples: int, sample_rate_hz: int):
         if not (0 < hop_samples <= window_samples):
             raise AggregatorConfigError(
-                f"need 0 < hop_samples ({hop_samples}) <= window_samples ({window_samples})"
+                f"hop_samples: must be > 0 and <= window_samples ({window_samples}), got {hop_samples}"
             )
         if sample_rate_hz <= 0:
             raise AggregatorConfigError("sample_rate_hz must be > 0")

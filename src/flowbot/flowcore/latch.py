@@ -1,8 +1,13 @@
 """Binary gate on a data stream, driven by a bit-valued control stream.
 
-A control bit takes effect for every data packet with a later timestamp; on
-an exact timestamp tie the control applies first, so a gate opened "by" a
-packet admits that packet.
+The control rule: a control bit applies to every data packet stamped at or
+after it, and on an exact timestamp tie the control applies first, so a gate
+opened "by" a packet admits that packet. :meth:`Latch.pop` and
+:meth:`Latch.drain` keep it: before the data stream's head is popped, every
+queued control stamped no later than that head and than ``now_us`` is popped
+and applied; a control stamped later waits for the data in front of it. The
+latch reads both streams through their instance attributes, so wrappers
+installed on a stream's ``push`` or ``pop`` see every call.
 
 A latch keeps the packets it suppresses in ``suppressed_runs``, as a
 stream keeps its evictions in ``drop_runs``: one dict ``{first_seq,
@@ -20,6 +25,7 @@ from enum import Enum
 from typing import Optional
 
 from .packet import Packet
+from .stream import Stream
 
 
 class LatchState(Enum):
@@ -42,6 +48,25 @@ class Latch:
         if target is not self.state:
             self.state = target
             self.transitions.append({"t_us": ts_us, "state": target.value})
+
+    def drain(self, data: Stream, control: Stream, now_us: int) -> None:
+        """Apply the queued controls that the control rule lets through now."""
+        head = data.peek_timestamp()
+        limit = now_us if head is None or head > now_us else head
+        while True:
+            ts = control.peek_timestamp()
+            if ts is None or ts > limit:
+                return
+            packet = control.pop(now_us)
+            self.apply_control(packet.payload, packet.timestamp_us)
+
+    def pop(self, data: Stream, control: Stream, now_us: int) -> Optional[Packet]:
+        """Pop the data stream's head through the gate, after the controls
+        that apply to it; None when the stream is empty or the gate closed."""
+        if len(control):
+            self.drain(data, control, now_us)
+        packet = data.pop(now_us)
+        return None if packet is None else self.forward(packet, now_us)
 
     def forward(self, packet: Packet, now_us: int) -> Optional[Packet]:
         """Pass the packet through when open; when closed, drop it and record

@@ -1,21 +1,25 @@
 """Deterministic graph executor.
 
-Execution is event-driven: timers, latch controls and per-push deliveries
-sit in one heap ordered by (time, consumer topological rank, phase,
-insertion order). At equal timestamps, upstream nodes act before downstream
-ones and latch control application precedes gated-data delivery, so a gate
-opened by a window's own attention bit admits that window. With a virtual
-clock and a fixed seed the event log is identical across runs.
+The ordering contract: every event sits in one heap ordered by (time,
+consumer topological rank, phase, insertion order), and runs in that order.
+An event's time is the timestamp of the packet it carries or the time its
+timer was set for; a consumer's rank puts producers before consumers; and
+within one time and rank there are three phases:
 
-Heap entries are plain tuples ``(t_us, rank, phase, seq, arg)``. ``seq`` is
-a run-wide insertion counter, so comparison never reaches ``arg``, and
-``phase`` says what ``arg`` is:
+* ``_PHASE_CONTROL``: a packet pushed on a latch's control stream, ranked
+  as the gated stream's consumer; the latch applies the controls that its
+  rule lets through (see :mod:`.latch`);
+* ``_PHASE_TIMER``: a ``(context, tag)`` pair, the timer of a node, push- or
+  poll-driven alike;
+* ``_PHASE_DELIVERY``: a packet pushed on a stream with a push-driven
+  consumer; one packet is popped from the stream's head, through its latch
+  if it has one, and handed to ``on_packet``.
 
-* ``_PHASE_CONTROL``: the route of a latch's control stream; the gated
-  stream's pending controls are applied;
-* ``_PHASE_TIMER`` / ``_PHASE_POLL``: a ``(context, tag)`` pair, the timer of
-  a push-driven or a poll-driven node;
-* ``_PHASE_DELIVERY``: the route of the stream to pop one packet from.
+So at equal timestamps upstream nodes act before downstream ones, and a
+gate opened by a window's own attention bit admits that window. With a
+virtual clock and a fixed seed the report is identical across runs. A heap
+entry is the tuple ``(t_us, rank, phase, seq, arg)``; ``seq`` is a run-wide
+insertion counter, so comparison never reaches ``arg``.
 
 The runner builds each node once, checks the wiring against those nodes
 and raises :class:`GraphValidationError` on any diagnostic. Each stream's
@@ -54,10 +58,13 @@ own.
 A run stops at the first event at or after its time limit, after the event
 whose handler raises or that brings the packets pushed to the budget, or,
 when a ``start`` raises, before any event. A ``finish`` that raises fails
-the run as a handler does, and no later node's ``finish`` is called. Without
-a time limit a run stops as exhausted once the only events left are
-poll-driven nodes' timers and every stream into those nodes is empty; a
-polling node would otherwise reschedule itself forever. The single-threaded loop runs a node on one context at a time.
+the run as a handler does, and no later node's ``finish`` is called. The
+idle stop: without a time limit, a run stops as exhausted once the only
+events left are poll-driven nodes' timers and every stream into those nodes
+(and each latch control stream into them) is empty; a polling node would
+otherwise reschedule itself forever. A poll-driven node's context flags its
+timers, and the runner counts those on the heap. The single-threaded loop
+runs a node on one context at a time.
 """
 
 from __future__ import annotations
@@ -79,13 +86,11 @@ from .schema import SchemaError, check_names, get_value
 from .stream import Stream
 from .validation import Diagnostic, build_nodes, check_wiring
 
-# Phase within one timestamp and rank: latch controls apply before anything
-# else, then timers, then packet deliveries. A poll-driven node receives no
-# deliveries, so its timers have their own phase without changing the order.
+# Phase within one timestamp and rank: latch controls, then timers, then
+# packet deliveries.
 _PHASE_CONTROL = 0
 _PHASE_TIMER = 1
-_PHASE_POLL = 2
-_PHASE_DELIVERY = 3
+_PHASE_DELIVERY = 2
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -173,7 +178,7 @@ class NodeContext:
         self._runner = runner
         self._node = node
         self._rank = rank
-        self._phase = _PHASE_POLL if node.poll_driven else _PHASE_TIMER
+        self._polled = node.poll_driven  # its timers count for the idle stop
         self._heap = runner._heap
         self._heap_seq = runner._heap_seq
         self.collector = runner.collector
@@ -185,17 +190,13 @@ class NodeContext:
     def time_limit_us(self) -> Optional[int]:
         return self._runner.stop.time_limit_us
 
-    def schedule(self, delay_us: int, tag=None) -> None:
-        self.schedule_at(self.now_us() + int(delay_us), tag)
-
     def schedule_at(self, t_us: int, tag=None) -> None:
         now = self._runner._now
         if t_us < now:
             t_us = now
-        phase = self._phase
-        if phase == _PHASE_POLL:
+        if self._polled:
             self._runner._poll_timers += 1
-        _heappush(self._heap, (t_us, self._rank, phase, self._heap_seq(), (self, tag)))
+        _heappush(self._heap, (t_us, self._rank, _PHASE_TIMER, self._heap_seq(), (self, tag)))
 
     def poll(self, port: str) -> Optional[Packet]:
         return self._runner.poll_input(self._node.id, port)
@@ -242,7 +243,7 @@ class GraphRunner:
         self._now = 0  # the due time of the event being dispatched, set by run()
         self._heap: list = []
         self._heap_seq = itertools.count(1).__next__
-        self._poll_timers = 0  # _PHASE_POLL entries on the heap
+        self._poll_timers = 0  # poll-driven nodes' timers on the heap
         self._failed_node: Optional[str] = None
         self._stop_reason = "exhausted"
 
@@ -296,20 +297,14 @@ class GraphRunner:
         """Producers rank before consumers, in declaration order where that
         leaves a choice; a latch's control stream counts as feeding the gated
         stream's consumer, and a cycle is entered at its ``_cycle_head``."""
-        stream_defs = {sd.id: sd for sd in self.graph.streams}
-        gated_consumer = {}
+        consumer = {sd.id: sd.to_node for sd in self.graph.streams}
         for ld in self.graph.latches:
-            gated_def = stream_defs.get(ld.stream_id)
-            gated_consumer[ld.control_stream_id] = gated_def.to_node if gated_def else None
+            consumer[ld.control_stream_id] = consumer[ld.stream_id]
         order = [nd.id for nd in self.graph.nodes]
         deps: dict[str, set[str]] = {n: set() for n in order}
         for sd in self.graph.streams:
-            consumer = sd.to_node
-            if consumer is None:
-                consumer = gated_consumer.get(sd.id)
-            if consumer is not None and sd.from_node in deps and consumer in deps:
-                if consumer != sd.from_node:
-                    deps[consumer].add(sd.from_node)
+            if consumer[sd.id] != sd.from_node:
+                deps[consumer[sd.id]].add(sd.from_node)
         ranks: dict[str, int] = {}
         remaining = list(order)
         while remaining:
@@ -340,7 +335,9 @@ class GraphRunner:
         route = self._inputs.get((node_id, port))
         if route is None:
             raise KeyError(f"node {node_id!r} has no stream on input port {port!r}")
-        return self._pop_through_latch(route, self._now)
+        if route.latch is None:
+            return route.stream.pop(self._now)
+        return route.latch.pop(route.stream, route.control, self._now)
 
     def log_event(self, kind: str, **fields) -> None:
         entry = {"t_us": self._now, "kind": kind}
@@ -348,33 +345,6 @@ class GraphRunner:
         self.events.append(entry)
 
     # -- delivery ----------------------------------------------------------
-
-    def _drain_controls(self, gated: _Route, up_to_ts: Optional[int], now: int) -> None:
-        """Apply queued controls stamped no later than ``up_to_ts`` and ``now``;
-        the rest wait for the earlier-stamped data in front of them."""
-        latch = gated.latch
-        control = gated.control
-        limit = now if up_to_ts is None else min(now, up_to_ts)
-        while True:
-            ts = control.peek_timestamp()
-            if ts is None or ts > limit:
-                return
-            packet = control.pop(now)
-            latch.apply_control(packet.payload, packet.timestamp_us)
-
-    def _pop_through_latch(self, route: _Route, now: int) -> Optional[Packet]:
-        stream = route.stream
-        latch = route.latch
-        if latch is None:
-            return stream.pop(now)
-        # a control applies to data with later-or-equal timestamps only, so
-        # drain no further than the packet about to be popped
-        if route.control._q:
-            self._drain_controls(route, stream.peek_timestamp(), now)
-        packet = stream.pop(now)
-        if packet is None:
-            return None
-        return latch.forward(packet, now)
 
     def _node_failed(self, node: Node, exc: Exception) -> None:
         self._failed_node = node.id
@@ -413,10 +383,11 @@ class GraphRunner:
                 advance_to(t_us)
                 self._now = now = t_us
             if phase == _PHASE_DELIVERY:
-                if arg.latch is None:
+                latch = arg.latch
+                if latch is None:
                     packet = arg.stream.pop(now)
                 else:
-                    packet = self._pop_through_latch(arg, now)
+                    packet = latch.pop(arg.stream, arg.control, now)
                 if packet is not None:
                     dispatches[rank] += 1
                     node = arg.consumer
@@ -427,12 +398,12 @@ class GraphRunner:
                         break
             elif phase == _PHASE_CONTROL:
                 gated = arg.gated
-                self._drain_controls(gated, gated.stream.peek_timestamp(), now)
+                gated.latch.drain(gated.stream, gated.control, now)
             else:
-                if phase == _PHASE_POLL:
-                    self._poll_timers -= 1
                 dispatches[rank] += 1
                 ctx, tag = arg
+                if ctx._polled:
+                    self._poll_timers -= 1
                 node = ctx._node
                 try:
                     node.on_timer(tag, ctx)

@@ -13,7 +13,6 @@ from .nodes import (
 from .reference import reference_pipeline, report_to_json_str, run_scenario
 from .scenario import (
     Annotation,
-    ScenarioError,
     ScenarioScript,
     load_scenario,
     scenario_audio,
@@ -23,7 +22,6 @@ from .scenario import (
 __all__ = [
     "Annotation",
     "DeviceSample",
-    "ScenarioError",
     "ScenarioScript",
     "harness_kind_registry",
     "io_manager_route",

@@ -269,7 +269,7 @@ class SkillManagerNode(Node):
         elif isinstance(action, Prompt):
             ctx.emit("speech", action.prompt_text)
             session = self.manager.session
-            ctx.schedule(self.followup_timeout_us, tag=(session, session.reprompts_used))
+            ctx.schedule_at(ctx.now_us() + self.followup_timeout_us, tag=(session, session.reprompts_used))
         elif isinstance(action, Reject):
             ctx.log("reject", reason=action.reason.value, detail=action.detail)
             if action.reason.value == "session_aborted":

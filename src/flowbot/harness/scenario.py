@@ -17,10 +17,10 @@ A scenario document:
 ``interpreter_script`` holds ``(trigger_window_index, Interpretation)`` pairs.
 
 Values are read with :mod:`flowbot.flowcore.schema`, so a malformed one
-raises :class:`SchemaError` (alias ``ScenarioError``) whose ``path`` names
-its key, e.g. ``annotations[0].start_s``; other keys are ignored. The WAV
-file or synthetic spec is read when :func:`scenario_audio` produces the
-audio, and an annotation that ends beyond it is ``annotations[i].end_s``.
+raises :class:`SchemaError` whose ``path`` names its key, e.g.
+``annotations[0].start_s``; other keys are ignored. The WAV file or
+synthetic spec is read when :func:`scenario_audio` produces the audio, and
+an annotation that ends beyond it is ``annotations[i].end_s``.
 
 A WAV file's audio stays the int16 codes of its first channel, in a
 :class:`SampleChunk` with scale ``2**-15``; the nodes that copy it convert it
@@ -37,10 +37,6 @@ from ..dsp.audio import PCM16_SCALE, AudioBuffer, read_wav_pcm16
 from ..flowcore.aggregator import SampleChunk
 from ..flowcore.schema import SchemaError, check_value, get_value, read_document
 from ..skills.types import Interpretation, SkillError
-
-
-#: Scenario errors are schema errors: ``path`` names the key, ``reason`` says why.
-ScenarioError = SchemaError
 
 
 class Annotation(NamedTuple):

@@ -83,7 +83,7 @@ class WindowSource(Node):
         ctx.emit("out", AggWindow(self._sent, 10 * self._sent, 16_000, np.zeros(10)))
         self._sent += 1
         if self._sent < self.count:
-            ctx.schedule(1_000)
+            ctx.schedule_at(ctx.now_us() + 1_000)
 
 
 class BitRecorder(Node):

@@ -429,7 +429,7 @@ class TimerBomb(Node):
         self.ticks += 1
         if self.ticks == self.k:
             raise RuntimeError("tick failed")
-        ctx.schedule(1_000)
+        ctx.schedule_at(ctx.now_us() + 1_000)
 
 
 class EmitThenRaise(Node):

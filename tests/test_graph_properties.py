@@ -80,12 +80,30 @@ class ChunkSource(Node):
         ctx.emit("out", SampleChunk(np.full(160, self.amps[self._sent]), 16_000))
         self._sent += 1
         if self._sent < len(self.amps):
-            ctx.schedule(10_000)
+            ctx.schedule_at(ctx.now_us() + 10_000)
 
 
 class Relay(Node):
-    """Two optional inputs and two optional outputs, for wiring cycles; the
-    rank tests build it and never run it."""
+    """Two optional inputs and two optional outputs, for wiring cycles.
+
+    Its integer payloads are hop budgets. At ``start_us`` it sends ``hops``
+    on each of its wired ``outputs``; a packet it receives with a budget
+    left goes on to each of them with one hop spent, so every cycle of
+    relays comes to rest. A send of ``h`` hops is stamped
+    ``shifts_us[h % len(shifts_us)]`` after the time it answers (the
+    packet's timestamp, or ``start_us``): in the past, now or in the future,
+    so one stream may carry stamps out of order, and two sends that tie
+    are told apart by their order. Its ``fail_after``-th packet raises.
+    """
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.outputs = params.get("outputs", [])
+        self.shifts_us = params.get("shifts_us", [0])
+        self.hops = params.get("hops", 0)
+        self.start_us = params.get("start_us", 0)
+        self.fail_after = params.get("fail_after")
+        self._received = 0
 
     def input_ports(self):
         return {"in0": PortSpec(optional=True), "in1": PortSpec(optional=True)}
@@ -93,12 +111,31 @@ class Relay(Node):
     def output_ports(self):
         return {"o0": PortSpec(optional=True), "o1": PortSpec(optional=True)}
 
+    def start(self, ctx):
+        if self.hops and self.outputs:
+            ctx.schedule_at(self.start_us)
+
+    def on_timer(self, tag, ctx):
+        self.send(self.hops, self.start_us, ctx)
+
+    def on_packet(self, port, packet, ctx):
+        self._received += 1
+        if self._received == self.fail_after:
+            raise RuntimeError(f"{self.id} failed on purpose")
+        if packet.payload > 0:
+            self.send(packet.payload - 1, packet.timestamp_us, ctx)
+
+    def send(self, hops, t_us, ctx):
+        shift_us = self.shifts_us[hops % len(self.shifts_us)]
+        for port in self.outputs:
+            ctx.emit(port, hops, timestamp_us=t_us + shift_us)
+
 
 def kinds():
     registry = default_kind_registry()
     registry.register("scripted_bits", ScriptedBits)
     registry.register("chunks", ChunkSource)
-    registry.register("relay", lambda node_id, params, env: Relay(node_id))
+    registry.register("relay", Relay)
     return registry
 
 
@@ -188,7 +225,9 @@ def graphs(draw):
             control = "att"
         else:
             control = "bits"
-            times = draw(st.lists(st.integers(0, 60_000), min_size=1, max_size=6))
+            # some on the 500 us grid that sources and polls tick on, so ties happen
+            tick = st.integers(0, 120).map(lambda k: 500 * k)
+            times = draw(st.lists(st.one_of(st.integers(0, 60_000), tick), min_size=1, max_size=6))
             script = [(t, draw(st.integers(0, 1))) for t in times]
             nodes.append(NodeDef("bits", "scripted_bits", {"script": script}))
         streams.append(StreamDef("s_ctl", control, "bit", None, None, draw(policies)))
@@ -292,14 +331,16 @@ def test_streams_and_latches_are_given_a_time_that_never_decreases(wall_clock_gu
 @st.composite
 def graphs_with_cycles(draw):
     """A graph from ``graphs()`` plus up to five relays wired at random, so
-    they may form cycles and feed sinks, with every node's declaration order
-    shuffled."""
+    they may form cycles and feed sinks, and maybe one more relay spliced
+    into a stream of integers in front of its consumer, so a gated, lossy or
+    watched stream may carry packets stamped in the past or the future.
+    Every node's declaration order is shuffled."""
     graph, _ = draw(graphs())
-    relays = [f"relay{i}" for i in range(draw(st.integers(0, 5)))]
-    nodes = list(graph.nodes) + [NodeDef(r, "relay", {}) for r in relays]
-    streams = list(graph.streams)
+    kind_of = {nd.id: nd.kind for nd in graph.nodes}
+    nodes, streams = list(graph.nodes), list(graph.streams)
+    relays = {f"relay{i}": [] for i in range(draw(st.integers(0, 5)))}  # relay -> wired outputs
     free_inputs = [(r, port) for r in relays for port in ("in0", "in1")]
-    for r in relays:
+    for r, outputs in relays.items():
         for port in ("o0", "o1"):
             choice = draw(st.integers(0, len(free_inputs) + 1))
             if choice == len(free_inputs):  # unwired
@@ -310,7 +351,25 @@ def graphs_with_cycles(draw):
                 nodes.append(NodeDef(to_node, "sink", {}))
             else:
                 to_node, to_port = free_inputs.pop(choice)
-            streams.append(StreamDef(sid, r, port, to_node, to_port, LosslessPolicy(deadline_us=1_000)))
+            outputs.append(port)
+            streams.append(StreamDef(sid, r, port, to_node, to_port, draw(policies), watchdog=draw(watchdogs)))
+    ints = [i for i, sd in enumerate(streams) if kind_of.get(sd.to_node) in ("sink", "splitter")]
+    if ints and draw(st.booleans()):
+        i = draw(st.sampled_from(ints))
+        spliced = streams[i]
+        relays["relay_in"] = ["o0"]
+        streams[i] = spliced._replace(from_node="relay_in", from_port="o0")
+        streams.append(StreamDef("r_in", spliced.from_node, spliced.from_port, "relay_in", "in0",
+                                 draw(policies)))
+    fails = draw(st.sampled_from([None, None, None, 2, 5]))
+    for r, outputs in relays.items():
+        nodes.append(NodeDef(r, "relay", {
+            "outputs": outputs,
+            "shifts_us": draw(st.lists(st.sampled_from([-3_000, -1, 0, 1, 2_500]), min_size=1, max_size=3)),
+            "hops": draw(st.integers(0, 3)),
+            "start_us": draw(st.integers(0, 2).map(lambda k: 2_500 * k)),  # so sends tie
+            "fail_after": fails if r == "relay0" else None,
+        }))
     nodes = draw(st.permutations(nodes))
     return GraphDef(tuple(nodes), tuple(streams), graph.latches)
 

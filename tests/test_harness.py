@@ -24,7 +24,6 @@ from flowbot.flowcore import (
 from flowbot.harness import (
     Annotation,
     DeviceSample,
-    ScenarioError,
     io_manager_route,
     load_graph_config,
     load_scenario,
@@ -254,13 +253,13 @@ def test_synthetic_kinds():
     noise1 = synthesize_audio({"kind": "noise", "duration_s": 0.1}, seed=5)
     noise2 = synthesize_audio({"kind": "noise", "duration_s": 0.1}, seed=5)
     np.testing.assert_array_equal(noise1.samples, noise2.samples)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SchemaError):
         synthesize_audio({"kind": "theremin"})
 
 
 def test_annotation_beyond_audio_rejected():
     scenario = demo_scenario(annotations=[{"start_s": 3.9, "end_s": 4.5}])
-    with pytest.raises(ScenarioError):
+    with pytest.raises(SchemaError):
         scenario_audio(scenario)
 
 

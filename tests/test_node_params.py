@@ -63,6 +63,7 @@ BAD_VALUES = [
     ("aggregator", "window_samples", nan),
     ("aggregator", "window_samples", inf),
     ("aggregator", "window_samples", [16000]),
+    ("aggregator", "hop_samples", 20000),
     ("attention", "detector", {"kind": "nope"}),
     ("audio_source", "chunk_samples", "1600"),
     ("audio_source", "chunk_samples", 1600.5),

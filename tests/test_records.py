@@ -276,7 +276,7 @@ def test_log_mel_config_stays_a_cache_key():
         (lambda: WatchdogConfig(min_throughput_hz=1.0), StreamConfigError,
          "min_throughput_hz requires window_us"),
         (lambda: AggregatorConfig(10, 20, 16000), AggregatorConfigError,
-         "need 0 < hop_samples (20) <= window_samples (10)"),
+         "hop_samples: must be > 0 and <= window_samples (10), got 20"),
         (lambda: AggregatorConfig(10, 5, 0), AggregatorConfigError, "sample_rate_hz must be > 0"),
         (lambda: AudioBuffer(np.zeros((2, 2)), 16000), ValueError, "AudioBuffer holds mono 1-D samples"),
         (lambda: AudioBuffer([0.0], 0), ValueError, "sample_rate_hz must be > 0"),

@@ -1,13 +1,14 @@
 """Property test: scenario loading is total.
 
 Any JSON values under the scenario keys either load or raise
-``ScenarioError``; no other exception escapes. Loading only parses, so the
+``SchemaError``; no other exception escapes. Loading only parses, so the
 test never synthesises audio, whatever ``duration_s`` it draws.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from flowbot.harness import ScenarioError, load_scenario
+from flowbot.flowcore import SchemaError
+from flowbot.harness import load_scenario
 
 json_values = st.recursive(
     st.none()
@@ -71,5 +72,5 @@ scenario_docs = st.fixed_dictionaries(
 def test_load_scenario_returns_or_raises_scenario_error(doc):
     try:
         load_scenario(doc)
-    except ScenarioError:
+    except SchemaError:
         pass

@@ -27,6 +27,13 @@ def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+def cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python -m flowbot.harness.cli``, how an uninstalled tree runs the CLI."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "flowbot.harness.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
 def fresh_json(code: str, *args: str):
     done = fresh(code, *args)
     assert done.returncode == 0, done.stderr
@@ -69,12 +76,64 @@ def test_params_and_scan_work_in_fresh_interpreters():
 
 
 def test_the_cli_module_runs_as_a_script():
-    # how an uninstalled tree runs the CLI: python -m flowbot.harness.cli
-    env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-m", "flowbot.harness.cli", "validate"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = cli("validate")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("ok")
+
+
+def write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))  # JSON spells NaN
+    return str(path)
+
+
+def packaged(name: str):
+    with open(os.path.join(CONFIGS, name)) as f:
+        return json.load(f)
+
+
+def nan_latency_graph(tmp):
+    graph = packaged("reference_pipeline.json")
+    graph["streams"][2]["watchdog"]["max_latency_us"] = float("nan")
+    return write_json(tmp / "graph.json", graph)
+
+
+def backwards_annotation(tmp):
+    scenario = packaged("demo_scenario.json")
+    scenario["annotations"][0]["end_s"] = scenario["annotations"][0]["start_s"] - 0.5
+    return write_json(tmp / "scenario.json", scenario)
+
+
+def huge_audio(tmp):
+    # 1e13 s of 16 kHz audio is 1.1 EiB: it fails at allocation on any host
+    scenario = {"audio": {"synthetic": {"kind": "silence", "duration_s": 1e13}}, "time_limit_s": 1.0}
+    return write_json(tmp / "huge.json", scenario)
+
+
+DEMO = os.path.join(CONFIGS, "demo_scenario.json")
+SCENE = os.path.join(CONFIGS, "demo_scan_scene.json")
+BAD_INPUTS = {  # one bad input per subcommand, as argv built in a temporary directory
+    "scan-climb-nan": lambda tmp: ["scan", "--scene", SCENE, "--climb", "nan"],
+    "validate-nan-bound": lambda tmp: ["validate", "--graph", nan_latency_graph(tmp)],
+    "run-annotation-ends-first": lambda tmp: ["run", "--scenario", backwards_annotation(tmp)],
+    "run-huge-audio": lambda tmp: ["run", "--scenario", huge_audio(tmp)],
+    "run-report-dir-missing": lambda tmp: ["run", "--scenario", DEMO, "--report", str(tmp / "missing" / "r.json")],
+    "scan-out-dir-missing": lambda tmp: ["scan", "--scene", SCENE, "--out", str(tmp / "missing" / "o.csv")],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_a_bad_input_exits_2_without_a_traceback(tmp_path, argv):
+    done = cli(*argv(tmp_path))
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.strip(), "a bad input is named on stderr"
+
+
+def test_a_relative_path_that_begins_with_a_brace_validates(tmp_path):
+    # a relative path that begins with "{" is a file name, not JSON text
+    write_json(tmp_path / "{ref}.json", packaged("reference_pipeline.json"))
+    done = cli("validate", "--graph", "{ref}.json", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 RESOLVE_ALL = """
