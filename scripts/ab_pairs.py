@@ -5,18 +5,26 @@ Usage (from the repository root):
 
     python3 scripts/ab_pairs.py --parent HEAD --workloads kws_frontend_48k,speech_ref \\
         --seeds 3,1000 --pairs 10,5 --seconds 36 --out BENCH_21.json
+    python3 scripts/ab_pairs.py --parent HEAD --kernel scripts/kernels.py:aggregator_feed_600s
 
-The parent is checked out with ``git worktree add --detach`` in a temporary
-directory, and the change is a copy there of the working tree's files that
-git tracks or would track (uncommitted edits included, ignored files such as
-bytecode caches left out); both are removed on exit. So both sides start
-from source alike. The change's ``flowbench/`` replaces the parent's, so
+The parent is extracted with ``git archive`` into a temporary directory, and
+the change is a copy there of the working tree's files that git tracks or
+would track (uncommitted edits included, ignored files such as bytecode
+caches left out); both are removed on exit. So both sides start from source
+alike. The change's ``flowbench/`` replaces the parent's, so
 both sides are measured alike even when the change edits the benchmark.
 ``--pairs`` is one count for every seed or one per seed. For every workload
 and seed, odd pairs run the parent first and even pairs the change first,
 one run at a time. ``--append`` adds the runs to an existing record of the
 same parent and machine, numbering each workload and seed's pairs on from
 its last, and writes the summary of all of them.
+
+``--kernel FILE:FUNC`` times one kernel instead of flowbench. ``FUNC`` is a
+zero-argument function in ``FILE``, a file of the working tree that both
+sides load, and returns one timing in milliseconds, lower being better. Each
+run is a fresh interpreter with the parent's or the change's ``src`` first on
+``sys.path``, in the same alternating order, ``--pairs`` times (the first
+count). It prints every run, then one JSON summary row, and writes no record.
 
 The output is the schema every committed ``BENCH_<n>.json`` shares:
 ``machine`` (``measure.machine_info()``, as each run prints it),
@@ -59,6 +67,12 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def side_stats(values: list[float]) -> dict:
+    """The median, the inclusive quartiles and the count of one side's values."""
+    q1, q3 = quartiles(values)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
 def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[dict]:
     """One summary row per (workload, seed), in the order the runs first name them."""
     keys = list(dict.fromkeys((line["workload"], line["seed"]) for line in parent + change))
@@ -77,9 +91,7 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         for name, direction in better.items():
             entry = {"better": direction}
             for side in SIDES:
-                values = [runs[side][pair]["metrics"][name]["value"] for pair in pairs]
-                q1, q3 = quartiles(values)
-                entry[side] = {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+                entry[side] = side_stats([runs[side][pair]["metrics"][name]["value"] for pair in pairs])
             entry["median_ratio"] = entry["change"]["median"] / entry["parent"]["median"]
             sign = 1.0 if direction == "higher" else -1.0
             wins = sum(sign * (runs["change"][p]["metrics"][name]["value"]
@@ -103,6 +115,47 @@ def run_flowbench(tree: str, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+KERNEL_RUNNER = """
+import importlib.util, json, sys
+src, path, func = sys.argv[1:]
+sys.path.insert(0, src)
+spec = importlib.util.spec_from_file_location("kernel_file", path)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(json.dumps(float(getattr(module, func)())))
+"""
+
+
+def run_kernel(tree: str, path: str, func: str) -> float:
+    """One call of ``func`` from ``path`` in a fresh interpreter with ``tree``'s src first."""
+    done = subprocess.run(
+        [sys.executable, "-c", KERNEL_RUNNER, os.path.join(tree, "src"), path, func],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"kernel {path}:{func} failed in {tree}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def kernel_pairs(trees: dict[str, str], kernel: str, pairs: int) -> dict:
+    """Time ``FILE:FUNC`` in alternating pairs, printing each run; returns the summary row."""
+    path, _, func = kernel.rpartition(":")
+    path = os.path.abspath(path)
+    times = {side: [] for side in SIDES}
+    for pair in range(1, pairs + 1):
+        for side in SIDES if pair % 2 else SIDES[::-1]:
+            times[side].append(run_kernel(trees[side], path, func))
+            print(f"{kernel} pair {pair} {side}: {times[side][-1]:.3f} ms", flush=True)
+    wins = sum(change < parent for parent, change in zip(times["parent"], times["change"]))
+    return {
+        "kernel": kernel,
+        "unit": "ms",
+        **{side: side_stats(times[side]) for side in SIDES},
+        "median_ratio": statistics.median(times["change"]) / statistics.median(times["parent"]),
+        "change_wins": f"{wins}/{pairs}",
+    }
+
+
 def copy_change(into: str) -> str:
     """Copy the working tree's tracked and untracked, not ignored files under ``into``."""
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
@@ -116,14 +169,15 @@ def copy_change(into: str) -> str:
     return tree
 
 
-def parent_worktree(rev: str, into: str, change: str) -> tuple[str, str]:
-    """Check ``rev`` out detached under ``into`` with the change's flowbench;
-    returns the tree and the full commit id."""
+def parent_tree(rev: str, into: str, change: str) -> tuple[str, str]:
+    """Extract ``rev`` under ``into`` with the change's flowbench; returns the
+    tree and the full commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout.strip()
     tree = os.path.join(into, "parent")
-    subprocess.run(["git", "worktree", "add", "--detach", tree, commit], cwd=ROOT,
-                   capture_output=True, text=True, check=True)
+    os.makedirs(tree)
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, capture_output=True, check=True)
     shutil.rmtree(os.path.join(tree, "flowbench"))
     shutil.copytree(os.path.join(change, "flowbench"), os.path.join(tree, "flowbench"))
     return tree, commit
@@ -132,15 +186,22 @@ def parent_worktree(rev: str, into: str, change: str) -> tuple[str, str]:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
-    parser.add_argument("--workloads", required=True, help="comma-separated flowbench workloads")
+    parser.add_argument("--workloads", help="comma-separated flowbench workloads")
+    parser.add_argument("--kernel", help="FILE:FUNC, a timing function to pair instead of flowbench")
     parser.add_argument("--seeds", default="3,1000", help="comma-separated seeds")
     parser.add_argument("--pairs", default="10", help="pairs per seed: one count, or one per seed")
     parser.add_argument("--seconds", type=float, default=36.0, help="flowbench --seconds of each run")
     parser.add_argument("--claim", default="", help="the claim the record supports, as one sentence")
-    parser.add_argument("--out", required=True, help="where to write the record, e.g. BENCH_21.json")
+    parser.add_argument("--out", help="where to write the record, e.g. BENCH_21.json")
     parser.add_argument("--append", action="store_true", help="add the runs to the record at --out")
     args = parser.parse_args(argv)
-    args.workloads = args.workloads.split(",")
+    if not args.kernel and not (args.workloads and args.out):
+        parser.error("--workloads and --out are required without --kernel")
+    if args.kernel and ":" not in args.kernel:
+        parser.error("--kernel takes FILE:FUNC")
+    if args.kernel and (args.out or args.append):
+        parser.error("--kernel writes no record: drop --out and --append")
+    args.workloads = (args.workloads or "").split(",")
     args.seeds = [int(seed) for seed in args.seeds.split(",")]
     pairs = [int(count) for count in args.pairs.split(",")]
     if len(pairs) == 1:
@@ -162,10 +223,13 @@ def main(argv=None) -> int:
     workdir = tempfile.mkdtemp(prefix="ab_pairs-")
     try:
         change_tree = copy_change(workdir)
-        parent_tree, commit = parent_worktree(args.parent, workdir, change_tree)
+        parent, commit = parent_tree(args.parent, workdir, change_tree)
+        trees = {"parent": parent, "change": change_tree}
+        if args.kernel:
+            print(json.dumps(kernel_pairs(trees, args.kernel, args.pairs[args.seeds[0]])))
+            return 0
         if args.append and commit != record["parent_commit"]:
             raise SystemExit(f"{args.out} measured parent {record['parent_commit']}, not {commit}")
-        trees = {"parent": parent_tree, "change": change_tree}
         for workload in args.workloads:
             for seed in args.seeds:
                 done = max((line["pair"] for line in lines["parent"]
@@ -178,9 +242,6 @@ def main(argv=None) -> int:
                         print(f"{workload} seed {seed} pair {pair} {side}: correct {result['correct']}",
                               file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", os.path.join(workdir, "parent")],
-                       cwd=ROOT, capture_output=True, check=False)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True, check=False)
         shutil.rmtree(workdir, ignore_errors=True)
     if any(machine != machines[0] for machine in machines):
         raise SystemExit(f"the runs name different machines: {machines}")

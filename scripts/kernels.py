@@ -1,0 +1,48 @@
+"""Timing kernels for ``scripts/ab_pairs.py --kernel scripts/kernels.py:FUNC``.
+
+Each function takes no argument, imports ``flowbot`` from the ``src`` that is
+first on ``sys.path``, and returns one timing in milliseconds: lower is better.
+
+    python3 scripts/ab_pairs.py --parent HEAD --kernel scripts/kernels.py:aggregator_feed_600s
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+
+import numpy as np
+
+REPEATS = 5  # timed feeds per call, after one untimed warm-up feed
+
+
+def _median_feed_ms(chunks: list[np.ndarray], scale: float, read_samples: bool) -> float:
+    """Median milliseconds to feed ``chunks`` to a 1 s / 250 ms aggregator at
+    16 kHz, reading each window's ``samples`` or only its ``span_s``."""
+    from flowbot.flowcore import Aggregator, AggregatorConfig
+
+    times = []
+    for _ in range(REPEATS + 1):
+        agg = Aggregator(AggregatorConfig(16000, 4000, 16000))
+        t0 = time.perf_counter()
+        for chunk in chunks:
+            for window in agg.feed(chunk, 16000, scale):
+                window.samples if read_samples else window.span_s
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:]) * 1e3
+
+
+def aggregator_feed_600s() -> float:
+    """600 s of seeded int16 codes in 1600-sample chunks at scale ``2**-15``,
+    reading each window's span, as ``speech_ref``'s scripted detector does."""
+    codes = np.random.default_rng(3).integers(-32768, 32768, 600 * 16000, dtype=np.int16)
+    return _median_feed_ms([codes[i : i + 1600] for i in range(0, len(codes), 1600)], 2.0**-15, False)
+
+
+def aggregator_read_float64_600s() -> float:
+    """600 s of seeded float64 samples in the resampler's 533- and 534-sample
+    chunks at scale 1.0, reading each window's samples, as
+    ``kws_frontend_48k``'s log-mel detector does."""
+    x = np.random.default_rng(3).standard_normal(600 * 16000)
+    ends = np.cumsum([533 + (k % 3 == 0) for k in range(len(x) // 533)])
+    return _median_feed_ms(np.split(x, ends[ends < len(x)]), 1.0, True)

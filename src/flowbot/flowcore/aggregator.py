@@ -4,26 +4,32 @@ Windows of ``window_samples`` are emitted at every multiple of
 ``hop_samples``; feeding the same samples in any chunking yields the same
 windows as one batch feed.
 
-Samples live in one float64 buffer between a start and an end index. A
-chunk is copied in place at the end; a window is copied out of
-``[start, start + window)`` exactly once, so every window owns its samples,
-and emitting it advances start by a hop. Only when the next chunk would not
-fit past the end are the pending samples (fewer than one window) moved: to
-the front, or, when they and the chunk would fill more than half the
-buffer, into a new buffer twice their size. Either way a move of P samples
-leaves room for P more plus the chunk, so feeding costs at most one sample
-moved per sample fed, instead of the whole buffer being re-joined for every
-chunk, and the buffer is at most twice the largest pending samples plus
-chunk that it has had to hold.
+Samples live in one buffer between a start and an end index, as the raw
+samples of the chunks: the buffer has the dtype of the first chunk (int16
+codes for a WAV file, float64 for synthetic or resampled audio), and a chunk
+of another dtype raises :class:`AggregatorConfigError`. A chunk is copied in
+at the end; a window is a read-only view of ``[start, start + window)``, not
+a copy, and emitting it advances start by a hop.
 
-A chunk's float values are ``samples * scale``. The buffer holds the raw
-samples, cast to float64 by the slice assignment that copies the chunk in,
-and the scale is applied in the window copy-out. So a chunk of int16 PCM
-codes with scale ``2**-15`` is never decoded as a whole: every int16 is
-exact in float64 and ``2**-15`` is a power of two, so each window equals,
-bit for bit, the same window cut from the decoded audio. An aggregator
-holds the one scale of its first chunk; a chunk with another scale, like
-one with another rate, raises :class:`AggregatorConfigError`.
+Buffers are written once. A chunk is only ever copied past the end, beyond
+every window emitted so far, and when the next chunk would not fit, the
+pending samples (fewer than one window) are moved into a new buffer of
+``max(2 * (pending + chunk), len(old))`` samples, never to the front of the
+old one. So no sample a window can see is written again, and every window
+emitted stays as it was. A move of P samples leaves room for P more plus the
+chunk, so feeding costs at most one sample moved per sample fed, and a
+buffer is at most twice the largest pending samples plus chunk that it has
+had to hold.
+
+A chunk's float values are ``samples * scale``. A window keeps its raw view
+and the scale, and :attr:`AggWindow.samples` multiplies them in float64 each
+time it is read; a window whose samples nobody reads costs one view. So a
+chunk of int16 PCM codes with scale ``2**-15`` is never decoded as a whole:
+every int16 is exact in float64 and ``2**-15`` is a power of two, so each
+window's samples equal, bit for bit, the same window cut from the decoded
+audio. An aggregator holds the one scale and dtype of its first accepted
+chunk; a chunk with another scale or dtype, like one with another rate,
+raises :class:`AggregatorConfigError`, and a rejected chunk changes nothing.
 """
 
 from __future__ import annotations
@@ -66,28 +72,37 @@ class SampleChunk(NamedTuple):
 
 class AggWindow(NamedTuple):
     """One complete window: the ``index``-th emission, starting at sample
-    ``start_sample``, which is ``index * hop_samples``."""
+    ``start_sample``, which is ``index * hop_samples``. ``raw`` holds the
+    window's samples as fed, read-only, and their float values are
+    ``raw * scale``."""
 
     index: int
     start_sample: int
     sample_rate_hz: int
-    samples: np.ndarray
+    raw: np.ndarray
+    scale: float = 1.0
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The window's float values, ``raw * scale`` in float64: a new array on every read."""
+        return np.multiply(self.raw, self.scale, dtype=np.float64)
 
     @property
     def span_s(self) -> tuple[float, float]:
         """Half-open [start, end) span of the window in seconds of sample time."""
         start = self.start_sample / self.sample_rate_hz
-        return (start, start + len(self.samples) / self.sample_rate_hz)
+        return (start, start + len(self.raw) / self.sample_rate_hz)
 
 
 class Aggregator:
     def __init__(self, config: AggregatorConfig):
         self.config = config
         self.emitted = 0
-        self._buf = np.zeros(0, dtype=np.float64)
+        self._buf = self._view = np.empty(0)
         self._start = 0
         self._end = 0
         self._scale = None
+        self._dtype = None  # both fixed by the first accepted chunk
 
     def feed(self, samples, sample_rate_hz: int | None = None, scale: float = 1.0) -> list[AggWindow]:
         """Append samples, whose float values are ``samples * scale``, and
@@ -97,19 +112,27 @@ class Aggregator:
                 f"sample rate {sample_rate_hz} does not match "
                 f"configured {self.config.sample_rate_hz}"
             )
-        if scale != self._scale:
-            if self._scale is not None:
-                raise AggregatorConfigError(
-                    f"sample scale {scale!r} does not match earlier chunks' {self._scale!r}"
-                )
-            self._scale = scale
         samples = np.asarray(samples)
         if samples.ndim != 1:
             raise AggregatorConfigError("aggregator expects mono 1-D samples")
+        if self._dtype is None:
+            if samples.dtype.kind not in "iuf":
+                raise AggregatorConfigError(
+                    f"aggregator expects integer or floating samples, got {samples.dtype}"
+                )
+            self._scale, self._dtype = scale, samples.dtype
+        elif scale != self._scale:
+            raise AggregatorConfigError(
+                f"sample scale {scale!r} does not match earlier chunks' {self._scale!r}"
+            )
+        elif samples.dtype != self._dtype:
+            raise AggregatorConfigError(
+                f"sample dtype {samples.dtype} does not match earlier chunks' {self._dtype}"
+            )
         n = len(samples)
         if self._end + n > len(self._buf):
             self._make_room(n)
-        self._buf[self._end : self._end + n] = samples  # casts to float64 exactly
+        self._buf[self._end : self._end + n] = samples
         self._end += n
         window, hop = self.config.window_samples, self.config.hop_samples
         out: list[AggWindow] = []
@@ -117,20 +140,20 @@ class Aggregator:
             # built by position: this runs once per window
             out.append(AggWindow(
                 self.emitted, self.emitted * hop, self.config.sample_rate_hz,
-                self._buf[self._start : self._start + window] * scale,
+                self._view[self._start : self._start + window], scale,
             ))
             self.emitted += 1
             self._start += hop
         return out
 
     def _make_room(self, n: int) -> None:
-        """Move the pending samples to the front of a buffer with room for ``n`` more."""
+        """Move the pending samples into a new buffer with room for ``n`` more;
+        the old buffer, which windows may still view, is not written again."""
         pending = self._end - self._start
-        if 2 * (pending + n) > len(self._buf):
-            buf = np.empty(2 * (pending + n), dtype=np.float64)
-        else:
-            buf = self._buf
+        buf = np.empty(max(2 * (pending + n), len(self._buf)), dtype=self._dtype)
         buf[:pending] = self._buf[self._start : self._end]
+        self._view = buf.view()
+        self._view.flags.writeable = False
         self._buf, self._start, self._end = buf, 0, pending
 
     def pending(self) -> int:

@@ -558,9 +558,9 @@ class SplitterNode(Node):
 
 class AggregatorNode(Node):
     """Graph wrapper over :class:`Aggregator`: its ``in`` port takes
-    :class:`SampleChunk` payloads, whose rate it checks and whose scale it
-    applies in each window copy, and its ``windows`` port emits
-    :class:`AggWindow` payloads."""
+    :class:`SampleChunk` payloads, whose rate it checks and whose scale each
+    window carries, and its ``windows`` port emits :class:`AggWindow`
+    payloads, read-only views of the raw samples."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)

@@ -10,8 +10,9 @@ bad value fails the build with an error that starts with its key, e.g.
 
 Audio moves as :class:`SampleChunk` views of the scenario's samples, each
 with the scale that turns them into floats: a WAV file's int16 codes carry
-``2**-15``. No node here decodes them; the aggregator and the resampler
-apply the scale in the copies they already make.
+``2**-15``. No node here decodes them: the resampler applies the scale in
+the copy it already makes, and the aggregator's windows apply it when their
+samples are read.
 
 The skill_manager node dispatches through the build environment's
 ``skill_registry``, or through a fresh registry of the demo skills when the
@@ -67,7 +68,7 @@ class AudioSourceNode(Node):
     The build environment's ``audio`` is a :class:`SampleChunk`, as
     :func:`~flowbot.harness.scenario.scenario_audio` returns it. Each chunk
     emitted is a view of its samples with the audio's scale, so WAV audio
-    stays int16 codes until a consumer copies it.
+    stays int16 codes until a consumer scales it.
     """
 
     def __init__(self, node_id: str, params: dict, env: dict):

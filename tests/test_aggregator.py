@@ -1,10 +1,11 @@
-"""Window slicing: counts, offsets, and chunking-invariance."""
+"""Window slicing: counts, offsets, chunking-invariance, and windows as
+read-only views of the raw samples, scaled when read."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from flowbot.flowcore import Aggregator, AggregatorConfig, AggregatorConfigError
+from flowbot.flowcore import AggWindow, Aggregator, AggregatorConfig, AggregatorConfigError
 
 
 def oracle_window_starts(n, window, hop):
@@ -165,9 +166,111 @@ def test_returned_windows_never_change(window, hop_frac, chunks):
     samples = np.arange(sum(chunks), dtype=float)
     for size in chunks:
         for w in agg.feed(samples[offset : offset + size]):
-            returned.append((w, w.samples.copy()))
+            returned.append((w, w.raw.copy(), w.samples))
         offset += size
-    # later feeds wrote over, moved and regrew the buffer; each window owns its samples
-    for w, snapshot in returned:
-        assert w.samples.base is None
-        np.testing.assert_array_equal(w.samples, snapshot)
+    # later feeds moved the pending samples into new buffers; no window's view was written
+    for w, raw, values in returned:
+        np.testing.assert_array_equal(w.raw, raw)
+        np.testing.assert_array_equal(w.samples, values)
+
+
+def test_windows_emitted_before_compaction_and_growth_keep_their_samples():
+    cfg = AggregatorConfig(window_samples=8, hop_samples=3, sample_rate_hz=10)
+    codes = np.arange(-300, 300, dtype=np.int16) * 97
+    agg, returned, offset = Aggregator(cfg), [], 0
+    # the large chunks make the buffer grow; the small ones compact it into new ones of a size
+    for size in [5, 9, 1, 1, 30] + [4] * 30 + [100, 3, 3] + [2] * 100:
+        for w in agg.feed(codes[offset : offset + size], 10, 2.0**-15):
+            returned.append((w, w.raw.copy()))
+        offset += size
+    buffers = list({id(w.raw.base): len(w.raw.base) for w, _ in returned}.values())
+    assert buffers == sorted(buffers) and len(set(buffers)) >= 3 and len(set(buffers)) < len(buffers)
+    decoded = codes[:offset] / 32768.0
+    for w, raw in returned:
+        assert w.raw.dtype == np.int16
+        np.testing.assert_array_equal(w.raw, raw)
+        assert w.samples.tobytes() == decoded[w.start_sample : w.start_sample + 8].tobytes()
+
+
+def test_a_rejected_chunk_changes_nothing():
+    cfg = AggregatorConfig(window_samples=6, hop_samples=2, sample_rate_hz=10)
+    agg = Aggregator(cfg)
+    with pytest.raises(AggregatorConfigError, match="mono 1-D"):
+        agg.feed(np.zeros((2, 3)), 10, 0.5)
+    with pytest.raises(AggregatorConfigError, match="integer or floating"):
+        agg.feed(np.array(["a", "b"]), 10, 0.25)
+    with pytest.raises(AggregatorConfigError, match="sample rate"):
+        agg.feed(np.zeros(4, np.int16), 16000, 2.0**-15)
+    # no chunk was accepted, so the first accepted one fixes scale and dtype
+    assert agg.feed(np.arange(4.0), 10, 1.0) == []
+    with pytest.raises(AggregatorConfigError, match="dtype int16 does not match earlier chunks' float64"):
+        agg.feed(np.arange(4, dtype=np.int16), 10, 1.0)
+    with pytest.raises(AggregatorConfigError, match="scale"):
+        agg.feed(np.arange(4.0), 10, 0.5)
+    assert agg.pending() == 4
+    (w,) = agg.feed(np.arange(4.0, 6.0), 10, 1.0)
+    assert w.samples.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+@pytest.mark.parametrize(
+    "first", [np.array([1 + 2j, 3j]), np.array(["a", "b"]), np.array([None, 1], dtype=object)],
+    ids=["complex", "string", "object"],
+)
+def test_a_first_chunk_neither_integer_nor_floating_is_config_error(first):
+    with pytest.raises(AggregatorConfigError, match="integer or floating"):
+        Aggregator(CFG_1S_250MS).feed(first)
+
+
+def test_a_window_is_a_read_only_view_and_its_samples_a_fresh_array():
+    cfg = AggregatorConfig(window_samples=4, hop_samples=2, sample_rate_hz=10)
+    (w,) = Aggregator(cfg).feed(np.array([1, -2, 3, -4], np.int16), 10, 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        w.raw[0] = 7
+    first, second = w.samples, w.samples
+    assert first is not second and first.flags.writeable and first.dtype == np.float64
+    assert not np.shares_memory(first, w.raw)
+    first[:] = 0.0
+    assert w.samples.tolist() == [0.5, -1.0, 1.5, -2.0] == second.tolist()
+
+
+def test_span_s_never_reads_the_samples():
+    # void samples cannot be scaled, so a span that built them would raise
+    w = AggWindow(0, 8, 4, np.zeros(6, dtype="V1"))
+    with pytest.raises(TypeError):
+        w.samples
+    assert w.span_s == (2.0, 3.5)
+
+
+# name -> (elements, the dtype np.asarray gives them, scale, whether chunks are fed as lists)
+RAW_KINDS = {
+    "int16 at 2**-15": (st.integers(-32768, 32767), np.int16, 2.0**-15, False),
+    "float64 at 1.0": (st.floats() | st.sampled_from([-0.0, float("nan")]), np.float64, 1.0, False),
+    "float32 at 0.3": (st.floats(width=32), np.float32, 0.3, False),
+    "int64 lists at 0.001": (st.integers(-(2**62), 2**62), np.int64, 0.001, True),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(RAW_KINDS)),
+    data=st.data(),
+    window=st.integers(1, 40),
+    hop_frac=st.integers(1, 40),
+    chunks=st.lists(st.integers(1, 70), min_size=1, max_size=12),
+)
+def test_window_samples_are_the_scaled_raw_samples_bit_for_bit(kind, data, window, hop_frac, chunks):
+    elements, dtype, scale, as_lists = RAW_KINDS[kind]
+    hop = min(hop_frac, window)
+    cfg = AggregatorConfig(window_samples=window, hop_samples=hop, sample_rate_hz=100)
+    values = data.draw(st.lists(elements, min_size=sum(chunks), max_size=sum(chunks)))
+    raw = np.array(values, dtype=dtype)
+    agg, windows, offset = Aggregator(cfg), [], 0
+    for size in chunks:
+        chunk = values[offset : offset + size] if as_lists else raw[offset : offset + size]
+        windows.extend(agg.feed(chunk, 100, scale))
+        offset += size
+    # the oracle scales all the raw samples at once; float32 * 0.3 would stay float32 without dtype
+    want = np.multiply(raw, scale, dtype=np.float64)
+    assert [w.start_sample for w in windows] == oracle_window_starts(len(raw), window, hop)
+    for w in windows:
+        assert w.raw.dtype == dtype and w.scale == scale
+        assert w.samples.tobytes() == want[w.start_sample : w.start_sample + window].tobytes()

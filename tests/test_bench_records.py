@@ -1,10 +1,13 @@
 """The committed benchmark records: every ``BENCH_*.json`` summary follows from
-its own result lines by the rule ``scripts/ab_pairs.py`` writes it with."""
+its own result lines by the rule ``scripts/ab_pairs.py`` writes it with; and
+that script's ``--kernel`` pairs."""
 
 import glob
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,42 @@ def test_pairs_take_one_count_or_one_per_seed():
     assert ab_pairs.parse_args(common + ["--seeds", "3,1000", "--pairs", "10,5"]).pairs == {3: 10, 1000: 5}
     with pytest.raises(SystemExit):
         ab_pairs.parse_args(common + ["--seeds", "3,1000", "--pairs", "10,5,2"])
+
+
+def test_kernel_mode_needs_no_workloads_and_the_flowbench_mode_needs_them():
+    assert ab_pairs.parse_args(["--parent", "HEAD", "--kernel", "k.py:f"]).kernel == "k.py:f"
+    for argv in (["--workloads", "speech_ref"], ["--out", "x.json"], ["--kernel", "k.py"],
+                 ["--kernel", "k.py:f", "--out", "x.json"]):
+        with pytest.raises(SystemExit):
+            ab_pairs.parse_args(["--parent", "HEAD", *argv])
+
+
+TOY_KERNEL = '''
+def which_src():
+    import flowbot
+    return 1.0 if "parent" in flowbot.__file__ else 2.0
+'''
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode != 0,
+    reason="--parent HEAD needs a git checkout",
+)
+def test_kernel_pairs_run_each_side_on_its_own_src_and_print_one_summary(tmp_path):
+    toy = tmp_path / "toy.py"
+    toy.write_text(TOY_KERNEL)
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "ab_pairs.py"), "--parent", "HEAD",
+         "--kernel", f"{toy}:which_src", "--pairs", "2"],
+        cwd=ROOT, capture_output=True, text=True, check=True, env={**os.environ, "TMPDIR": str(tmp_path)},
+    )
+    *runs, last = done.stdout.strip().splitlines()
+    assert [run.split(": ")[0].rsplit(" ", 3)[1:] for run in runs] == [
+        ["pair", "1", "parent"], ["pair", "1", "change"], ["pair", "2", "change"], ["pair", "2", "parent"],
+    ]
+    summary = json.loads(last)
+    assert set(summary) == {"kernel", "unit", "parent", "change", "median_ratio", "change_wins"}
+    assert summary["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "n": 2}
+    assert summary["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 2}
+    assert summary["change_wins"] == "0/2" and summary["median_ratio"] == 2.0
+    assert [p.name for p in tmp_path.iterdir()] == ["toy.py"]  # both trees were removed

@@ -96,7 +96,7 @@ CASES = [
     (LosslessPolicy, (100,), {}, True),
     (AggregatorConfig, (16000, 4000, 16000), {}, True),
     (SampleChunk, (SAMPLES, 16000), {"scale": 1.0}, True),
-    (AggWindow, (2, 8000, 16000, SAMPLES), {}, True),
+    (AggWindow, (2, 8000, 16000, SAMPLES), {"scale": 1.0}, True),
     (NodeDef, ("mic", "audio_source"), {"params": {}}, True),
     (
         StreamDef,
