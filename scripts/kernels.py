@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-REPEATS = 5  # timed feeds per call, after one untimed warm-up feed
+REPEATS = 5  # timed passes per call, after one untimed warm-up pass
 
 
 def _median_feed_ms(chunks: list[np.ndarray], scale: float, read_samples: bool) -> float:
@@ -46,3 +46,20 @@ def aggregator_read_float64_600s() -> float:
     x = np.random.default_rng(3).standard_normal(600 * 16000)
     ends = np.cumsum([533 + (k % 3 == 0) for k in range(len(x) // 533)])
     return _median_feed_ms(np.split(x, ends[ends < len(x)]), 1.0, True)
+
+
+def logmel_sliding_60s() -> float:
+    """60 s of seeded noise through the default ``logmel`` in 1 s windows at
+    250 ms hops, each window a fresh float64 array as ``AggWindow.samples``
+    gives: 73 of each window's 98 frames were in the window before."""
+    from flowbot.dsp import logmel
+
+    audio = np.random.default_rng(3).standard_normal(60 * 16000)
+    starts = range(0, len(audio) - 16000 + 1, 4000)
+    times = []
+    for _ in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        for start in starts:
+            logmel(np.multiply(audio[start : start + 16000], 1.0))
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:]) * 1e3

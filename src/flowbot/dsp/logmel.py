@@ -8,54 +8,57 @@ default configuration (25 ms frame, 10 ms hop, 512-point FFT, 40 bands,
 Frames are batched: a strided view of the input holds every frame, and each
 step is one call over a block of rows. A call allocates only its outputs, the
 (frames, n_mels) matrix and the frame times, and the two copies it remembers
-(see below). The windowed frames, their spectrum and their power go to a
-workspace that calls reuse: windowed frames are written into a zero-padded
-(rows, fft_size) buffer, ``rfft`` writes into a reused spectrum, and the
-power is ``re * re + im * im``: one in-place square of the spectrum's
-float64 view, then one add of each (re, im) pair.
+(see below). The windowed frames, their spectrum, their power and their
+filterbank product go to a workspace that calls reuse: windowed frames are
+written into a zero-padded (rows, fft_size) buffer, ``rfft`` writes into a
+reused spectrum, and the power is ``re * re + im * im``: one in-place square
+of the spectrum's float64 view, then one add of each (re, im) pair.
 Workspaces sit on a module-level free list: a call pops one (or makes one)
 and pushes it back when it returns, so a nested or concurrent call never
 shares one. A workspace holds ``_BLOCK_FRAMES`` frames (about 1.3 MB at the
 default configuration), and a longer input goes through it block by block,
 so the memory held does not grow with the input.
 
-An input of one block or less (a 1 s window is 98 frames) is computed bit
-for bit as by the unbuffered formula ``log(max((|rfft(frame * window,
-fft_size)|^2) @ fbank.T, floor))``: each step is the same elementwise
-operation, FFT or matrix product, only written into a buffer that already
-exists. A longer input runs the filterbank product once per block, which
-stays within 1e-12 of the per-frame result.
+Every filterbank product has ``_PRODUCT_ROWS`` rows: a block's power rows
+go through it 32 at a time, and the last product is padded with zero rows.
+BLAS picks its kernel by the matrix size, and kernels sum in different
+orders: numpy sends a one-row product to gemv, and OpenBLAS 0.3.31 sends a
+product of at most 10**6 multiplications to a small-matrix kernel, which
+sums in another order than the large one at some sizes. With one row count
+for every product, a row's output has the same bits whatever rows surround
+it, at any offset in the product. So every input, of any length, is
+computed bit for bit as by the formula ``log(max(P @ fbank.T, floor))``,
+where ``P`` is ``|rfft(frame * window, fft_size)|^2`` cut into zero-padded
+32-row products, and it stays within 1e-12 of a per-frame loop. Against an
+unpadded product of all rows, the bits differ only where that product took
+another kernel: at the default configuration, a one-frame input (gemv); at
+a 1024-point FFT (513 bins), inputs of 82 frames or more (the large
+kernel). A 32-row product also takes OpenBLAS's small-matrix path, which
+allocates no buffer, so a warm call takes no page faults with one BLAS
+thread too.
 
 Frames are shared between calls. A keyword spotter slides a 1 s window by
-250 ms, so 73 of a window's 98 frames were transformed for the window
-before. ``logmel`` remembers its last call of one block or less: the
-config, a private copy of the input and a private copy of the power
-spectra (the rows before the filterbank). When the next call has an equal
-config, it looks for a shift ``k`` such that the new input's first ``m``
-frames are, bit for bit, frames ``k .. k+m-1`` of the remembered input.
-The candidates are the remembered frame starts whose first sample is the
-new input's first sample; each is confirmed by comparing the overlapping
-samples as ``uint64`` bit patterns, so ``-0.0`` and ``+0.0`` never pass for
-each other. The ``m`` power rows are copied and only the remaining frames
-are windowed and transformed. Any miss computes the whole input, so the
-input never has to slide for the result to be right.
-
-The shared rows stop before the filterbank because the window, ``rfft``
-and the power give each row the same bits whatever rows surround it, and
-the filterbank product does not: BLAS picks its kernel by the matrix
-size, and kernels sum in different orders. numpy sends a one-row product
-to gemv, and OpenBLAS 0.3.31 a product of at most 10**6 multiplications to
-a small-matrix kernel, which sums in another order than the large one at
-some sizes (the 513 bins of a 1024-point FFT, for one). So the product,
-the floor and the log always run over all rows, as in the formula above,
-and an input of one block or less stays bit for bit the formula's whatever
-the calls before it.
+250 ms, so 73 of a window's 98 frames were computed for the window before.
+``logmel`` remembers its last call of one block or less: the config, a
+private copy of the input and a private copy of its output rows (the
+logged filterbank energies). When the next call has an equal config, it
+looks for a shift ``k`` such that the new input's first ``m`` frames are,
+bit for bit, frames ``k .. k+m-1`` of the remembered input. The candidates
+are the remembered frame starts whose first sample is the new input's first
+sample; each is confirmed by comparing the overlapping samples as
+``uint64`` bit patterns, so ``-0.0`` and ``+0.0`` never pass for each
+other. The ``m`` output rows are copied, and the window, ``rfft``, power,
+product, floor and log run only over the remaining frames: a 250 ms slide
+computes 25 rows, not 98. Since a row's bits depend on that row alone, the
+result is the formula's whatever the calls before it. Any miss computes the
+whole input, so the input never has to slide for the result to be right.
 
 The memo is one tuple of arrays that are never written after it is
 stored, and a call replaces it in one assignment. A nested or concurrent
 call therefore sees either the old memo or the new one, never a half
-written one. It holds one block of input and power, about 430 KB at the
-default configuration.
+written one. It holds at most one block of input and output rows; for a
+1 s window at the default configuration, about 160 KB (128 KB of input and
+31 KB of output rows).
 
 The window and the filterbank are built once per :class:`LogMelConfig` and
 shared read-only.
@@ -74,6 +77,15 @@ from .audio import AudioBuffer
 
 class LogMelError(ValueError):
     pass
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1; a bool, a float or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise LogMelError(f"{name} must be an integer, got {value!r:.40}")
+    if value < 1:
+        raise LogMelError(f"{name} must be >= 1")
+    return int(value)
 
 
 class LogMelConfig(FrozenRecord):
@@ -95,14 +107,14 @@ class LogMelConfig(FrozenRecord):
         log_floor: float = 1e-10,
         sample_rate_hz: int = 16000,
     ):
+        n_mels = _count("n_mels", n_mels)
+        frame_len_samples = _count("frame_len_samples", frame_len_samples)
+        hop_samples = _count("hop_samples", hop_samples)
+        fft_size = _count("fft_size", fft_size)
         if not (0 <= fmin_hz < fmax_hz <= sample_rate_hz / 2):
             raise LogMelError("need 0 <= fmin < fmax <= sample_rate/2")
         if fft_size < frame_len_samples:
             raise LogMelError("fft_size must be >= frame_len_samples")
-        if n_mels < 1:
-            raise LogMelError("n_mels must be >= 1")
-        if hop_samples < 1:
-            raise LogMelError("hop_samples must be >= 1")
         if log_floor <= 0:
             raise LogMelError("log_floor must be > 0")
         self._init(
@@ -159,24 +171,32 @@ def _tables(config: LogMelConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Frames per workspace block: a longer input goes through the workspace in
-# blocks of this many rows.
+# blocks of this many rows. A multiple of _PRODUCT_ROWS.
 _BLOCK_FRAMES = 128
 
-# Workspaces not in use, each (frame_len, fft_size, padded, spectrum, power).
+# Rows of every filterbank product: the last product of a call is padded with
+# zero rows, so BLAS always picks the same kernel and a row's output bits
+# depend on that row alone.
+_PRODUCT_ROWS = 32
+
+# Workspaces not in use, each ((frame_len, fft_size, n_mels), padded,
+# spectrum, power, product).
 _FREE_WORKSPACES: list = []
 
-# The last call of one block or less, as (config, samples, power): private
+# The last call of one block or less, as (config, samples, matrix): private
 # copies, never written once stored.
 _MEMO = None
 
 
-def _new_workspace(frame_len: int, fft_size: int) -> tuple:
+def _new_workspace(key: tuple[int, int, int]) -> tuple:
+    _, fft_size, n_mels = key
     n_bins = fft_size // 2 + 1
     # columns past frame_len are never written, so they stay the zero padding
     padded = np.zeros((_BLOCK_FRAMES, fft_size))
     spectrum = np.empty((_BLOCK_FRAMES, n_bins), dtype=np.complex128)
     power = np.empty((_BLOCK_FRAMES, n_bins))
-    return frame_len, fft_size, padded, spectrum, power
+    product = np.empty((_BLOCK_FRAMES, n_mels))
+    return key, padded, spectrum, power, product
 
 
 def _shared_rows(memo, config: LogMelConfig, x: np.ndarray, n_frames: int) -> tuple[int, int]:
@@ -185,8 +205,8 @@ def _shared_rows(memo, config: LogMelConfig, x: np.ndarray, n_frames: int) -> tu
     shared."""
     if memo is None or memo[0] != config:
         return 0, 0
-    _, memo_x, memo_power = memo
-    memo_frames = len(memo_power)
+    _, memo_x, memo_matrix = memo
+    memo_frames = len(memo_matrix)
     hop, frame_len = config.hop_samples, config.frame_len_samples
     bits, memo_bits = x.view(np.uint64), memo_x.view(np.uint64)
     starts = memo_bits[: (memo_frames - 1) * hop + 1 : hop]
@@ -229,30 +249,37 @@ def logmel(samples, config: LogMelConfig = LogMelConfig()) -> LogMelFeature:
     one_block = n_frames <= _BLOCK_FRAMES
     memo = _MEMO
     k, shared = _shared_rows(memo, config, x, n_frames) if one_block else (0, 0)
+    if shared:  # then the input is one block
+        matrix[:shared] = memo[2][k : k + shared]
+    key = (frame_len, config.fft_size, config.n_mels)
     try:
         workspace = _FREE_WORKSPACES.pop()
     except IndexError:
         workspace = None
-    if workspace is None or workspace[:2] != (frame_len, config.fft_size):
-        workspace = _new_workspace(frame_len, config.fft_size)
+    if workspace is None or workspace[0] != key:
+        workspace = _new_workspace(key)
     try:
-        _, _, padded, spectrum, power = workspace
-        if shared:  # then the input is one block
-            power[:shared] = memo[2][k : k + shared]
-        for start in range(0, n_frames, _BLOCK_FRAMES):
-            stop = min(start + _BLOCK_FRAMES, n_frames)
-            rows = stop - start
-            np.multiply(frames[start + shared : stop], window, out=padded[shared:rows, :frame_len])
-            block = np.fft.rfft(padded[shared:rows], axis=1, out=spectrum[shared:rows])
+        _, padded, spectrum, power, product = workspace
+        # the frames not shared, block by block, each block's rows from row 0
+        for start in range(shared, n_frames, _BLOCK_FRAMES):
+            rows = min(_BLOCK_FRAMES, n_frames - start)
+            out = matrix[start : start + rows]
+            np.multiply(frames[start : start + rows], window, out=padded[:rows, :frame_len])
+            block = np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
             parts = block.view(np.float64)  # re, im, re, im, ... along a row
             np.multiply(parts, parts, out=parts)
-            np.add(parts[:, 0::2], parts[:, 1::2], out=power[shared:rows])
-            np.matmul(power[:rows], fbank_t, out=matrix[start:stop])
-        if one_block:
-            _MEMO = (config, x.copy(), power[:n_frames].copy())
+            np.add(parts[:, 0::2], parts[:, 1::2], out=power[:rows])
+            padded_rows = -(-rows // _PRODUCT_ROWS) * _PRODUCT_ROWS
+            # an earlier call's rows there may be inf, and a warning must come
+            # from this call's input
+            power[rows:padded_rows] = 0.0
+            for row in range(0, padded_rows, _PRODUCT_ROWS):
+                np.matmul(power[row : row + _PRODUCT_ROWS], fbank_t, out=product[row : row + _PRODUCT_ROWS])
+            np.maximum(product[:rows], config.log_floor, out=out)
+            np.log(out, out=out)
     finally:
         _FREE_WORKSPACES.append(workspace)
-    np.maximum(matrix, config.log_floor, out=matrix)
-    np.log(matrix, out=matrix)
+    if one_block:
+        _MEMO = (config, x.copy(), matrix.copy())
     frame_times = np.arange(n_frames) * hop / config.sample_rate_hz
     return LogMelFeature(matrix=matrix, frame_times=frame_times)

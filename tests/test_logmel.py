@@ -1,12 +1,14 @@
 """Log-mel front-end: shapes, the floor, filterbank placement, the reused
 workspace (outputs stay the caller's, one block is bit-exact, no page faults),
-and the frames shared between calls (bit-exact whatever the calls before)."""
+rows computed alone (a row's bits depend on that row only), and the output
+rows shared between calls (bit-exact whatever the calls before)."""
 
 import json
 import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import flowbot
 from flowbot.dsp import LogMelConfig, LogMelError, logmel, mel_band_centers_hz, mel_filterbank
-from flowbot.dsp.logmel import _BLOCK_FRAMES, _shared_rows, hz_to_mel, mel_to_hz
+from flowbot.dsp.logmel import _BLOCK_FRAMES, _PRODUCT_ROWS, _shared_rows, hz_to_mel, mel_to_hz
 
 # ``flowbot.dsp.logmel`` is the function; the module holds the memo
 LOGMEL_MODULE = sys.modules["flowbot.dsp.logmel"]
@@ -70,6 +72,14 @@ def test_config_validation():
         LogMelConfig(fft_size=256)  # < frame_len
     with pytest.raises(LogMelError):
         LogMelConfig(n_mels=0)
+    # frame_len_samples=0 gave 101 all-floor frames, -5 numpy's "strides is
+    # incompatible" ValueError at the call, and hop_samples=2.5 a TypeError
+    for field in ("n_mels", "frame_len_samples", "hop_samples", "fft_size"):
+        for value in (0, -5, 2.5, 400.0, True, "400", None):
+            with pytest.raises(LogMelError, match=f"^{field} must be (an integer|>= 1)"):
+                LogMelConfig(**{field: value})
+    cfg = LogMelConfig(n_mels=np.int64(40), hop_samples=np.int32(160))
+    assert cfg == LogMelConfig() and type(cfg.n_mels) is int and type(cfg.hop_samples) is int
 
 
 @given(n=st.integers(400, 20000))
@@ -180,14 +190,19 @@ def frames_to_samples(n_frames, cfg=LogMelConfig()):
 
 
 def logmel_unbuffered(x, cfg):
-    """The formula the workspace replaced: every step a fresh array."""
+    """The formula the workspace replaced: every step a fresh array, and the
+    filterbank product taken over zero-padded blocks of ``_PRODUCT_ROWS``
+    rows, so that BLAS picks one kernel for every row."""
     n = cfg.frame_len_samples
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     fbank_t = np.ascontiguousarray(mel_filterbank(cfg).T)
     frames = sliding_window_view(x, n)[:: cfg.hop_samples] * window
     spectrum = np.fft.rfft(frames, n=cfg.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    matrix = np.log(np.maximum(power @ fbank_t, cfg.log_floor))
+    padded = np.zeros((-(-len(power) // _PRODUCT_ROWS) * _PRODUCT_ROWS, power.shape[1]))
+    padded[: len(power)] = power
+    product = np.concatenate([block @ fbank_t for block in np.split(padded, len(padded) // _PRODUCT_ROWS)])
+    matrix = np.log(np.maximum(product[: len(power)], cfg.log_floor))
     return matrix, np.arange(len(frames)) * cfg.hop_samples / cfg.sample_rate_hz
 
 
@@ -219,6 +234,17 @@ def test_one_block_is_bit_identical_to_the_unbuffered_formula(n_frames, extra, l
     matrix, frame_times = logmel_unbuffered(x, cfg)
     assert feature.matrix.tobytes() == matrix.tobytes()
     assert feature.frame_times.tobytes() == frame_times.tobytes()
+
+
+def test_the_padding_rows_of_a_product_carry_nothing_from_an_earlier_call():
+    x = np.random.default_rng(5).uniform(-1, 1, frames_to_samples(_PRODUCT_ROWS))
+    x[-1] = np.inf  # only the last frame holds it
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(logmel(x).matrix[-1]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clean = logmel(x[: frames_to_samples(_PRODUCT_ROWS - 2)] / 2)
+    assert np.isfinite(clean.matrix).all()
 
 
 def test_a_strided_or_integer_input_is_read_as_its_float_values():
@@ -277,10 +303,13 @@ print(json.dumps({
 """
 
 
-def test_a_warm_call_takes_no_page_faults_in_a_fresh_interpreter():
+# flowbench runs every workload with OPENBLAS_NUM_THREADS=1; there a product
+# of 98 rows took the large kernel, whose buffer faulted in ~24 pages a call
+@pytest.mark.parametrize("blas_env", [{}, {"OPENBLAS_NUM_THREADS": "1"}], ids=["default", "one_blas_thread"])
+def test_a_warm_call_takes_no_page_faults_in_a_fresh_interpreter(blas_env):
     pytest.importorskip("resource")
     done = subprocess.run(
-        [sys.executable, "-c", FAULTS_PER_CALL], env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", FAULTS_PER_CALL], env=dict(os.environ, PYTHONPATH=SRC, **blas_env),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -290,7 +319,7 @@ def test_a_warm_call_takes_no_page_faults_in_a_fresh_interpreter():
     assert all(per_call < 5 for per_call in faults.values()), faults
 
 
-# -- frames shared between calls -----------------------------------------------
+# -- output rows shared between calls -----------------------------------------------
 
 
 SHARING_CONFIGS = (
@@ -320,11 +349,70 @@ def assert_matches_the_oracles(x, cfg=LogMelConfig()):
     assert feature.frame_times.tobytes() == frame_times.tobytes()
 
 
+ROW_SIGNAL = np.random.default_rng(22).uniform(-1, 1, 60_000)
+
+
+def computed_alone(x, row, cfg):
+    """Row ``row`` of ``logmel(x, cfg)``, as ``logmel`` of that frame alone with no memo."""
+    LOGMEL_MODULE._MEMO = None
+    start = row * cfg.hop_samples
+    return logmel(x[start : start + cfg.frame_len_samples], cfg).matrix[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.integers(0, len(SHARING_CONFIGS) - 1),
+    n_frames=st.integers(1, _BLOCK_FRAMES),
+    start=st.integers(0, 20_000),
+    earlier=st.none() | st.tuples(st.integers(1, _BLOCK_FRAMES), st.integers(0, _BLOCK_FRAMES - 1)),
+)
+@example(config=0, n_frames=98, start=4000, earlier=(98, 25))  # a 1 s window sliding by 250 ms
+def test_a_row_has_the_bits_of_its_frame_computed_alone(config, n_frames, start, earlier):
+    """With the memo cleared, then after an earlier call that starts ``shift``
+    hops before ``x``, so that ``x``'s first rows are copied from the memo."""
+    cfg = SHARING_CONFIGS[config]
+    hop = cfg.hop_samples
+    x = ROW_SIGNAL[start : start + cfg.frame_len_samples + (n_frames - 1) * hop]
+    alone = [computed_alone(x, row, cfg) for row in range(n_frames)]
+    LOGMEL_MODULE._MEMO = None
+    assert [row.tobytes() for row in logmel(x, cfg).matrix] == alone
+    if earlier is not None:
+        earlier_frames, shift = earlier
+        shift = min(shift, earlier_frames - 1, start // hop)
+        begin = start - shift * hop
+        logmel(ROW_SIGNAL[begin : begin + cfg.frame_len_samples + (earlier_frames - 1) * hop], cfg)
+        assert shared_with_last_call(x, cfg) == (shift, min(n_frames, earlier_frames - shift))
+        assert [row.tobytes() for row in logmel(x, cfg).matrix] == alone
+
+
+def test_a_250_ms_slide_computes_25_rows_and_the_memo_keeps_output_rows(monkeypatch):
+    audio = np.random.default_rng(23).uniform(-1, 1, 20_000)
+    logmel(audio[:16000])
+    rows = {"rfft": [], "matmul": [], "log": []}
+
+    def counted(name, function):
+        def call(a, *args, **kwargs):
+            rows[name].append(len(a))
+            return function(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    monkeypatch.setattr(np, "matmul", counted("matmul", np.matmul))
+    monkeypatch.setattr(np, "log", counted("log", np.log))
+    feature = logmel(audio[4000:])
+    monkeypatch.undo()
+    assert rows == {"rfft": [25], "matmul": [_PRODUCT_ROWS], "log": [25]}
+    memo_config, memo_x, memo_rows = LOGMEL_MODULE._MEMO
+    assert memo_rows.shape == (98, 40) and memo_rows.tobytes() == feature.matrix.tobytes()
+    assert not np.shares_memory(memo_rows, feature.matrix)
+    assert_matches_the_oracles(audio[4000:])
+
+
 @pytest.mark.parametrize("hops", [1, 7, 25, 97])  # 25: a 1 s window sliding by 250 ms
 @pytest.mark.parametrize("cfg", SHARING_CONFIGS, ids=["default", "hop100", "fft1024"])
 def test_sliding_windows_share_all_but_the_new_frames(cfg, hops):
-    # at 513 bins, OpenBLAS sums a row of a 7-row product in another order
-    # than the same row of a 98-row one: a memo of output rows fails here
+    # the shared rows are output rows, so at 513 bins too a row computed
+    # among 7 new ones must have the bits it had among the window's 98
     n = cfg.frame_len_samples + 97 * cfg.hop_samples  # 98 frames
     audio = np.random.default_rng(hops).uniform(-1, 1, n + 4 * hops * cfg.hop_samples)
     logmel(audio[:n], cfg)
@@ -342,7 +430,7 @@ def test_sliding_windows_share_all_but_the_new_frames(cfg, hops):
         (98, 97, (97, 1)),
         (2, 97, (97, 1)),
         (2, 1, (1, 2)),
-        (1, 0, (0, 1)),  # one frame: its product goes to gemv, the memo's did not
+        (1, 0, (0, 1)),  # one frame: a bare 1-row product would go to gemv
         (60, 98, (0, 0)),  # past the memo's last frame
     ],
 )
