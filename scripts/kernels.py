@@ -8,8 +8,11 @@ first on ``sys.path``, and returns one timing in milliseconds: lower is better.
 
 from __future__ import annotations
 
+import os
 import statistics
+import tempfile
 import time
+import wave
 
 import numpy as np
 
@@ -62,4 +65,29 @@ def logmel_sliding_60s() -> float:
         for start in starts:
             logmel(np.multiply(audio[start : start + 16000], 1.0))
         times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:]) * 1e3
+
+
+def wav_read_600s() -> float:
+    """``read_wav_pcm16`` of a seeded 600 s 16 kHz mono WAV (19.2 MB), written
+    once, then one sample read per 4 KiB page, so that a reader that maps
+    the file pays for its page faults as a reader that copies it pays for
+    the copy."""
+    from flowbot.dsp import read_wav_pcm16
+
+    codes = np.random.default_rng(3).integers(-32768, 32768, 600 * 16000, dtype=np.int16)
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "audio.wav")
+        with wave.open(path, "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(codes.tobytes())
+        for _ in range(REPEATS + 1):
+            t0 = time.perf_counter()
+            pcm, _rate = read_wav_pcm16(path)
+            pcm[::2048].sum()
+            times.append(time.perf_counter() - t0)
+            del pcm  # the next pass reads the file again
     return statistics.median(times[1:]) * 1e3

@@ -10,13 +10,15 @@ Every int16 is exact in float64 and ``2**-15`` is a power of two, so the
 product only shifts the exponent and equals ``q / 32768`` bit for bit. The
 same holds wherever else the product is formed, so a consumer may keep the
 int16 codes and apply the scale later, in a copy it makes anyway: a
-scenario run carries its WAV audio as the int16 view that
-:func:`read_wav_pcm16` returns, and the aggregator and the resampler scale
-it as they copy it.
+scenario run carries its WAV audio as the int16 view of the mapped file
+that :func:`read_wav_pcm16` returns, and the aggregator and the resampler
+scale it as they copy it.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import wave
 
 import numpy as np
@@ -75,27 +77,41 @@ def pcm16_encode(buffer: AudioBuffer) -> bytes:
 def read_wav_pcm16(path) -> tuple[np.ndarray, int]:
     """Read a RIFF PCM16 file as its first channel's int16 codes and its rate.
 
-    The codes are a read-only view of the file's data bytes, strided for
-    stereo input. Compressed, non-16-bit or malformed files, and a rate of
-    0, are rejected with WavFormatError.
+    The codes are a read-only view of a read-only memory map of the file,
+    strided for stereo input: nothing is copied, and a page is read from the
+    page cache when a consumer first touches it. The data chunk starts where
+    :mod:`wave` leaves the file after parsing the header, and holds
+    ``nframes * framesize`` bytes or as many as the file has. Compressed,
+    non-16-bit or malformed files, and a rate of 0, are rejected with
+    WavFormatError; a path that is not a regular file fails to open or to
+    map, with an OSError or a ValueError.
+
+    The map keeps the file's contents, and one descriptor of it, until the
+    codes are released. Replacing the file (``os.replace``) leaves them as
+    they were, but the file must not be truncated or rewritten in place
+    while they are held: reading a mapped page past a new end raises SIGBUS.
     """
-    try:
-        with wave.open(str(path), "rb") as wf:
-            nchannels = wf.getnchannels()
-            sampwidth = wf.getsampwidth()
-            rate = wf.getframerate()
-            frames = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise WavFormatError(f"not an uncompressed PCM WAV file: {exc}") from exc
-    except EOFError as exc:
-        raise WavFormatError("truncated WAV file") from exc
-    if sampwidth != 2:
-        raise WavFormatError(f"expected 16-bit PCM, got {8 * sampwidth}-bit")
-    if len(frames) % 2 != 0:  # a data chunk cut short inside a sample
-        raise WavFormatError(f"PCM16 data has odd length {len(frames)}")
-    if rate <= 0:
-        raise WavFormatError(f"sample rate must be > 0, got {rate}")
-    return np.frombuffer(frames, dtype="<i2")[::nchannels], rate
+    with open(str(path), "rb") as fh:
+        try:
+            with wave.open(fh) as wf:
+                nchannels = wf.getnchannels()
+                sampwidth = wf.getsampwidth()
+                rate = wf.getframerate()
+                nframes = wf.getnframes()
+                offset = fh.tell()
+        except wave.Error as exc:
+            raise WavFormatError(f"not an uncompressed PCM WAV file: {exc}") from exc
+        except EOFError as exc:
+            raise WavFormatError("truncated WAV file") from exc
+        if sampwidth != 2:
+            raise WavFormatError(f"expected 16-bit PCM, got {8 * sampwidth}-bit")
+        nbytes = min(nframes * nchannels * sampwidth, os.fstat(fh.fileno()).st_size - offset)
+        if nbytes % 2 != 0:  # a data chunk cut short inside a sample
+            raise WavFormatError(f"PCM16 data has odd length {nbytes}")
+        if rate <= 0:
+            raise WavFormatError(f"sample rate must be > 0, got {rate}")
+        mapped = mmap.mmap(fh.fileno(), offset + nbytes, access=mmap.ACCESS_READ)
+    return np.frombuffer(mapped, dtype="<i2", offset=offset)[::nchannels], rate
 
 
 def read_wav(path) -> AudioBuffer:

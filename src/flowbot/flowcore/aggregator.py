@@ -125,7 +125,7 @@ class Aggregator:
             raise AggregatorConfigError(
                 f"sample scale {scale!r} does not match earlier chunks' {self._scale!r}"
             )
-        elif samples.dtype != self._dtype:
+        elif samples.dtype is not self._dtype and samples.dtype != self._dtype:
             raise AggregatorConfigError(
                 f"sample dtype {samples.dtype} does not match earlier chunks' {self._dtype}"
             )
@@ -134,14 +134,18 @@ class Aggregator:
             self._make_room(n)
         self._buf[self._end : self._end + n] = samples
         self._end += n
-        window, hop = self.config.window_samples, self.config.hop_samples
+        config = self.config
+        window = config.window_samples
+        if self._end - self._start < window:  # most chunks complete no window
+            return []
+        hop, rate = config.hop_samples, config.sample_rate_hz
         out: list[AggWindow] = []
         while self._end - self._start >= window:
-            # built by position: this runs once per window
-            out.append(AggWindow(
-                self.emitted, self.emitted * hop, self.config.sample_rate_hz,
+            # built by position, with no constructor call: this runs once per window
+            out.append(tuple.__new__(AggWindow, (
+                self.emitted, self.emitted * hop, rate,
                 self._view[self._start : self._start + window], scale,
-            ))
+            )))
             self.emitted += 1
             self._start += hop
         return out

@@ -101,8 +101,9 @@ class AudioSourceNode(Node):
         if len(samples) < self.chunk_samples:  # padding is made per chunk, never up front
             pad = np.zeros(self.chunk_samples - len(samples), samples.dtype)
             samples = np.concatenate([samples, pad])
-        # built by position: this runs once per chunk
-        ctx.emit("out", DeviceSample(self.device_id, SampleChunk(samples, self.sample_rate_hz, self.scale)))
+        # built by position, as the executor builds a Packet: this runs once per chunk
+        chunk = tuple.__new__(SampleChunk, (samples, self.sample_rate_hz, self.scale))
+        ctx.emit("out", tuple.__new__(DeviceSample, (self.device_id, chunk)))
         self._next_chunk += 1
         if self._next_chunk < self._n_chunks:
             ctx.schedule_at(self._chunk_end_us(self._next_chunk))

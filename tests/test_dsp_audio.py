@@ -1,6 +1,8 @@
 """PCM16 codec exactness and WAV file handling."""
 
+import mmap
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from flowbot.dsp import (
     pcm16_decode,
     pcm16_encode,
     read_wav,
+    read_wav_pcm16,
     write_wav,
 )
 
@@ -75,8 +78,6 @@ def test_wav_round_trip(tmp_path):
 
 
 def test_wav_stereo_keeps_first_channel(tmp_path):
-    import wave
-
     left = np.array([100, 200, 300], dtype="<i2")
     right = np.array([-1, -2, -3], dtype="<i2")
     interleaved = np.empty(6, dtype="<i2")
@@ -127,3 +128,55 @@ def test_decode_of_every_int16_code_is_q_over_32768_bit_for_bit():
     assert samples.dtype == np.float64
     expected = np.array([q / 32768.0 for q in range(-32768, 32768)])
     assert np.array_equal(samples.view(np.uint64), expected.view(np.uint64))
+
+
+# -- the mapped reader against a copying one --------------------------------------
+
+
+def reference_codes(path) -> tuple[np.ndarray, int]:
+    """The first channel's codes as a reader that copies the data chunk gets them."""
+    with wave.open(str(path), "rb") as wf:
+        channels = wf.getnchannels()
+        return np.frombuffer(wf.readframes(wf.getnframes()), "<i2")[::channels], wf.getframerate()
+
+
+def riff(channels: int, data: bytes, declared=None, before_data: bytes = b"") -> bytes:
+    """A 16 kHz PCM16 RIFF file: ``before_data`` chunks, then a data chunk
+    whose header says ``declared`` bytes (its length by default)."""
+    fmt = struct.pack("<HHIIHH", 1, channels, 16000, 16000 * 2 * channels, 2 * channels, 16)
+    size = len(data) if declared is None else declared
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + before_data
+    body += b"data" + struct.pack("<I", size) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+_CODES = np.random.default_rng(7).integers(-32768, 32768, 2 * 999, dtype=np.int16)
+_LIST = b"LIST" + struct.pack("<I", 14) + b"INFOISFT\x02\x00\x00\x00x\x00"
+
+MAPPED_CASES = {
+    "mono": riff(1, _CODES.tobytes()),
+    "stereo": riff(2, _CODES.tobytes()),
+    "list_chunk_before_data": riff(1, _CODES.tobytes(), before_data=_LIST),
+    "declared_longer_than_the_file": riff(1, _CODES[:40].tobytes(), declared=4000),
+    "zero_frames": riff(1, b""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPPED_CASES))
+def test_the_mapped_codes_are_the_copied_codes_and_read_only(tmp_path, name):
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(MAPPED_CASES[name])
+    codes, rate = read_wav_pcm16(path)
+    expected, expected_rate = reference_codes(path)
+    assert rate == expected_rate == 16000
+    assert codes.dtype == np.dtype("<i2") and codes.tolist() == expected.tolist()
+    assert codes.flags.writeable is False
+
+
+def test_the_codes_are_a_view_of_a_memory_map(tmp_path):
+    path = tmp_path / "mono.wav"
+    path.write_bytes(MAPPED_CASES["mono"])
+    owner = read_wav_pcm16(path)[0]
+    while isinstance(owner, (np.ndarray, memoryview)):
+        owner = owner.obj if isinstance(owner, memoryview) else owner.base
+    assert isinstance(owner, mmap.mmap)

@@ -1,13 +1,17 @@
 """WAV audio on the run path: int16 codes until a node copies them.
 
-A scenario's WAV file is read once, as the int16 codes of its first channel;
-the aggregator and the resampler apply the 2**-15 scale in the copies they
-make anyway. These tests pin that no run holds a float64 copy of the whole
-file, that every window is bit-identical to one cut from ``read_wav``'s
-floats, and that the one WAV parser keeps every error ``read_wav`` had.
+A scenario's WAV file is mapped once, as the int16 codes of its first
+channel; the aggregator and the resampler apply the 2**-15 scale in the
+copies they make anyway. These tests pin that no run holds a float64 copy of
+the whole file, that every window is bit-identical to one cut from
+``read_wav``'s floats, that the one WAV parser keeps every error ``read_wav``
+had, and that the map closes its descriptor when released and keeps the
+file it mapped when the path is replaced.
 """
 
+import gc
 import json
+import os
 import struct
 import tracemalloc
 import wave
@@ -17,8 +21,8 @@ import pytest
 
 from flowbot.dsp import WavFormatError, read_wav, read_wav_pcm16
 from flowbot.dsp.resample import Decimator3to1
-from flowbot.flowcore import GraphDef, LosslessPolicy, Node, NodeDef, PortSpec, StreamDef
-from flowbot.harness import load_scenario, reference_pipeline, run_scenario
+from flowbot.flowcore import GraphDef, GraphRunner, LosslessPolicy, Node, NodeDef, PortSpec, StreamDef
+from flowbot.harness import load_scenario, reference_pipeline, run_scenario, scenario_audio
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.nodes import harness_kind_registry
 
@@ -183,3 +187,65 @@ def test_a_bad_wav_is_one_error_for_both_readers_and_run_exits_2(tmp_path, capsy
     assert cli_main(["run", "--scenario", str(scenario_path), "--report", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: audio.wav: {raw.value}") and "Traceback" not in err
+
+
+def test_a_wav_path_that_is_not_a_regular_file_is_audio_wav_and_run_exits_2(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"audio": {"wav": str(tmp_path)}, "time_limit_s": 2.0}))
+    assert cli_main(["run", "--scenario", str(scenario_path), "--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: audio.wav: ") and "Traceback" not in err
+
+
+# -- the mapped file --------------------------------------------------------------------
+
+
+def noise_wav(path, seconds: float, seed: int) -> None:
+    codes = np.random.default_rng(seed).integers(-20000, 20000, int(seconds * 16000), dtype=np.int16)
+    write_pcm(path, codes, 16000)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors through /proc/self/fd")
+def test_no_descriptor_of_the_wav_stays_open_once_the_run_and_its_audio_are_gone(tmp_path):
+    path = tmp_path / "audio.wav"
+    noise_wav(path, 3, 1)
+
+    def open_on_the_wav():
+        links = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                links.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:  # the descriptor listdir itself used
+                pass
+        return links.count(str(path))
+
+    audio = scenario_audio(wav_scenario(path))
+    assert open_on_the_wav() == 1  # the map's own, while the codes are held
+    del audio
+    gc.collect()
+    assert run_scenario(reference_pipeline(), wav_scenario(path, time_limit_s=4.0))["status"] == "ok"
+    gc.collect()
+    assert open_on_the_wav() == 0
+
+
+def test_a_wav_replaced_after_the_runner_is_built_gives_the_original_report(tmp_path, monkeypatch):
+    path, other = tmp_path / "audio.wav", tmp_path / "other.wav"
+    noise_wav(path, 3, 1)
+    noise_wav(other, 2, 2)
+    graph = reference_pipeline()
+    script = {"time_limit_s": 4.0, "annotations": [{"start_s": 1.0, "end_s": 1.5}]}
+    scenario = wav_scenario(path, **script)
+    original = run_scenario(graph, scenario)
+    replaced_first = run_scenario(graph, wav_scenario(other, **script))
+
+    run = GraphRunner.run
+
+    def replace_then_run(runner):
+        os.replace(other, path)
+        return run(runner)
+
+    monkeypatch.setattr(GraphRunner, "run", replace_then_run)
+    after_replace = run_scenario(graph, scenario)
+    assert not other.exists()
+    assert json.dumps(after_replace, sort_keys=True) == json.dumps(original, sort_keys=True)
+    assert json.dumps(replaced_first, sort_keys=True) != json.dumps(original, sort_keys=True)
