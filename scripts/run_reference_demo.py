@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Run the shipped demo scenario through the reference pipeline and summarize."""
+"""Run the shipped demo scenario through the reference pipeline, summarize it
+and write the report to ``demo_report.json`` in the working directory. The
+copy committed at the repository root is this script's output."""
 
 import json
 from pathlib import Path
 
-from flowbot.harness import load_scenario, run_scenario
-from flowbot.harness.config import packaged_config_text, packaged_graph
+from flowbot.harness import load_scenario, reference_pipeline, run_scenario
+from flowbot.harness.config import packaged_config_text
 
 
 def main():
-    graph = packaged_graph()
     scenario = load_scenario(json.loads(packaged_config_text("demo_scenario.json")))
-    report = run_scenario(graph, scenario)
+    report = run_scenario(reference_pipeline(), scenario)
 
     print(f"status={report['status']} stop={report['stop_reason']} "
           f"end={report['end_time_us'] / 1e6:.2f}s seed={report['seed']}")

@@ -16,7 +16,8 @@ with consecutive seqs, stamped with the ``now_us`` each ``forward`` is
 given, which never decreases within a run. A stream pops in seq order, so
 a forwarded packet, or one dropped before it reached the latch, ends a run.
 Each change of state is kept in ``transitions`` as ``{t_us, state}``, with
-the state's value, ``"open"`` or ``"closed"``.
+the state's value, ``"open"`` or ``"closed"``; the report entry keeps no
+other copy of ``state``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class Latch:
         """The latch's report entry, a snapshot that later calls leave as it is."""
         return {
             "initial": self.initial.value,
-            "state": self.state.value,
             "forwarded": self.forwarded,
             "suppressed": self.suppressed,
             "openings": self.openings,

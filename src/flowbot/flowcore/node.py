@@ -13,7 +13,8 @@ from .packet import Packet
 
 
 class PortSpec(NamedTuple):
-    """Declared port: ``type_tag`` is documentation plus the control-bit check."""
+    """Declared port: ``type_tag`` names its payload as the port table of
+    ``docs/graph_schema.md`` does; only a latch control's ``bit`` is checked."""
 
     type_tag: str = "any"
     optional: bool = False

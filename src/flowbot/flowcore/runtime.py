@@ -98,8 +98,9 @@ _heappop = heapq.heappop
 #: Version 2 keeps drops and suppressions as run records on their stream and
 #: latch instead of one event per packet, and adds ``max_queued`` and ``nodes``.
 #: Version 3 logs no event for a fact another entry owns: latch transitions,
-#: skill invocations, UART bytes and dead-lettered chunks.
-REPORT_VERSION = 3
+#: skill invocations, UART bytes and dead-lettered chunks. Version 4 drops the
+#: per-window event, the io_manager's ``delivered`` and the latch's ``state``.
+REPORT_VERSION = 4
 
 
 class GraphValidationError(ValueError):
@@ -495,7 +496,7 @@ class SourceNode(Node):
         self._emitted = 0
 
     def output_ports(self):
-        return {"out": PortSpec("any")}
+        return {"out": PortSpec("int")}
 
     def start(self, ctx):
         if self.count > 0:
@@ -573,10 +574,10 @@ class AggregatorNode(Node):
         )
 
     def input_ports(self):
-        return {"in": PortSpec("samples")}
+        return {"in": PortSpec("SampleChunk")}
 
     def output_ports(self):
-        return {"windows": PortSpec("window")}
+        return {"windows": PortSpec("AggWindow")}
 
     def on_packet(self, port, packet, ctx):
         chunk = packet.payload
@@ -621,7 +622,7 @@ class AttentionNode(Node):
         self.detector = DETECTOR_FACTORIES[kind](spec, env)
 
     def input_ports(self):
-        return {"in": PortSpec("window")}
+        return {"in": PortSpec("AggWindow")}
 
     def output_ports(self):
         return {"bit": PortSpec("bit")}

@@ -4,7 +4,7 @@ Every module loads with the package. The CLI imports ``perception`` and
 ``robotics.sweep`` only inside the ``params`` and ``scan`` commands.
 """
 
-from .config import load_graph_config, load_scan_scene, packaged_graph
+from .config import load_graph_config, load_scan_scene
 from .nodes import (
     DeviceSample,
     harness_kind_registry,
@@ -28,7 +28,6 @@ __all__ = [
     "load_graph_config",
     "load_scan_scene",
     "load_scenario",
-    "packaged_graph",
     "reference_pipeline",
     "report_to_json_str",
     "run_scenario",

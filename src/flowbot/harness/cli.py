@@ -21,9 +21,9 @@ from ..flowcore.runtime import GraphValidationError
 from ..flowcore.schema import SchemaError, check_value
 from ..flowcore.validation import validate_graph
 from ..robotics.geometry import BeamMode
-from .config import load_graph_config, load_scan_scene, packaged_graph
+from .config import load_graph_config, load_scan_scene
 from .nodes import harness_kind_registry
-from .reference import report_to_json_str, run_scenario
+from .reference import reference_pipeline, report_to_json_str, run_scenario
 from .scenario import load_scenario
 
 
@@ -50,7 +50,7 @@ def _write(flag: str, path: str, text: str) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        graph = _load(load_graph_config, "--graph", args.graph) if args.graph else packaged_graph()
+        graph = _load(load_graph_config, "--graph", args.graph) if args.graph else reference_pipeline()
         scenario = _load(load_scenario, "--scenario", args.scenario)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        graph = _load(load_graph_config, "--graph", args.graph) if args.graph else packaged_graph()
+        graph = _load(load_graph_config, "--graph", args.graph) if args.graph else reference_pipeline()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,7 +55,3 @@ def load_scan_scene(source) -> tuple[list, SweepConfig, float]:
 def packaged_config_text(name: str) -> str:
     with open(os.path.join(_CONFIG_DIR, name), "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def packaged_graph(name: str = "reference_pipeline.json") -> GraphDef:
-    return load_graph_config(os.path.join(_CONFIG_DIR, name))

@@ -86,7 +86,7 @@ class AudioSourceNode(Node):
         self._next_chunk = 0
 
     def output_ports(self):
-        return {"out": PortSpec("samples")}
+        return {"out": PortSpec("DeviceSample")}
 
     def start(self, ctx):
         if self._n_chunks:
@@ -121,14 +121,13 @@ class IoManagerNode(Node):
         self._ports = sorted({p for targets in self.routing.values() for p in targets})
         if not self._ports:
             raise SchemaError("routing", "needs at least one interface")
-        self.delivered = 0
         self.dead_letter = 0
 
     def input_ports(self):
-        return {"in": PortSpec("samples")}
+        return {"in": PortSpec("DeviceSample")}
 
     def output_ports(self):
-        return {name: PortSpec("samples") for name in self._ports}
+        return {name: PortSpec("SampleChunk") for name in self._ports}
 
     def on_packet(self, port, packet, ctx):
         routed = io_manager_route(packet.payload, self.routing)
@@ -136,13 +135,10 @@ class IoManagerNode(Node):
             self.dead_letter += 1
             return
         for interface_id, chunk in routed:
-            self.delivered += 1
             ctx.emit(interface_id, chunk, timestamp_us=packet.timestamp_us)
 
     def finish(self, ctx):
-        ctx.collector.channel("io_manager").append(
-            {"delivered": self.delivered, "dead_letter": self.dead_letter}
-        )
+        ctx.collector.channel("io_manager").append({"dead_letter": self.dead_letter})
 
 
 class ResamplerNode(Node):
@@ -155,10 +151,10 @@ class ResamplerNode(Node):
         self._decimator = Decimator3to1()
 
     def input_ports(self):
-        return {"in": PortSpec("samples")}
+        return {"in": PortSpec("SampleChunk")}
 
     def output_ports(self):
-        return {"out": PortSpec("samples")}
+        return {"out": PortSpec("SampleChunk")}
 
     def on_packet(self, port, packet, ctx):
         chunk: SampleChunk = packet.payload
@@ -171,7 +167,8 @@ class ResamplerNode(Node):
 
 class InterpreterStubNode(Node):
     """Deterministic stand-in for a recognizer: emits the scenario's
-    :class:`Interpretation` records scripted for each window index."""
+    :class:`Interpretation` records scripted for each window index, and logs
+    nothing: its windows are the seqs its gated stream's latch forwarded."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
@@ -180,14 +177,13 @@ class InterpreterStubNode(Node):
             self._by_index.setdefault(index, []).append(interpretation)
 
     def input_ports(self):
-        return {"in": PortSpec("window")}
+        return {"in": PortSpec("AggWindow")}
 
     def output_ports(self):
-        return {"out": PortSpec("interpretation")}
+        return {"out": PortSpec("Interpretation")}
 
     def on_packet(self, port, packet, ctx):
         window: AggWindow = packet.payload
-        ctx.log("interpreter_window", index=window.index)
         for interpretation in self._by_index.get(window.index, []):
             ctx.emit("out", interpretation)
 
@@ -221,10 +217,10 @@ class SkillManagerNode(Node):
         self.registry: SkillRegistry | None = env.get("skill_registry")
 
     def input_ports(self):
-        return {"in": PortSpec("interpretation")}
+        return {"in": PortSpec("Interpretation")}
 
     def output_ports(self):
-        return {"speech": PortSpec("text"), "locomotion": PortSpec("locomotion", optional=True)}
+        return {"speech": PortSpec("text"), "locomotion": PortSpec("LocomotionCommand", optional=True)}
 
     def start(self, ctx):
         if self.registry is None:
@@ -298,7 +294,7 @@ class UartSinkNode(Node):
         super().__init__(node_id)
 
     def input_ports(self):
-        return {"in": PortSpec("locomotion")}
+        return {"in": PortSpec("LocomotionCommand")}
 
     def on_packet(self, port, packet, ctx):
         ctx.collector.uart.extend(frame_uart(encode_locomotion(packet.payload)))

@@ -3,14 +3,16 @@
 A form-based dialogue with one active form: ``SkillManager.session`` is the
 one open slot-filling session, or None. ``handle`` first rejects an
 interpretation below ``confidence_floor``, a bare answer too, and leaves the
-session as it is. With no session open, it takes an interpretation as a
-fresh request. One with every required entity present yields Execute; a
-missing entity opens a session and prompts for slots in declaration order.
-While a session is open, ``handle`` takes the interpretation as its
-answer, and a request naming a different skill aborts the session and is
-handled as a fresh one (barge-in wins). ``timeout`` is a prompt left
-unanswered. An answer that does not name the prompted slot, or a timeout,
-reprompts up to ``reprompt_limit`` times and then aborts. A session ends in exactly one of Execute or a
+session as it is. With no session open, it rejects a bare answer (empty
+``skill_id``) as ``no_open_session``, naming its sorted entity keys, and
+takes any other interpretation as a fresh request. One with every required
+entity present yields Execute; a missing entity opens a session and prompts
+for slots in declaration order. While a session is open, ``handle`` takes
+the interpretation as its answer, and a request naming a different skill
+aborts the session and is handled as a fresh one (barge-in wins).
+``timeout`` is a prompt left unanswered. An answer that does not name the
+prompted slot, or a timeout, reprompts up to ``reprompt_limit`` times and
+then aborts. A session ends in exactly one of Execute or a
 ``session_aborted`` Reject, and either sets ``session`` back to None.
 """
 
@@ -27,6 +29,7 @@ class RejectReason(Enum):
     UNKNOWN_SKILL = "unknown_skill"
     LOW_CONFIDENCE = "low_confidence"
     SESSION_ABORTED = "session_aborted"
+    NO_OPEN_SESSION = "no_open_session"
 
 
 class Execute(NamedTuple):
@@ -70,6 +73,8 @@ class SkillManager:
             if not interp.skill_id or interp.skill_id == session.descriptor.id:
                 return self._answer(session, interp)
             self.session = None  # barge-in: the new request wins, the open session dies
+        elif not interp.skill_id:
+            return Reject(RejectReason.NO_OPEN_SESSION, detail=",".join(sorted(interp.entities)))
         if interp.skill_id not in self.registry:
             return Reject(RejectReason.UNKNOWN_SKILL, detail=interp.skill_id)
         descriptor, _ = self.registry.lookup(interp.skill_id)

@@ -32,33 +32,33 @@ from flowbot.flowcore import (
 )
 from test_graph_properties import ScriptedBits
 
-# taken from the report version 3 executor: the version 2 reports less their
-# latch events, with each lossless deadline breach a DeadlineExceeded
+# taken from the report version 4 executor: the version 3 reports less each
+# latch entry's state, which is its last transition's
 DIGESTS = (
-    "b1ae287f737e289f3ace993322f4da3f96d711cc933ba5a86ad91e4e3d95ab96",
-    "ac33a8918f71305c802c50f2fd0a6f04738961bd65dd92c8efc2b5d4ee36d75a",
-    "19b1835226d1b3104f78fd093b2ff28b8098f0266c8fb503408a47452f7e24f6",
-    "a93788b11cbdb05a32dda95af7c68e8069e7541c2abbf7e6f51a312d9c18467a",
-    "36ebb9c7459e7ccd662c0e7e9a2cd63b2f7c072968583041ae0bffdbb04ebbac",
-    "87ae460eb517bc07d6396adeab8984694c49e6a22a88718954828f0fb88753df",
-    "ea36c18210f9dacdabeaeaedca02a4c72a1b8c7c5209288371310f8eafdcbf78",
-    "3e250a67e1a7d97931af39ab5e4e9275a098e790f602e1170c62d6bd2d041ac9",
-    "e43b9de72e64edfa4db4e00f4e066c1aa8314caf60e13452986b90dd73ff184f",
-    "44d8eb82431dc68c2aafa32136abaed57833d80533a7926bef0f9f3351b07651",
-    "d004952a15ce9dc0a8d23c363dd59025ec0742beb201d7703bbb6cc818f7c5f2",
-    "342cf36a31c473a813f0969d91b6e25a149155cb87ad7089ed2a92ca80f227ff",
-    "dcca1ce7a1a1783d10fa0b1026834032e8b8a4d9204c7401e5151ce5602f792b",
-    "c87a0f3e6ce32f422a212266628246703c2862d00900bb3bfcf2a1f0523154a6",
-    "3f38813756ecb1a7e4cf74697ef65f7cee842e37ee98f60dc892bae5ea1425dc",
-    "0a5074159b4244ee67ea13af9ab88181a0a5028fd777432a304cef0e3a1df94f",
-    "6341fba8fe7acb946ad7a8dabf33f2d4a5454f37fae0cfade9f5224cf9528d6e",
-    "00a58235439bbb6d0fcf229c0d4ae360477bf18da6fa60423b5a49236817c611",
-    "d6f882cab7e35515f6e9846f818ffa53a674e618c36f981afa422b6376d7659a",
-    "17a76124562b440febea74158312e052431a1066aa387d2d8a445a401fbce3b4",
-    "3bb3520a03ccea23a4afa611daeec6ac010c6f7e965507c9c3eb78a2644e9a2a",
-    "18573609136a1ba3e973b947667f730eb661799de342456da46c75732b3a5427",
-    "84a11523b7fa72c79f45e11013066b4e41360bd473acb89e54762604b85815da",
-    "417cbf9d27373d0f88be9b3d7d40b76748dec5719a6007d685ce60fa259f5653",
+    "5d821f4af501d626845ecfda0a7c145ad462fba9ad3b815cee300a205eb2e7ca",
+    "e14332d0ab9cb98513ad89c221f784377de06e35880f9606610deec543ba04bc",
+    "20126fee0e7f755278e21c7194f19d62b5b8de958c3cdf8f57b39ef210b89d75",
+    "71ac81e6a62922609da44afc4176cd2755fc46296f61b53ee37f085e61a9a1ea",
+    "5a68ab2f8fcf93862d521cd2f522c96ffc706eb614ff3e12475a5044c5b497a7",
+    "a381593e06c9b9a466b8a3f091f724f1d6668b710c95b0d30f83a432b1bcfa2d",
+    "d79b62ca22dc67dc6b17c8589fc871d5db5c9311cbebd8f872f00d18f1efbf21",
+    "60ce669d380da2b85a80e97637a73dc2f182a975a42b9584a466930cd3cf03e9",
+    "5302b8c9eb92728fa481e8927be7a7c6a43486997a6ea0095e186a4e672b48dc",
+    "fce33a8313d7d7ba2eee980767bc68e24e37e522710813feb37cae8c54da44bb",
+    "86a3fc6ca319c409c52adbb450a0c07010be7921c10e9a2182906e7d42d097b7",
+    "8b55dc700742da251cf5b9c42cb6baffa008356fdbe89aab7108f39a5be7944a",
+    "1f5635e9fcd98d738ce4876d1e173aa949592e173762a5d5ed3f74db4a2d9238",
+    "6ef19880f7aa1cc6b3dffa89520a833ca18da060ca2eb73740e9674557442e4e",
+    "6d8df9a11e04023a4b410f8ed2a59ff325b6ee1f2ff333ab93f688becad77ee4",
+    "2d9db7a1ae8d2e6312e0e1a15879ea8245e3a1436ac8ae4a63135925a7aa2ae8",
+    "eb5c2b483ea0726f4addf68dd8edbf1c7a2ea59a6c72519a6ffb55045e61cc5d",
+    "e65b7cc3eefa4e16c7306cbb2f0cd0cd0ebb0b831d7bae4413f2c6ea8a3da7be",
+    "76449a9963be7783c9a6c6c262936ddac6df82931f6efa92af40e3d1e5bb8c2f",
+    "fd0fc7c3c8647ed6481db3346693fd7a2fa4286ecc0595080bed565b08a16584",
+    "915ef0760a598d57a1e57e4290322b6bd447bc5b3b62425ba36104244c391995",
+    "523c899505693758523c2b508a0edede00043e565b9c93508b38354a5e1a8dbe",
+    "77d3bd98b7cd80d379a5e86fda0908b67c7a4e301671deacbbc02566be9135ab",
+    "e488eb41db8b95940f0ece871e17454580255cdaeb35a697da5bd20a20d86eb9",
 )
 
 

@@ -67,7 +67,7 @@ class ModelLatch:
 
     def to_json(self):
         openings = sum(t["state"] == "open" for t in self.transitions)
-        return {"initial": self.initial, "state": self.state, "forwarded": self.forwarded,
+        return {"initial": self.initial, "forwarded": self.forwarded,
                 "suppressed": self.suppressed, "openings": openings,
                 "transitions": self.transitions, "suppressed_runs": self.suppressed_runs}
 

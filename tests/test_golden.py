@@ -17,8 +17,19 @@ Version 3 logs no event for a fact that another entry owns: ``latch``
 channel); skill entries lose ``policy``, which no run read. Each case's
 version 2 report, and each deleted event list, is pinned as a digest taken
 from version 2 reports and rebuilt from the version 3 report.
+
+Version 4 drops the last copies: the ``interpreter_window`` event per window
+(the gated stream's seqs that its latch did not suppress), the
+``io_manager`` entries' ``delivered`` (the ``pushed`` of its output streams)
+and the latch entries' ``state`` (the last transition's). A bare answer with
+no open session is rejected as ``no_open_session``, not ``unknown_skill``.
+Each case's version 3 report without those entries, and each deleted entry,
+is pinned as a digest taken from version 3 reports and rebuilt from the
+version 4 report; the older expansion tests run on the rebuilt version 3
+report.
 """
 
+import copy
 import functools
 import hashlib
 import json
@@ -42,22 +53,21 @@ from flowbot.flowcore import (
 )
 from flowbot.harness import (
     load_scenario,
-    packaged_graph,
     reference_pipeline,
     report_to_json_str,
     run_scenario,
 )
 from flowbot.harness.config import packaged_config_text
 
-DEMO_SHA256 = "1d535e3e56ceb6fc180b1b1eb97a8e04a960cdd8b0c55828dc6d646f054b41f8"
-BURSTS_SHA256 = "312bc3adfacb2d972e6b6afef9664d1e0f2002aabcfea806dd47ea3bd3dd4d83"
-EXECUTOR_SHA256 = "7b31dd84a72197b066b8bf0478cacae420d4203b99cd0b92eb7f3aa6e92570d9"
-RESAMPLER_SHA256 = "2b7fd4d1dd116f89a66ec998edde235fb81d90728ecfba2abaee49abf9509b6f"
+DEMO_SHA256 = "7b8d083e24d7bb04010f5af0931c38df5abd9264d3b303863f5677b429acba4c"
+BURSTS_SHA256 = "0160cf064399d5e994646daca0d8e99bccb421fc474c123d524af8506b5fc80a"
+EXECUTOR_SHA256 = "13c2d5951d16fb0a98c603ad79538e0f2f2e8aa357f85921b7ccee62938813af"
+RESAMPLER_SHA256 = "be459fd866e7d95fa46903264c2756ca0336efc477d03578b5cb3e297ed6c571"
 # per skill_manager (followup_timeout_s, reprompt_limit)
 SLOT_FILLING_SHA256 = {
-    (0.3, 0): "9b431aff791df4b8a468d9fbfba6ee5571d365f5f39977e78543fd267f273712",
-    (0.6, 1): "3bc01410233a638618279b25b0158ffd8c14e1807b92a4beac4e1c64ee8552b0",
-    (2.0, 2): "9db4a6ea8fdf9f5eddd62f2b23b26747e01a1979c7601007e093418a6a1e30d3",
+    (0.3, 0): "d0ff4164aabc548a6ea5f9d2d9ceeedccd837cf3e9daa61e0cb8f314b4a6daa0",
+    (0.6, 1): "3b103fd9bc83371fc080c5f0c03e66d9eacf8d85f323380c9e3a22fc4f87b507",
+    (2.0, 2): "1c13dcb52835ebb97987ab5b50b27e1619d14da07c7257011496e23f8a757bcc",
 }
 
 # per case, from the version 1 report: (sha256 of v1_facts' drop and
@@ -142,6 +152,63 @@ V2_FACTS = {
 }
 DELETED_EVENTS = ("latch", "skill_execute", "uart_tx", "dead_letter")
 
+# per case, from the version 3 report: (sha256 of the report without
+# report_version, its interpreter_window events, the io_manager entries'
+# delivered and the latch entries' state; sha256 of its interpreter_window
+# events; of its io_manager entries; of its latch states by stream; the
+# number of its unknown_skill rejects that version 4 names no_open_session)
+V3_FACTS = {
+    "bursts": (
+        "d378e597065a517e734c7569caab6e22f7245d6e72021064bc0ded7fa324d6c2",
+        "a957380e20b90fa5568950654f6647d50c7d07b105d79bfe907dacdea4d63894",
+        "ca3bd37aff8eddada68722ea95656f4fdcde87fc2218798f8af12f85e71a9c1d",
+        "816a3e7146d66948a0a20d851f3eaa2e147c4f1d2e8033251a8e0e57b27da989",
+        0,
+    ),
+    "demo": (
+        "eaa0ccd926a79066337d3913d98928c333a37361e3c3ac4358e567aa26376301",
+        "23c2d83cbc3413284a9b3b35163e1a1be42af0fcefded72283a5354f5ac1aa4a",
+        "39874f4e680c79b72b883e2de68df3a7835329b3589af9947f3fc8c470019a56",
+        "816a3e7146d66948a0a20d851f3eaa2e147c4f1d2e8033251a8e0e57b27da989",
+        0,
+    ),
+    "executor": (
+        "517172772109d839b098a07dad4cc89e6dd8cfc1b05a6c6d040b6abf7af02c57",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "585a92017d683fb7ca839360201b43273760d3b70f25666c115d55df9f8c8535",
+        0,
+    ),
+    "resampler": (
+        "d205d4cf6a516557eaa6525f3ec9fabf1b32c864b8b58931b8dce06849bea362",
+        "42c2a6c817818111bc3d66eafadf2768f3eae1fc3042da3d6f18db8ad105e556",
+        "df0dc7c418968f2828e05a0f29c42b7df144e4c2f1792bfd414a8b7ca1989f24",
+        "816a3e7146d66948a0a20d851f3eaa2e147c4f1d2e8033251a8e0e57b27da989",
+        0,
+    ),
+    "slot_filling_0.3_0": (
+        "b52a46d0b64e6beec738f2c2c6fe20d4dde740fb442571fa79bcd2a7fbecc8ec",
+        "08c9a98412265d436d1224ec2635dcdd59f561b1e204d0c38bcd3454ed167399",
+        "dfb68e9d2e60e8301e4f1b3875a1240581ce631a0198cc7b819b87c0002fd54a",
+        "816a3e7146d66948a0a20d851f3eaa2e147c4f1d2e8033251a8e0e57b27da989",
+        2,
+    ),
+    "slot_filling_0.6_1": (
+        "8682c552ade6d6bc7bac12bbf5b2874f0eb44f4bbfae60d724064a0494f6dfd3",
+        "08c9a98412265d436d1224ec2635dcdd59f561b1e204d0c38bcd3454ed167399",
+        "dfb68e9d2e60e8301e4f1b3875a1240581ce631a0198cc7b819b87c0002fd54a",
+        "816a3e7146d66948a0a20d851f3eaa2e147c4f1d2e8033251a8e0e57b27da989",
+        0,
+    ),
+    "slot_filling_2_2": (
+        "7f5e2ed05e5869e02807df6dbf13fe1be41c93393158ce4001c3c44cb7898d0f",
+        "08c9a98412265d436d1224ec2635dcdd59f561b1e204d0c38bcd3454ed167399",
+        "dfb68e9d2e60e8301e4f1b3875a1240581ce631a0198cc7b819b87c0002fd54a",
+        "816a3e7146d66948a0a20d851f3eaa2e147c4f1d2e8033251a8e0e57b27da989",
+        0,
+    ),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -202,7 +269,7 @@ def executor_graph() -> GraphDef:
 
 def demo_report() -> dict:
     scenario = load_scenario(json.loads(packaged_config_text("demo_scenario.json")))
-    return run_scenario(packaged_graph(), scenario)
+    return run_scenario(reference_pipeline(), scenario)
 
 
 def bursts_report() -> dict:
@@ -312,6 +379,104 @@ V3_CASES = {
 }
 
 
+# the graph each case runs; only the interpreter's wiring, the audio source,
+# the resampler and the aggregator are read, which the detector and manager
+# params of the bursts and slot-filling cases leave as they are
+CASE_GRAPHS = {
+    "executor": executor_graph,
+    "resampler": resampler_graph,
+    **{case: reference_pipeline for case in V3_CASES if case not in ("executor", "resampler")},
+}
+
+
+def upstream(graph: GraphDef, node_id: str) -> list[NodeDef]:
+    """The nodes that feed ``node_id``, nearest first, along each node's one
+    input stream."""
+    nodes = {nd.id: nd for nd in graph.nodes}
+    feeds = {sd.to_node: sd.from_node for sd in graph.streams if sd.to_node is not None}
+    chain = []
+    while node_id in feeds:
+        node_id = feeds[node_id]
+        chain.append(nodes[node_id])
+    return chain
+
+
+def v3_entries_from_owners(report: dict, graph: GraphDef) -> dict:
+    """The ``interpreter_window`` events, ``io_manager`` entries and latch
+    states of a version 3 report, rebuilt from the version 4 entries that own
+    their facts.
+
+    Window ``k`` is seq ``k`` on the interpreter's gated input stream, and it
+    reached the interpreter unless its latch suppressed it. It was emitted
+    when the audio chunk holding its last sample, ``k * hop + window - 1``,
+    ended; behind a ``resampler_48to16`` that is input sample ``3 * (k * hop
+    + window - 1)``. An io_manager delivered what its output streams were
+    pushed, and a latch is left in its last transition's state."""
+    windows = []
+    for interp in (nd for nd in graph.nodes if nd.kind == "interpreter_stub"):
+        (gated,) = (sd.id for sd in graph.streams if sd.to_node == interp.id)
+        chain = {nd.kind: nd.params for nd in upstream(graph, interp.id)}
+        window, hop = chain["aggregator"]["window_samples"], chain["aggregator"]["hop_samples"]
+        factor = 3 if "resampler_48to16" in chain else 1
+        rate_hz = factor * chain["aggregator"]["sample_rate_hz"]
+        chunk = chain["audio_source"]["chunk_samples"]
+        suppressed = {
+            seq for run in report["latches"][gated]["suppressed_runs"]
+            for seq in range(run["first_seq"], run["last_seq"] + 1)
+        }
+        for k in range(report["streams"][gated]["delivered"]):
+            if k not in suppressed:
+                chunk_index = factor * (k * hop + window - 1) // chunk
+                t_us = round((chunk_index + 1) * chunk * 1e6 / rate_hz)
+                windows.append({"t_us": t_us, "kind": "interpreter_window", "node": interp.id, "index": k})
+    io_managers = [nd.id for nd in graph.nodes if nd.kind == "io_manager"]
+    entries = report["extras"].get("io_manager", [])
+    assert len(entries) == len(io_managers)
+    io_manager = [
+        {**entry, "delivered": sum(
+            report["streams"][sd.id]["pushed"] for sd in graph.streams if sd.from_node == node_id
+        )}
+        for node_id, entry in zip(io_managers, entries)
+    ]
+    latch_states = {
+        sid: entry["transitions"][-1]["state"] if entry["transitions"] else entry["initial"]
+        for sid, entry in report["latches"].items()
+    }
+    return {"interpreter_window": windows, "io_manager": io_manager, "latch_states": latch_states}
+
+
+def v3_rejects(events: list[dict]) -> tuple[list[dict], int]:
+    """The events with each ``no_open_session`` reject as version 3 logged
+    it, ``unknown_skill`` with the empty skill id as its detail, and how
+    many were mapped back."""
+    mapped = [
+        {**e, "reason": "unknown_skill", "detail": ""}
+        if e["kind"] == "reject" and e["reason"] == "no_open_session" else e
+        for e in events
+    ]
+    return mapped, sum(a is not b for a, b in zip(events, mapped))
+
+
+def v3_report(case: str) -> dict:
+    """The case's version 3 report, rebuilt from its version 4 report. The
+    interpreter, ranked before the skill manager, logged its window before
+    any manager event of the same time."""
+    report = V3_CASES[case]()
+    rebuilt = v3_entries_from_owners(report, CASE_GRAPHS[case]())
+    doc = copy.deepcopy(report)
+    doc["report_version"] = 3
+    events, _ = v3_rejects(report["events"])
+    doc["events"] = sorted(
+        rebuilt["interpreter_window"] + events,
+        key=lambda e: (e["t_us"], e["kind"] != "interpreter_window"),
+    )
+    if rebuilt["io_manager"]:
+        doc["extras"]["io_manager"] = rebuilt["io_manager"]
+    for sid, state in rebuilt["latch_states"].items():
+        doc["latches"][sid]["state"] = state
+    return doc
+
+
 def test_demo_scenario_digest():
     assert sha256(report_to_json_str(demo_report())) == DEMO_SHA256
 
@@ -387,8 +552,7 @@ def v1_events_from_runs(report: dict) -> list[dict]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_v2_runs_expand_to_the_v1_events(case):
     facts_sha256, events_sha256, dropped, suppressed = V1_FACTS[case]
-    report = CASES[case]()
-    assert report["report_version"] == 3
+    report = v3_report(case)
     assert not [e for e in report["events"] if e["kind"] in ("drop", "suppressed")]
     rebuilt = v1_events_from_runs(report)
     assert sum(e["kind"] == "drop" for e in rebuilt) == dropped
@@ -433,7 +597,7 @@ def v2_events_from_owners(report: dict) -> dict[str, list[dict]]:
 @pytest.mark.parametrize("case", sorted(V2_FACTS))
 def test_v3_facts_expand_to_the_v2_report(case):
     report_sha256, latch_sha256, execute_sha256, uart_sha256, dead_letters = V2_FACTS[case]
-    report = V3_CASES[case]()
+    report = v3_report(case)
     assert report.pop("report_version") == 3
     assert not [e for e in report["events"] if e["kind"] in DELETED_EVENTS]
     assert not [e for e in report["skill_invocations"] + report["skill_failures"] if "policy" in e]
@@ -444,3 +608,20 @@ def test_v3_facts_expand_to_the_v2_report(case):
     assert sha256(json.dumps(rebuilt["uart_tx"], sort_keys=True)) == uart_sha256
     io_manager = report["extras"].get("io_manager", [])
     assert sum(counts["dead_letter"] for counts in io_manager) == dead_letters
+
+
+@pytest.mark.parametrize("case", sorted(V3_FACTS))
+def test_v4_facts_expand_to_the_v3_report(case):
+    report_sha256, windows_sha256, io_manager_sha256, states_sha256, no_open_session = V3_FACTS[case]
+    report = V3_CASES[case]()
+    assert report.pop("report_version") == 4
+    assert not [e for e in report["events"] if e["kind"] == "interpreter_window"]
+    assert not [e for e in report["extras"].get("io_manager", []) if "delivered" in e]
+    assert not [latch for latch in report["latches"].values() if "state" in latch]
+    rebuilt = v3_entries_from_owners(report, CASE_GRAPHS[case]())
+    report["events"], mapped = v3_rejects(report["events"])
+    assert mapped == no_open_session
+    assert sha256(report_to_json_str(report)) == report_sha256
+    assert sha256(json.dumps(rebuilt["interpreter_window"], sort_keys=True)) == windows_sha256
+    assert sha256(json.dumps(rebuilt["io_manager"], sort_keys=True)) == io_manager_sha256
+    assert sha256(json.dumps(rebuilt["latch_states"], sort_keys=True)) == states_sha256

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,6 @@ from flowbot.harness import (
     io_manager_route,
     load_graph_config,
     load_scenario,
-    packaged_graph,
     reference_pipeline,
     report_to_json_str,
     run_scenario,
@@ -67,9 +70,9 @@ def demo_scenario(script=None, annotations=None, duration_s=4.0, **extra):
 
 
 def test_shipped_reference_config_is_valid():
-    graph = packaged_graph()
+    graph = reference_pipeline()
     assert validate_graph(graph, harness_kind_registry(), env=stub_env()) == []
-    assert graph == reference_pipeline()
+    assert graph == load_graph_config(reference_doc())
 
 
 def test_missing_streams_key_is_schema_error():
@@ -509,11 +512,11 @@ GET_TIME_THEN_BROKEN = [
 def test_skill_events_are_stamped_with_the_time_of_their_dispatch():
     scenario = demo_scenario(script=GET_TIME_THEN_BROKEN)
     report = run_scenario(reference_pipeline(), scenario, registry=registry_with_a_broken_skill())
-    # the interpretation reaches the manager as its window reaches the interpreter
-    executed = [
-        e["t_us"] for e in report["events"] if e["kind"] == "interpreter_window" and e["index"] in (5, 7)
-    ]
-    assert len(executed) == 2 and 0 < executed[0] < executed[1]
+    # the interpretation reaches the manager as its window reaches the
+    # interpreter: when the 1600-sample chunk holding the window's last
+    # sample, 4000 k + 15999, ends
+    executed = [((4000 * k + 15999) // 1600 + 1) * 100_000 for k in (5, 7)]
+    assert executed == [2_300_000, 2_800_000]
     assert report["skill_invocations"] == [
         {"kind": "invoked", "skill_id": skill_id, "entities": {}, "t_us": t_us}
         for skill_id, t_us in zip(("get_time", "broken"), executed)
@@ -651,9 +654,33 @@ def test_unrouted_device_dead_letters_in_graph():
     )
     report = graph_run(graph, kinds=harness_kind_registry(), env={"audio": audio},
                        stop=StopCondition(time_limit_us=2_000_000))
-    assert report.extras["io_manager"] == [{"delivered": 0, "dead_letter": 5}]
+    assert report.extras["io_manager"] == [{"dead_letter": 5}]
     assert report.streams["b"]["pushed"] == 0
     assert report.events == []  # the count is the channel's; no entry per packet
+
+
+def nested_lists(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from nested_lists(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from nested_lists(item)
+
+
+def test_the_demo_report_does_not_grow_with_the_number_of_windows():
+    # one-sample windows: 64 000 of them, 8000 through the gate
+    doc = reference_doc()
+    (agg,) = (nd for nd in doc["nodes"] if nd["kind"] == "aggregator")
+    agg["params"].update(window_samples=1, hop_samples=1)
+    scenario = load_scenario(json.loads(packaged_config_text("demo_scenario.json")))
+    report = run_scenario(load_graph_config(doc), scenario)
+    assert report["status"] == "ok"
+    assert report["latches"]["s_win_gated"]["forwarded"] == 8000
+    assert report["events"] == []
+    assert max(map(len, nested_lists(report))) <= 3
+    assert len(report_to_json_str(report)) < 4096
 
 
 def test_cli_run_and_validate(tmp_path, capsys):
@@ -687,11 +714,22 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert cli_main(["validate", "--graph", str(bad)]) == 2
 
 
+def test_the_committed_demo_report_is_what_the_demo_script_writes(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_reference_demo.py")],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "demo_report.json").read_text() == (root / "demo_report.json").read_text()
+
+
 def test_a_path_that_begins_with_a_brace_is_read_as_a_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "{g}.json").write_text(packaged_config_text("reference_pipeline.json"))
     (tmp_path / "{s}.json").write_text(packaged_config_text("demo_scenario.json"))
-    assert load_graph_config("{g}.json") == packaged_graph()
+    assert load_graph_config("{g}.json") == reference_pipeline()
     assert load_scenario("{s}.json") == load_scenario(json.loads(packaged_config_text("demo_scenario.json")))
     assert cli_main(["validate", "--graph", "{g}.json"]) == 0
     assert "ok" in capsys.readouterr().out

@@ -136,6 +136,21 @@ def test_handle_rejects_unknown_skill():
     assert isinstance(action, Reject) and action.reason is RejectReason.UNKNOWN_SKILL
 
 
+def test_a_bare_answer_with_no_open_session_is_rejected_naming_its_entity_keys():
+    mgr = SkillManager(make_registry())
+    bare = Interpretation("", {"object_label": "keys"})
+    assert mgr.handle(bare) == Reject(RejectReason.NO_OPEN_SESSION, detail="object_label")
+    assert mgr.handle(Interpretation("", {"when": "10m", "note": "x"})) == Reject(
+        RejectReason.NO_OPEN_SESSION, detail="note,when"
+    )
+    assert mgr.handle(Interpretation("", {})) == Reject(RejectReason.NO_OPEN_SESSION, detail="")
+    # once the answer it was waiting for closes the session, the same answer again has none
+    mgr.handle(Interpretation("find_object", {}, confidence=1.0))
+    assert isinstance(mgr.handle(bare), Execute)
+    assert mgr.handle(bare) == Reject(RejectReason.NO_OPEN_SESSION, detail="object_label")
+    assert mgr.session is None
+
+
 def test_answer_fills_slot_then_executes():
     mgr = SkillManager(make_registry())
     mgr.handle(Interpretation("find_object", {}, confidence=1.0))
