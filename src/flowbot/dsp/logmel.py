@@ -45,7 +45,7 @@ logged filterbank energies). When the next call has an equal config, it
 looks for a shift ``k`` such that the new input's first ``m`` frames are,
 bit for bit, frames ``k .. k+m-1`` of the remembered input. The candidates
 are the remembered frame starts whose first sample is the new input's first
-sample; each is confirmed by comparing the overlapping samples as
+sample; each is confirmed by one comparison of the overlapping samples as
 ``uint64`` bit patterns, so ``-0.0`` and ``+0.0`` never pass for each
 other. The ``m`` output rows are copied, and the window, ``rfft``, power,
 product, floor and log run only over the remaining frames: a 250 ms slide
@@ -212,10 +212,8 @@ def _shared_rows(memo, config: LogMelConfig, x: np.ndarray, n_frames: int) -> tu
     starts = memo_bits[: (memo_frames - 1) * hop + 1 : hop]
     for k in np.flatnonzero(starts == bits[0]).tolist():
         shared = min(n_frames, memo_frames - k)
-        last, offset = (shared - 1) * hop, k * hop
-        # the frame starts first: a cheap test that rejects most false candidates
-        if np.array_equal(bits[: last + 1 : hop], memo_bits[offset : offset + last + 1 : hop]) and (
-                np.array_equal(bits[: last + frame_len], memo_bits[offset : offset + last + frame_len])):
+        overlap, offset = (shared - 1) * hop + frame_len, k * hop
+        if (bits[:overlap] == memo_bits[offset : offset + overlap]).all():
             return k, shared
     return 0, 0
 

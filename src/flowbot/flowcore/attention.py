@@ -35,14 +35,14 @@ class AnnotationIndex:
         self._starts = [start for start, _ in spans]
         self._max_end = list(accumulate((end for _, end in spans), max))
 
-    def overlaps(self, lo: float, hi: float) -> bool:
-        k = bisect_left(self._starts, hi)
-        return k > 0 and self._max_end[k - 1] > lo
-
     def __call__(self, window) -> int:
         """The scripted detector: 1 iff an annotation overlaps the
-        :class:`~flowbot.flowcore.aggregator.AggWindow`'s span."""
-        return 1 if self.overlaps(*window.span_s) else 0
+        :class:`~flowbot.flowcore.aggregator.AggWindow`'s ``span_s``, inlined."""
+        rate = window.sample_rate_hz
+        lo = window.start_sample / rate
+        hi = lo + len(window.raw) / rate
+        k = bisect_left(self._starts, hi)
+        return 1 if k and self._max_end[k - 1] > lo else 0
 
 
 def attention_decide(detector: Callable, window, on_error: Optional[Callable] = None) -> int:

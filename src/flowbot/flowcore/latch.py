@@ -6,8 +6,8 @@ opened "by" a packet admits that packet. :meth:`Latch.pop` and
 :meth:`Latch.drain` keep it: before the data stream's head is popped, every
 queued control stamped no later than that head and than ``now_us`` is popped
 and applied; a control stamped later waits for the data in front of it. The
-latch reads both streams through their instance attributes, so wrappers
-installed on a stream's ``push`` or ``pop`` see every call.
+latch reads both streams' ``queue`` heads and pops through the streams'
+instance attributes, so wrappers on a stream's ``pop`` see every call.
 
 A latch keeps the packets it suppresses in ``suppressed_runs``, as a
 stream keeps its evictions in ``drop_runs``: one dict ``{first_seq,
@@ -52,19 +52,19 @@ class Latch:
 
     def drain(self, data: Stream, control: Stream, now_us: int) -> None:
         """Apply the queued controls that the control rule lets through now."""
-        head = data.peek_timestamp()
-        limit = now_us if head is None or head > now_us else head
-        while True:
-            ts = control.peek_timestamp()
-            if ts is None or ts > limit:
-                return
-            packet = control.pop(now_us)
-            self.apply_control(packet.payload, packet.timestamp_us)
+        queue = data.queue
+        limit = queue[0][1].timestamp_us if queue else now_us
+        if limit > now_us:
+            limit = now_us
+        controls = control.queue
+        while controls and controls[0][1].timestamp_us <= limit:
+            bit, ts, _ = control.pop(now_us)
+            self.apply_control(bit, ts)
 
     def pop(self, data: Stream, control: Stream, now_us: int) -> Optional[Packet]:
         """Pop the data stream's head through the gate, after the controls
         that apply to it; None when the stream is empty or the gate closed."""
-        if len(control):
+        if control.queue:
             self.drain(data, control, now_us)
         packet = data.pop(now_us)
         return None if packet is None else self.forward(packet, now_us)

@@ -4,7 +4,7 @@ A record names its fields once, as ``__slots__ = _fields = (...)``, and
 writes its own ``__init__``, which converts and validates as it likes and
 stores the fields with :meth:`Record._init`. :class:`Record` compares and
 prints field by field, like a dataclass; :class:`FrozenRecord` also hashes
-field by field and refuses assignment, like a frozen dataclass. A record
+field by field, once, and refuses assignment, like a frozen dataclass. A record
 with no validation and no mutable default is a ``typing.NamedTuple``
 instead.
 """
@@ -29,6 +29,8 @@ class Record:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
+        if other is self:  # as tuple equality finds identical fields equal, NaN included
+            return True
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented
@@ -39,9 +41,10 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A :class:`Record` that hashes field-wise and refuses assignment."""
+    """A :class:`Record` that hashes field-wise and refuses assignment; the
+    hash is computed once, on first use, and kept."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,4 +53,8 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._values()))
+            return self._hash

@@ -325,7 +325,10 @@ class GraphRunner:
         except KeyError:
             raise KeyError(f"node {node_id!r} has no stream on output port {port!r}") from None
         now = self._now
-        ts = now if timestamp_us is None else int(timestamp_us)
+        if timestamp_us is None:
+            ts = now
+        else:
+            ts = timestamp_us if timestamp_us.__class__ is int else int(timestamp_us)
         stream = route.stream
         stream.push(tuple.__new__(Packet, (payload, ts, stream.pushed)), now)
         phase = route.phase
@@ -553,8 +556,10 @@ class SplitterNode(Node):
         return {name: PortSpec("any") for name in self.outputs}
 
     def on_packet(self, port, packet, ctx):
+        payload, ts, _ = packet
+        emit = ctx.emit
         for name in self.outputs:
-            ctx.emit(name, packet.payload, packet.timestamp_us)
+            emit(name, payload, ts)
 
 
 class AggregatorNode(Node):
@@ -629,10 +634,11 @@ class AttentionNode(Node):
 
     def on_packet(self, port, packet, ctx):
         errors: list[Exception] = []
-        bit = attention_decide(self.detector, packet.payload, on_error=errors.append)
+        window, ts, _ = packet
+        bit = attention_decide(self.detector, window, errors.append)
         for exc in errors:
             ctx.log("attention_error", error=f"{type(exc).__name__}: {exc}")
-        ctx.emit("bit", bit, timestamp_us=packet.timestamp_us)
+        ctx.emit("bit", bit, ts)
 
 
 def default_kind_registry() -> NodeKindRegistry:

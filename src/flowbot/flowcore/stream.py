@@ -128,9 +128,10 @@ class Stream:
     miss limit (lossy) or a deadline on the packet's age (lossless). An
     optional :class:`WatchdogConfig` adds a latency bound, from the push
     that queued a packet to its pop, and a throughput bound on pops per
-    tumbling window, aligned to the first event. Each queue entry is
-    ``(push_us, packet)`` for the latency check. A push or pop checks inline
-    whether it ends the current window, and calls out only when one closes.
+    tumbling window, aligned to the first event. ``queue`` holds ``(push_us,
+    packet)`` entries, oldest first; only ``push`` and ``pop`` change it. A
+    push or pop checks inline whether it ends the current window, and calls
+    out only when one closes.
     ``finalize`` closes the windows that end by the end of the run.
 
     ``push`` and ``pop`` take the runner's ``now_us``, the due time of the
@@ -150,7 +151,7 @@ class Stream:
         self.successive_misses = 0
         self.max_queued = 0
         self.drop_runs: list[dict] = []
-        self._q: deque[tuple[int, Packet]] = deque()
+        self.queue: deque[tuple[int, Packet]] = deque()
         lossy = isinstance(policy, LossyPolicy)
         self._capacity: Optional[int] = policy.capacity if lossy else None
         self._miss_limit: Optional[int] = policy.max_successive_misses if lossy else None
@@ -164,7 +165,7 @@ class Stream:
         self._window_out = 0
 
     def push(self, packet: Packet, now_us: int) -> None:
-        q = self._q
+        q = self.queue
         self.pushed += 1
         if self._monitored and now_us >= self._window_end:
             self._close_windows(now_us)
@@ -193,9 +194,9 @@ class Stream:
 
     def pop(self, now_us: int) -> Optional[Packet]:
         """Dequeue the oldest packet, or None when empty (a poll outcome)."""
-        if not self._q:
+        if not self.queue:
             return None
-        pushed_us, packet = self._q.popleft()
+        pushed_us, packet = self.queue.popleft()
         self.delivered += 1
         deadline = self._deadline_us
         if deadline is not None:
@@ -232,10 +233,10 @@ class Stream:
         self._window_end = end
 
     def peek_timestamp(self) -> Optional[int]:
-        return self._q[0][1].timestamp_us if self._q else None
+        return self.queue[0][1].timestamp_us if self.queue else None
 
     def __len__(self) -> int:
-        return len(self._q)
+        return len(self.queue)
 
     def finalize(self, end_us: int) -> None:
         """Close the throughput windows that end by ``end_us``, the end of the run."""
@@ -249,7 +250,7 @@ class Stream:
             "pushed": self.pushed,
             "delivered": self.delivered,
             "dropped": self.dropped,
-            "queued": len(self._q),
+            "queued": len(self.queue),
             "max_queued": self.max_queued,
             "drop_runs": [dict(run) for run in self.drop_runs],
             "violations": list(self.violations),

@@ -5,11 +5,7 @@ Every module loads with the package. The CLI imports ``perception`` and
 """
 
 from .config import load_graph_config, load_scan_scene
-from .nodes import (
-    DeviceSample,
-    harness_kind_registry,
-    io_manager_route,
-)
+from .nodes import DeviceSample, harness_kind_registry
 from .reference import reference_pipeline, report_to_json_str, run_scenario
 from .scenario import (
     Annotation,
@@ -24,7 +20,6 @@ __all__ = [
     "DeviceSample",
     "ScenarioScript",
     "harness_kind_registry",
-    "io_manager_route",
     "load_graph_config",
     "load_scan_scene",
     "load_scenario",

@@ -47,16 +47,6 @@ class DeviceSample(NamedTuple):
     chunk: SampleChunk
 
 
-def io_manager_route(sample: DeviceSample, routing_table: dict) -> list[tuple[str, SampleChunk]]:
-    """Duplicate a device sample to every subscribed interface.
-
-    An unrouted device yields an empty list; the caller counts it as
-    dead-lettered.
-    """
-    interfaces = routing_table.get(sample.device_id, [])
-    return [(interface_id, sample.chunk) for interface_id in interfaces]
-
-
 class AudioSourceNode(Node):
     """Plays scenario audio as chunked device samples under the run clock.
 
@@ -90,27 +80,25 @@ class AudioSourceNode(Node):
 
     def start(self, ctx):
         if self._n_chunks:
-            ctx.schedule_at(self._chunk_end_us(0))
-
-    def _chunk_end_us(self, k: int) -> int:
-        return round((k + 1) * self.chunk_samples * 1e6 / self.sample_rate_hz)
+            ctx.schedule_at(round(self.chunk_samples * 1e6 / self.sample_rate_hz))
 
     def on_timer(self, tag, ctx):
         k = self._next_chunk
-        samples = self.samples[k * self.chunk_samples : (k + 1) * self.chunk_samples]
-        if len(samples) < self.chunk_samples:  # padding is made per chunk, never up front
-            pad = np.zeros(self.chunk_samples - len(samples), samples.dtype)
-            samples = np.concatenate([samples, pad])
+        n = self.chunk_samples
+        samples = self.samples[k * n : (k + 1) * n]
+        if len(samples) < n:  # padding is made per chunk, never up front
+            samples = np.concatenate([samples, np.zeros(n - len(samples), samples.dtype)])
         # built by position, as the executor builds a Packet: this runs once per chunk
         chunk = tuple.__new__(SampleChunk, (samples, self.sample_rate_hz, self.scale))
         ctx.emit("out", tuple.__new__(DeviceSample, (self.device_id, chunk)))
-        self._next_chunk += 1
-        if self._next_chunk < self._n_chunks:
-            ctx.schedule_at(self._chunk_end_us(self._next_chunk))
+        self._next_chunk = k = k + 1
+        if k < self._n_chunks:
+            ctx.schedule_at(round((k + 1) * n * 1e6 / self.sample_rate_hz))
 
 
 class IoManagerNode(Node):
-    """Dispatches device samples to the interfaces subscribed to them."""
+    """Sends each device sample's chunk, stamped as the sample, to every
+    interface routed from its device; an unrouted sample is dead-lettered."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
@@ -130,12 +118,14 @@ class IoManagerNode(Node):
         return {name: PortSpec("SampleChunk") for name in self._ports}
 
     def on_packet(self, port, packet, ctx):
-        routed = io_manager_route(packet.payload, self.routing)
-        if not routed:
+        sample, ts, _ = packet
+        interfaces = self.routing.get(sample.device_id)
+        if not interfaces:
             self.dead_letter += 1
             return
-        for interface_id, chunk in routed:
-            ctx.emit(interface_id, chunk, timestamp_us=packet.timestamp_us)
+        chunk = sample.chunk
+        for interface_id in interfaces:
+            ctx.emit(interface_id, chunk, ts)
 
     def finish(self, ctx):
         ctx.collector.channel("io_manager").append({"dead_letter": self.dead_letter})
@@ -162,7 +152,7 @@ class ResamplerNode(Node):
             raise ValueError(f"resampler expects 48000 Hz input, got {chunk.sample_rate_hz}")
         out = self._decimator.process(chunk.samples, chunk.scale)
         if len(out):
-            ctx.emit("out", SampleChunk(out, 16000), timestamp_us=packet.timestamp_us)
+            ctx.emit("out", tuple.__new__(SampleChunk, (out, 16000, 1.0)), packet.timestamp_us)
 
 
 class InterpreterStubNode(Node):

@@ -19,6 +19,7 @@ from flowbot.flowcore import (
     LosslessPolicy,
     LossyPolicy,
     NodeDef,
+    Packet,
     SampleChunk,
     SchemaError,
     StreamDef,
@@ -28,7 +29,6 @@ from flowbot.flowcore import (
 from flowbot.harness import (
     Annotation,
     DeviceSample,
-    io_manager_route,
     load_graph_config,
     load_scenario,
     reference_pipeline,
@@ -40,7 +40,7 @@ from flowbot.harness import (
 from flowbot.flowcore.attention import AnnotationIndex
 from flowbot.harness.cli import main as cli_main
 from flowbot.harness.config import load_scan_scene, packaged_config_text
-from flowbot.harness.nodes import harness_kind_registry
+from flowbot.harness.nodes import IoManagerNode, harness_kind_registry
 
 
 def reference_doc() -> dict:
@@ -180,36 +180,49 @@ def chunk(n=4):
     return SampleChunk(samples=np.zeros(n), sample_rate_hz=16000)
 
 
+def route(sample, routing):
+    """An io_manager node's context after it routes one sample stamped at
+    7 µs, and the node."""
+    node = IoManagerNode("io", {"routing": routing}, {})
+    ctx = FakeCtx()
+    node.on_packet("in", Packet(sample, 7, 0), ctx)
+    return ctx, node
+
+
 def test_route_single_interface():
     sample = DeviceSample("mic0", chunk())
-    assert io_manager_route(sample, {"mic0": ["ui_audio"]}) == [("ui_audio", sample.chunk)]
+    ctx, node = route(sample, {"mic0": ["ui_audio"]})
+    assert ctx.emitted == [("ui_audio", sample.chunk)]
+    assert ctx.stamps == [7] and node.dead_letter == 0
 
 
 def test_route_fans_out_identical_payload():
     sample = DeviceSample("mic0", chunk())
-    routed = io_manager_route(sample, {"mic0": ["ui_audio", "ui_recorder"]})
-    assert [r[0] for r in routed] == ["ui_audio", "ui_recorder"]
-    assert routed[0][1] is routed[1][1]
+    ctx, node = route(sample, {"mic0": ["ui_audio", "ui_recorder"]})
+    assert [port for port, _ in ctx.emitted] == ["ui_audio", "ui_recorder"]
+    assert ctx.emitted[0][1] is ctx.emitted[1][1] is sample.chunk
+    assert ctx.stamps == [7, 7] and node.dead_letter == 0
 
 
 def test_unknown_device_dead_letters():
-    assert io_manager_route(DeviceSample("cam0", chunk()), {"mic0": ["ui_audio"]}) == []
+    ctx, node = route(DeviceSample("cam0", chunk()), {"mic0": ["ui_audio"]})
+    assert ctx.emitted == [] and node.dead_letter == 1
 
 
 # -- scripted detector ---------------------------------------------------------------
 
 
 def test_detector_fires_on_overlap():
-    assert AnnotationIndex([Annotation(2.0, 2.5)]).overlaps(1.75, 2.75)
+    assert AnnotationIndex([Annotation(2.0, 2.5)])(quarter_window(1.75, 2.75)) == 1
 
 
 def test_detector_quiet_without_annotations():
-    assert not AnnotationIndex([Annotation(2.0, 2.5)]).overlaps(0.0, 1.0)
+    assert AnnotationIndex([Annotation(2.0, 2.5)])(quarter_window(0.0, 1.0)) == 0
 
 
 def test_window_end_boundary_is_half_open():
-    assert not AnnotationIndex([Annotation(3.0, 3.2)]).overlaps(2.0, 3.0)
-    assert AnnotationIndex([Annotation(2.999, 3.2)]).overlaps(2.0, 3.0)
+    assert AnnotationIndex([Annotation(3.0, 3.2)])(quarter_window(2.0, 3.0)) == 0
+    assert AnnotationIndex([Annotation(2.999, 3.2)])(quarter_window(2.0, 3.0)) == 1
 
 
 # spans on a quarter-second grid, so duplicates, nesting and ends that touch a
@@ -228,7 +241,6 @@ def test_indexed_detector_equals_a_scan_of_every_span(spans, lo, width):
     hi = lo + width / 4
     expected = any(s < hi and lo < e for s, e in spans)
     index = AnnotationIndex([Annotation(s, e) for s, e in spans])
-    assert index.overlaps(lo, hi) is expected
     assert index(quarter_window(lo, hi)) == int(expected)
 
 
@@ -556,9 +568,11 @@ def test_runs_that_reuse_one_registry_give_identical_reports():
 class FakeCtx:
     def __init__(self):
         self.emitted = []
+        self.stamps = []
 
     def emit(self, port, payload, timestamp_us=None):
         self.emitted.append((port, payload))
+        self.stamps.append(timestamp_us)
 
     def now_us(self):
         return 0
