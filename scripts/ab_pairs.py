@@ -11,13 +11,22 @@ The parent is extracted with ``git archive`` into a temporary directory, and
 the change is a copy there of the working tree's files that git tracks or
 would track (uncommitted edits included, ignored files such as bytecode
 caches left out); both are removed on exit. So both sides start from source
-alike. The change's ``flowbench/`` replaces the parent's, so
-both sides are measured alike even when the change edits the benchmark.
+alike. The change's ``flowbench/`` and ``scripts/opcounts.py`` replace the
+parent's, so both sides are measured alike even when the change edits the
+benchmark or the counter.
 ``--pairs`` is one count for every seed or one per seed. For every workload
 and seed, odd pairs run the parent first and even pairs the change first,
 one run at a time. ``--append`` adds the runs to an existing record of the
 same parent and machine, numbering each workload and seed's pairs on from
 its last, and writes the summary of all of them.
+
+Before the pairs, ``scripts/opcounts.py --seed S`` also runs on the
+workloads once per side and seed: its counts do not vary, so one run is the
+measurement, and it costs seconds next to the pairs. The record gets an
+``opcodes`` block: the ``command``, and the counter's JSON lines under
+``parent`` and ``change``, one per workload and seed, each with its
+``calls`` and ``opcodes`` per package and in total and the report's
+``digest``. With ``--append`` the block is measured again and replaced.
 
 ``--kernel FILE:FUNC`` times one kernel instead of flowbench. ``FUNC`` is a
 zero-argument function in ``FILE``, a file of the working tree that both
@@ -51,6 +60,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMAND = "python3 flowbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 ORDER = "alternating pairs: odd pairs run the parent first, even pairs the change first"
 SIDES = ("parent", "change")
+OPCOUNTS = "scripts/opcounts.py"
+OPCOUNTS_COMMAND = "python3 scripts/opcounts.py --seed S W..."
 
 
 def end_to_end_metrics(root: str = ROOT) -> dict[str, str]:
@@ -115,6 +126,17 @@ def run_flowbench(tree: str, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(lines[-2]), json.loads(lines[-1])
 
 
+def run_opcounts(tree: str, workloads: list[str], seed: int) -> list[dict]:
+    """The counter's JSON line for each workload at ``seed``, counted in ``tree``."""
+    done = subprocess.run(
+        [sys.executable, OPCOUNTS, "--seed", str(seed), *workloads],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"opcounts failed in {tree} (seed {seed}):\n{done.stderr}")
+    return [json.loads(line) for line in done.stdout.strip().splitlines()]
+
+
 KERNEL_RUNNER = """
 import importlib.util, json, sys
 src, path, func = sys.argv[1:]
@@ -170,8 +192,8 @@ def copy_change(into: str) -> str:
 
 
 def parent_tree(rev: str, into: str, change: str) -> tuple[str, str]:
-    """Extract ``rev`` under ``into`` with the change's flowbench; returns the
-    tree and the full commit id."""
+    """Extract ``rev`` under ``into`` with the change's flowbench and opcode
+    counter; returns the tree and the full commit id."""
     commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                             capture_output=True, text=True, check=True).stdout.strip()
     tree = os.path.join(into, "parent")
@@ -180,6 +202,8 @@ def parent_tree(rev: str, into: str, change: str) -> tuple[str, str]:
     subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, capture_output=True, check=True)
     shutil.rmtree(os.path.join(tree, "flowbench"))
     shutil.copytree(os.path.join(change, "flowbench"), os.path.join(tree, "flowbench"))
+    os.makedirs(os.path.join(tree, "scripts"), exist_ok=True)
+    shutil.copy2(os.path.join(change, OPCOUNTS), os.path.join(tree, OPCOUNTS))
     return tree, commit
 
 
@@ -230,6 +254,9 @@ def main(argv=None) -> int:
             return 0
         if args.append and commit != record["parent_commit"]:
             raise SystemExit(f"{args.out} measured parent {record['parent_commit']}, not {commit}")
+        record["opcodes"] = {"command": OPCOUNTS_COMMAND, **{
+            side: [line for seed in args.seeds for line in run_opcounts(trees[side], args.workloads, seed)]
+            for side in SIDES}}
         for workload in args.workloads:
             for seed in args.seeds:
                 done = max((line["pair"] for line in lines["parent"]

@@ -68,6 +68,24 @@ def logmel_sliding_60s() -> float:
     return statistics.median(times[1:]) * 1e3
 
 
+def resampler_stream_60s() -> float:
+    """60 s of seeded 48 kHz int16 codes fed in 1600-sample chunks at scale
+    ``2**-15`` through one ``Decimator3to1``, as ``kws_frontend_48k``'s
+    resampler node feeds it."""
+    from flowbot.dsp import Decimator3to1
+
+    codes = np.random.default_rng(3).integers(-32768, 32768, 60 * 48000, dtype=np.int16)
+    chunks = [codes[i : i + 1600] for i in range(0, len(codes), 1600)]
+    times = []
+    for _ in range(REPEATS + 1):
+        decimator = Decimator3to1()
+        t0 = time.perf_counter()
+        for chunk in chunks:
+            decimator.process(chunk, 2.0**-15)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:]) * 1e3
+
+
 def wav_read_600s() -> float:
     """``read_wav_pcm16`` of a seeded 600 s 16 kHz mono WAV (19.2 MB), written
     once, then one sample read per 4 KiB page, so that a reader that maps

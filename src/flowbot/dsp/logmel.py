@@ -47,7 +47,12 @@ bit for bit, frames ``k .. k+m-1`` of the remembered input. The candidates
 are the remembered frame starts whose first sample is the new input's first
 sample; each is confirmed by one comparison of the overlapping samples as
 ``uint64`` bit patterns, so ``-0.0`` and ``+0.0`` never pass for each
-other. The ``m`` output rows are copied, and the window, ``rfft``, power,
+other. That comparison is made only when the overlap's last sample is equal
+too: in digital silence every remembered frame start is a candidate,
+and one scalar test drops each false one of a window leaving the silence,
+while steady silence matches at ``k = 0`` and shares every row. A false
+candidate still costs a full comparison when its overlap also ends in
+silence. The ``m`` output rows are copied, and the window, ``rfft``, power,
 product, floor and log run only over the remaining frames: a 250 ms slide
 computes 25 rows, not 98. Since a row's bits depend on that row alone, the
 result is the formula's whatever the calls before it. Any miss computes the
@@ -213,7 +218,8 @@ def _shared_rows(memo, config: LogMelConfig, x: np.ndarray, n_frames: int) -> tu
     for k in np.flatnonzero(starts == bits[0]).tolist():
         shared = min(n_frames, memo_frames - k)
         overlap, offset = (shared - 1) * hop + frame_len, k * hop
-        if (bits[:overlap] == memo_bits[offset : offset + overlap]).all():
+        end = offset + overlap - 1
+        if bits[overlap - 1] == memo_bits[end] and (bits[:overlap] == memo_bits[offset : end + 1]).all():
             return k, shared
     return 0, 0
 

@@ -1,6 +1,7 @@
 """The committed benchmark records: every ``BENCH_*.json`` summary follows from
-its own result lines by the rule ``scripts/ab_pairs.py`` writes it with; and
-that script's ``--kernel`` pairs."""
+its own result lines by the rule ``scripts/ab_pairs.py`` writes it with, and
+every record since that script counted opcodes has an ``opcodes`` block of one
+count line per side, workload and seed; and that script's ``--kernel`` pairs."""
 
 import glob
 import importlib.util
@@ -19,6 +20,21 @@ ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
 
 BETTER = ab_pairs.end_to_end_metrics(ROOT)
+
+_spec = importlib.util.spec_from_file_location("opcounts", os.path.join(ROOT, "scripts", "opcounts.py"))
+opcounts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(opcounts)
+
+
+def load_record(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# the records written before scripts/ab_pairs.py counted opcodes; every later
+# record has an opcodes block
+BEFORE_OPCODES = {f"BENCH_{n}.json" for n in (8, 9, 11, 12, 13, 14, 16, 20, 21, 27, 28, 29, 31)}
+OPCODE_RECORDS = [path for path in RECORDS if os.path.basename(path) not in BEFORE_OPCODES]
 
 
 def test_there_are_records_to_check():
@@ -49,6 +65,41 @@ def test_every_summary_field_follows_from_the_result_lines(path):
                         assert number == pytest.approx(expected, rel=1e-12, abs=0.0)
                     else:
                         assert number == expected, (row["workload"], row["seed"], field, key, name)
+
+
+def assert_count_line(line):
+    """One ``scripts/opcounts.py`` line: calls and opcodes per package and in total, and a digest."""
+    assert set(line) == {"workload", "seed", "size", "calls", "opcodes", "digest"}
+    for kind in ("calls", "opcodes"):
+        counts = line[kind]
+        assert set(counts) == {*opcounts.PACKAGES, "other", "total"}, kind
+        assert all(type(n) is int and n >= 0 for n in counts.values()), kind
+        assert counts["total"] == sum(n for key, n in counts.items() if key != "total"), kind
+    assert isinstance(line["digest"], str) and line["digest"]
+
+
+def test_a_record_of_opcode_counts_is_committed():
+    assert OPCODE_RECORDS
+
+
+def test_the_counter_runs_in_a_tree_and_gives_one_line_per_workload():
+    (line,) = ab_pairs.run_opcounts(ROOT, ["executor_fanout:200"], 3)
+    assert_count_line(line)
+    assert (line["workload"], line["seed"], line["size"]) == ("executor_fanout", 3, 200)
+
+
+@pytest.mark.parametrize("path", OPCODE_RECORDS, ids=os.path.basename)
+def test_an_opcodes_block_has_one_count_line_per_side_workload_and_seed(path):
+    block = load_record(path)["opcodes"]
+    assert set(block) == {"command", *ab_pairs.SIDES}
+    assert block["command"] == ab_pairs.OPCOUNTS_COMMAND
+    keys = {}
+    for side in ab_pairs.SIDES:
+        keys[side] = [(line["workload"], line["seed"]) for line in block[side]]
+        assert keys[side] and len(set(keys[side])) == len(keys[side]), side
+        for line in block[side]:
+            assert_count_line(line)
+    assert sorted(keys["parent"]) == sorted(keys["change"])
 
 
 def line(side_value, pair, metric="tick_p99_us", correct=True):

@@ -567,3 +567,40 @@ def test_any_call_sequence_matches_the_oracles(first, steps):
         n = cfg.frame_len_samples + (n_frames - 1) * cfg.hop_samples + extra % cfg.hop_samples
         start = min(max(start, 0), len(SHARING_SIGNAL) - n)
         assert_matches_the_oracles(SHARING_SIGNAL[start : start + n], cfg)
+
+
+def test_digital_silence_shares_at_the_slide_shift_and_keeps_the_formula_bits():
+    # in silence every remembered frame start is a candidate; a window leaving
+    # the silence still finds the slide's shift, and steady silence shares all
+    # its rows at shift 0
+    rng = np.random.default_rng(24)
+    audio = np.concatenate([rng.uniform(-1, 1, 16000), np.zeros(48000), rng.uniform(-1, 1, 32000)])
+    logmel(audio[:16000])
+    for start in range(4000, len(audio) - 16000 + 1, 4000):
+        window = audio[start : start + 16000]
+        silent = not audio[start - 4000 : start + 16000].any()
+        assert shared_with_last_call(window) == ((0, 98) if silent else (25, 73)), start
+        assert_matches_the_oracles(window)
+
+
+class ComparedSamples(np.ndarray):
+    """Counts the elementwise comparisons longer than one frame made on it or its views."""
+
+    long_comparisons = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(a) if isinstance(a, ComparedSamples) else a for a in inputs]
+        if ufunc is np.equal and max(np.size(a) for a in plain) > LogMelConfig().frame_len_samples:
+            ComparedSamples.long_comparisons += 1
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_a_window_leaving_silence_makes_one_full_comparison():
+    # every remembered frame start in the silence is a candidate; the false
+    # ones, whose overlaps end in the window's sound, fall to the last-sample test
+    cfg = LogMelConfig()
+    memo = (cfg, np.zeros(16000).view(ComparedSamples), np.zeros((98, cfg.n_mels)))
+    window = np.concatenate([np.zeros(12000), np.random.default_rng(25).uniform(-1, 1, 4000)])
+    ComparedSamples.long_comparisons = 0
+    assert _shared_rows(memo, cfg, window, 98) == (25, 73)
+    assert ComparedSamples.long_comparisons == 1

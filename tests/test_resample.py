@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowbot.dsp import AudioBuffer, Decimator3to1, ResampleError, resample_3to1
-from flowbot.dsp.resample import CUTOFF_HZ, FILTER_TAPS, lowpass_kernel
+from flowbot.dsp.resample import (
+    _PRODUCT_ROWS, _ROW_OUTPUTS, _ROW_SPAN, _TOEPLITZ, CUTOFF_HZ, FILTER_TAPS, lowpass_kernel,
+)
 
 
 def tone(freq_hz, duration_s=1.0, rate=48000, amp=0.5):
@@ -148,3 +150,41 @@ def test_any_chunking_gives_the_one_call_output_bit_for_bit(n, pcm16, seed, leng
     expected = full_convolution_decimated(np.concatenate([np.zeros(FILTER_TAPS - 1), x * scale]), 0)
     assert len(expected) == len(whole)
     assert np.max(np.abs(whole - expected), initial=0.0) <= 1e-12
+
+
+def test_a_span_gives_one_output_bit_pattern_at_every_place_in_the_product():
+    # the property chunking rests on: an output's bits do not depend on which
+    # row and column of the fixed-shape product it takes, nor on the samples
+    # around its span in that row or in the other rows
+    rng = np.random.default_rng(32)
+    span = rng.uniform(-1, 1, FILTER_TAPS)
+    out = np.empty((_PRODUCT_ROWS, _ROW_OUTPUTS))
+    patterns = set()
+    for row in range(_PRODUCT_ROWS):
+        for col in range(_ROW_OUTPUTS):
+            rows = rng.uniform(-1, 1, (_PRODUCT_ROWS, _ROW_SPAN))
+            rows[row, 3 * col : 3 * col + FILTER_TAPS] = span
+            np.matmul(rows, _TOEPLITZ, out=out)
+            patterns.add(out[row, col].tobytes())
+    assert len(patterns) == 1
+    assert abs(np.frombuffer(patterns.pop())[0] - np.dot(span, KERNEL[::-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [0, 2, 1000, 1601, 4799])
+@pytest.mark.parametrize("chunk", [7, 1600, 4800])
+def test_a_non_finite_sample_reaches_its_spans_and_at_most_one_row_beyond(bad, at, chunk):
+    # the chunking promise covers finite input only: a non-finite sample
+    # reaches its product row's outputs (0 * inf is NaN), so which outputs
+    # beyond its spans it reaches depends on the chunking, but never more
+    # than one row (16 outputs) past them
+    x = np.random.default_rng(at).uniform(-1, 1, 4800)
+    x[at] = bad
+    decimator = Decimator3to1()
+    with np.errstate(invalid="ignore"):
+        out = np.concatenate([decimator.process(x[i : i + chunk]) for i in range(0, len(x), chunk)])
+    # output m is the filter over inputs 3m - 158 .. 3m
+    first, last = -(-at // 3), (at + FILTER_TAPS - 1) // 3
+    m = np.arange(len(out))
+    assert not np.isfinite(out[(m >= first) & (m <= last)]).any()
+    assert np.isfinite(out[(m < first - (_ROW_OUTPUTS - 1)) | (m > last + (_ROW_OUTPUTS - 1))]).all()
