@@ -68,22 +68,32 @@ def logmel_sliding_60s() -> float:
     return statistics.median(times[1:]) * 1e3
 
 
-def resampler_stream_60s() -> float:
-    """60 s of seeded 48 kHz int16 codes fed in 1600-sample chunks at scale
-    ``2**-15`` through one ``Decimator3to1``, as ``kws_frontend_48k``'s
-    resampler node feeds it."""
+def _median_stream_ms(chunk: int) -> float:
+    """Median milliseconds to feed 60 s of seeded 48 kHz int16 codes in
+    ``chunk``-sample pieces at scale ``2**-15`` through one ``Decimator3to1``."""
     from flowbot.dsp import Decimator3to1
 
     codes = np.random.default_rng(3).integers(-32768, 32768, 60 * 48000, dtype=np.int16)
-    chunks = [codes[i : i + 1600] for i in range(0, len(codes), 1600)]
+    chunks = [codes[i : i + chunk] for i in range(0, len(codes), chunk)]
     times = []
     for _ in range(REPEATS + 1):
         decimator = Decimator3to1()
         t0 = time.perf_counter()
-        for chunk in chunks:
-            decimator.process(chunk, 2.0**-15)
+        for piece in chunks:
+            decimator.process(piece, 2.0**-15)
         times.append(time.perf_counter() - t0)
     return statistics.median(times[1:]) * 1e3
+
+
+def resampler_stream_60s() -> float:
+    """The 1600-sample chunks that ``kws_frontend_48k``'s resampler node gets."""
+    return _median_stream_ms(1600)
+
+
+def resampler_stream_60s_160() -> float:
+    """The same codes in 160-sample (3.3 ms) chunks, ten times as many calls:
+    the short-chunk cost that no shipped graph pays yet."""
+    return _median_stream_ms(160)
 
 
 def wav_read_600s() -> float:

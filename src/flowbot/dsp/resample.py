@@ -16,7 +16,17 @@ Multiplication", ACM TOMS 2008):
   before, and copied 40 rows at a time into a contiguous workspace, since
   overlapping rows cannot go to BLAS; the tail is padded with zeros and
   only the outputs the input reaches are kept. A 1600-sample chunk fills
-  one product.
+  one product;
+- the history, the chunk and that padding share one buffer, laid out once
+  for each chunk length together with the 40-row views of its three phases
+  (which of the chunk's samples the first kept output sits at), as a
+  streaming plan is made once and run many times (Frigo & Johnson, "The
+  Design and Implementation of FFTW3", Proc. IEEE 2005). A call
+  scale-copies the chunk into its slot, copies its phase's rows into the
+  workspace, runs the products into a fresh output and moves the last 158
+  samples to the buffer's head. No call writes the padding, so it stays
+  zero; a new chunk length lays out a new buffer and carries the history
+  over from the old one's head.
 
 Why no chunking changes an output's bits: every product has the same shape,
 so BLAS picks one kernel for all of them. The samples of a row outside an
@@ -41,10 +51,10 @@ an invalid value in ``matmul``, for the same 0 * inf.
 The shape is sized for the 1600-sample (33 ms) chunks that the shipped
 graphs feed it. A product costs the same however few of its 640 outputs a
 chunk needs, so short chunks pay for all of them. Per call on the host
-above, with one dot product per output in parentheses: 1600 samples 13.8
-us (20.6), 4800 samples 29.8 us (48.1), but 480 samples 12.4 us (7.7), 160
-samples 13.2 us (4.9) and 48 samples 12.9 us (3.7). The two break even near
-1000 samples.
+above (int16 codes at scale 2**-15, median of 30 interleaved passes), with
+one dot product per output in parentheses: 1600 samples 10.6 us (18.1),
+4800 samples 26.2 us (47.2), but 480 samples 9.9 us (7.7), 160 samples 9.4
+us (4.7) and 48 samples 8.9 us (3.5). The two break even near 700 samples.
 
 :func:`resample_3to1` runs it over a whole buffer and trims the filter's
 79-sample group delay, so the batch form is zero-phase.
@@ -105,31 +115,48 @@ class Decimator3to1:
     fixed-shape product, whose bits do not depend on where it sits there."""
 
     def __init__(self):
-        self._hist = np.zeros(_HIST)
         self._consumed = 0
         self._rows = np.empty((_PRODUCT_ROWS, _ROW_SPAN))  # contiguous, as BLAS needs
+        self._n = -1  # the chunk length the layout below is built for
+        self._buf = np.zeros(_HIST)  # the history at its head
+
+    def _build(self, n: int) -> None:
+        """Lay out a buffer for ``n``-sample chunks: the history at its head,
+        the chunk's slot after it, then zeros for the last product's padding,
+        which no call writes. Span ``j`` of the buffer (159 samples from
+        ``j``) gives the filter output at input index ``consumed + j``; the
+        phase ``j0 = -consumed % 3`` keeps the spans ``j0, j0 + 3, ...``, cut
+        into the products' 40-row blocks."""
+        layout = []
+        for j0 in range(3):
+            n_out = -(-(n - j0) // 3)
+            layout.append((j0, n_out, -(-n_out // _PRODUCT_OUTPUTS) * _PRODUCT_ROWS))
+        size = max(_HIST + n, *(j0 + _ROW_STEP * (n_rows - 1) + _ROW_SPAN for j0, _, n_rows in layout))
+        buf = np.zeros(size)
+        buf[:_HIST] = self._buf[:_HIST]
+        self._phases = []
+        for j0, n_out, n_rows in layout:
+            spans = np.ndarray((n_rows, _ROW_SPAN), np.float64, buf, j0 * 8, (_ROW_STEP * 8, 8))
+            blocks = [spans[row : row + _PRODUCT_ROWS] for row in range(0, n_rows, _PRODUCT_ROWS)]
+            self._phases.append((blocks, n_out))
+        self._n, self._buf, self._slot = n, buf, buf[_HIST : _HIST + n]
 
     def process(self, samples, scale: float = 1.0) -> np.ndarray:
         """Filter the input values ``samples * scale``, with the scale
         applied as they are copied in after the history."""
         n = len(samples)
-        # span j of the history and chunk (159 samples from j) gives the filter
-        # output at input index consumed + j; keep the spans j0, j0 + 3, ...
-        j0 = -self._consumed % 3
-        n_out = -(-(n - j0) // 3)
-        n_rows = -(-n_out // _PRODUCT_OUTPUTS) * _PRODUCT_ROWS
-        buf = np.empty(max(_HIST + n, j0 + _ROW_STEP * (n_rows - 1) + _ROW_SPAN))
-        buf[:_HIST] = self._hist
-        np.multiply(samples, scale, out=buf[_HIST : _HIST + n])
-        buf[_HIST + n :] = 0.0  # the last product's padding
-        spans = np.ndarray((n_rows, _ROW_SPAN), np.float64, buf, j0 * 8, (_ROW_STEP * 8, 8))
-        out = np.empty((n_rows, _ROW_OUTPUTS))
+        if n != self._n:
+            self._build(n)
+        np.multiply(samples, scale, out=self._slot)
+        blocks, n_out = self._phases[-self._consumed % 3]
+        out = np.empty((len(blocks), _PRODUCT_ROWS, _ROW_OUTPUTS))
         rows = self._rows
-        for row in range(0, n_rows, _PRODUCT_ROWS):
-            rows[:] = spans[row : row + _PRODUCT_ROWS]
-            np.matmul(rows, _TOEPLITZ, out=out[row : row + _PRODUCT_ROWS])
+        for block, product in zip(blocks, out):
+            rows[:] = block
+            np.matmul(rows, _TOEPLITZ, out=product)
         self._consumed += n
-        self._hist = buf[n : n + _HIST]
+        buf = self._buf
+        buf[:_HIST] = buf[n : n + _HIST]  # overlapping when n < 158, which numpy allows
         return out.reshape(-1)[:n_out]
 
 

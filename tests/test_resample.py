@@ -188,3 +188,67 @@ def test_a_non_finite_sample_reaches_its_spans_and_at_most_one_row_beyond(bad, a
     m = np.arange(len(out))
     assert not np.isfinite(out[(m >= first) & (m <= last)]).any()
     assert np.isfinite(out[(m < first - (_ROW_OUTPUTS - 1)) | (m > last + (_ROW_OUTPUTS - 1))]).all()
+
+
+def arrays_held_by(decimator):
+    """Every array the decimator keeps, directly or in its lists and tuples."""
+    found, todo = [], list(vars(decimator).values())
+    while todo:
+        value = todo.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+    return found
+
+
+def test_an_output_shares_no_memory_and_a_later_call_leaves_it_alone():
+    rng = np.random.default_rng(33)
+    decimator = Decimator3to1()
+    outs, copies = [], []
+    for n in (1600, 1600, 7, 4800, 100, 1600):
+        out = decimator.process(rng.uniform(-1, 1, n))
+        held = arrays_held_by(decimator)
+        assert held and not any(np.shares_memory(out, a) for a in held)
+        assert not any(np.shares_memory(out, earlier) for earlier in outs)
+        outs.append(out)
+        copies.append(out.copy())
+    for out, copy in zip(outs, copies):
+        assert out.tobytes() == copy.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, 100, 1600])
+def test_writing_into_an_input_after_the_call_changes_no_later_output(chunk):
+    x = np.random.default_rng(chunk).uniform(-1, 1, 3 * 1600 + 5)
+    whole = Decimator3to1().process(x)
+    decimator = Decimator3to1()
+    pieces = []
+    for i in range(0, len(x), chunk):
+        samples = x[i : i + chunk].copy()
+        pieces.append(decimator.process(samples))
+        samples[:] = np.nan
+    assert np.array_equal(np.concatenate(pieces), whole)
+
+
+# each length differs from the one before, so the stream re-lays its buffer at
+# every length and carries its history over (repeated, each layout also serves
+# a second call); the lengths under 158 move an overlapping history
+CHANGING_LENGTHS = [1600, 7, 0, 157, 158, 159, 1600, 4800, 1, 1600]
+
+
+@pytest.mark.parametrize("repeat", [1, 2])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-15])
+def test_a_stream_whose_chunk_length_changes_gives_the_one_call_output_bit_for_bit(scale, repeat):
+    lengths = [n for n in CHANGING_LENGTHS for _ in range(repeat)]
+    rng = np.random.default_rng(repeat)
+    if scale == 1.0:
+        x = rng.uniform(-1, 1, sum(lengths))
+    else:
+        x = rng.integers(-32768, 32768, sum(lengths)).astype(np.int16)
+    whole = Decimator3to1().process(x, scale)
+    decimator = Decimator3to1()
+    ends = np.cumsum(lengths)
+    pieces = [decimator.process(x[end - n : end], scale) for n, end in zip(lengths, ends)]
+    # a chunk gives the outputs at the multiples of 3 among its input indices
+    assert [len(p) for p in pieces] == [(end + 2) // 3 - (end - n + 2) // 3 for n, end in zip(lengths, ends)]
+    assert np.array_equal(np.concatenate(pieces), whole)
