@@ -22,16 +22,18 @@ import sys
 from pathlib import Path
 
 CORE_CLIENTS = ("dsp", "harness", "skills", "perception", "robotics")
-# (reason, scope under src/, banned modules, the one file they are allowed in)
+# (reason, scope under src/, banned modules, the files they are allowed in)
 IMPORT_RULES = [
     ("the executor is single-threaded by design: no thread or process pools",
-     "flowbot", {"threading", "concurrent", "multiprocessing"}, None),
+     "flowbot", {"threading", "concurrent", "multiprocessing"}, ()),
     ("a run's time is its schedule: only flowcore/clock.py reads or waits on the wall clock",
-     "flowbot", {"time", "datetime"}, "flowbot/flowcore/clock.py"),
+     "flowbot", {"time", "datetime"}, ("flowbot/flowcore/clock.py",)),
     ("a dataclass generates its methods through exec at import: use NamedTuples or flowcore.record",
-     "flowbot", {"dataclasses"}, None),
+     "flowbot", {"dataclasses"}, ()),
     ("flowbot.flowcore is the core the other packages build on: it imports none of them",
-     "flowbot/flowcore", {f"flowbot.{name}" for name in CORE_CLIENTS}, None),
+     "flowbot/flowcore", {f"flowbot.{name}" for name in CORE_CLIENTS}, ()),
+    ("the scheduler runs without numpy: in flowcore only the aggregator and attention kernels import it",
+     "flowbot/flowcore", {"numpy"}, ("flowbot/flowcore/aggregator.py", "flowbot/flowcore/attention.py")),
 ]
 # node params and detector specs are read through flowcore.schema's
 # get_value, which names the key of a bad value; a bare conversion does not
@@ -58,7 +60,7 @@ def import_rules(src: Path) -> list[str]:
                 module = ".".join(base + (node.module.split(".") if node.module else []))
                 imported += [(node.lineno, f"{module}.{alias.name}") for alias in node.names]
         for reason, scope, banned, allowed in IMPORT_RULES:
-            if rel.as_posix() == allowed or not rel.as_posix().startswith(scope + "/"):
+            if rel.as_posix() in allowed or not rel.as_posix().startswith(scope + "/"):
                 continue
             found += [f"{path}:{line}: imports {name}: {reason}" for line, name in imported
                       if any(name == b or name.startswith(b + ".") for b in banned)]

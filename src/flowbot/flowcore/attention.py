@@ -1,5 +1,7 @@
-"""Attention decision: one bit per window, failing safe to 0, and the shipped
-RMS-energy (the attention node's default) and scripted keyword detectors."""
+"""Attention decision: one bit per window, failing safe to 0, and the
+detector table the attention node builds its detector from: the shipped
+``constant``, RMS-energy (the node's default) and scripted keyword
+detectors, and any kind added with :func:`register_detector`."""
 
 from __future__ import annotations
 
@@ -8,6 +10,8 @@ from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
+
+from .schema import get_value
 
 
 def rms_detect(window, threshold: float) -> int:
@@ -57,3 +61,26 @@ def attention_decide(detector: Callable, window, on_error: Optional[Callable] = 
         if on_error is not None:
             on_error(exc)
         return 0
+
+
+DETECTOR_FACTORIES: dict[str, Callable] = {}
+
+
+def register_detector(kind: str, factory: Callable) -> None:
+    DETECTOR_FACTORIES[kind] = factory
+
+
+def _constant_detector(spec, env):
+    # an integer only: truncating 0.9 would give a gate that never opens
+    value = get_value(spec, "value", "detector", int, 1)
+    return lambda w: value
+
+
+def _rms_detector(spec, env):
+    threshold = get_value(spec, "threshold", "detector", float, 0.1)
+    return lambda w: rms_detect(w.samples, threshold)
+
+
+register_detector("constant", _constant_detector)
+register_detector("rms", _rms_detector)
+register_detector("scripted", lambda spec, env: AnnotationIndex(env.get("annotations", ())))

@@ -14,7 +14,9 @@ from .packet import Packet
 
 class PortSpec(NamedTuple):
     """Declared port: ``type_tag`` names its payload as the port table of
-    ``docs/graph_schema.md`` does; only a latch control's ``bit`` is checked."""
+    ``docs/graph_schema.md`` does. The build checks that a stream's two ends
+    name the same payload unless one of them is ``any``, and that a latch
+    control's producer emits ``bit``."""
 
     type_tag: str = "any"
     optional: bool = False

@@ -75,8 +75,6 @@ import itertools
 import json
 from typing import Any, Callable, NamedTuple, Optional
 
-from .aggregator import Aggregator, AggregatorConfig
-from .attention import AnnotationIndex, attention_decide, rms_detect
 from .clock import VirtualClock
 from .graphdef import GraphDef
 from .latch import Latch
@@ -483,7 +481,7 @@ def graph_run(
     return GraphRunner(graph, kinds=kinds, clock=clock, stop=stop, seed=seed, env=env).run()
 
 
-# -- built-in node kinds ----------------------------------------------------
+# -- the scheduler's node kinds ----------------------------------------------
 
 
 class SourceNode(Node):
@@ -562,90 +560,9 @@ class SplitterNode(Node):
             emit(name, payload, ts)
 
 
-class AggregatorNode(Node):
-    """Graph wrapper over :class:`Aggregator`: its ``in`` port takes
-    :class:`SampleChunk` payloads, whose rate it checks and whose scale each
-    window carries, and its ``windows`` port emits :class:`AggWindow`
-    payloads, read-only views of the raw samples."""
-
-    def __init__(self, node_id: str, params: dict, env: dict):
-        super().__init__(node_id)
-        self.agg = Aggregator(
-            AggregatorConfig(
-                window_samples=get_value(params, "window_samples", "", int, minimum=1),
-                hop_samples=get_value(params, "hop_samples", "", int, minimum=1),
-                sample_rate_hz=get_value(params, "sample_rate_hz", "", int, minimum=1),
-            )
-        )
-
-    def input_ports(self):
-        return {"in": PortSpec("SampleChunk")}
-
-    def output_ports(self):
-        return {"windows": PortSpec("AggWindow")}
-
-    def on_packet(self, port, packet, ctx):
-        chunk = packet.payload
-        for window in self.agg.feed(chunk.samples, chunk.sample_rate_hz, chunk.scale):
-            ctx.emit("windows", window)
-
-
-DETECTOR_FACTORIES: dict[str, Callable] = {}
-
-
-def register_detector(kind: str, factory: Callable) -> None:
-    DETECTOR_FACTORIES[kind] = factory
-
-
-def _constant_detector(spec, env):
-    # an integer only: truncating 0.9 would give a gate that never opens
-    value = get_value(spec, "value", "detector", int, 1)
-    return lambda w: value
-
-
-def _rms_detector(spec, env):
-    threshold = get_value(spec, "threshold", "detector", float, 0.1)
-    return lambda w: rms_detect(w.samples, threshold)
-
-
-register_detector("constant", _constant_detector)
-register_detector("rms", _rms_detector)
-register_detector("scripted", lambda spec, env: AnnotationIndex(env.get("annotations", ())))
-
-
-class AttentionNode(Node):
-    """Emits one bit per :class:`AggWindow` on its ``in`` port from a detector:
-    the shipped ``constant``, ``rms`` (default) or ``scripted``, which indexes
-    the build environment's ``annotations``, or a :func:`register_detector` kind."""
-
-    def __init__(self, node_id: str, params: dict, env: dict):
-        super().__init__(node_id)
-        spec = get_value(params, "detector", "", dict, {"kind": "rms"})
-        kind = get_value(spec, "kind", "detector", str)
-        if kind not in DETECTOR_FACTORIES:
-            raise SchemaError("detector.kind", f"unknown detector kind {kind!r:.40}")
-        self.detector = DETECTOR_FACTORIES[kind](spec, env)
-
-    def input_ports(self):
-        return {"in": PortSpec("AggWindow")}
-
-    def output_ports(self):
-        return {"bit": PortSpec("bit")}
-
-    def on_packet(self, port, packet, ctx):
-        errors: list[Exception] = []
-        window, ts, _ = packet
-        bit = attention_decide(self.detector, window, errors.append)
-        for exc in errors:
-            ctx.log("attention_error", error=f"{type(exc).__name__}: {exc}")
-        ctx.emit("bit", bit, ts)
-
-
 def default_kind_registry() -> NodeKindRegistry:
     reg = NodeKindRegistry()
     reg.register("source", SourceNode)
     reg.register("sink", SinkNode)
     reg.register("splitter", SplitterNode)
-    reg.register("aggregator", AggregatorNode)
-    reg.register("attention", AttentionNode)
     return reg

@@ -2,7 +2,8 @@
 
 Returns diagnostics instead of raising: an empty list means the graph is
 well-formed (endpoints resolve, ports fully connected or optional, one
-producer and one consumer per stream, control streams carry bits). It builds
+producer and one consumer per stream, the two ends of a stream carry the
+same payload unless one is tagged ``any``, control streams carry bits). It builds
 the nodes (``build_nodes``, returning them and their diagnostics), then
 checks the wiring against them (``check_wiring``), as a runner does. A node
 that is declared but failed to build has its own diagnostic already, so the
@@ -53,6 +54,8 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     latch_controls = {l.control_stream_id for l in graph.latches}
     unbuilt = {nd.id for nd in graph.nodes} - nodes.keys()
+    ins = {node_id: node.input_ports() for node_id, node in nodes.items()}
+    outs = {node_id: node.output_ports() for node_id, node in nodes.items()}
 
     stream_ids: set[str] = set()
     inputs_seen: dict[tuple[str, str], int] = {}
@@ -66,12 +69,13 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
         stream_ids.add(sd.id)
         streams_by_id[sd.id] = sd
 
+        out_spec = None
         if sd.from_node not in nodes:
             if sd.from_node not in unbuilt:
                 diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown producer node {sd.from_node!r}"))
         else:
-            out_ports = nodes[sd.from_node].output_ports()
-            if sd.from_port not in out_ports:
+            out_spec = outs[sd.from_node].get(sd.from_port)
+            if out_spec is None:
                 diags.append(
                     Diagnostic(
                         "UnresolvedEndpoint", loc,
@@ -96,8 +100,8 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
             if sd.to_node not in unbuilt:
                 diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown consumer node {sd.to_node!r}"))
             continue
-        in_ports = nodes[sd.to_node].input_ports()
-        if sd.to_port not in in_ports:
+        in_spec = ins[sd.to_node].get(sd.to_port)
+        if in_spec is None:
             diags.append(
                 Diagnostic(
                     "UnresolvedEndpoint", loc,
@@ -108,6 +112,14 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
         inputs_seen[(sd.to_node, sd.to_port)] = inputs_seen.get((sd.to_node, sd.to_port), 0) + 1
         if sd.from_node == sd.to_node and sd.from_port == sd.to_port:
             diags.append(Diagnostic("SelfLoop", loc, "producer equals consumer on the same port"))
+        tags = (out_spec.type_tag if out_spec is not None else "any", in_spec.type_tag)
+        if "any" not in tags and tags[0] != tags[1]:
+            diags.append(
+                Diagnostic(
+                    "PortTypeMismatch", loc,
+                    f"{sd.from_node}.{sd.from_port} emits {tags[0]!r}, {sd.to_node}.{sd.to_port} takes {tags[1]!r}",
+                )
+            )
 
     for (node_id, port), count in inputs_seen.items():
         if count > 1:
@@ -123,11 +135,11 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
                 )
             )
 
-    for node_id, node in nodes.items():
-        for port, spec in node.input_ports().items():
+    for node_id in nodes:
+        for port, spec in ins[node_id].items():
             if not spec.optional and (node_id, port) not in inputs_seen:
                 diags.append(Diagnostic("UnconnectedPort", f"node {node_id}", f"input port {port!r} not connected"))
-        for port, spec in node.output_ports().items():
+        for port, spec in outs[node_id].items():
             if not spec.optional and (node_id, port) not in outputs_seen:
                 diags.append(Diagnostic("UnconnectedPort", f"node {node_id}", f"output port {port!r} not connected"))
 
@@ -160,8 +172,7 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
                     )
                 )
             if ctl.from_node in nodes:
-                out_ports = nodes[ctl.from_node].output_ports()
-                spec = out_ports.get(ctl.from_port)
+                spec = outs[ctl.from_node].get(ctl.from_port)
                 if spec is not None and spec.type_tag != "bit":
                     diags.append(
                         Diagnostic(

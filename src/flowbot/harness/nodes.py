@@ -1,12 +1,14 @@
 """Simulated device layer and pipeline nodes wired from the dataflow core.
 
-Kinds registered here: audio_source (plays scenario audio as timed chunks),
+Kinds registered here, beside the scheduler's ``source``, ``sink`` and
+``splitter``: audio_source (plays scenario audio as timed chunks),
 io_manager (routes device samples to interfaces), resampler_48to16,
-interpreter_stub (scripted recognizer), skill_manager, speaker_sink and
-uart_sink. The core registers every detector, ``scripted`` included. Each
-node reads its params with :func:`~flowbot.flowcore.schema.get_value`, so a
-bad value fails the build with an error that starts with its key, e.g.
-``routing.mic0: must be a list, got 'ui_audio'``.
+aggregator (sliding windows), attention (one bit per window from a detector
+of :mod:`flowbot.flowcore.attention`'s table), interpreter_stub (scripted
+recognizer), skill_manager, speaker_sink and uart_sink. Each node reads its
+params with :func:`~flowbot.flowcore.schema.get_value`, so a bad value fails
+the build with an error that starts with its key, e.g. ``routing.mic0: must
+be a list, got 'ui_audio'``.
 
 Audio moves as :class:`SampleChunk` views of the scenario's samples, each
 with the scale that turns them into floats: a WAV file's int16 codes carry
@@ -29,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dsp.resample import Decimator3to1
-from ..flowcore.aggregator import AggWindow, SampleChunk
+from ..flowcore.aggregator import Aggregator, AggregatorConfig, AggWindow, SampleChunk
+from ..flowcore.attention import DETECTOR_FACTORIES, attention_decide
 from ..flowcore.node import Node, NodeKindRegistry, PortSpec
 from ..flowcore.runtime import default_kind_registry
 from ..flowcore.schema import SchemaError, check_names, check_value, get_value
@@ -153,6 +156,63 @@ class ResamplerNode(Node):
         out = self._decimator.process(chunk.samples, chunk.scale)
         if len(out):
             ctx.emit("out", tuple.__new__(SampleChunk, (out, 16000, 1.0)), packet.timestamp_us)
+
+
+class AggregatorNode(Node):
+    """Graph wrapper over :class:`Aggregator`: its ``in`` port takes
+    :class:`SampleChunk` payloads, whose rate it checks and whose scale each
+    window carries, and its ``windows`` port emits :class:`AggWindow`
+    payloads, read-only views of the raw samples."""
+
+    def __init__(self, node_id: str, params: dict, env: dict):
+        super().__init__(node_id)
+        self.agg = Aggregator(
+            AggregatorConfig(
+                window_samples=get_value(params, "window_samples", "", int, minimum=1),
+                hop_samples=get_value(params, "hop_samples", "", int, minimum=1),
+                sample_rate_hz=get_value(params, "sample_rate_hz", "", int, minimum=1),
+            )
+        )
+
+    def input_ports(self):
+        return {"in": PortSpec("SampleChunk")}
+
+    def output_ports(self):
+        return {"windows": PortSpec("AggWindow")}
+
+    def on_packet(self, port, packet, ctx):
+        chunk = packet.payload
+        for window in self.agg.feed(chunk.samples, chunk.sample_rate_hz, chunk.scale):
+            ctx.emit("windows", window)
+
+
+class AttentionNode(Node):
+    """Emits one bit per :class:`AggWindow` on its ``in`` port from a detector:
+    the shipped ``constant``, ``rms`` (default) or ``scripted``, which indexes
+    the build environment's ``annotations``, or a
+    :func:`~flowbot.flowcore.attention.register_detector` kind."""
+
+    def __init__(self, node_id: str, params: dict, env: dict):
+        super().__init__(node_id)
+        spec = get_value(params, "detector", "", dict, {"kind": "rms"})
+        kind = get_value(spec, "kind", "detector", str)
+        if kind not in DETECTOR_FACTORIES:
+            raise SchemaError("detector.kind", f"unknown detector kind {kind!r:.40}")
+        self.detector = DETECTOR_FACTORIES[kind](spec, env)
+
+    def input_ports(self):
+        return {"in": PortSpec("AggWindow")}
+
+    def output_ports(self):
+        return {"bit": PortSpec("bit")}
+
+    def on_packet(self, port, packet, ctx):
+        errors: list[Exception] = []
+        window, ts, _ = packet
+        bit = attention_decide(self.detector, window, errors.append)
+        for exc in errors:
+            ctx.log("attention_error", error=f"{type(exc).__name__}: {exc}")
+        ctx.emit("bit", bit, ts)
 
 
 class InterpreterStubNode(Node):
@@ -295,6 +355,8 @@ def harness_kind_registry() -> NodeKindRegistry:
     reg.register("audio_source", AudioSourceNode)
     reg.register("io_manager", IoManagerNode)
     reg.register("resampler_48to16", ResamplerNode)
+    reg.register("aggregator", AggregatorNode)
+    reg.register("attention", AttentionNode)
     reg.register("interpreter_stub", InterpreterStubNode)
     reg.register("skill_manager", SkillManagerNode)
     reg.register("speaker_sink", SpeakerSinkNode)

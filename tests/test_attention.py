@@ -15,11 +15,10 @@ from flowbot.flowcore import (
     NodeDef,
     PortSpec,
     StreamDef,
-    default_kind_registry,
     graph_run,
 )
-from flowbot.flowcore.attention import attention_decide, rms_detect
-from flowbot.flowcore.runtime import DETECTOR_FACTORIES
+from flowbot.flowcore.attention import DETECTOR_FACTORIES, attention_decide, rms_detect
+from flowbot.harness import harness_kind_registry
 
 
 def test_constant_true_detector():
@@ -74,7 +73,7 @@ class WindowSource(Node):
         self._sent = 0
 
     def output_ports(self):
-        return {"out": PortSpec("window")}
+        return {"out": PortSpec("AggWindow")}
 
     def start(self, ctx):
         ctx.schedule_at(0)
@@ -102,7 +101,7 @@ def test_a_detector_that_raises_in_a_graph_emits_0_and_logs_the_error(monkeypatc
         return detect
 
     monkeypatch.setitem(DETECTOR_FACTORIES, "broken", broken)
-    kinds = default_kind_registry()
+    kinds = harness_kind_registry()
     kinds.register("windows", WindowSource)
     kinds.register("bits", lambda node_id, params, env: BitRecorder(node_id))
     lossless = LosslessPolicy(deadline_us=10**9)
@@ -133,18 +132,16 @@ def test_importing_the_core_loads_no_other_flowbot_package():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "['flowcore']"
+    assert out.stdout.strip() == "['_lazy', 'flowcore']"
 
 
 def test_the_core_registers_the_scripted_detector_without_the_harness():
-    # the diagnostics of a scripted-detector graph do not depend on what was imported first
+    # the attention kind finds every shipped detector whatever was imported first
     code = (
-        "from flowbot.flowcore import GraphDef, NodeDef, default_kind_registry, validate_graph\n"
-        "g = GraphDef(nodes=(NodeDef('att', 'attention', {'detector': {'kind': 'scripted'}}),), streams=())\n"
-        "before = [d.code for d in validate_graph(g, default_kind_registry())]\n"
-        "import flowbot.harness\n"
-        "print(before, [d.code for d in validate_graph(g, default_kind_registry())])"
+        "import sys\n"
+        "from flowbot.flowcore.attention import DETECTOR_FACTORIES\n"
+        "print(sorted(DETECTOR_FACTORIES), 'flowbot.harness' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "['UnconnectedPort', 'UnconnectedPort'] ['UnconnectedPort', 'UnconnectedPort']"
+    assert out.stdout.strip() == "['constant', 'rms', 'scripted'] False"

@@ -31,10 +31,10 @@ from flowbot.flowcore import (
     StreamDef,
     VirtualClock,
     WatchdogConfig,
-    default_kind_registry,
     graph_run,
     validate_graph,
 )
+from flowbot.harness import harness_kind_registry
 
 
 class ScriptedBits(Node):
@@ -71,7 +71,7 @@ class ChunkSource(Node):
         self._sent = 0
 
     def output_ports(self):
-        return {"out": PortSpec("samples")}
+        return {"out": PortSpec("SampleChunk")}
 
     def start(self, ctx):
         ctx.schedule_at(0)
@@ -132,7 +132,7 @@ class Relay(Node):
 
 
 def kinds():
-    registry = default_kind_registry()
+    registry = harness_kind_registry()
     registry.register("scripted_bits", ScriptedBits)
     registry.register("chunks", ChunkSource)
     registry.register("relay", Relay)

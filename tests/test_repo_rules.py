@@ -45,6 +45,7 @@ def mutant_src(tmp_path: Path, module: str, line: str) -> tuple[Path, str]:
     ("harness/nodes.py", "import threading", "threading"),
     ("flowcore/runtime.py", "from time import sleep", "time.sleep"),
     ("flowcore/runtime.py", "from ..harness import nodes", "flowbot.harness.nodes"),
+    ("flowcore/runtime.py", "import numpy as np", "numpy"),
     ("skills/types.py", "from dataclasses import dataclass", "dataclasses.dataclass"),
 ])
 def test_a_banned_import_is_found(tmp_path, module, line, name):
@@ -73,7 +74,7 @@ def test_a_benchmark_record_with_no_machine_is_found(tmp_path):
 
 def test_the_command_prints_its_findings_and_exits_1(tmp_path, capsys):
     assert repo_rules.main(["imports", str(ROOT / "src")]) == 0
-    assert capsys.readouterr().out == "src/ keeps all 4 import rules\n"
+    assert capsys.readouterr().out == "src/ keeps all 5 import rules\n"
     src, where = mutant_src(tmp_path, "harness/nodes.py", "import threading")
     assert repo_rules.main(["imports", str(src)]) == 1
     assert capsys.readouterr().out.startswith(where)

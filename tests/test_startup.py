@@ -1,8 +1,9 @@
 """Start-up guard: what ``flowbot`` imports, checked in fresh interpreters.
 
 ``flowbot run`` must not load the modules only other subcommands use, nor
-``dataclasses``, whose classes generate code at import. The leaf packages
-load a submodule when one of its names is first used.
+``dataclasses``, whose classes generate code at import. ``flowcore`` and the
+leaf packages load a submodule when one of its names is first used, and a
+graph of the scheduler's own kinds runs without numpy.
 """
 
 import json
@@ -16,7 +17,7 @@ import flowbot
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(flowbot.__file__)))
 CONFIGS = os.path.join(SRC, "flowbot", "configs")
-LAZY_PACKAGES = ["flowbot.dsp", "flowbot.robotics", "flowbot.perception", "flowbot.skills"]
+LAZY_PACKAGES = ["flowbot.flowcore", "flowbot.dsp", "flowbot.robotics", "flowbot.perception", "flowbot.skills"]
 
 
 def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -60,6 +61,29 @@ def test_run_loads_no_generated_classes_and_no_unused_subpackage():
     assert "flowbot.robotics.sweep" not in loaded
     assert "flowbot.dsp.augment" not in loaded
     assert "flowbot.harness.cli" in loaded  # the guard saw the run's imports
+
+
+CORE_ONLY = """
+import json, sys
+from flowbot.flowcore import (
+    GraphDef, LosslessPolicy, NodeDef, StreamDef, default_kind_registry, graph_run, validate_graph,
+)
+lossless = LosslessPolicy(deadline_us=10**6)
+graph = GraphDef(
+    nodes=(NodeDef("src", "source", {"count": 3}), NodeDef("split", "splitter", {"outputs": ["a"]}),
+           NodeDef("snk", "sink")),
+    streams=(StreamDef("s_src", "src", "out", "split", "in", lossless),
+             StreamDef("s_a", "split", "a", "snk", "in", lossless)),
+)
+diagnostics = validate_graph(graph, default_kind_registry())
+report = graph_run(graph, kinds=default_kind_registry())
+print(json.dumps({"diagnostics": diagnostics, "status": report.status,
+                  "delivered": report.streams["s_a"]["delivered"], "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_a_graph_of_the_scheduler_kinds_validates_and_runs_without_numpy():
+    assert fresh_json(CORE_ONLY) == {"diagnostics": [], "status": "ok", "delivered": 3, "numpy": False}
 
 
 def test_params_and_scan_work_in_fresh_interpreters():

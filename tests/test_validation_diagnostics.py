@@ -9,6 +9,7 @@ for.
 
 import ast
 import inspect
+import json
 
 import pytest
 
@@ -20,10 +21,12 @@ from flowbot.flowcore import (
     NodeDef,
     PortSpec,
     StreamDef,
-    default_kind_registry,
+    graph_from_json,
     validate_graph,
 )
 from flowbot.flowcore import validation
+from flowbot.harness import harness_kind_registry
+from flowbot.harness.cli import main as cli_main
 
 LOSSLESS = LosslessPolicy(deadline_us=10**9)
 
@@ -39,7 +42,7 @@ class BitSource(Node):
 
 
 def kinds():
-    registry = default_kind_registry()
+    registry = harness_kind_registry()
     registry.register("bits", BitSource)
     return registry
 
@@ -56,6 +59,24 @@ SRC, SNK, SNK2, CTL = (
 )
 DATA = stream("data", "src", "out", "snk", "in")
 CONTROL = stream("ctl", "ctl", "bit")
+
+
+# a source's integers wired into an aggregator, which takes SampleChunks
+ILL_TYPED = {
+    "nodes": [
+        {"id": "src", "kind": "source", "params": {"count": 3}},
+        {"id": "agg", "kind": "aggregator",
+         "params": {"window_samples": 4, "hop_samples": 2, "sample_rate_hz": 16000}},
+        {"id": "snk", "kind": "sink"},
+    ],
+    "streams": [
+        {"id": "s_in", "from_node": "src", "from_port": "out", "to_node": "agg", "to_port": "in",
+         "policy": {"kind": "lossless", "deadline_us": 10**9}},
+        {"id": "s_win", "from_node": "agg", "from_port": "windows", "to_node": "snk", "to_port": "in",
+         "policy": {"kind": "lossless", "deadline_us": 10**9}},
+    ],
+    "latches": [],
+}
 
 
 def latched(*latches, nodes=(), streams=()):
@@ -109,6 +130,10 @@ CASES = {
             streams=(stream("s", "split", "in", "split", "in"),),
         ),
         [("SelfLoop", "stream s")],
+    ),
+    "stream between ports of two payloads": (
+        graph_from_json(ILL_TYPED),
+        [("PortTypeMismatch", "stream s_in")],
     ),
     "input port fed by two streams": (
         GraphDef(
@@ -200,5 +225,14 @@ def diagnostic_codes_in_source():
 
 def test_the_table_has_one_row_per_diagnostic_branch():
     codes = diagnostic_codes_in_source()
-    assert len(codes) == len(CASES) == 21
+    assert len(codes) == len(CASES) == 22
     assert sorted(expected[-1][0] for _, expected in CASES.values()) == sorted(codes)
+
+
+def test_validate_exits_2_naming_the_stream_and_both_payloads(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(ILL_TYPED))
+    assert cli_main(["validate", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "PortTypeMismatch at stream s_in: src.out emits 'int', agg.in takes 'SampleChunk'\n"
+    )

@@ -74,7 +74,7 @@ class WindowCapture(Node):
         self.windows = windows
 
     def input_ports(self):
-        return {"in": PortSpec("window")}
+        return {"in": PortSpec("AggWindow")}
 
     def on_packet(self, port, packet, ctx):
         self.windows.append(packet.payload)
