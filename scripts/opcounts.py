@@ -9,8 +9,9 @@ left out). It imports the flowbench modules and changes none of them. It
 runs ``Workload.run_plain`` once to warm up, then once under a
 ``sys.settrace`` tracer that counts every ``call`` event (a Python frame
 entered or a generator resumed) and, with ``f_trace_opcodes``, every
-``opcode`` event, with the cyclic garbage collector off. Both are counted
-by the package of the running frame's file: ``flowcore``, ``harness``,
+``opcode`` event, with the cyclic garbage collector off; then it puts
+back the tracer it found. Both are counted by the package of the running
+frame's file: ``flowcore``, ``harness``,
 ``dsp``, ``skills``, ``flowbench``, and ``other`` for the rest (the
 standard library, numpy's Python code and flowbot's other packages). It
 prints one JSON line per workload with the counts per package and in
@@ -105,11 +106,12 @@ def count(workload: "workloads.Workload") -> tuple[dict, bytes]:
     gc.collect()
     collecting = gc.isenabled()
     gc.disable()
+    previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:
         report = workload.run_plain()
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
         if collecting:
             gc.enable()
     calls["total"] = sum(calls.values())

@@ -14,9 +14,11 @@ from .packet import Packet
 
 class PortSpec(NamedTuple):
     """Declared port: ``type_tag`` names its payload as the port table of
-    ``docs/graph_schema.md`` does. The build checks that a stream's two ends
-    name the same payload unless one of them is ``any``, and that a latch
-    control's producer emits ``bit``."""
+    ``docs/graph_schema.md`` does. An ``any`` output of a node with exactly
+    one input stream, such as a splitter's, carries that stream's payload.
+    The build checks that a stream's payload and its consumer's port name
+    the same payload unless one of them is ``any``, and that a latch
+    control's payload is ``bit``."""
 
     type_tag: str = "any"
     optional: bool = False

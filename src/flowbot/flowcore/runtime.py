@@ -101,6 +101,11 @@ _heappop = heapq.heappop
 REPORT_VERSION = 4
 
 
+def report_to_json_str(doc: dict) -> str:
+    """A report document's bytes: keys sorted, no whitespace."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 class GraphValidationError(ValueError):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
@@ -153,7 +158,7 @@ class RunReport(NamedTuple):
         return {"report_version": REPORT_VERSION, **self._asdict()}
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return report_to_json_str(self.to_json())
 
     def conservation_ok(self) -> bool:
         return all(

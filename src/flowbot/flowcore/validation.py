@@ -2,12 +2,16 @@
 
 Returns diagnostics instead of raising: an empty list means the graph is
 well-formed (endpoints resolve, ports fully connected or optional, one
-producer and one consumer per stream, the two ends of a stream carry the
-same payload unless one is tagged ``any``, control streams carry bits). It builds
-the nodes (``build_nodes``, returning them and their diagnostics), then
-checks the wiring against them (``check_wiring``), as a runner does. A node
-that is declared but failed to build has its own diagnostic already, so the
-wiring check skips the streams' ends at that node.
+producer and one consumer per stream, a stream's payload is the one its
+consumer's port takes unless either is ``any``, control streams carry
+``bit``). A stream's payload is its producer port's tag, except that an
+``any`` output of a node with exactly one input stream (a splitter's)
+carries that stream's payload; a cycle of such outputs, or an end that did
+not resolve, carries ``any``. It builds the nodes (``build_nodes``,
+returning them and their diagnostics), then checks the wiring against them
+(``check_wiring``), as a runner does. A node that is declared but failed to
+build has its own diagnostic already, so the wiring check skips the
+streams' ends at that node.
 """
 
 from __future__ import annotations
@@ -56,92 +60,88 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
     unbuilt = {nd.id for nd in graph.nodes} - nodes.keys()
     ins = {node_id: node.input_ports() for node_id, node in nodes.items()}
     outs = {node_id: node.output_ports() for node_id, node in nodes.items()}
+    feeds: dict[str, list] = {}  # node id -> the streams declared into it
+    for sd in graph.streams:
+        feeds.setdefault(sd.to_node, []).append(sd)
 
-    stream_ids: set[str] = set()
+    def carried(sd) -> str:
+        """The payload stream ``sd`` carries, by the rule in the module docstring."""
+        passed: set[str] = set()
+        while True:
+            spec = outs[sd.from_node].get(sd.from_port) if sd.from_node in nodes else None
+            if spec is None:
+                return "any"
+            feed = feeds.get(sd.from_node, ())
+            if spec.type_tag != "any" or len(feed) != 1 or sd.from_node in passed:
+                return spec.type_tag
+            passed.add(sd.from_node)
+            sd = feed[0]
+
     inputs_seen: dict[tuple[str, str], int] = {}
     outputs_seen: dict[tuple[str, str], int] = {}
     streams_by_id = {}
     for sd in graph.streams:
         loc = f"stream {sd.id}"
-        if sd.id in stream_ids:
+        if sd.id in streams_by_id:
             diags.append(Diagnostic("MultipleProducers", loc, "stream id declared twice"))
             continue
-        stream_ids.add(sd.id)
         streams_by_id[sd.id] = sd
 
-        out_spec = None
-        if sd.from_node not in nodes:
-            if sd.from_node not in unbuilt:
-                diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown producer node {sd.from_node!r}"))
-        else:
-            out_spec = outs[sd.from_node].get(sd.from_port)
-            if out_spec is None:
-                diags.append(
-                    Diagnostic(
-                        "UnresolvedEndpoint", loc,
-                        f"node {sd.from_node!r} has no output port {sd.from_port!r}",
-                    )
-                )
+        specs = []
+        for role, side, node_id, port, ports, seen in (
+            ("producer", "output", sd.from_node, sd.from_port, outs, outputs_seen),
+            ("consumer", "input", sd.to_node, sd.to_port, ins, inputs_seen),
+        ):
+            if node_id is None:  # a latch's control stream has no consumer
+                break
+            spec = None
+            if node_id not in nodes:
+                if node_id not in unbuilt:
+                    diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown {role} node {node_id!r}"))
+            elif (spec := ports[node_id].get(port)) is None:
+                diags.append(Diagnostic("UnresolvedEndpoint", loc, f"node {node_id!r} has no {side} port {port!r}"))
             else:
-                outputs_seen[(sd.from_node, sd.from_port)] = (
-                    outputs_seen.get((sd.from_node, sd.from_port), 0) + 1
-                )
+                seen[node_id, port] = seen.get((node_id, port), 0) + 1
+            specs.append(spec)
 
         if sd.to_node is None:
             if sd.id not in latch_controls:
                 diags.append(
-                    Diagnostic(
-                        "UnconnectedStream", loc,
-                        "stream has no consumer and is not a latch control input",
-                    )
+                    Diagnostic("UnconnectedStream", loc, "stream has no consumer and is not a latch control input")
                 )
             continue
-        if sd.to_node not in nodes:
-            if sd.to_node not in unbuilt:
-                diags.append(Diagnostic("UnresolvedEndpoint", loc, f"unknown consumer node {sd.to_node!r}"))
-            continue
-        in_spec = ins[sd.to_node].get(sd.to_port)
+        out_spec, in_spec = specs
         if in_spec is None:
-            diags.append(
-                Diagnostic(
-                    "UnresolvedEndpoint", loc,
-                    f"node {sd.to_node!r} has no input port {sd.to_port!r}",
-                )
-            )
             continue
-        inputs_seen[(sd.to_node, sd.to_port)] = inputs_seen.get((sd.to_node, sd.to_port), 0) + 1
         if sd.from_node == sd.to_node and sd.from_port == sd.to_port:
             diags.append(Diagnostic("SelfLoop", loc, "producer equals consumer on the same port"))
-        tags = (out_spec.type_tag if out_spec is not None else "any", in_spec.type_tag)
-        if "any" not in tags and tags[0] != tags[1]:
+        emits = "any" if out_spec is None else out_spec.type_tag
+        takes = in_spec.type_tag
+        if emits == "any" and takes != "any":
+            emits = carried(sd)
+        if "any" not in (emits, takes) and emits != takes:
             diags.append(
                 Diagnostic(
                     "PortTypeMismatch", loc,
-                    f"{sd.from_node}.{sd.from_port} emits {tags[0]!r}, {sd.to_node}.{sd.to_port} takes {tags[1]!r}",
+                    f"{sd.from_node}.{sd.from_port} emits {emits!r}, {sd.to_node}.{sd.to_port} takes {takes!r}",
                 )
             )
 
-    for (node_id, port), count in inputs_seen.items():
-        if count > 1:
-            diags.append(
-                Diagnostic("PortConflict", f"node {node_id}", f"input port {port!r} fed by {count} streams")
-            )
-    for (node_id, port), count in outputs_seen.items():
-        if count > 1:
-            diags.append(
-                Diagnostic(
-                    "PortConflict", f"node {node_id}",
-                    f"output port {port!r} feeds {count} streams; use a splitter node for fan-out",
-                )
-            )
+    for seen, conflict in (
+        (inputs_seen, "input port {!r} fed by {} streams"),
+        (outputs_seen, "output port {!r} feeds {} streams; use a splitter node for fan-out"),
+    ):
+        for (node_id, port), count in seen.items():
+            if count > 1:
+                diags.append(Diagnostic("PortConflict", f"node {node_id}", conflict.format(port, count)))
 
     for node_id in nodes:
-        for port, spec in ins[node_id].items():
-            if not spec.optional and (node_id, port) not in inputs_seen:
-                diags.append(Diagnostic("UnconnectedPort", f"node {node_id}", f"input port {port!r} not connected"))
-        for port, spec in outs[node_id].items():
-            if not spec.optional and (node_id, port) not in outputs_seen:
-                diags.append(Diagnostic("UnconnectedPort", f"node {node_id}", f"output port {port!r} not connected"))
+        for side, ports, seen in (("input", ins, inputs_seen), ("output", outs, outputs_seen)):
+            for port, spec in ports[node_id].items():
+                if not spec.optional and (node_id, port) not in seen:
+                    diags.append(
+                        Diagnostic("UnconnectedPort", f"node {node_id}", f"{side} port {port!r} not connected")
+                    )
 
     gated_seen: set[str] = set()
     control_seen: set[str] = set()
@@ -160,25 +160,18 @@ def check_wiring(graph: GraphDef, nodes: dict[str, Node]) -> list[Diagnostic]:
             diags.append(
                 Diagnostic("UnresolvedEndpoint", loc, f"unknown control stream {ld.control_stream_id!r}")
             )
-        else:
-            if ld.control_stream_id in control_seen:
-                diags.append(Diagnostic("DuplicateLatch", loc, "control stream drives two latches"))
-            control_seen.add(ld.control_stream_id)
-            if ctl.to_node is not None:
-                diags.append(
-                    Diagnostic(
-                        "ControlNotBits", loc,
-                        f"control stream {ctl.id!r} already has consumer {ctl.to_node!r}",
-                    )
-                )
-            if ctl.from_node in nodes:
-                spec = outs[ctl.from_node].get(ctl.from_port)
-                if spec is not None and spec.type_tag != "bit":
-                    diags.append(
-                        Diagnostic(
-                            "ControlNotBits", loc,
-                            f"control stream {ctl.id!r} carries {spec.type_tag!r}, not bits",
-                        )
-                    )
+            continue
+        if ld.control_stream_id in control_seen:
+            diags.append(Diagnostic("DuplicateLatch", loc, "control stream drives two latches"))
+        control_seen.add(ld.control_stream_id)
+        if ctl.to_node is not None:
+            diags.append(
+                Diagnostic("ControlNotBits", loc, f"control stream {ctl.id!r} already has consumer {ctl.to_node!r}")
+            )
+        # an unresolved producer has its diagnostic already
+        if (ctl.from_node, ctl.from_port) in outputs_seen and (payload := carried(ctl)) != "bit":
+            diags.append(
+                Diagnostic("ControlNotBits", loc, f"control stream {ctl.id!r} carries {payload!r}, not bits")
+            )
 
     return diags

@@ -17,13 +17,13 @@ import sys
 import numpy as np
 
 from ..flowcore.aggregator import SampleChunk
-from ..flowcore.runtime import GraphValidationError
+from ..flowcore.runtime import GraphValidationError, report_to_json_str
 from ..flowcore.schema import SchemaError, check_value
 from ..flowcore.validation import validate_graph
 from ..robotics.geometry import BeamMode
 from .config import load_graph_config, load_scan_scene
 from .nodes import harness_kind_registry
-from .reference import reference_pipeline, report_to_json_str, run_scenario
+from .reference import reference_pipeline, run_scenario
 from .scenario import load_scenario
 
 

@@ -89,7 +89,3 @@ def run_scenario(
     doc["led_states"] = _led_states(report)
     doc["conservation_ok"] = report.conservation_ok()
     return doc
-
-
-def report_to_json_str(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

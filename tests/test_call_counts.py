@@ -57,6 +57,22 @@ def test_the_census_repeats_and_counts_each_added_call_once(tmp_path, monkeypatc
     assert added_opcodes > 0 and added_opcodes % emits == 0
 
 
+def test_the_census_puts_back_the_tracer_it_found(tmp_path):
+    workload = opcounts.load("executor_fanout", 3, 20, str(tmp_path))
+
+    def sentinel(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(sentinel)
+    try:
+        opcounts.count(workload)
+        found = sys.gettrace()
+    finally:
+        sys.settrace(previous)
+    assert found is sentinel
+
+
 def test_the_census_names_an_unknown_workload_and_a_bad_size(capsys):
     for target in ("speech", "speech_ref:abc", "speech_ref:0", "executor_fanout:-5", "speech_ref:inf"):
         with pytest.raises(SystemExit) as exc:

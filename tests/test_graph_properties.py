@@ -8,7 +8,8 @@ Hypothesis draws small DAGs of sources, splitters and sinks, with lossy and
 lossless streams, optional watchdogs, push- and poll-driven sinks, an
 optional chain of sample chunks through an aggregator and an attention node
 (``rms`` or ``constant`` detector), and at most one latch, driven by a
-scripted bit node or by the attention node's bits.
+scripted bit node or by the attention node's bits. A graph with one stream
+pointed at a port of another payload gets exactly one diagnostic.
 """
 
 import itertools
@@ -131,11 +132,23 @@ class Relay(Node):
             ctx.emit(port, hops, timestamp_us=t_us + shift_us)
 
 
+class TypedSink(Node):
+    """Takes the payload its ``tag`` param names on ``in``."""
+
+    def __init__(self, node_id, params, env):
+        super().__init__(node_id)
+        self.tag = params["tag"]
+
+    def input_ports(self):
+        return {"in": PortSpec(self.tag)}
+
+
 def kinds():
     registry = harness_kind_registry()
     registry.register("scripted_bits", ScriptedBits)
     registry.register("chunks", ChunkSource)
     registry.register("relay", Relay)
+    registry.register("typed_sink", TypedSink)
     return registry
 
 
@@ -264,6 +277,37 @@ def test_random_graphs_terminate_conserve_and_replay(wall_clock_guard, case, see
         assert latch["suppressed"] == sum(run["count"] for run in latch["suppressed_runs"]), sid
         assert_runs_ordered_and_disjoint(latch["suppressed_runs"])
     assert first.to_json_str() == second.to_json_str()
+
+
+# what each producer kind of graphs() emits; a splitter passes on its input's payload
+PAYLOAD_OF_KIND = {"source": "int", "chunks": "SampleChunk", "aggregator": "AggWindow", "attention": "bit"}
+
+
+@st.composite
+def mistyped_graphs(draw):
+    """A graph from ``graphs()`` with one stream into a sink pointed instead
+    at a ``typed_sink`` that takes another payload than the stream carries,
+    which may come through splitters; returns the graph and the stream's id."""
+    graph, _ = draw(graphs())
+    kind_of = {nd.id: nd.kind for nd in graph.nodes}
+    into = {sd.to_node: sd for sd in graph.streams}
+    sd = draw(st.sampled_from([sd for sd in graph.streams if kind_of.get(sd.to_node) == "sink"]))
+    source = sd
+    while kind_of[source.from_node] == "splitter":
+        source = into[source.from_node]
+    carried = PAYLOAD_OF_KIND[kind_of[source.from_node]]
+    tag = draw(st.sampled_from(sorted(set(PAYLOAD_OF_KIND.values()) - {carried})))
+    nodes = [nd for nd in graph.nodes if nd.id != sd.to_node] + [NodeDef("typed", "typed_sink", {"tag": tag})]
+    streams = [other._replace(to_node="typed") if other is sd else other for other in graph.streams]
+    return GraphDef(tuple(nodes), tuple(streams), graph.latches), sd.id
+
+
+@settings(max_examples=60, deadline=None)
+@given(mistyped_graphs())
+def test_a_stream_pointed_at_a_port_of_another_payload_is_the_one_diagnostic(case):
+    graph, stream_id = case
+    diags = [(d.code, d.location) for d in validate_graph(graph, kinds())]
+    assert diags == [("PortTypeMismatch", f"stream {stream_id}")]
 
 
 class LateClock:

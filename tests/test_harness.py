@@ -3,8 +3,10 @@
 import copy
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,19 @@ def test_lossy_stream_without_capacity_points_at_the_entry():
         load_graph_config(doc)
     assert exc.value.path == "streams[0].policy"
     assert "capacity" in exc.value.reason
+
+
+@pytest.mark.parametrize("end", [{"to_node": "a"}, {"to_port": "in"}])
+def test_a_consumer_node_without_its_port_is_schema_error(end):
+    doc = {
+        "nodes": [],
+        "streams": [{"id": "s", "from_node": "a", "from_port": "out", **end,
+                     "policy": {"kind": "lossless", "deadline_us": 1000}}],
+        "latches": [],
+    }
+    with pytest.raises(SchemaError) as exc:
+        load_graph_config(doc)
+    assert (exc.value.path, exc.value.reason) == ("streams[0]", "to_node and to_port must be given together")
 
 
 @pytest.mark.parametrize(
@@ -981,6 +996,26 @@ def test_cli_run_uses_packaged_default_graph(tmp_path):
     }))
     assert cli_main(["run", "--scenario", str(scenario_path),
                      "--report", str(tmp_path / "r.json")]) == 0
+
+
+def test_cli_run_without_report_prints_the_bytes_report_writes(tmp_path, capsys):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"audio": SILENCE_4S, "seed": 0}))
+    report_path = tmp_path / "r.json"
+    assert cli_main(["run", "--scenario", str(scenario_path), "--report", str(report_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli_main(["run", "--scenario", str(scenario_path)]) == 0
+    assert capsys.readouterr().out == report_path.read_text(encoding="utf-8")
+
+
+def test_cli_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["flowbot", "validate"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        # the module is imported already, and running it again is the point
+        warnings.filterwarnings("ignore", "'flowbot.harness.cli' found in sys.modules", RuntimeWarning)
+        runpy.run_module("flowbot.harness.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_cli_params(capsys):

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from flowbot.flowcore import Latch, LatchState, Packet
+from flowbot.flowcore import Latch, LatchState, LosslessPolicy, Packet, Stream
 
 
 def pkt(ts, seq=0):
@@ -84,6 +84,20 @@ def test_tie_control_applies_first():
     assert forwarded == ["x"]
     _, forwarded = replay([("ctl", 5, 0), ("data", 5, "x")], initial=LatchState.OPEN)
     assert forwarded == []
+
+
+def test_drain_stops_at_now_when_the_data_head_is_stamped_later():
+    data, control = (Stream(sid, LosslessPolicy(deadline_us=10**9)) for sid in ("data", "ctl"))
+    data.push(pkt(50), now_us=0)
+    for t_us, bit in ((10, 1), (20, 0), (30, 1)):
+        control.push(Packet(bit, t_us, 0), now_us=0)
+    latch = Latch()
+    latch.drain(data, control, now_us=20)
+    # the controls at 10 and at now apply; the one at 30, before the data head at 50, waits
+    assert latch.transitions == [{"t_us": 10, "state": "open"}, {"t_us": 20, "state": "closed"}]
+    assert [packet.timestamp_us for _, packet in control.queue] == [30]
+    latch.drain(data, control, now_us=50)
+    assert latch.state is LatchState.OPEN and not control.queue
 
 
 def test_openings_counts_transitions_to_open():

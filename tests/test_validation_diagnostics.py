@@ -1,18 +1,20 @@
 """Every diagnostic ``validate_graph`` can return, each from a minimal graph.
 
-One row per ``Diagnostic(...)`` in ``flowcore/validation.py``. Each graph is
-the smallest one that reaches its branch, and the test pins the whole list
-of ``(code, location)`` pairs it gets, so a graph that trips a second
-check by accident shows up as well. The last pair is the branch the row is
-for.
+Each row is the smallest graph that reaches its branch, and the test pins
+the whole list of ``(code, location)`` pairs it gets, so a graph that trips
+a second check by accident shows up as well. The last pair is the branch
+the row is for; a row with no pairs pins a graph that must validate. Run
+together, the rows reach every line of ``build_nodes`` and ``check_wiring``.
 """
 
-import ast
-import inspect
+import copy
 import json
+import os
+import sys
 
 import pytest
 
+import flowbot
 from flowbot.flowcore import (
     GraphDef,
     LatchDef,
@@ -27,8 +29,10 @@ from flowbot.flowcore import (
 from flowbot.flowcore import validation
 from flowbot.harness import harness_kind_registry
 from flowbot.harness.cli import main as cli_main
+from flowbot.harness.config import packaged_config_text
 
 LOSSLESS = LosslessPolicy(deadline_us=10**9)
+DEMO_SCENARIO = os.path.join(os.path.dirname(flowbot.__file__), "configs", "demo_scenario.json")
 
 
 class BitSource(Node):
@@ -58,6 +62,9 @@ SRC, SNK, SNK2, CTL = (
     NodeDef("ctl", "bits"),
 )
 DATA = stream("data", "src", "out", "snk", "in")
+SPLIT = NodeDef("split", "splitter", {"outputs": ["o"]})
+AGG = NodeDef("agg", "aggregator", {"window_samples": 4, "hop_samples": 2, "sample_rate_hz": 16000})
+WINDOWS = stream("windows", "agg", "windows", "snk", "in")
 CONTROL = stream("ctl", "ctl", "bit")
 
 
@@ -77,6 +84,27 @@ ILL_TYPED = {
     ],
     "latches": [],
 }
+
+
+# the same integers reach the aggregator through a one-output splitter
+SPLIT_ILL_TYPED = copy.deepcopy(ILL_TYPED)
+SPLIT_ILL_TYPED["nodes"].append({"id": "split", "kind": "splitter", "params": {"outputs": ["o"]}})
+SPLIT_ILL_TYPED["streams"][0].update(to_node="split", to_port="in")
+SPLIT_ILL_TYPED["streams"].append(
+    {"id": "s_split", "from_node": "split", "from_port": "o", "to_node": "agg", "to_port": "in",
+     "policy": {"kind": "lossless", "deadline_us": 10**9}},
+)
+
+
+def packaged_with_split_control() -> dict:
+    """The packaged graph with the attention bits reaching the latch through
+    a one-output splitter."""
+    doc = json.loads(packaged_config_text("reference_pipeline.json"))
+    doc["nodes"].append({"id": "ctl_split", "kind": "splitter", "params": {"outputs": ["bit"]}})
+    (ctl,) = [sd for sd in doc["streams"] if sd["id"] == "s_ctl"]
+    doc["streams"].append({**ctl, "id": "s_att_bit", "to_node": "ctl_split", "to_port": "in"})
+    ctl.update(from_node="ctl_split", from_port="bit")
+    return doc
 
 
 def latched(*latches, nodes=(), streams=()):
@@ -200,6 +228,50 @@ CASES = {
         ),
         [("ControlNotBits", "latch on data")],
     ),
+    "splitter output feeding a port of another payload": (
+        graph_from_json(SPLIT_ILL_TYPED),
+        [("PortTypeMismatch", "stream s_split")],
+    ),
+    "control stream carrying a source's integers through a splitter": (
+        GraphDef(
+            nodes=(SRC, SNK, NodeDef("ctl_src", "source", {"count": 1}), SPLIT),
+            streams=(DATA, stream("ints", "ctl_src", "out", "split", "in"), stream("ctl", "split", "o")),
+            latches=(LatchDef("data", "ctl"),),
+        ),
+        [("ControlNotBits", "latch on data")],
+    ),
+    "control stream carrying bits through a splitter": (
+        GraphDef(
+            nodes=(SRC, SNK, CTL, SPLIT),
+            streams=(DATA, stream("bits", "ctl", "bit", "split", "in"), stream("ctl2", "split", "o")),
+            latches=(LatchDef("data", "ctl2"),),
+        ),
+        [],
+    ),
+    "splitter fed by an unknown node, feeding a typed port": (
+        GraphDef(
+            nodes=(SPLIT, AGG, SNK),
+            streams=(stream("s", "ghost", "out", "split", "in"), stream("o", "split", "o", "agg", "in"), WINDOWS),
+        ),
+        [("UnresolvedEndpoint", "stream s")],
+    ),
+    "a cycle of splitters feeding a typed port": (
+        GraphDef(
+            nodes=(
+                NodeDef("a", "splitter", {"outputs": ["o"]}),
+                NodeDef("b", "splitter", {"outputs": ["back", "on"]}),
+                AGG,
+                SNK,
+            ),
+            streams=(
+                stream("ab", "a", "o", "b", "in"),
+                stream("ba", "b", "back", "a", "in"),
+                stream("b_agg", "b", "on", "agg", "in"),
+                WINDOWS,
+            ),
+        ),
+        [],
+    ),
 }
 
 
@@ -213,26 +285,63 @@ def test_each_diagnostic_at_its_location(case):
     assert [(d.code, d.location) for d in validate_graph(graph, kinds())] == expected
 
 
-def diagnostic_codes_in_source():
-    """The code of every ``Diagnostic(...)`` built in validation.py."""
-    tree = ast.parse(inspect.getsource(validation))
-    return [
-        node.args[0].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Diagnostic"
-    ]
+def code_lines(code) -> set[int]:
+    """The lines that ``code`` and the code objects nested in it run."""
+    lines = {line for _, _, line in code.co_lines() if line}
+    for const in code.co_consts:
+        if hasattr(const, "co_lines"):
+            lines |= code_lines(const)
+    return lines
 
 
-def test_the_table_has_one_row_per_diagnostic_branch():
-    codes = diagnostic_codes_in_source()
-    assert len(codes) == len(CASES) == 22
-    assert sorted(expected[-1][0] for _, expected in CASES.values()) == sorted(codes)
+def test_the_rows_reach_every_line_of_the_checks():
+    reached = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code.co_filename == validation.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        for graph, _ in CASES.values():
+            validate_graph(graph, kinds())
+    finally:
+        sys.settrace(previous)
+    for check in (validation.build_nodes, validation.check_wiring):
+        body = code_lines(check.__code__) - {check.__code__.co_firstlineno}
+        assert sorted(body - reached) == [], check.__name__
 
 
-def test_validate_exits_2_naming_the_stream_and_both_payloads(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("doc, message", [
+    (ILL_TYPED, "PortTypeMismatch at stream s_in: src.out emits 'int', agg.in takes 'SampleChunk'"),
+    (SPLIT_ILL_TYPED, "PortTypeMismatch at stream s_split: split.o emits 'int', agg.in takes 'SampleChunk'"),
+])
+def test_flowbot_exits_2_naming_the_stream_and_both_payloads(tmp_path, capsys, command, doc, message):
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(ILL_TYPED))
-    assert cli_main(["validate", "--graph", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "PortTypeMismatch at stream s_in: src.out emits 'int', agg.in takes 'SampleChunk'\n"
-    )
+    path.write_text(json.dumps(doc))
+    scenario = ["--scenario", DEMO_SCENARIO] if command == "run" else []
+    assert cli_main([command, "--graph", str(path), *scenario]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {message}\n" if command == "run" else message + "\n")
+
+
+def test_latch_control_through_a_splitter_runs_the_demo_as_the_packaged_graph(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(packaged_with_split_control()))
+    assert cli_main(["validate", "--graph", str(path)]) == 0
+    reports = []
+    for graph in ([], ["--graph", str(path)]):
+        out = tmp_path / f"report{len(reports)}.json"
+        assert cli_main(["run", "--scenario", DEMO_SCENARIO, *graph, "--report", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    packaged, split = reports
+    assert packaged["skill_invocations"]  # the demo executes skills, so the facts below are not vacuous
+    for key in ("skill_invocations", "skill_failures", "uart_hex", "latches", "led_states"):
+        assert split[key] == packaged[key], key
+    assert split["extras"]["speech"] == packaged["extras"]["speech"]
