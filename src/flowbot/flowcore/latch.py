@@ -2,12 +2,13 @@
 
 The control rule: a control bit applies to every data packet stamped at or
 after it, and on an exact timestamp tie the control applies first, so a gate
-opened "by" a packet admits that packet. :meth:`Latch.pop` and
-:meth:`Latch.drain` keep it: before the data stream's head is popped, every
-queued control stamped no later than that head and than ``now_us`` is popped
-and applied; a control stamped later waits for the data in front of it. The
-latch reads both streams' ``queue`` heads and pops through the streams'
-instance attributes, so wrappers on a stream's ``pop`` see every call.
+opened "by" a packet admits that packet. A latch holds its data and
+control streams, and :meth:`Latch.pop` and :meth:`Latch.drain` keep the
+rule: before the data stream's head is popped, every queued control stamped
+no later than that head and than ``now_us`` is popped and applied; a control
+stamped later waits for the data in front of it. The latch reads both
+streams' ``queue`` heads and pops through the streams' instance attributes,
+so wrappers on a stream's ``pop`` see every call.
 
 A latch keeps the packets it suppresses in ``suppressed_runs``, as a
 stream keeps its evictions in ``drop_runs``: one dict ``{first_seq,
@@ -35,7 +36,9 @@ class LatchState(Enum):
 
 
 class Latch:
-    def __init__(self, initial: LatchState = LatchState.CLOSED):
+    def __init__(self, data: Stream, control: Stream, initial: LatchState = LatchState.CLOSED):
+        self.data = data
+        self.control = control
         self.state = initial
         self.initial = initial
         self.forwarded = 0
@@ -50,23 +53,24 @@ class Latch:
             self.state = target
             self.transitions.append({"t_us": ts_us, "state": target.value})
 
-    def drain(self, data: Stream, control: Stream, now_us: int) -> None:
+    def drain(self, now_us: int) -> None:
         """Apply the queued controls that the control rule lets through now."""
-        queue = data.queue
+        queue = self.data.queue
         limit = queue[0][1].timestamp_us if queue else now_us
         if limit > now_us:
             limit = now_us
+        control = self.control
         controls = control.queue
         while controls and controls[0][1].timestamp_us <= limit:
             bit, ts, _ = control.pop(now_us)
             self.apply_control(bit, ts)
 
-    def pop(self, data: Stream, control: Stream, now_us: int) -> Optional[Packet]:
+    def pop(self, now_us: int) -> Optional[Packet]:
         """Pop the data stream's head through the gate, after the controls
         that apply to it; None when the stream is empty or the gate closed."""
-        if control.queue:
-            self.drain(data, control, now_us)
-        packet = data.pop(now_us)
+        if self.control.queue:
+            self.drain(now_us)
+        packet = self.data.pop(now_us)
         return None if packet is None else self.forward(packet, now_us)
 
     def forward(self, packet: Packet, now_us: int) -> Optional[Packet]:

@@ -26,8 +26,8 @@ and raises :class:`GraphValidationError` on any diagnostic. Each stream's
 wiring is resolved once, when the runner is built, into a slotted
 :class:`_Route`: the stream, its consumer node, port and context, the
 consumer's rank, the phase an emit schedules (None for poll-driven and
-consumer-less streams), the gated route for a latch control, and the latch
-and control stream for a gated stream. ``emit`` finds the route by node id,
+consumer-less streams), and the latch of a gated stream or of a latch
+control, which holds both streams. ``emit`` finds the route by node id,
 then by port; a packet's ``seq`` is its stream's ``pushed`` count before the
 push.
 
@@ -59,12 +59,14 @@ A run stops at the first event at or after its time limit, after the event
 whose handler raises or that brings the packets pushed to the budget, or,
 when a ``start`` raises, before any event. A ``finish`` that raises fails
 the run as a handler does, and no later node's ``finish`` is called. The
-idle stop: without a time limit, a run stops as exhausted once the only
-events left are poll-driven nodes' timers and every stream into those nodes
-(and each latch control stream into them) is empty; a polling node would
-otherwise reschedule itself forever. A poll-driven node's context flags its
-timers, and the runner counts those on the heap. The single-threaded loop
-runs a node on one context at a time.
+idle stop, under every stop condition: a run stops as exhausted, before the
+idle poll, once the only events left are poll-driven nodes' timers and every
+stream into those nodes (and each latch control stream into them) is empty;
+a polling node reschedules itself forever, so no node needs to know the
+time limit. A poll-driven node's context flags its timers, and the runner
+counts those on the heap; the test runs when a timer is popped, since an
+idle run's next event is always a poll timer. The single-threaded loop runs
+a node on one context at a time.
 """
 
 from __future__ import annotations
@@ -190,10 +192,6 @@ class NodeContext:
     def now_us(self) -> int:
         return self._runner._now
 
-    @property
-    def time_limit_us(self) -> Optional[int]:
-        return self._runner.stop.time_limit_us
-
     def schedule_at(self, t_us: int, tag=None) -> None:
         now = self._runner._now
         if t_us < now:
@@ -212,7 +210,7 @@ class NodeContext:
 class _Route:
     """One stream's wiring, resolved once when the runner is built."""
 
-    __slots__ = ("stream", "consumer", "port", "ctx", "rank", "phase", "gated", "latch", "control")
+    __slots__ = ("stream", "consumer", "port", "ctx", "rank", "phase", "latch")
 
     def __init__(self, stream: Stream):
         self.stream = stream
@@ -221,11 +219,7 @@ class _Route:
         self.ctx: Optional[NodeContext] = None
         self.rank = 0
         self.phase: Optional[int] = None
-        # a latch's control stream: the gated stream's route
-        self.gated: Optional[_Route] = None
-        # a gated stream: its latch and the latch's control stream
-        self.latch: Optional[Latch] = None
-        self.control: Optional[Stream] = None
+        self.latch: Optional[Latch] = None  # a gated stream's or a latch control's
 
 
 class GraphRunner:
@@ -284,15 +278,14 @@ class GraphRunner:
         self.latches: dict[str, Latch] = {}
         for ld in graph.latches:
             gated, control = routes[ld.stream_id], routes[ld.control_stream_id]
-            gated.latch = self.latches[ld.stream_id] = Latch(ld.initial_state)
-            gated.control = control.stream
-            control.gated = gated
+            latch = Latch(gated.stream, control.stream, ld.initial_state)
+            gated.latch = control.latch = self.latches[ld.stream_id] = latch
             control.rank = gated.rank
             control.phase = _PHASE_CONTROL
 
         polled = [r for r in routes.values() if r.consumer is not None and r.consumer.poll_driven]
         self._polled_streams = [r.stream for r in polled] + [
-            r.control for r in polled if r.control is not None
+            r.latch.control for r in polled if r.latch is not None
         ]
 
     # -- ordering ---------------------------------------------------------
@@ -344,7 +337,7 @@ class GraphRunner:
             raise KeyError(f"node {node_id!r} has no stream on input port {port!r}")
         if route.latch is None:
             return route.stream.pop(self._now)
-        return route.latch.pop(route.stream, route.control, self._now)
+        return route.latch.pop(self._now)
 
     def log_event(self, kind: str, **fields) -> None:
         entry = {"t_us": self._now, "kind": kind}
@@ -376,13 +369,16 @@ class GraphRunner:
         max_packets = self.stop.max_packets
         streams = list(self.streams.values())
         polled = self._polled_streams
-        stop_when_idle = limit is None and bool(polled)
+        stop_when_idle = bool(polled)
         heap = self._heap if self._failed_node is None else []  # a start failed
         dispatches = self._dispatches
         while heap:
-            if stop_when_idle and len(heap) == self._poll_timers and not any(map(len, polled)):
-                break
             t_us, rank, phase, _seq, arg = _heappop(heap)
+            # a popped poll timer is still counted, so fewer events left than
+            # counted poll timers means it was one and only poll timers are left
+            if (stop_when_idle and phase == _PHASE_TIMER and len(heap) < self._poll_timers
+                    and not any(map(len, polled))):
+                break
             if limit is not None and t_us >= limit:
                 self._stop_reason = "time_limit"
                 break
@@ -394,7 +390,7 @@ class GraphRunner:
                 if latch is None:
                     packet = arg.stream.pop(now)
                 else:
-                    packet = latch.pop(arg.stream, arg.control, now)
+                    packet = latch.pop(now)
                 if packet is not None:
                     dispatches[rank] += 1
                     node = arg.consumer
@@ -404,8 +400,7 @@ class GraphRunner:
                         self._node_failed(node, exc)
                         break
             elif phase == _PHASE_CONTROL:
-                gated = arg.gated
-                gated.latch.drain(gated.stream, gated.control, now)
+                arg.latch.drain(now)
             else:
                 dispatches[rank] += 1
                 ctx, tag = arg
@@ -517,7 +512,8 @@ class SourceNode(Node):
 
 class SinkNode(Node):
     """Consumes packets; with ``poll_rate_hz`` it pulls one packet per period
-    instead of accepting per-push deliveries (a deliberately slow consumer)."""
+    instead of accepting per-push deliveries (a deliberately slow consumer),
+    and polls until the runner's time limit or idle stop ends the run."""
 
     def __init__(self, node_id: str, params: dict, env: dict):
         super().__init__(node_id)
@@ -538,9 +534,7 @@ class SinkNode(Node):
     def on_timer(self, tag, ctx):
         ctx.poll("in")
         self._polls += 1
-        next_t = round(self._polls * 1e6 / self.poll_rate_hz)
-        if ctx.time_limit_us is None or next_t < ctx.time_limit_us:
-            ctx.schedule_at(next_t)
+        ctx.schedule_at(round(self._polls * 1e6 / self.poll_rate_hz))
 
 
 class SplitterNode(Node):

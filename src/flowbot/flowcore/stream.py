@@ -232,9 +232,6 @@ class Stream:
             end += window
         self._window_end = end
 
-    def peek_timestamp(self) -> Optional[int]:
-        return self.queue[0][1].timestamp_us if self.queue else None
-
     def __len__(self) -> int:
         return len(self.queue)
 

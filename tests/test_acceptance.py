@@ -219,7 +219,8 @@ def _random_latch_case(rng):
             events.append(("data", t, len(events)))
 
     def replay():
-        latch = Latch(LatchState.CLOSED)
+        data, control = (Stream(sid, LosslessPolicy(deadline_us=10**9)) for sid in ("data", "ctl"))
+        latch = Latch(data, control, LatchState.CLOSED)
         forwarded = []
         for kind, ts, value in sorted(events, key=lambda e: (e[1], 0 if e[0] == "ctl" else 1)):
             if kind == "ctl":

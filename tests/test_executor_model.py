@@ -14,15 +14,18 @@ the contract that the ``runtime.py`` and ``latch.py`` docstrings state:
   head and ``now`` is applied;
 * a run stops at the first event at or after its time limit, after the
   handler that raises or the event that brings the packets pushed to the
-  budget, or, without a time limit, when only poll-driven nodes' timers are
-  left and every stream into those nodes is empty.
+  budget, or, under any stop condition and before the next event, when only
+  poll-driven nodes' timers are left and every stream into those nodes is
+  empty.
 
 It takes the consumer ranks from a built runner. Everything after them is
 its own: it builds fresh nodes and keeps packets in fresh streams, whose
 bounds bookkeeping ``test_stream.py`` and ``test_watchdog.py`` pin, and it
 keeps its own latches. Hypothesis draws the graphs of
 ``test_graph_properties.py``, relays that send with past and future
-timestamps included, and a time limit and a packet budget; the runner and
+timestamps included, and a time limit and a packet budget; examples put a
+polling sink under a time limit, idle from its first poll, long before the
+limit or with its next poll due after it. The runner and
 the model must agree on the facts of the run, not on its bytes: per node,
 the ``(port, seq, timestamp)`` of each packet it was handed; per stream, its
 report entry; per latch, its report entry; and the stop reason and end time.
@@ -32,12 +35,25 @@ This is differential testing against a model, as in Claessen and Hughes,
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from flowbot.flowcore import GraphRunner, Packet, StopCondition, Stream
+from flowbot.flowcore import (
+    GraphDef,
+    GraphRunner,
+    LosslessPolicy,
+    NodeDef,
+    Packet,
+    StopCondition,
+    Stream,
+    StreamDef,
+)
 from test_graph_properties import graphs_with_cycles, kinds
 
 CONTROL, TIMER, DELIVERY = 0, 1, 2
+
+
+def head_timestamp(stream):
+    return stream.queue[0][1].timestamp_us
 
 
 class ModelLatch:
@@ -75,7 +91,6 @@ class ModelLatch:
 class ModelContext:
     def __init__(self, model, node_id):
         self.model, self.node_id = model, node_id
-        self.time_limit_us = model.stop.time_limit_us
 
     def now_us(self):
         return self.model.now
@@ -128,8 +143,8 @@ class Model:
 
     def apply_controls(self, gated):
         data, control = self.streams[gated], self.streams[self.control_of[gated]]
-        limit = min(self.now, data.peek_timestamp()) if len(data) else self.now
-        while len(control) and control.peek_timestamp() <= limit:
+        limit = min(self.now, head_timestamp(data)) if len(data) else self.now
+        while len(control) and head_timestamp(control) <= limit:
             self.latches[gated].control(control.pop(self.now))
 
     def take(self, sid):
@@ -150,7 +165,7 @@ class Model:
 
     def only_idle_polls_left(self):
         polled = [sid for sid, node_id in self.consumer.items() if self.nodes[node_id].poll_driven]
-        return (self.stop.time_limit_us is None and polled
+        return (polled
                 and all(e[2] == TIMER and self.nodes[e[4]].poll_driven for e in self.events)
                 and not any(len(self.streams[sid]) for sid in polled))
 
@@ -216,8 +231,22 @@ stops = st.builds(StopCondition, time_limit_us=st.one_of(st.none(), st.integers(
                   max_packets=st.one_of(st.none(), st.integers(1, 300)))
 
 
+def source_into_polling_sink(count, rate_hz=1000.0):
+    """``count`` packets at ``rate_hz`` into a sink that polls at 1 kHz."""
+    return GraphDef(
+        (NodeDef("src", "source", {"count": count, "rate_hz": rate_hz}),
+         NodeDef("snk", "sink", {"poll_rate_hz": 1000.0})),
+        (StreamDef("s", "src", "out", "snk", "in", LosslessPolicy(deadline_us=1000)),),
+    )
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(graphs_with_cycles(), stops)
+# the sink is idle from its first poll; between packets and from 30 ms, long
+# before the limit; and from 9 ms, with its next poll due after the limit
+@example(source_into_polling_sink(0), StopCondition(time_limit_us=1000))
+@example(source_into_polling_sink(10, rate_hz=300.0), StopCondition(time_limit_us=80_000))
+@example(source_into_polling_sink(10), StopCondition(time_limit_us=9500))
 def test_the_runner_agrees_with_the_model(wall_clock_guard, graph, stop):
     runner = GraphRunner(graph, kinds(), stop=stop)
     with wall_clock_guard(20.0):

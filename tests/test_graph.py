@@ -1,11 +1,16 @@
 """Graph validation diagnostics and the deterministic executor."""
 
 import collections
+import json
+import os
+import subprocess
+import sys
 import time
 import types
 
 import pytest
 
+import flowbot
 from flowbot.flowcore import (
     GraphDef,
     GraphRunner,
@@ -878,6 +883,35 @@ def test_poll_driven_sink_without_time_limit_terminates(wall_clock_guard):
     assert s["queued"] == 0 and s["pushed"] == s["delivered"] + s["dropped"] == 50
     # the last packet arrives at 49 ms; polls at 50..80 ms drain the 4 queued
     assert report.end_time_us == 80_000
+
+
+@pytest.mark.parametrize("time_limit_s", [100, 1e5])
+def test_flowbot_run_stops_a_drained_polling_sink_long_before_the_time_limit(tmp_path, time_limit_s):
+    # 10 packets at 1 kHz into a 1 kHz polling sink: the sink takes the last
+    # at 9 ms and is idle from then on, so the run ends there, not after
+    # 1e3 * time_limit_s polls
+    graph = {
+        "nodes": [{"id": "src", "kind": "source", "params": {"count": 10, "rate_hz": 1000.0}},
+                  {"id": "snk", "kind": "sink", "params": {"poll_rate_hz": 1000.0}}],
+        "streams": [{"id": "s", "from_node": "src", "from_port": "out", "to_node": "snk",
+                     "to_port": "in", "policy": {"kind": "lossless", "deadline_us": 1000}}],
+        "latches": [],
+    }
+    scenario = {"audio": {"synthetic": {"kind": "silence", "duration_s": 0.1, "sample_rate_hz": 16000}},
+                "time_limit_s": time_limit_s}
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowbot.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "flowbot.harness.cli", "run", "--graph", str(tmp_path / "graph.json"),
+         "--scenario", str(tmp_path / "scenario.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["stop_reason"], report["end_time_us"]) == ("exhausted", 9_000)
+    assert report["nodes"]["snk"] == {"dispatches": 10}
+    assert report["streams"]["s"]["delivered"] == 10
 
 
 def test_drop_and_suppression_runs_of_a_lossy_gated_stream():

@@ -9,6 +9,15 @@ def pkt(ts, seq=0):
     return Packet(payload=None, timestamp_us=ts, seq=seq)
 
 
+def streams():
+    """A data and a control stream, both lossless."""
+    return (Stream(sid, LosslessPolicy(deadline_us=10**9)) for sid in ("data", "ctl"))
+
+
+def new_latch(initial=LatchState.CLOSED):
+    return Latch(*streams(), initial)
+
+
 def replay(events, initial=LatchState.CLOSED):
     """Feed (kind, ts, value) events in timestamp order, controls first on ties.
 
@@ -16,7 +25,7 @@ def replay(events, initial=LatchState.CLOSED):
     The latch's suppression runs are checked against a list model: suppressed
     packets with consecutive seqs form one run.
     """
-    latch = Latch(initial)
+    latch = new_latch(initial)
     forwarded, runs = [], []
     seq = 0
     for kind, ts, value in sorted(events, key=lambda e: (e[1], 0 if e[0] == "ctl" else 1)):
@@ -42,14 +51,14 @@ def replay(events, initial=LatchState.CLOSED):
 
 
 def test_closed_latch_suppresses():
-    latch = Latch(LatchState.CLOSED)
+    latch = new_latch()
     assert latch.forward(pkt(0), 0) is None
     assert latch.suppressed == 1 and latch.forwarded == 0
     assert latch.suppressed_runs == [{"first_seq": 0, "last_seq": 0, "first_t_us": 0, "last_t_us": 0, "count": 1}]
 
 
 def test_suppressed_runs_are_stamped_at_the_given_time():
-    latch = Latch(LatchState.CLOSED)
+    latch = new_latch()
     latch.forward(pkt(10, seq=4), now_us=25)
     latch.forward(pkt(11, seq=5), now_us=30)
     latch.forward(pkt(12, seq=7), now_us=40)  # seq 6 never reached the latch: a new run
@@ -87,21 +96,21 @@ def test_tie_control_applies_first():
 
 
 def test_drain_stops_at_now_when_the_data_head_is_stamped_later():
-    data, control = (Stream(sid, LosslessPolicy(deadline_us=10**9)) for sid in ("data", "ctl"))
+    data, control = streams()
     data.push(pkt(50), now_us=0)
     for t_us, bit in ((10, 1), (20, 0), (30, 1)):
         control.push(Packet(bit, t_us, 0), now_us=0)
-    latch = Latch()
-    latch.drain(data, control, now_us=20)
+    latch = Latch(data, control)
+    latch.drain(now_us=20)
     # the controls at 10 and at now apply; the one at 30, before the data head at 50, waits
     assert latch.transitions == [{"t_us": 10, "state": "open"}, {"t_us": 20, "state": "closed"}]
     assert [packet.timestamp_us for _, packet in control.queue] == [30]
-    latch.drain(data, control, now_us=50)
+    latch.drain(now_us=50)
     assert latch.state is LatchState.OPEN and not control.queue
 
 
 def test_openings_counts_transitions_to_open():
-    latch = Latch()
+    latch = new_latch()
     latch.apply_control(1, 0)
     latch.apply_control(1, 1)  # reassertion, no transition
     latch.apply_control(0, 2)

@@ -97,8 +97,10 @@ def test_push_pop_and_forward_have_no_time_of_their_own():
     s.push(pkt(0), 5)
     with pytest.raises(TypeError):
         s.pop()
-    with pytest.raises(TypeError):
-        Latch(LatchState.CLOSED).forward(pkt(0))
+    latch = Latch(s, Stream("ctl", LossyPolicy(capacity=1)), LatchState.CLOSED)
+    for call in (latch.pop, latch.drain, lambda: latch.forward(pkt(0))):
+        with pytest.raises(TypeError):
+            call()
     assert len(s) == 1
 
 
@@ -117,7 +119,7 @@ def test_a_report_entry_taken_mid_run_is_a_snapshot():
     """The open drop and suppression runs grow in place; an entry taken
     before they grow keeps the values it had."""
     s = Stream("s", LossyPolicy(capacity=1, max_successive_misses=0))
-    latch = Latch(LatchState.CLOSED)
+    latch = Latch(s, Stream("ctl", LossyPolicy(capacity=1)), LatchState.CLOSED)
     for seq in range(3):
         s.push(pkt(seq), seq)
         latch.forward(pkt(seq), seq)
@@ -280,7 +282,7 @@ def test_every_stream_variant_matches_a_list_model(kind, watched, data, ops):
         elif op == "pop":
             assert s.pop(clock) == model.pop(clock)
         head = model.entries[0][1].timestamp_us if model.entries else None
-        assert s.peek_timestamp() == head
+        assert (s.queue[0][1].timestamp_us if s.queue else None) == head
         assert s.pushed == s.delivered + s.dropped + len(s) == model.pushed
         assert (len(s), s.max_queued) == (len(model.entries), model.max_queued)
     s.finalize(clock)
